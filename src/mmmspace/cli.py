@@ -13,9 +13,8 @@ Exit codes: 0 success, 1 domain error (machine-readable JSON on
 stderr), 2 usage error.
 
 Seeds resolve as --seed, else the MMM_SEED environment variable, else
-0.  A --threads flag caps worker parallelism; evaluation and reduction
-orders are fixed, so results do not depend on it (the current
-implementation runs single-threaded).
+0.  A --threads flag is accepted so that recorded command lines replay,
+and is otherwise ignored: everything runs single-threaded.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from . import __version__
 from .compact import family_tightness
 from .core import validate
 from .dmat import sample_many
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, TooLargeError
 from .gen import CoalescentConfig, MoranConfig, euclidean_cloud, kingman, moran
 from .mgp import mgp_bounds, mgp_exact
 from .poly import default_panel, evaluate_exact, evaluate_mc
@@ -75,15 +74,15 @@ def _manifest_path(outputs: list) -> Path:
     return first.with_name(first.name + ".manifest.json")
 
 
-def _write_manifest(command, argv, seed, inputs, outputs) -> None:
+def _write_manifest(args, argv, seed, inputs, outputs) -> None:
     if not outputs:
         return
     argv = list(argv)
-    if "--seed" not in argv:
+    if hasattr(args, "seed") and "--seed" not in argv:
         argv += ["--seed", str(seed)]
     manifest = {
         "schema": MANIFEST_SCHEMA,
-        "command": command,
+        "command": args.command,
         "argv": argv,
         "seed": seed,
         "inputs": {str(p): sha256_path(p) for p in inputs},
@@ -144,7 +143,7 @@ def _cmd_validate(args, argv) -> int:
     print(text, end="")
     if args.out:
         _write_text(Path(args.out), text)
-        _write_manifest("validate", argv, 0, [args.space], [args.out])
+        _write_manifest(args, argv, 0, [args.space], [args.out])
     return 0
 
 
@@ -168,7 +167,7 @@ def _cmd_sample(args, argv) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_text(Path(args.out), text)
-        _write_manifest("sample", argv, seed, [args.space], [args.out])
+        _write_manifest(args, argv, seed, [args.space], [args.out])
     else:
         print(text, end="")
     return 0
@@ -197,7 +196,7 @@ def _cmd_poly_eval(args, argv) -> int:
     writer.writerows(_poly_rows(space, panel, args.mc, seed))
     if args.out:
         _write_text(Path(args.out), buf.getvalue())
-        _write_manifest("poly-eval", argv, seed, [args.space], [args.out])
+        _write_manifest(args, argv, seed, [args.space], [args.out])
     else:
         print(buf.getvalue(), end="")
     return 0
@@ -216,7 +215,7 @@ def _cmd_prohorov(args, argv) -> int:
     print(text, end="")
     if args.out:
         _write_text(Path(args.out), text)
-        _write_manifest("prohorov", argv, 0, [args.metric, args.p, args.q], [args.out])
+        _write_manifest(args, argv, 0, [args.metric, args.p, args.q], [args.out])
     return 0
 
 
@@ -240,7 +239,7 @@ def _cmd_dist(args, argv) -> int:
     print(text, end="")
     if args.out:
         _write_text(Path(args.out), text)
-        _write_manifest("dist", argv, seed, [args.a, args.b], [args.out])
+        _write_manifest(args, argv, seed, [args.a, args.b], [args.out])
     return 0
 
 
@@ -291,7 +290,7 @@ def _cmd_tightness(args, argv) -> int:
         )
         + "\n",
     )
-    _write_manifest("tightness", argv, 0, paths, [curves, verdicts])
+    _write_manifest(args, argv, 0, paths, [curves, verdicts])
     return 0
 
 
@@ -319,7 +318,7 @@ def _cmd_simulate(args, argv) -> int:
         raise ParameterError(f"bad params for model {args.model!r}: {exc}") from exc
     save_space(space, args.out)
     inputs = [args.params] if args.params else []
-    _write_manifest("simulate", argv, seed, inputs, [args.out])
+    _write_manifest(args, argv, seed, inputs, [args.out])
     return 0
 
 
@@ -346,7 +345,7 @@ def _cmd_test(args, argv) -> int:
     print(text, end="")
     if args.out:
         _write_text(Path(args.out), text)
-        _write_manifest("test", argv, seed, [args.a, args.b], [args.out])
+        _write_manifest(args, argv, seed, [args.a, args.b], [args.out])
     return 0
 
 
@@ -390,7 +389,7 @@ def _cmd_converge(args, argv) -> int:
         )
         outputs.append(sidecar)
     inputs = list(paths) + ([args.target] if args.target else [])
-    _write_manifest("converge", argv, seed, inputs, outputs)
+    _write_manifest(args, argv, seed, inputs, outputs)
     return 0
 
 
@@ -405,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "polynomials, Prohorov machinery, and diagnostics.",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap; results are independent of it")
+                        help="accepted so recorded command lines replay; ignored")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
@@ -513,6 +512,10 @@ def run(argv=None) -> int:
         return args.func(args, argv)
     except DomainError as exc:
         print(dumps(exc.payload()), file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(dumps({"error": TooLargeError.kind, "detail": f"MemoryError: {exc}"}),
+              file=sys.stderr)
         return 1
     except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
         print(dumps({"error": "bad-input", "detail": f"{type(exc).__name__}: {exc}"}),

@@ -186,14 +186,41 @@ class ValidationReport:
         return any(v.kind == kind for v in self.violations)
 
 
+TRIANGLE_BLOCK_ELEMENTS = 1 << 18
+
+
+def _triangle_blocks(d: np.ndarray):
+    """Yield ``(i0, excess)`` with ``excess[a, j, k] = d(i, k) - d(i, j) - d(j, k)``
+    for i = i0 + a.
+
+    The first index walks in blocks of at most TRIANGLE_BLOCK_ELEMENTS
+    entries (one row of i at least), so a scan over all triples holds O(n^2)
+    memory; a space that fits one block is done in a single pass.  Blocks
+    come in increasing i, so C-order scans of the blocks in turn see the
+    triples in the order of the full n^3 tensor.  Yields nothing for n < 3.
+    """
+    n = d.shape[0]
+    if n < 3:
+        return
+    step = max(1, TRIANGLE_BLOCK_ELEMENTS // (n * n))
+    for i0 in range(0, n, step):
+        rows = d[i0: i0 + step]
+        yield i0, rows[:, None, :] - rows[:, :, None] - d[None, :, :]
+
+
 def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     """Check the metric-measure invariants and report every violation.
 
-    Checks, in order: zero diagonal, symmetry, nonnegativity, triangle
-    inequality (excess measured relative to max(1, d(i,k)) at tolerance
-    ``tol``), weight nonnegativity, total weight within ``tol`` of 1, marks
-    inside the mark space, and unmerged duplicates (distinct points at
-    distance <= tol carrying equal marks, which canonicalize would merge).
+    Checks, in order: finite distances and weights, zero diagonal,
+    symmetry, nonnegativity, triangle inequality (excess measured relative
+    to max(1, d(i,k)) at tolerance ``tol``), weight nonnegativity, total
+    weight within ``tol`` of 1, marks inside the mark space, and unmerged
+    duplicates (distinct points at distance <= tol carrying equal marks,
+    which canonicalize would merge).  Non-finite entries are reported as
+    ``non-finite`` and end the check, since no other invariant means
+    anything on them.
+
+    Memory is O(n^2): triangles are scanned in blocks of the first index.
 
     Returns a ValidationReport; it never raises.
     """
@@ -202,11 +229,31 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     n = space.n
     out: list[Violation] = []
 
-    for i in range(n):
-        if d[i, i] != 0.0:
-            out.append(
-                Violation("diagonal", (i,), float(d[i, i]), f"d({i},{i}) != 0")
+    for i, j in np.argwhere(~np.isfinite(d)):
+        out.append(
+            Violation(
+                "non-finite",
+                (int(i), int(j)),
+                0.0,
+                f"d({i},{j}) = {float(d[i, j])!r} is not finite",
             )
+        )
+    for i in np.flatnonzero(~np.isfinite(w)):
+        out.append(
+            Violation(
+                "non-finite",
+                (int(i),),
+                0.0,
+                f"weight {i} = {float(w[i])!r} is not finite",
+            )
+        )
+    if out:
+        return ValidationReport(tuple(out))
+
+    for i in np.flatnonzero(np.diagonal(d) != 0.0):
+        out.append(
+            Violation("diagonal", (int(i),), float(d[i, i]), f"d({i},{i}) != 0")
+        )
 
     asym = np.argwhere(np.abs(d - d.T) > tol * np.maximum(1.0, np.abs(d)))
     for i, j in asym:
@@ -232,27 +279,25 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
                 )
             )
 
-    if n >= 3:
-        # excess[i,j,k] = d(i,k) - d(i,j) - d(j,k)
-        excess = d[:, None, :] - d[:, :, None] - d[None, :, :]
-        scale = np.maximum(1.0, d[:, None, :])
-        ii, jj, kk = np.nonzero(excess > tol * scale)
-        for i, j, k in zip(ii, jj, kk):
+    limit = tol * np.maximum(1.0, d)
+    for i0, excess in _triangle_blocks(d):
+        aa, jj, kk = np.nonzero(excess > limit[i0: i0 + len(excess), None, :])
+        for a, j, k in zip(aa.tolist(), jj.tolist(), kk.tolist()):
+            i = i0 + a
             if i < k and j != i and j != k:
                 out.append(
                     Violation(
                         "triangle",
-                        (int(i), int(j), int(k)),
-                        float(excess[i, j, k]),
-                        f"triangle violation ({i},{j},{k}), excess {excess[i, j, k]:g}",
+                        (i, j, k),
+                        float(excess[a, j, k]),
+                        f"triangle violation ({i},{j},{k}), excess {excess[a, j, k]:g}",
                     )
                 )
 
-    for i in range(n):
-        if w[i] < 0:
-            out.append(
-                Violation("weight-negative", (i,), float(w[i]), f"weight {i} < 0")
-            )
+    for i in np.flatnonzero(w < 0):
+        out.append(
+            Violation("weight-negative", (int(i),), float(w[i]), f"weight {i} < 0")
+        )
     total = math.fsum(w.tolist())
     if abs(total - 1.0) > tol:
         out.append(
@@ -267,17 +312,16 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
                 Violation("mark-invalid", (i,), 0.0, f"mark at {i} outside mark space")
             )
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] <= tol and space.marks[i] == space.marks[j]:
-                out.append(
-                    Violation(
-                        "duplicate-points",
-                        (i, j),
-                        float(d[i, j]),
-                        f"points {i},{j} at distance 0 share a mark",
-                    )
+    for i, j in np.argwhere(np.triu(d <= tol, k=1)).tolist():
+        if space.marks[i] == space.marks[j]:
+            out.append(
+                Violation(
+                    "duplicate-points",
+                    (i, j),
+                    float(d[i, j]),
+                    f"points {i},{j} at distance 0 share a mark",
                 )
+            )
 
     return ValidationReport(tuple(out))
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import FiniteMmmSpace, _find_isometry
+from .core import FiniteMmmSpace, _find_isometry, _triangle_blocks
 from .dmat import pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
 from .prohorov import FinitePointMeasure, _prohorov_cross, prohorov_exact
@@ -61,14 +61,19 @@ STRATEGIES = ("identity-ish", "coupling-search", "random-restarts")
 # ---------------------------------------------------------------------------
 
 def _triangle_excess(m: np.ndarray):
-    """Worst triangle violation of a symmetric matrix: (excess, (i, j, k))."""
-    n = m.shape[0]
-    if n < 3:
-        return 0.0, ()
-    excess = m[:, None, :] - m[:, :, None] - m[None, :, :]
-    worst = np.unravel_index(np.argmax(excess), excess.shape)
-    i, j, k = (int(t) for t in worst)
-    return float(excess[i, j, k]), (i, j, k)
+    """Worst triangle violation of a symmetric matrix: (excess, (i, j, k)).
+
+    Scans the triples block by block in O(n^2) memory and keeps the first
+    maximum in C order (a NaN counts as the maximum, as in np.argmax).
+    """
+    best, worst = 0.0, ()
+    for i0, excess in _triangle_blocks(m):
+        flat = int(np.argmax(excess))
+        value = excess.flat[flat]
+        if not worst or value > best or (np.isnan(value) and not np.isnan(best)):
+            a, j, k = np.unravel_index(flat, excess.shape)
+            best, worst = value, (i0 + int(a), int(j), int(k))
+    return float(best), worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +133,8 @@ def glue(
 
     The full (N1+N2) matrix must satisfy every triangle inequality within
     ``tol`` and the cross entries must be nonnegative; violations raise
-    GluingError naming the worst triple.
+    GluingError naming the worst triple.  The triangle check holds
+    O((N1+N2)^2) memory.
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("gluing requires one shared mark space")

@@ -50,6 +50,8 @@ class FinitePointMeasure:
     def check(self):
         if len(self.atoms) == 0:
             raise MarginalError("measure needs at least one atom")
+        if not np.all(np.isfinite(self.probs)):
+            raise MarginalError("non-finite probability")
         if self.probs.min() < 0:
             raise MarginalError("negative probability")
         if abs(math.fsum(self.probs.tolist()) - 1.0) > MARGINAL_TOL:

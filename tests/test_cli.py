@@ -197,6 +197,33 @@ def test_dist_exact_flag(capsys, ab_space, ab2_space):
     assert coupling.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_validate_rejects_nan_distance(capsys, tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text(
+        '{"schema": "mmm-space/v1", "label": "nan", '
+        '"mark_space": {"kind": "discrete", "labels": ["a", "b"]}, "n": 2, '
+        '"weights": [0.5, 0.5], "marks": ["a", "b"], "distances": [NaN]}\n'
+    )
+    code, stdout, stderr = run_cli(capsys, "validate", "--space", bad)
+    assert code == 1
+    assert stdout == ""
+    report = json.loads(stderr)
+    assert report["error"] == "invariant-violation"
+    assert {v["kind"] for v in report["violations"]} == {"non-finite"}
+
+
+def test_validate_manifest_replays(capsys, ab_space, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(capsys, "validate", "--space", ab_space, "--out", out)[0] == 0
+    manifest = tmp_path / "report.json.manifest.json"
+    assert "--seed" not in json.loads(manifest.read_text())["argv"]
+    digest = sha256_path(out)
+    out.write_text("scribble")
+    assert replay(manifest) == 0
+    capsys.readouterr()
+    assert sha256_path(out) == digest
+
+
 # --- tightness ------------------------------------------------------------------------
 
 
@@ -222,7 +249,12 @@ def test_tightness_writes_curves_and_verdicts(capsys, tmp_path):
     verdicts = json.loads((out / "tightness_verdicts.json").read_text())
     assert verdicts["tightness_consistent"] is True
     assert len(verdicts["spaces"]) == 3
-    assert (out / "tightness_curves.csv.manifest.json").exists()
+    manifest = out / "tightness_curves.csv.manifest.json"
+    digests = json.loads(manifest.read_text())["outputs"]
+    for path in digests:
+        Path(path).write_text("scribble")
+    assert replay(manifest) == 0
+    assert {p: sha256_path(p) for p in digests} == digests
 
 
 # --- simulate and replay -----------------------------------------------------------------
@@ -346,6 +378,18 @@ def test_missing_file_exits_one(capsys, tmp_path):
                               tmp_path / "ghost.json")
     assert code == 1
     assert json.loads(stderr)["error"] == "bad-input"
+
+
+def test_memory_error_exits_one(capsys, ab_space, monkeypatch):
+    def exhausted(space, tol):
+        raise MemoryError("Unable to allocate 11.9 GiB")
+
+    monkeypatch.setattr("mmmspace.cli.validate", exhausted)
+    code, stdout, stderr = run_cli(capsys, "validate", "--space", ab_space)
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(stderr) == {"error": "too-large",
+                                  "detail": "MemoryError: Unable to allocate 11.9 GiB"}
 
 
 def test_threads_flag(capsys, ab_space):

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import mmmspace.core
 from mmmspace import (
     FiniteMmmSpace,
     MarkFunctionInput,
@@ -9,6 +13,7 @@ from mmmspace import (
     TooLargeError,
     canonicalize,
     empirical_from_samples,
+    euclidean_cloud,
     from_mark_function,
     is_equivalent_exact,
     validate,
@@ -151,6 +156,93 @@ def test_validate_flags_duplicate_points():
     s2 = FiniteMmmSpace(distances=d, marks=(0, 1),
                         weights=np.array([0.5, 0.5]), mark_space=BIT_MARKS)
     assert "duplicate-points" not in validate(s2)
+
+
+def test_validate_flags_non_finite_entries_first():
+    nan = two_point(d=math.nan)
+    report = validate(nan)
+    assert not report.ok
+    assert [v.kind for v in report.violations] == ["non-finite", "non-finite"]
+    assert report.violations[0].indices == (0, 1)
+    assert report.violations[0].message == "d(0,1) = nan is not finite"
+    report = validate(two_point(weights=(math.inf, 0.5)))
+    assert [(v.kind, v.indices) for v in report.violations] == [("non-finite", (0,))]
+
+
+def reference_validate(space, tol=1e-12):
+    """validate written as plain loops over pairs and all n^3 triples."""
+    d, w, n = space.distances, space.weights, space.n
+    out = []
+    for i in range(n):
+        if d[i, i] != 0.0:
+            out.append(("diagonal", (i,), float(d[i, i]), f"d({i},{i}) != 0"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(d[i, j] - d[j, i]) > tol * max(1.0, abs(d[i, j])):
+                out.append(("asymmetry", (i, j), float(abs(d[i, j] - d[j, i])),
+                            f"d({i},{j}) != d({j},{i})"))
+    for i in range(n):
+        for j in range(i, n):
+            if d[i, j] < 0.0:
+                out.append(("negativity", (i, j), float(d[i, j]),
+                            f"negativity at ({i},{j})"))
+    for i in range(n):
+        for j in range(n):
+            for k in range(i + 1, n):
+                excess = d[i, k] - d[i, j] - d[j, k]
+                if j not in (i, k) and excess > tol * max(1.0, d[i, k]):
+                    out.append(("triangle", (i, j, k), float(excess),
+                                f"triangle violation ({i},{j},{k}), excess {excess:g}"))
+    for i in range(n):
+        if w[i] < 0:
+            out.append(("weight-negative", (i,), float(w[i]), f"weight {i} < 0"))
+    total = math.fsum(w.tolist())
+    if abs(total - 1.0) > tol:
+        out.append(("weight-sum", (), float(total - 1.0), f"weights sum to {total!r}"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] <= tol and space.marks[i] == space.marks[j]:
+                out.append(("duplicate-points", (i, j), float(d[i, j]),
+                            f"points {i},{j} at distance 0 share a mark"))
+    return out
+
+
+def test_validate_blockwise_scan_matches_plain_loops(monkeypatch):
+    # blocks of 4 rows of i over 30 points: 8 blocks, the last one short
+    monkeypatch.setattr(mmmspace.core, "TRIANGLE_BLOCK_ELEMENTS", 4 * 30 * 30)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        d = rng.uniform(0.0, 2.0, size=(30, 30))
+        d = (d + d.T) / 2
+        np.fill_diagonal(d, 0.0)
+        d[3, 3] = 0.5
+        d[4, 7] += 1e-6
+        d[8, 9] = d[9, 8] = -0.25
+        d[10, 11] = d[11, 10] = 0.0
+        w = np.full(30, 1 / 30)
+        w[5] = -0.01
+        space = FiniteMmmSpace(distances=d, marks=("a",) * 15 + ("b",) * 15,
+                               weights=w, mark_space=AB_MARKS)
+        assert len(list(mmmspace.core._triangle_blocks(d))) == 8
+        got = [(v.kind, v.indices, v.magnitude, v.message)
+               for v in validate(space).violations]
+        assert got == reference_validate(space)
+        assert {v[0] for v in got} == {
+            "diagonal", "asymmetry", "negativity", "triangle",
+            "weight-negative", "weight-sum", "duplicate-points",
+        }
+
+
+def test_validate_memory_is_quadratic():
+    space = euclidean_cloud(400, 3, seed=1)
+    tracemalloc.start()
+    try:
+        assert validate(space).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full n^3 excess tensor alone would be 488 MiB
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

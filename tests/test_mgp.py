@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mmmspace.core
 from mmmspace import (
     FiniteMmmSpace,
     GluedSpace,
@@ -59,6 +60,26 @@ def test_glue_rejects_triangle_violation(space_A):
         glue(space_A, pt, np.array([[0.0], [5.0]]))
     assert err.value.excess == pytest.approx(4.0, abs=1e-12)
     assert len(err.value.indices) == 3
+
+
+def test_glue_names_the_first_worst_triple_of_the_full_scan(monkeypatch):
+    # blocks of 4 rows over the 30-point glued metric; integer distances
+    # make many triples tie for the worst excess, so the first one in C
+    # order must win as in argmax over the full n^3 tensor
+    monkeypatch.setattr(mmmspace.core, "TRIANGLE_BLOCK_ELEMENTS", 4 * 30 * 30)
+    rng = np.random.default_rng(5)
+    path = np.abs(np.subtract.outer(np.arange(15.0), np.arange(15.0)))
+    a = FiniteMmmSpace(distances=path, marks=("a",) * 15,
+                       weights=np.full(15, 1 / 15), mark_space=AB_MARKS)
+    for _ in range(10):
+        cross = rng.integers(0, 8, size=(15, 15)).astype(float)
+        z = GluedSpace(left=a, right=a, cross=cross).z_metric()
+        excess = z[:, None, :] - z[:, :, None] - z[None, :, :]
+        worst = np.unravel_index(np.argmax(excess), excess.shape)
+        with pytest.raises(GluingError) as err:
+            glue(a, a, cross)
+        assert err.value.indices == tuple(int(t) for t in worst)
+        assert err.value.excess == excess[worst]
 
 
 def test_glue_rejects_negative_cross(space_A):

@@ -190,3 +190,6 @@ def test_marginal_errors():
                        measure([1], [1.0]))
     with pytest.raises(MarginalError):
         prohorov_exact(metric, measure([], []), measure([1], [1.0]))
+    with pytest.raises(MarginalError, match="non-finite"):
+        prohorov_exact(metric, measure([0, 1], [math.nan, 1.0]),
+                       measure([1], [1.0]))

@@ -18,12 +18,33 @@ from mmmspace import (
     two_sample_test,
 )
 
+from mmmspace.stats import _energies
+
 from conftest import BIT_MARKS, random_space, relabeled, two_point
 
 
 def as_row(result):
     return (result.statistic, result.p_value, result.order, result.samples,
             result.permutations)
+
+
+# --- permutation energies ----------------------------------------------------
+
+
+def test_matrix_energies_match_submatrix_means():
+    rng = np.random.default_rng(3)
+    m = 37
+    pts = rng.normal(size=(2 * m, 4))
+    dmat = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    masks = np.zeros((2 * m, 25))
+    for c in range(masks.shape[1]):
+        masks[rng.permutation(2 * m)[:m], c] = 1.0
+    got = _energies(dmat, masks)
+    for c in range(masks.shape[1]):
+        x = masks[:, c] == 1.0
+        want = (2.0 * dmat[np.ix_(x, ~x)].mean() - dmat[np.ix_(x, x)].mean()
+                - dmat[np.ix_(~x, ~x)].mean())
+        assert got[c] == pytest.approx(want, rel=0, abs=1e-12)
 
 
 # --- determinism and symmetries ----------------------------------------------
