@@ -47,7 +47,6 @@ from .dmat import (
     sample,
     sample_many,
     shift,
-    worker_rng,
 )
 from .errors import (
     BudgetError,
@@ -109,7 +108,6 @@ __all__ = [
     "DistanceMatrixLaw",
     "sample",
     "sample_many",
-    "worker_rng",
     "exact_law",
     "law_push",
     "law_shift",

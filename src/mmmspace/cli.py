@@ -35,7 +35,7 @@ from .dmat import sample_many
 from .errors import DomainError, ParameterError, TooLargeError
 from .gen import CoalescentConfig, MoranConfig, euclidean_cloud, kingman, moran
 from .mgp import mgp_bounds, mgp_exact
-from .poly import default_panel, evaluate_exact, evaluate_mc
+from .poly import _exact_is_cheap, default_panel, evaluate_exact, evaluate_mc
 from .prohorov import FinitePointMeasure, prohorov_exact
 from .serialize import (
     MANIFEST_SCHEMA,
@@ -176,9 +176,7 @@ def _cmd_sample(args, argv) -> int:
 def _poly_rows(space, panel, mc, seed):
     rows = []
     for c, phi in enumerate(panel):
-        cheap = phi.has_product_form and phi.order <= 3
-        feasible = cheap or space.n**phi.order <= 200_000
-        exact = _fmt(evaluate_exact(phi, space)) if feasible else ""
+        exact = _fmt(evaluate_exact(phi, space)) if _exact_is_cheap(phi, space) else ""
         est, err = evaluate_mc(phi, space, mc, seed + 101 * c)
         rows.append([phi.description, exact, _fmt(est), _fmt(err)])
     return rows

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteMmmSpace
-from .dmat import _sample_indices, mark_marginal, pair_distance_law
+from .core import FiniteMmmSpace, _sample_indices
+from .dmat import mark_marginal, pair_distance_law
 from .errors import ParameterError
 
 __all__ = [
@@ -208,7 +208,7 @@ def sampled_functionals(
     """
     if n_samples < 1:
         raise ParameterError("need at least one sample")
-    idx = _sample_indices(space, 2, n_samples, seed)
+    idx = _sample_indices(space, (n_samples, 2), seed)
     masses = ball_masses(space, eps)
     v = tuple(space.marks[i] for i in idx[:, 0])
     w = space.distances[idx[:, 0], idx[:, 1]]

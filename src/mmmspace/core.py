@@ -137,9 +137,6 @@ class FiniteMmmSpace:
     def n(self) -> int:
         return self.distances.shape[0]
 
-    def mark_key(self, i: int):
-        return self.marks[i]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMmmSpace):
             return NotImplemented
@@ -186,6 +183,24 @@ class ValidationReport:
         return any(v.kind == kind for v in self.violations)
 
 
+def _non_finite(space: FiniteMmmSpace) -> list:
+    """A ``non-finite`` Violation per NaN/inf distance, then per weight."""
+    d, w = space.distances, space.weights
+    bad = [((int(i), int(j)), f"d({i},{j})", d[i, j])
+           for i, j in np.argwhere(~np.isfinite(d))]
+    bad += [((int(i),), f"weight {i}", w[i]) for i in np.flatnonzero(~np.isfinite(w))]
+    return [Violation("non-finite", ix, 0.0, f"{name} = {float(x)!r} is not finite")
+            for ix, name, x in bad]
+
+
+def _require_finite(*spaces: FiniteMmmSpace) -> None:
+    """Raise ParameterError naming the first non-finite distance or weight."""
+    for space in spaces:
+        bad = _non_finite(space)
+        if bad:
+            raise ParameterError(f"space {space.label!r}: {bad[0].message}")
+
+
 TRIANGLE_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -227,26 +242,7 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     d = space.distances
     w = space.weights
     n = space.n
-    out: list[Violation] = []
-
-    for i, j in np.argwhere(~np.isfinite(d)):
-        out.append(
-            Violation(
-                "non-finite",
-                (int(i), int(j)),
-                0.0,
-                f"d({i},{j}) = {float(d[i, j])!r} is not finite",
-            )
-        )
-    for i in np.flatnonzero(~np.isfinite(w)):
-        out.append(
-            Violation(
-                "non-finite",
-                (int(i),),
-                0.0,
-                f"weight {i} = {float(w[i])!r} is not finite",
-            )
-        )
+    out: list[Violation] = _non_finite(space)
     if out:
         return ValidationReport(tuple(out))
 
@@ -507,6 +503,13 @@ def is_equivalent_exact(
 # empirical spaces
 # ---------------------------------------------------------------------------
 
+def _sample_indices(space: FiniteMmmSpace, size, seed) -> np.ndarray:
+    """Atom indices drawn iid from the weights (a Generator ``seed`` is used as is)."""
+    rng = np.random.default_rng(seed)
+    p = space.weights / math.fsum(space.weights.tolist())
+    return rng.choice(space.n, size=size, p=p)
+
+
 def empirical_from_samples(space: FiniteMmmSpace, n: int, seed: int) -> FiniteMmmSpace:
     """Empirical space: n iid points from the space, uniform weights 1/n.
 
@@ -516,8 +519,7 @@ def empirical_from_samples(space: FiniteMmmSpace, n: int, seed: int) -> FiniteMm
     """
     if n < 1:
         raise ParameterError("need at least one sample point")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(space.n, size=n, p=space.weights / math.fsum(space.weights.tolist()))
+    idx = _sample_indices(space, n, seed)
     sub = space.distances[np.ix_(idx, idx)]
     marks = tuple(space.marks[i] for i in idx)
     base = space.label if space.label else "space"

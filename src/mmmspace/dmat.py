@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteMmmSpace, MarkSpace, canonicalize
+from .core import FiniteMmmSpace, MarkSpace, _sample_indices, canonicalize
 from .errors import BudgetError, ParameterError
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "mark_marginal",
     "permute",
     "shift",
-    "worker_rng",
 ]
 
 ENUM_BUDGET = 10_000_000
@@ -120,12 +119,6 @@ class DistanceMatrixLaw:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _sample_indices(space: FiniteMmmSpace, n: int, m: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    p = space.weights / math.fsum(space.weights.tolist())
-    return rng.choice(space.n, size=(m, n), p=p)
-
-
 def _make_sample(space: FiniteMmmSpace, idx: np.ndarray) -> DistanceMatrixSample:
     return DistanceMatrixSample(
         order=len(idx),
@@ -138,21 +131,13 @@ def sample(space: FiniteMmmSpace, n: int, seed: int) -> DistanceMatrixSample:
     """Draw one order-n sample from the distance matrix law (per-seed deterministic)."""
     if n < 1:
         raise ParameterError("order must be >= 1")
-    idx = _sample_indices(space, n, 1, seed)[0]
-    return _make_sample(space, idx)
+    return _make_sample(space, _sample_indices(space, n, seed))
 
 
 def sample_many(space: FiniteMmmSpace, n: int, m: int, seed: int) -> list:
     """Draw m independent order-n samples from one seeded stream."""
-    idx = _sample_indices(space, n, m, seed)
+    idx = _sample_indices(space, (m, n), seed)
     return [_make_sample(space, row) for row in idx]
-
-
-def worker_rng(seed: int, worker: int) -> np.random.Generator:
-    """Per-worker generator rule: seed XOR worker index, then one warm-up draw."""
-    rng = np.random.default_rng(int(seed) ^ int(worker))
-    rng.integers(2 ** 63)
-    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +334,27 @@ def laws_equal(a: DistanceMatrixLaw, b: DistanceMatrixLaw, tol: float = 0.0) -> 
     return True
 
 
-def pair_distance_law(space: FiniteMmmSpace, exact: bool | None = None):
+def pair_distance_law(space: FiniteMmmSpace):
     """Law of the first sampled distance r12: (values, probabilities).
 
-    Computed from the order-2 exact law with the marks summed out; values
-    are sorted ascending and probabilities returned as floats.
+    A weighted histogram of the distance matrix: entry (i, j) has mass
+    w_i w_j with w the fsum-normalized weights, and is keyed by its
+    distance rounded to 12 significant digits (the keys of `exact_law`).
+    Each key's masses are summed with fsum, so a probability is the
+    rational law's within a few ulps, whatever the entry order.  Values
+    are sorted ascending; memory is O(N^2).
     """
-    law = exact_law(space, 2, exact=exact)
-    agg: dict[float, list] = {}
-    for s, p in law.atoms:
-        v = float(round_sig(s.dist[0, 1]))
-        agg.setdefault(v, []).append(p)
-    values = sorted(agg)
-    probs = []
-    for v in values:
-        if law.exact:
-            probs.append(float(sum(agg[v], Fraction(0))))
-        else:
-            probs.append(math.fsum(agg[v]))
-    return np.array(values), np.array(probs)
+    total = math.fsum(space.weights.tolist())
+    if total <= 0:
+        raise ParameterError("weights must have positive total")
+    w = space.weights / total
+    keys = round_sig(space.distances).reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    values, starts = np.unique(keys[order], return_index=True)
+    mass = np.outer(w, w).reshape(-1)[order].tolist()
+    ends = starts[1:].tolist() + [len(mass)]
+    probs = [math.fsum(mass[lo:hi]) for lo, hi in zip(starts.tolist(), ends)]
+    return values, np.array(probs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import FiniteMmmSpace, _find_isometry, _triangle_blocks
-from .dmat import pair_distance_law
+from .core import FiniteMmmSpace, _find_isometry, _require_finite, _triangle_blocks
+from .dmat import mark_marginal, pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
 from .prohorov import FinitePointMeasure, _prohorov_cross, prohorov_exact
 
@@ -284,9 +284,13 @@ def _candidate_pair_sets(a, b, strategy: str, budget: int, seed: int) -> list:
             cands.append(list(zip(pi.tolist(), pj.tolist())))
     else:
         raise ParameterError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
-
-    cands.append(list(itertools.product(range(n1), range(n2))))  # fallback
     return cands
+
+
+def _all_pairs_cross(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
+    """`correspondence_cross` of all pairs, in closed form (see `mgp_upper`)."""
+    diam = max(a.distances.max(initial=0.0), b.distances.max(initial=0.0))
+    return np.full((a.n, b.n), diam / 2.0)
 
 
 def mgp_upper(
@@ -298,20 +302,27 @@ def mgp_upper(
 ):
     """Upper bound on the marked Gromov-Prohorov distance.
 
-    Builds correspondence gluings (see `correspondence_cross`) from the
-    chosen strategy, evaluates the Prohorov distance across each, and
-    returns (best value, witness cross matrix).  The witness always
-    passes `glue` validation.  Deterministic per seed.
+    Evaluates the Prohorov distance across the correspondence gluings (see
+    `correspondence_cross`) of the chosen strategy, then across the
+    all-pairs gluing, and returns (best value, witness cross matrix); ties
+    go to the earlier candidate.  The witness always passes `glue`
+    validation.  Deterministic per seed.  Memory is O(N1 N2 (N1 + N2)).
+
+    The all-pairs gluing is the constant max(diam1, diam2)/2: on metrics
+    with a zero diagonal and nonnegative entries all pairs have distortion
+    max(diam1, diam2), and the k=i, l=j term of the min is the least.
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
+    _require_finite(a, b)
+    crosses = (
+        correspondence_cross(a, b, pairs)[0]
+        for pairs in _candidate_pair_sets(a, b, strategy, budget, seed)
+        if pairs
+    )
     best = None
-    for pairs in _candidate_pair_sets(a, b, strategy, budget, seed):
-        if not pairs:
-            continue
-        c, _, _ = correspondence_cross(a, b, pairs)
-        g = GluedSpace(left=a, right=b, cross=c)
-        v, _ = g.prohorov()
+    for c in itertools.chain(crosses, [_all_pairs_cross(a, b)]):
+        v, _ = GluedSpace(left=a, right=b, cross=c).prohorov()
         if best is None or v < best[0]:
             best = (v, c)
     value, cross = best
@@ -352,10 +363,9 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
         raise ParameterError("both spaces must share the mark space")
     if not orders or any(o not in (1, 2) for o in orders):
         raise ParameterError("orders must be a nonempty subset of {1, 2}")
+    _require_finite(a, b)
     bounds = []
     if 1 in orders:
-        from .dmat import mark_marginal
-
         ma, mb = mark_marginal(a), mark_marginal(b)
         m, p, q = _measure_pair(
             list(ma), list(ma.values()), list(mb), list(mb.values()),
@@ -553,7 +563,7 @@ def mgp_exact(
         upper = min(upper, v)
         starts.append(c)
     rng = np.random.default_rng(seed)
-    starts.append(np.full((a.n, b.n), diam / 2.0 if diam > 0 else 0.0))
+    starts.append(_all_pairs_cross(a, b))
     for _ in range(4):
         c = _repair(rng.uniform(0.0, max(diam, 1e-12), size=(a.n, b.n)), r1, r2)
         if _gluing_feasible(c, r1, r2):

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FiniteMmmSpace, MarkSpace
-from .dmat import ENUM_BUDGET, _sample_indices, exact_law
+from .core import FiniteMmmSpace, MarkSpace, _sample_indices
+from .dmat import ENUM_BUDGET, EXACT_TUPLE_LIMIT, exact_law
 from .errors import ParameterError
 
 __all__ = [
@@ -171,6 +171,13 @@ def evaluate_exact(
     return math.fsum(terms)
 
 
+def _exact_is_cheap(phi: Polynomial, space: FiniteMmmSpace) -> bool:
+    """Whether `evaluate_exact` is cheap: the product contraction applies
+    (product form, order <= 3) or the law has at most EXACT_TUPLE_LIMIT tuples."""
+    cheap_product = phi.has_product_form and phi.order <= 3
+    return cheap_product or space.n**phi.order <= EXACT_TUPLE_LIMIT
+
+
 def evaluate_mc(phi: Polynomial, space: FiniteMmmSpace, m: int, seed: int):
     """Monte Carlo estimate of the polynomial: (estimate, standard error).
 
@@ -181,7 +188,7 @@ def evaluate_mc(phi: Polynomial, space: FiniteMmmSpace, m: int, seed: int):
     """
     if m < 1:
         raise ParameterError("need at least one Monte Carlo draw")
-    idx = _sample_indices(space, phi.order, m, seed)
+    idx = _sample_indices(space, (m, phi.order), seed)
     D = space.distances
     if phi.has_product_form:
         vals = np.ones(m)

@@ -10,16 +10,14 @@ distributional assumptions.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import FiniteMmmSpace, canonicalize
-from .dmat import EXACT_TUPLE_LIMIT
+from .core import FiniteMmmSpace, _require_finite, _sample_indices, canonicalize
 from .errors import ParameterError
-from .poly import Polynomial, evaluate_exact, evaluate_mc
+from .poly import Polynomial, _exact_is_cheap, evaluate_exact, evaluate_mc
 from .serialize import dumps, mark_space_to_obj, upper_triangle
 
 __all__ = [
@@ -119,11 +117,6 @@ def _features(space: FiniteMmmSpace, idx: np.ndarray, embed) -> np.ndarray:
     return np.concatenate([dcols, mcols], axis=1)
 
 
-def _draw_indices(space: FiniteMmmSpace, n: int, m: int, rng) -> np.ndarray:
-    p = space.weights / math.fsum(space.weights.tolist())
-    return rng.choice(space.n, size=(m, n), p=p)
-
-
 # ---------------------------------------------------------------------------
 # two-sample test
 # ---------------------------------------------------------------------------
@@ -191,6 +184,7 @@ def two_sample_test(
         raise ParameterError("need at least 99 permutations")
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
+    _require_finite(a, b)
 
     ca = _sorted_copy(canonicalize(a))
     cb = _sorted_copy(canonicalize(b))
@@ -198,8 +192,8 @@ def two_sample_test(
         ca, cb = cb, ca
 
     rng = np.random.default_rng(seed)
-    idx1 = _draw_indices(ca, n, m, rng)
-    idx2 = _draw_indices(cb, n, m, rng)
+    idx1 = _sample_indices(ca, (m, n), rng)
+    idx2 = _sample_indices(cb, (m, n), rng)
     embed = _mark_embedding(ca)
     pooled = np.vstack([_features(ca, idx1, embed), _features(cb, idx2, embed)])
     dmat = cdist(pooled, pooled)
@@ -248,8 +242,7 @@ class ConvergenceTable:
 
 
 def _evaluate_cell(phi: Polynomial, space: FiniteMmmSpace, m: int, seed: int):
-    cheap_product = phi.has_product_form and phi.order <= 3
-    if cheap_product or space.n**phi.order <= EXACT_TUPLE_LIMIT:
+    if _exact_is_cheap(phi, space):
         return evaluate_exact(phi, space), 0.0
     return evaluate_mc(phi, space, m, seed)
 

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmmspace import FiniteMmmSpace, MarkSpace, load_space, save_space
+from mmmspace import FiniteMmmSpace, MarkSpace, euclidean_cloud, load_space, save_space
 from mmmspace.cli import replay, run
-from mmmspace.serialize import dump_path, sha256_path
+from mmmspace.serialize import dump_path, sha256_path, space_to_obj
 
 from conftest import AB_MARKS, two_point
 
@@ -210,6 +210,23 @@ def test_validate_rejects_nan_distance(capsys, tmp_path):
     report = json.loads(stderr)
     assert report["error"] == "invariant-violation"
     assert {v["kind"] for v in report["violations"]} == {"non-finite"}
+
+
+def test_dist_and_test_reject_nan_distance(capsys, tmp_path):
+    cloud = euclidean_cloud(6, 2, seed=4)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_space(cloud, good)
+    obj = space_to_obj(cloud)
+    obj["distances"][0] = float("nan")  # d(0, 1)
+    bad.write_text(json.dumps(obj))
+    for argv in (("dist", "--a", bad, "--b", good),
+                 ("test", "--a", good, "--b", bad, "--m", 20, "--perms", 99)):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        report = json.loads(stderr)
+        assert report["error"] == "bad-parameter"
+        assert "d(0,1) = nan is not finite" in report["detail"]
 
 
 def test_validate_manifest_replays(capsys, ab_space, tmp_path):

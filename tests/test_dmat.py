@@ -21,9 +21,8 @@ from mmmspace import (
     sample,
     sample_many,
     shift,
-    worker_rng,
 )
-from mmmspace.dmat import MM_DUMMY_LABEL
+from mmmspace.dmat import MM_DUMMY_LABEL, round_sig
 
 from conftest import random_space, two_point
 
@@ -55,14 +54,6 @@ def test_sample_frequency_follows_weights():
     draws = sample_many(s, 1, 4000, seed=13)
     frac_b = sum(1 for d in draws if d.marks[0] == 1) / 4000
     assert abs(frac_b - 0.75) < 0.03
-
-
-def test_worker_rng_streams_differ():
-    a = worker_rng(5, 0).integers(0, 2**32, 4)
-    b = worker_rng(5, 1).integers(0, 2**32, 4)
-    a2 = worker_rng(5, 0).integers(0, 2**32, 4)
-    assert not np.array_equal(a, b)
-    assert np.array_equal(a, a2)
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +231,34 @@ def test_pair_distance_law_sums_to_one():
         s = random_space(rng)
         _, probs = pair_distance_law(s)
         assert math.fsum(probs.tolist()) == pytest.approx(1.0, abs=1e-12)
+
+
+def rational_pair_law(space):
+    """pair_distance_law as a plain double loop over Fraction weights."""
+    w = [Fraction(float(x)) for x in space.weights]
+    agg: dict = {}
+    for i in range(space.n):
+        for j in range(space.n):
+            key = float(round_sig(space.distances[i, j]))
+            agg[key] = agg.get(key, Fraction(0)) + w[i] * w[j]
+    values = sorted(agg)
+    return values, [float(agg[v] / sum(w) ** 2) for v in values]
+
+
+def test_pair_distance_law_matches_the_rational_double_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(25):
+        n = int(rng.integers(1, 13))
+        # points on a 0.1-spaced line: many tied distances, some only tied
+        # through the 12-digit key (0.1 * 3 against 0.3), coincident points
+        x = 0.1 * rng.integers(0, 6, size=n)
+        w = rng.uniform(0.0, 1.0, size=n)
+        w[rng.random(n) < 0.2] = 0.0
+        w[0] = 0.5
+        s = FiniteMmmSpace(distances=np.abs(x[:, None] - x[None, :]),
+                           marks=tuple(rng.integers(0, 2, size=n).tolist()),
+                           weights=w, mark_space=MarkSpace.discrete((0, 1)))
+        values, probs = pair_distance_law(s)
+        ref_values, ref_probs = rational_pair_law(s)
+        assert values.tolist() == ref_values
+        assert np.abs(probs - np.array(ref_probs)).max() <= 1e-15

@@ -1,10 +1,14 @@
 """Tests for gluings, the distance bounds, and the certified tiny-case solver."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mmmspace.core
 from mmmspace import (
+    CoalescentConfig,
     FiniteMmmSpace,
     GluedSpace,
     GluingError,
@@ -13,14 +17,18 @@ from mmmspace import (
     ParameterError,
     TooLargeError,
     correspondence_cross,
+    euclidean_cloud,
     glue,
     glue_three,
     is_equivalent_exact,
+    kingman,
     mgp_bounds,
     mgp_exact,
     mgp_lower,
     mgp_upper,
+    two_sample_test,
 )
+from mmmspace.mgp import _all_pairs_cross
 
 from conftest import AB_MARKS, random_space, relabeled, two_point
 
@@ -154,6 +162,8 @@ def test_correspondence_always_glues():
         assert beta >= dis / 2.0
         assert cross.min() >= 0.0
         glue(a, b, cross)
+        # mgp_upper's closed form of the all-pairs gluing, bit for bit
+        assert cross.tobytes() == _all_pairs_cross(a, b).tobytes()
 
 
 # --- upper and lower bounds ---------------------------------------------------
@@ -287,6 +297,38 @@ def test_exact_preconditions(space_A):
     other = random_space(rng, max_n=3, min_n=3)
     with pytest.raises(TooLargeError):
         mgp_exact(big, other)
+
+
+def test_bounds_memory_stays_below_the_all_pairs_arrays():
+    a = kingman(CoalescentConfig(leaves=60, theta=1.0, seed=1))
+    b = kingman(CoalescentConfig(leaves=60, theta=1.0, seed=2))
+    tracemalloc.start()
+    try:
+        mgp_bounds(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the all-pairs correspondence alone would take 3600 x 3600 floats (99 MiB)
+    assert peak < 32 * 2**20
+
+
+def test_non_finite_spaces_are_rejected():
+    good = euclidean_cloud(6, 2, seed=4)
+    d = good.distances.copy()
+    d[0, 1] = d[1, 0] = math.nan
+    bad = FiniteMmmSpace(distances=d, marks=good.marks, weights=good.weights,
+                         mark_space=good.mark_space, label="nan")
+    calls = (mgp_lower, mgp_upper, mgp_bounds,
+             lambda x, y: two_sample_test(x, y, m=20, permutations=99))
+    for call in calls:
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ParameterError, match=r"'nan': d\(0,1\) = nan is not finite"):
+                call(*pair)
+    inf_weight = FiniteMmmSpace(distances=good.distances, marks=good.marks,
+                                weights=np.r_[math.inf, good.weights[1:]],
+                                mark_space=good.mark_space)
+    with pytest.raises(ParameterError, match=r"^space '': weight 0 = inf is not finite$"):
+        mgp_bounds(good, inf_weight)
 
 
 # --- bundle ---------------------------------------------------------------------
