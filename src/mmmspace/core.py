@@ -86,11 +86,23 @@ class MarkSpace:
 
     def distance(self, u, v) -> float:
         """Mark metric r_I: discrete 0/1, Euclidean norm otherwise."""
+        return float(self.cross_distances([u], [v])[0, 0])
+
+    def cross_distances(self, us: Sequence, vs: Sequence) -> np.ndarray:
+        """The (len(us), len(vs)) matrix of r_I from each u to each v.
+
+        Euclidean entries are sqrt(<u - v, u - v>), the formula of
+        ``np.linalg.norm(u - v)``.
+        """
         if self.kind == "discrete":
-            return 0.0 if u == v else 1.0
-        return float(
-            np.linalg.norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
-        )
+            ids: dict = {}
+            iu = np.array([ids.setdefault(u, len(ids)) for u in us], dtype=int)
+            iv = np.array([ids.setdefault(v, len(ids)) for v in vs], dtype=int)
+            return (iu[:, None] != iv[None, :]).astype(float)
+        u = np.asarray(us, dtype=float).reshape(len(us), self.dim)
+        v = np.asarray(vs, dtype=float).reshape(len(vs), self.dim)
+        diff = u[:, None, :] - v[None, :, :]
+        return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +203,14 @@ def _non_finite(space: FiniteMmmSpace) -> list:
     bad += [((int(i),), f"weight {i}", w[i]) for i in np.flatnonzero(~np.isfinite(w))]
     return [Violation("non-finite", ix, 0.0, f"{name} = {float(x)!r} is not finite")
             for ix, name, x in bad]
+
+
+def _weight_total(space: FiniteMmmSpace) -> float:
+    """fsum of the weights; ParameterError unless it is positive."""
+    total = math.fsum(space.weights.tolist())
+    if not total > 0:
+        raise ParameterError(f"space {space.label!r}: weights must have positive total")
+    return total
 
 
 def _require_finite(*spaces: FiniteMmmSpace) -> None:
@@ -481,8 +501,11 @@ def is_equivalent_exact(
     matching marks exactly and weights/distances within ``atol``
     (relabeled copies match bit-for-bit; the tolerance only absorbs
     merge-order float noise).  Raises TooLargeError beyond 10 points; use
-    the statistical two-sample test for larger spaces.
+    the statistical two-sample test for larger spaces.  Spaces without
+    positive total weight raise ParameterError.
     """
+    for space in (a, b):
+        _weight_total(space)
     a = canonicalize(a)
     b = canonicalize(b)
     if max(a.n, b.n) > EXACT_SEARCH_BOUND:
@@ -505,9 +528,8 @@ def is_equivalent_exact(
 
 def _sample_indices(space: FiniteMmmSpace, size, seed) -> np.ndarray:
     """Atom indices drawn iid from the weights (a Generator ``seed`` is used as is)."""
-    rng = np.random.default_rng(seed)
-    p = space.weights / math.fsum(space.weights.tolist())
-    return rng.choice(space.n, size=size, p=p)
+    p = space.weights / _weight_total(space)
+    return np.random.default_rng(seed).choice(space.n, size=size, p=p)
 
 
 def empirical_from_samples(space: FiniteMmmSpace, n: int, seed: int) -> FiniteMmmSpace:

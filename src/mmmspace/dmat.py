@@ -22,7 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteMmmSpace, MarkSpace, _sample_indices, canonicalize
+from .core import (
+    FiniteMmmSpace, MarkSpace, _require_finite, _sample_indices, _weight_total,
+    canonicalize,
+)
 from .errors import BudgetError, ParameterError
 
 __all__ = [
@@ -342,12 +345,11 @@ def pair_distance_law(space: FiniteMmmSpace):
     distance rounded to 12 significant digits (the keys of `exact_law`).
     Each key's masses are summed with fsum, so a probability is the
     rational law's within a few ulps, whatever the entry order.  Values
-    are sorted ascending; memory is O(N^2).
+    are sorted ascending; memory is O(N^2).  NaN/inf distances or weights
+    and a nonpositive total weight raise ParameterError.
     """
-    total = math.fsum(space.weights.tolist())
-    if total <= 0:
-        raise ParameterError("weights must have positive total")
-    w = space.weights / total
+    _require_finite(space)
+    w = space.weights / _weight_total(space)
     keys = round_sig(space.distances).reshape(-1)
     order = np.argsort(keys, kind="stable")
     values, starts = np.unique(keys[order], return_index=True)

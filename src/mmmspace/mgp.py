@@ -33,10 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import FiniteMmmSpace, _find_isometry, _require_finite, _triangle_blocks
+from .core import (
+    FiniteMmmSpace, _find_isometry, _require_finite, _triangle_blocks, _weight_total,
+)
 from .dmat import mark_marginal, pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
-from .prohorov import FinitePointMeasure, _prohorov_cross, prohorov_exact
+from .prohorov import FinitePointMeasure, _prohorov_cross
 
 __all__ = [
     "GluedSpace",
@@ -90,22 +92,13 @@ class GluedSpace:
         object.__setattr__(self, "cross", c)
 
     def z_metric(self) -> np.ndarray:
-        n1, n2 = self.cross.shape
-        z = np.zeros((n1 + n2, n1 + n2))
-        z[:n1, :n1] = self.left.distances
-        z[n1:, n1:] = self.right.distances
-        z[:n1, n1:] = self.cross
-        z[n1:, :n1] = self.cross.T
-        return z
+        return np.block([
+            [self.left.distances, self.cross],
+            [self.cross.T, self.right.distances],
+        ])
 
     def mark_offsets(self) -> np.ndarray:
-        ms = self.left.mark_space
-        n1, n2 = self.cross.shape
-        off = np.empty((n1, n2))
-        for i in range(n1):
-            for j in range(n2):
-                off[i, j] = ms.distance(self.left.marks[i], self.right.marks[j])
-        return off
+        return self.left.mark_space.cross_distances(self.left.marks, self.right.marks)
 
     def product_measures(self):
         """The two pushforwards on (X1+X2) x I with metric r_Z + r_I.
@@ -176,17 +169,11 @@ def glue_three(g12: GluedSpace, g23: GluedSpace, tol: float = GLUE_TOL) -> np.nd
         raise ParameterError("gluings must share the middle space exactly")
     c12, c23 = g12.cross, g23.cross
     c13 = (c12[:, :, None] + c23[None, :, :]).min(axis=1)
-    n1, n2, n3 = c12.shape[0], c12.shape[1], c23.shape[1]
-    z = np.zeros((n1 + n2 + n3,) * 2)
-    z[:n1, :n1] = g12.left.distances
-    z[n1: n1 + n2, n1: n1 + n2] = mid_a.distances
-    z[n1 + n2:, n1 + n2:] = g23.right.distances
-    z[:n1, n1: n1 + n2] = c12
-    z[n1: n1 + n2, :n1] = c12.T
-    z[n1: n1 + n2, n1 + n2:] = c23
-    z[n1 + n2:, n1: n1 + n2] = c23.T
-    z[:n1, n1 + n2:] = c13
-    z[n1 + n2:, :n1] = c13.T
+    z = np.block([
+        [g12.left.distances, c12, c13],
+        [c12.T, mid_a.distances, c23],
+        [c13.T, c23.T, g23.right.distances],
+    ])
     excess, idx = _triangle_excess(z)
     if excess > tol:
         raise GluingError(
@@ -230,12 +217,8 @@ def _profile_cost(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
     pa = np.quantile(np.sort(a.distances, axis=1), qs, axis=1).T
     pb = np.quantile(np.sort(b.distances, axis=1), qs, axis=1).T
     cost = np.abs(pa[:, None, :] - pb[None, :, :]).mean(axis=2)
-    ms = a.mark_space
-    for i in range(a.n):
-        for j in range(b.n):
-            cost[i, j] += ms.distance(a.marks[i], b.marks[j])
-            cost[i, j] += abs(a.weights[i] - b.weights[j])
-    return cost
+    cost += a.mark_space.cross_distances(a.marks, b.marks)
+    return cost + np.abs(a.weights[:, None] - b.weights[None, :])
 
 
 def _greedy_coupling_pairs(a: FiniteMmmSpace, b: FiniteMmmSpace) -> list:
@@ -311,10 +294,13 @@ def mgp_upper(
     The all-pairs gluing is the constant max(diam1, diam2)/2: on metrics
     with a zero diagonal and nonnegative entries all pairs have distortion
     max(diam1, diam2), and the k=i, l=j term of the min is the least.
+    NaN/inf entries and a nonpositive total weight raise ParameterError.
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
     _require_finite(a, b)
+    for space in (a, b):
+        _weight_total(space)
     crosses = (
         correspondence_cross(a, b, pairs)[0]
         for pairs in _candidate_pair_sets(a, b, strategy, budget, seed)
@@ -334,20 +320,12 @@ def mgp_upper(
 # lower bounds
 # ---------------------------------------------------------------------------
 
-def _measure_pair(values_a, probs_a, values_b, probs_b, metric_fn):
-    atoms = list(values_a) + [v for v in values_b if v not in values_a]
-    index = {v: t for t, v in enumerate(atoms)}
-    m = np.zeros((len(atoms), len(atoms)))
-    for x in atoms:
-        for y in atoms:
-            m[index[x], index[y]] = metric_fn(x, y)
-    p = FinitePointMeasure(
-        atoms=np.array([index[v] for v in values_a]), probs=np.asarray(probs_a)
-    )
-    q = FinitePointMeasure(
-        atoms=np.array([index[v] for v in values_b]), probs=np.asarray(probs_b)
-    )
-    return m, p, q
+def _law_prohorov(cross: np.ndarray, probs_a, probs_b) -> float:
+    """Prohorov distance between two laws given the distances between their atoms."""
+    probs_a, probs_b = np.asarray(probs_a), np.asarray(probs_b)
+    for probs in (probs_a, probs_b):
+        FinitePointMeasure(atoms=np.arange(len(probs)), probs=probs).check()
+    return _prohorov_cross(cross, probs_a, probs_b)[0]
 
 
 def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
@@ -358,6 +336,12 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
     half the Prohorov distance between the first-distance laws (the pair
     distance changes by at most the sum of two product-metric moves).
     Returns the best (max) of the selected bounds.
+
+    Each order hands the Prohorov max-flow the Ka x Kb matrix of distances
+    between the Ka distinct values of one law and the Kb of the other, so
+    the cost is that of max-flows over Ka x Kb pairs: up to about
+    (N1^2 / 2) x (N2^2 / 2) for order 2.
+    Both laws must have total mass 1 (MarginalError otherwise).
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
@@ -367,18 +351,12 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
     bounds = []
     if 1 in orders:
         ma, mb = mark_marginal(a), mark_marginal(b)
-        m, p, q = _measure_pair(
-            list(ma), list(ma.values()), list(mb), list(mb.values()),
-            a.mark_space.distance,
-        )
-        bounds.append(prohorov_exact(m, p, q)[0])
+        cross = a.mark_space.cross_distances(list(ma), list(mb))
+        bounds.append(_law_prohorov(cross, list(ma.values()), list(mb.values())))
     if 2 in orders:
         va, pa = pair_distance_law(a)
         vb, pb = pair_distance_law(b)
-        m, p, q = _measure_pair(
-            va.tolist(), pa, vb.tolist(), pb, lambda x, y: abs(x - y)
-        )
-        bounds.append(0.5 * prohorov_exact(m, p, q)[0])
+        bounds.append(0.5 * _law_prohorov(np.abs(va[:, None] - vb[None, :]), pa, pb))
     return float(max(bounds))
 
 
@@ -489,19 +467,11 @@ def _repair(c, r1, r2, lo=None, hi=None, sweeps: int = 40):
 
 
 def _gluing_feasible(c, r1, r2, tol=1e-9) -> bool:
-    n1, n2 = c.shape
-    for i in range(n1):
-        for i2 in range(n1):
-            if np.any(np.abs(c[i] - c[i2]) > r1[i, i2] + tol):
-                return False
-            if np.any(c[i] + c[i2] < r1[i, i2] - tol):
-                return False
-    for j in range(n2):
-        for j2 in range(n2):
-            if abs(c[:, j] - c[:, j2]).max() > r2[j, j2] + tol:
-                return False
-            if (c[:, j] + c[:, j2]).min() < r2[j, j2] - tol:
-                return False
+    """Whether |C[i] - C[i2]| <= r(i, i2) <= C[i] + C[i2] on rows and columns."""
+    for m, r in ((c, r1), (c.T, r2)):
+        x, y, rr = m[:, None, :], m[None, :, :], r[:, :, None]
+        if np.any(np.abs(x - y) > rr + tol) or np.any(x + y < rr - tol):
+            return False
     return True
 
 
@@ -547,7 +517,7 @@ def mgp_exact(
     diam = max(
         float(r1.max()) if r1.size else 0.0, float(r2.max()) if r2.size else 0.0
     )
-    off = GluedSpace(left=a, right=b, cross=np.zeros((a.n, b.n))).mark_offsets()
+    off = a.mark_space.cross_distances(a.marks, b.marks)
     resolution = grid * max(1.0, diam)
 
     def objective(c):

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FiniteMmmSpace, MarkSpace, _sample_indices
+from .core import FiniteMmmSpace, MarkSpace, _sample_indices, _weight_total
 from .dmat import ENUM_BUDGET, EXACT_TUPLE_LIMIT, exact_law
 from .errors import ParameterError
 
@@ -128,7 +128,7 @@ def _evaluate_product_exact(phi: Polynomial, space: FiniteMmmSpace) -> float:
     """Tensor contraction for product-form polynomials of order <= 3."""
     n = phi.order
     w = space.weights
-    total = math.fsum(w.tolist())
+    total = _weight_total(space)
     vecs = []
     for t in range(n):
         g = phi.mark_factors[t]

@@ -4,12 +4,17 @@ These deliberately avoid the package's own solver internals: the subset
 oracle enumerates the closed-set characterization directly, and the LP
 oracle gets its flow values from scipy's linear programming, so a bug in
 the production max-flow or breakpoint search cannot hide in both routes.
+The MGP lower-bound oracle shares that max-flow on purpose: it rebuilds
+the union metric over the atoms of both laws, so it checks how the cross
+matrix reaches the solver, not the solver.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import linprog
+
+from mmmspace import FinitePointMeasure, mark_marginal, pair_distance_law, prohorov_exact
 
 
 def _min_eps_for_subset(pa, dist_to_A, q_probs):
@@ -70,3 +75,30 @@ def prohorov_lp_scan_oracle(metric, p_atoms, p_probs, q_atoms, q_probs):
         if k + 1 == len(ts) or cand < ts[k + 1]:
             best = min(best, cand)
     return best
+
+
+def mark_distance(mark_space, u, v):
+    """The mark metric of one pair: 0/1 on labels, np.linalg.norm on vectors."""
+    if mark_space.kind == "discrete":
+        return 0.0 if u == v else 1.0
+    return float(np.linalg.norm(np.subtract(u, v, dtype=float)))
+
+
+def _union_prohorov(values_a, probs_a, values_b, probs_b, metric_fn):
+    """prohorov_exact on the K x K metric over the union of both atom lists."""
+    atoms = list(values_a) + [v for v in values_b if v not in values_a]
+    metric = np.array([[metric_fn(x, y) for y in atoms] for x in atoms])
+    p = FinitePointMeasure(atoms=[atoms.index(v) for v in values_a], probs=probs_a)
+    q = FinitePointMeasure(atoms=[atoms.index(v) for v in values_b], probs=probs_b)
+    return prohorov_exact(metric, p, q)[0]
+
+
+def mgp_lower_union_oracle(a, b):
+    """The order-1 and order-2 bounds of `mgp_lower` by the union-metric route."""
+    ma, mb = mark_marginal(a), mark_marginal(b)
+    first = _union_prohorov(list(ma), list(ma.values()), list(mb), list(mb.values()),
+                            lambda u, v: mark_distance(a.mark_space, u, v))
+    (va, pa), (vb, pb) = pair_distance_law(a), pair_distance_law(b)
+    second = 0.5 * _union_prohorov(va.tolist(), pa, vb.tolist(), pb,
+                                   lambda x, y: abs(x - y))
+    return first, second

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmmspace import FiniteMmmSpace, MarkSpace
+from mmmspace import FiniteMmmSpace, MarkSpace, euclidean_cloud
 
 BIT_MARKS = MarkSpace.discrete((0, 1))
 AB_MARKS = MarkSpace.discrete(("a", "b"))
@@ -16,6 +16,15 @@ def two_point(d=1.0, weights=(0.5, 0.5), marks=(0, 1), mark_space=BIT_MARKS,
         mark_space=mark_space,
         label=label,
     )
+
+
+def nan_cloud():
+    """A 6-point Gaussian cloud with d(0, 1) = NaN, labelled "nan"."""
+    good = euclidean_cloud(6, 2, seed=4)
+    d = good.distances.copy()
+    d[0, 1] = d[1, 0] = np.nan
+    return FiniteMmmSpace(distances=d, marks=good.marks, weights=good.weights,
+                          mark_space=good.mark_space, label="nan")
 
 
 def dyadic_weights(rng, n, denom=64):

@@ -11,7 +11,7 @@ from mmmspace import FiniteMmmSpace, MarkSpace, euclidean_cloud, load_space, sav
 from mmmspace.cli import replay, run
 from mmmspace.serialize import dump_path, sha256_path, space_to_obj
 
-from conftest import AB_MARKS, two_point
+from conftest import AB_MARKS, nan_cloud, two_point
 
 
 @pytest.fixture
@@ -272,6 +272,19 @@ def test_tightness_writes_curves_and_verdicts(capsys, tmp_path):
         Path(path).write_text("scribble")
     assert replay(manifest) == 0
     assert {p: sha256_path(p) for p in digests} == digests
+
+
+def test_tightness_rejects_nan_distance(capsys, tmp_path):
+    family = tmp_path / "family"
+    family.mkdir()
+    (family / "nan.json").write_text(json.dumps(space_to_obj(nan_cloud())))
+    code, stdout, stderr = run_cli(capsys, "tightness", "--spaces", family,
+                                   "--eps", "0.5", "--delta", "0.25",
+                                   "--out", tmp_path / "tight")
+    assert (code, stdout) == (1, "")
+    report = json.loads(stderr)
+    assert report["error"] == "bad-parameter"
+    assert "d(0,1) = nan is not finite" in report["detail"]
 
 
 # --- simulate and replay -----------------------------------------------------------------

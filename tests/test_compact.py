@@ -17,7 +17,7 @@ from mmmspace import (
     sampled_functionals,
 )
 
-from conftest import AB_MARKS, BIT_MARKS, random_space, relabeled, two_point
+from conftest import AB_MARKS, BIT_MARKS, nan_cloud, random_space, relabeled, two_point
 
 
 def path_space(n_points, spacing, label="path"):
@@ -205,6 +205,12 @@ def test_shrinking_spacing_family_is_tightness_consistent():
     assert report.tightness_consistent is True
 
 
+def test_distance_tail_rejects_non_finite_distances():
+    # the NaN pair carries mass 1/18 that `values > t` would silently drop
+    with pytest.raises(ParameterError, match=r"'nan': d\(0,1\) = nan is not finite"):
+        distance_tail(nan_cloud(), [0.0])
+
+
 def test_family_validation(space_A):
     with pytest.raises(ParameterError):
         family_tightness([], [0.5], [0.25])
@@ -212,6 +218,8 @@ def test_family_validation(space_A):
         family_tightness([space_A], [0.0, 0.5], [0.25])
     with pytest.raises(ParameterError):
         family_tightness([space_A], [0.5], [0.5, 0.25])
+    with pytest.raises(ParameterError, match=r"'nan': d\(0,1\) = nan is not finite"):
+        family_tightness([space_A, nan_cloud()], [0.5], [0.25])
 
 
 # --- sampled functionals --------------------------------------------------------

@@ -19,6 +19,7 @@ from mmmspace import (
     validate,
 )
 
+from _oracles import mark_distance
 from conftest import AB_MARKS, BIT_MARKS, random_space, relabeled, two_point
 
 
@@ -40,6 +41,25 @@ def test_euclidean_mark_space_metric():
     assert ms.distance((0.0, 0.0), (3.0, 4.0)) == 5.0
     assert ms.contains((1.0, 2.0))
     assert not ms.contains((1.0,))
+
+
+def test_cross_distances_match_the_pairwise_metric():
+    rng = np.random.default_rng(19)
+    ms = MarkSpace.discrete(("a", "b", "c"))
+    us = tuple(rng.choice(ms.labels, size=7).tolist())
+    vs = tuple(rng.choice(ms.labels, size=4).tolist())
+    spaces = [(ms, us, vs)]
+    for dim in (1, 2, 3):
+        scale = 10.0 ** rng.integers(-6, 7, size=(9, 1))
+        pts = [tuple(x) for x in (rng.normal(size=(9, dim)) * scale).tolist()]
+        spaces.append((MarkSpace.euclidean(dim), pts[:5], pts[3:]))
+    for ms, us, vs in spaces:
+        got = ms.cross_distances(us, vs)
+        want = np.array([[mark_distance(ms, u, v) for v in vs] for u in us])
+        assert got.shape == (len(us), len(vs))
+        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+        assert ms.distance(us[-1], vs[0]) == got[-1, 0]
+        assert ms.cross_distances([], vs).shape == (0, len(vs))
 
 
 def test_duplicate_labels_rejected():
@@ -355,6 +375,13 @@ def test_not_equivalent_on_mark_swap():
     assert not is_equivalent_exact(a, b)
     # but symmetric weights make the swap an isometry
     assert is_equivalent_exact(two_point(marks=(0, 1)), two_point(marks=(1, 0)))
+
+
+def test_equivalence_rejects_zero_total_weight(space_A):
+    zero = two_point(weights=(0.0, 0.0), label="zero")
+    for pair in ((zero, zero), (zero, space_A), (space_A, zero)):
+        with pytest.raises(ParameterError, match="'zero': weights must have positive total"):
+            is_equivalent_exact(*pair)
 
 
 def test_equivalence_size_guard():

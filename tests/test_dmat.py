@@ -24,7 +24,7 @@ from mmmspace import (
 )
 from mmmspace.dmat import MM_DUMMY_LABEL, round_sig
 
-from conftest import random_space, two_point
+from conftest import nan_cloud, random_space, two_point
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +40,11 @@ def test_sample_deterministic_and_consistent(space_A):
     assert np.array_equal(s1.dist, s1.dist.T)
     # every entry is a distance the space actually has
     assert set(np.unique(s1.dist)) <= {0.0, 1.0}
+
+
+def test_sample_rejects_zero_total_weight():
+    with pytest.raises(ParameterError, match="'zero': weights must have positive total"):
+        sample(two_point(weights=(0.0, 0.0), label="zero"), 3, seed=0)
 
 
 def test_sample_many_matches_singles(space_A):
@@ -223,6 +228,11 @@ def test_pair_distance_law_weighted():
     assert values.tolist() == [0.0, 1.0]
     assert probs[0] == pytest.approx(10 / 16)
     assert probs[1] == pytest.approx(6 / 16)
+
+
+def test_pair_distance_law_rejects_non_finite_distances():
+    with pytest.raises(ParameterError, match=r"'nan': d\(0,1\) = nan is not finite"):
+        pair_distance_law(nan_cloud())
 
 
 def test_pair_distance_law_sums_to_one():

@@ -1,5 +1,6 @@
 """Tests for gluings, the distance bounds, and the certified tiny-case solver."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from mmmspace import (
     FiniteMmmSpace,
     GluedSpace,
     GluingError,
+    MarginalError,
     MarkSpace,
     MgpResult,
     ParameterError,
@@ -28,9 +30,10 @@ from mmmspace import (
     mgp_upper,
     two_sample_test,
 )
-from mmmspace.mgp import _all_pairs_cross
+from mmmspace.mgp import _all_pairs_cross, _gluing_feasible, _profile_cost
 
-from conftest import AB_MARKS, random_space, relabeled, two_point
+from _oracles import mark_distance, mgp_lower_union_oracle
+from conftest import AB_MARKS, nan_cloud, random_space, relabeled, two_point
 
 
 def one_point(mark, mark_space=AB_MARKS, label="pt"):
@@ -313,11 +316,7 @@ def test_bounds_memory_stays_below_the_all_pairs_arrays():
 
 
 def test_non_finite_spaces_are_rejected():
-    good = euclidean_cloud(6, 2, seed=4)
-    d = good.distances.copy()
-    d[0, 1] = d[1, 0] = math.nan
-    bad = FiniteMmmSpace(distances=d, marks=good.marks, weights=good.weights,
-                         mark_space=good.mark_space, label="nan")
+    good, bad = euclidean_cloud(6, 2, seed=4), nan_cloud()
     calls = (mgp_lower, mgp_upper, mgp_bounds,
              lambda x, y: two_sample_test(x, y, m=20, permutations=99))
     for call in calls:
@@ -329,6 +328,82 @@ def test_non_finite_spaces_are_rejected():
                                 mark_space=good.mark_space)
     with pytest.raises(ParameterError, match=r"^space '': weight 0 = inf is not finite$"):
         mgp_bounds(good, inf_weight)
+
+
+def test_mgp_upper_rejects_zero_total_weight(space_A):
+    zero = two_point(weights=(0.0, 0.0), label="zero")
+    for pair in ((zero, space_A), (space_A, zero)):
+        with pytest.raises(ParameterError, match="'zero': weights must have positive total"):
+            mgp_upper(*pair)
+
+
+def test_mgp_lower_checks_the_marginals(space_A):
+    # weights summing to 2 give a mark marginal of mass 2 (order 1 comes first)
+    heavy = two_point(weights=(1.0, 1.0))
+    for pair in ((heavy, space_A), (space_A, heavy)):
+        with pytest.raises(MarginalError, match="sum to 2.0, not 1"):
+            mgp_lower(*pair)
+
+
+def test_gluing_feasibility_matches_the_pairwise_loop():
+    def loop_feasible(c, r1, r2, tol=1e-9):
+        for i, i2 in itertools.product(range(c.shape[0]), repeat=2):
+            if np.any(np.abs(c[i] - c[i2]) > r1[i, i2] + tol):
+                return False
+            if np.any(c[i] + c[i2] < r1[i, i2] - tol):
+                return False
+        for j, j2 in itertools.product(range(c.shape[1]), repeat=2):
+            if abs(c[:, j] - c[:, j2]).max() > r2[j, j2] + tol:
+                return False
+            if (c[:, j] + c[:, j2]).min() < r2[j, j2] - tol:
+                return False
+        return True
+
+    rng = np.random.default_rng(29)
+    verdicts = []
+    for _ in range(200):
+        a, b = random_pair(rng, max_n=4)
+        c = correspondence_cross(a, b, [(0, 0)])[0]
+        c = c + rng.choice([0.0, 0.2, -0.2]) * rng.random(c.shape)
+        verdicts.append(_gluing_feasible(c, a.distances, b.distances))
+        assert verdicts[-1] == loop_feasible(c, a.distances, b.distances)
+    assert set(verdicts) == {True, False}
+
+
+def test_profile_cost_matches_the_pairwise_loop():
+    def loop_cost(a, b):
+        qs = np.linspace(0.0, 1.0, 9)
+        pa = np.quantile(np.sort(a.distances, axis=1), qs, axis=1).T
+        pb = np.quantile(np.sort(b.distances, axis=1), qs, axis=1).T
+        cost = np.abs(pa[:, None, :] - pb[None, :, :]).mean(axis=2)
+        for i in range(a.n):
+            for j in range(b.n):
+                cost[i, j] += mark_distance(a.mark_space, a.marks[i], b.marks[j])
+                cost[i, j] += abs(a.weights[i] - b.weights[j])
+        return cost
+
+    rng = np.random.default_rng(31)
+    pairs = [random_pair(rng, max_n=6) for _ in range(5)]
+    pairs += [(euclidean_cloud(5, 2, "point", seed=k), euclidean_cloud(7, 2, "point", seed=k + 9))
+              for k in range(5)]
+    for a, b in pairs:
+        assert np.array_equal(_profile_cost(a, b), loop_cost(a, b))
+
+
+def test_mgp_lower_matches_the_union_metric_route():
+    rng = np.random.default_rng(71)
+    pairs = [random_pair(rng, max_n=6) for _ in range(8)]
+    pairs += [(euclidean_cloud(int(rng.integers(2, 9)), dim, "point", seed=10 * dim + k),
+               euclidean_cloud(int(rng.integers(2, 9)), dim, "point", seed=10 * dim + k + 5))
+              for dim in (1, 2, 3) for k in range(2)]
+    pairs += [(kingman(CoalescentConfig(leaves=5 + k, theta=1.0, seed=k)),
+               kingman(CoalescentConfig(leaves=7, theta=1.0, seed=k + 20)))
+              for k in range(6)]
+    for a, b in pairs:
+        first, second = mgp_lower_union_oracle(a, b)
+        assert mgp_lower(a, b, orders=(1,)) == first
+        assert mgp_lower(a, b, orders=(2,)) == second
+        assert mgp_lower(a, b) == max(first, second)
 
 
 # --- bundle ---------------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_mc_edge_cases(space_A):
         evaluate_mc(distance_monomial(0, 1), space_A, m=0, seed=0)
 
 
+def test_evaluation_rejects_zero_total_weight():
+    zero = two_point(weights=(0.0, 0.0), label="zero")
+    with pytest.raises(ParameterError, match="'zero': weights must have positive total"):
+        evaluate_mc(distance_monomial(0, 1), zero, m=10, seed=0)
+    with pytest.raises(ParameterError, match="'zero': weights must have positive total"):
+        evaluate_exact(distance_monomial(0, 1), zero)
+
+
 def test_budget_guard():
     rng = np.random.default_rng(12)
     space = random_space(rng, max_n=5, min_n=5)

@@ -125,6 +125,10 @@ def test_two_sample_validation(space_A):
                       mark_space=MarkSpace.discrete(("a", "b")))
     with pytest.raises(ParameterError):
         two_sample_test(space_A, other)
+    zero = two_point(weights=(0.0, 0.0), label="zero")
+    for pair in ((zero, space_A), (space_A, zero)):
+        with pytest.raises(ParameterError, match="'zero': weights must have positive total"):
+            two_sample_test(*pair, m=20, permutations=99)
     with pytest.raises(ParameterError):
         TwoSampleResult(statistic=0.0, p_value=1.5, order=2, samples=40,
                         permutations=99)
