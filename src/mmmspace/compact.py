@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteMmmSpace, _sample_indices
+from .core import FiniteMmmSpace, _require_finite, _sample_indices
 from .dmat import mark_marginal, pair_distance_law
 from .errors import ParameterError
 
@@ -40,9 +40,11 @@ DEFAULT_MASS_THRESHOLD = 0.05
 
 
 def ball_masses(space: FiniteMmmSpace, eps: float) -> np.ndarray:
-    """Mass of the open ball of radius eps around each atom (strict <)."""
+    """Mass of the open ball of radius eps around each atom (strict <);
+    NaN/inf distances, weights or marks raise ParameterError."""
     if eps <= 0:
         raise ParameterError("ball radius must be positive")
+    _require_finite(space)
     inside = space.distances < eps
     return inside @ space.weights
 

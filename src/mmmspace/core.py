@@ -214,11 +214,18 @@ def _weight_total(space: FiniteMmmSpace) -> float:
 
 
 def _require_finite(*spaces: FiniteMmmSpace) -> None:
-    """Raise ParameterError naming the first non-finite distance or weight."""
+    """Raise ParameterError naming the first non-finite distance, weight or
+    Euclidean mark coordinate."""
     for space in spaces:
         bad = _non_finite(space)
         if bad:
             raise ParameterError(f"space {space.label!r}: {bad[0].message}")
+        if space.mark_space.kind == "euclidean":
+            coords = np.reshape(space.marks, (space.n, space.mark_space.dim))
+            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+            if bad.size:
+                raise ParameterError(f"space {space.label!r}: mark {bad[0]} = "
+                                     f"{space.marks[bad[0]]!r} is not finite")
 
 
 TRIANGLE_BLOCK_ELEMENTS = 1 << 18

@@ -5,12 +5,14 @@ marks) pairs; this module draws from that law, enumerates it exactly for
 finite spaces, and implements the index operations (injective relabeling
 and the shift onto fresh indices) that make the polynomial algebra work.
 
-Exactness: atom probabilities of `exact_law` are rational numbers (every
-IEEE weight is a dyadic rational) normalized by (total weight)^n, so
-permutation invariance and shift consistency hold as algebraic identities,
-not merely within float tolerance.  Beyond EXACT_TUPLE_LIMIT enumerated
-tuples the law switches to float probabilities built from order-independent
-primitives (sorted-factor products, fsum).
+Exactness: every IEEE weight is a dyadic rational, so w_i = M_i / Q with
+integer mantissas M_i over one power of two Q.  An atom's probability in
+`exact_law` is then (sum over its tuples of prod M) / (sum M)^n, summed in
+integers with one Fraction per atom, so permutation invariance and shift
+consistency hold as algebraic identities, not merely within float
+tolerance.  Beyond EXACT_TUPLE_LIMIT enumerated tuples the law switches to
+float probabilities built from order-independent primitives (sorted-factor
+products, exactly rounded sums).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
 
 ENUM_BUDGET = 10_000_000
 EXACT_TUPLE_LIMIT = 200_000
+EXACT_LAW_CHUNK = 1_000_000
 KEY_SIG_DIGITS = 12
 
 
@@ -79,12 +82,15 @@ class DistanceMatrixSample:
         object.__setattr__(self, "marks", tuple(self.marks))
 
     def key(self) -> tuple:
-        """Aggregation key: 12-significant-digit distances, exact marks."""
-        n = self.order
-        tri = tuple(
-            float(round_sig(self.dist[i, j])) for i in range(n) for j in range(i + 1, n)
-        )
-        return (tri, self.marks)
+        """Aggregation key: 12-significant-digit distances, exact marks.
+
+        Computed on first use and kept (the sample is immutable)."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            tri = round_sig(self.dist[np.triu_indices(self.order, 1)]).tolist()
+            key = (tuple(tri), self.marks)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistanceMatrixSample):
@@ -147,17 +153,19 @@ def sample_many(space: FiniteMmmSpace, n: int, m: int, seed: int) -> list:
 # exact law
 # ---------------------------------------------------------------------------
 
-def _mark_ids(space: FiniteMmmSpace) -> tuple[np.ndarray, list]:
-    """Map each point to the id of its mark value (shared values share ids)."""
-    seen: dict = {}
-    ids = np.empty(space.n, dtype=np.int64)
-    values: list = []
-    for i, mk in enumerate(space.marks):
-        if mk not in seen:
-            seen[mk] = len(values)
-            values.append(mk)
-        ids[i] = seen[mk]
-    return ids, values
+def _mantissas(w: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integers M (an object array) and Q with w_i = M_i / Q exactly: Q is the
+    largest denominator of ``float.as_integer_ratio``, all powers of two."""
+    ratios = [float(x).as_integer_ratio() for x in w]
+    q = max(den for _, den in ratios)
+    return np.array([num * (q // den) for num, den in ratios], dtype=object), q
+
+
+def _group_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+    """Sum ``values`` by group id with np.add.reduceat (exact on Python ints)."""
+    order = np.argsort(groups, kind="stable")
+    starts = np.searchsorted(groups[order], np.arange(count))
+    return np.add.reduceat(values[order], starts)
 
 
 def exact_law(
@@ -183,8 +191,11 @@ def exact_law(
     -------
     DistanceMatrixLaw
         Atoms aggregated by (distances rounded to 12 significant digits,
-        exact mark tuple), sorted by key; probabilities normalized by
-        (sum of weights)^n and summing to exactly 1 in the rational case.
+        exact mark tuple), sorted by key, each represented by its first
+        tuple; probabilities normalized by (sum of weights)^n and summing to
+        exactly 1 in the rational case.  Chunks of EXACT_LAW_CHUNK tuples
+        are grouped by one ``np.unique`` each, and merged by one more.
+        NaN/inf entries and a nonpositive total weight raise ParameterError.
     """
     if n < 1:
         raise ParameterError("order must be >= 1")
@@ -192,95 +203,71 @@ def exact_law(
     K = N ** n
     if K > budget:
         raise BudgetError(f"enumeration needs {K} tuples, budget is {budget}")
+    _require_finite(space)
+    _weight_total(space)
     if exact is None:
         exact = K <= EXACT_TUPLE_LIMIT
 
-    D = space.distances
-    w = space.weights
-    mark_ids, _ = _mark_ids(space)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    D, w = space.distances, space.weights
+    mantissas, q = _mantissas(w)
+    seen: dict = {}  # shared mark values share ids
+    mark_ids = np.array([seen.setdefault(mk, len(seen)) for mk in space.marks], dtype=float)
+    rows, cols = np.triu_indices(n, 1)
+    radix = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    groups: dict[bytes, dict] = {}
-    chunk = 1_000_000
-    radix = np.array([N ** (n - 1 - t) for t in range(n)], dtype=np.int64)
-
-    for start in range(0, K, chunk):
-        stop = min(start + chunk, K)
-        base = np.arange(start, stop, dtype=np.int64)
-        idx = (base[:, None] // radix[None, :]) % N
-
-        cols = []
-        for (i, j) in pairs:
-            cols.append(round_sig(D[idx[:, i], idx[:, j]]))
-        for t in range(n):
-            cols.append(mark_ids[idx[:, t]].astype(float))
-        keymat = (
-            np.column_stack(cols) if cols else np.zeros((stop - start, 0))
-        )
-
-        idx_sorted = np.sort(idx, axis=1)
-        probs = np.prod(w[idx_sorted], axis=1)
-
+    chunk_keys, chunk_reps, chunk_sums = [], [], []
+    for start in range(0, K, EXACT_LAW_CHUNK):
+        base = np.arange(start, min(start + EXACT_LAW_CHUNK, K), dtype=np.int64)
+        idx = base[:, None] // radix % N
+        keymat = np.column_stack([round_sig(D[idx[:, rows], idx[:, cols]]), mark_ids[idx]])
         uniq, firsts, inverse = np.unique(
             keymat, axis=0, return_index=True, return_inverse=True
         )
         inverse = inverse.reshape(-1)
-        sums = np.bincount(inverse, weights=probs, minlength=len(uniq))
-        by_group = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[by_group], np.arange(len(uniq) + 1))
-
-        for g in range(len(uniq)):
-            kb = uniq[g].tobytes()
-            rec = groups.get(kb)
-            if rec is None:
-                rec = {"float": [], "counts": {}, "rep": None}
-                groups[kb] = rec
-            rec["float"].append(float(sums[g]))
-            if rec["rep"] is None:
-                rec["rep"] = idx[firsts[g]].copy()
-            if exact:
-                rows = by_group[bounds[g]: bounds[g + 1]]
-                msu, mcount = np.unique(idx_sorted[rows], axis=0, return_counts=True)
-                cdict = rec["counts"]
-                for r in range(len(msu)):
-                    mb = msu[r].tobytes()
-                    cdict[mb] = cdict.get(mb, 0) + int(mcount[r])
-
-    wfrac = [Fraction(float(x)) for x in w]
-    total = sum(wfrac, Fraction(0))
-    if total <= 0:
-        raise ParameterError("weights must have positive total")
-
-    prod_cache: dict[bytes, Fraction] = {}
-
-    def multiset_product(mb: bytes) -> Fraction:
-        got = prod_cache.get(mb)
-        if got is None:
-            ids = np.frombuffer(mb, dtype=np.int64)
-            got = Fraction(1)
-            for i in ids:
-                got *= wfrac[int(i)]
-            prod_cache[mb] = got
-        return got
-
-    entries = []
-    norm = total ** n
-    for rec in groups.values():
-        smp = _make_sample(space, rec["rep"])
         if exact:
-            p = sum(
-                (cnt * multiset_product(mb) for mb, cnt in rec["counts"].items()),
-                Fraction(0),
-            ) / norm
+            prods = np.prod(mantissas[idx], axis=1)
+            chunk_sums.append(_group_sums(prods, inverse, len(uniq)))
         else:
-            p = math.fsum(rec["float"]) / float(norm)
-        entries.append((smp, p))
-    entries.sort(key=lambda e: repr(e[0].key()))
+            prods = np.prod(w[np.sort(idx, axis=1)], axis=1)
+            chunk_sums.append(np.bincount(inverse, weights=prods, minlength=len(uniq)))
+        chunk_keys.append(uniq)
+        chunk_reps.append(idx[firsts])
+
+    keymat, reps, sums = chunk_keys[0], chunk_reps[0], chunk_sums[0]
+    if len(chunk_keys) > 1:
+        # A key occurs at most once per chunk and the chunks follow the
+        # enumeration, so first occurrences hold the first tuples.  Chunk
+        # sums add exactly, so float sums are rounded once, as by fsum.
+        keymat, firsts, inverse = np.unique(
+            np.concatenate(chunk_keys), axis=0, return_index=True, return_inverse=True
+        )
+        reps = np.concatenate(chunk_reps)[firsts]
+        parts = np.concatenate(chunk_sums)
+        if not exact:
+            parts = np.array([Fraction(x) for x in parts], dtype=object)
+        sums = _group_sums(parts, inverse.reshape(-1), len(keymat))
+
+    total_m = int(sum(mantissas))
+    if exact:
+        norm = total_m ** n
+        probs = [Fraction(int(x), norm) for x in sums]
+    else:
+        norm = float(Fraction(total_m, q) ** n)
+        probs = [float(x) / norm for x in sums]
+    blocks = D[reps[:, :, None], reps[:, None, :]]
+    tris = keymat[:, : len(rows)].tolist()
+    marks = space.marks
+    entries = []
+    for block, rep, tri, p in zip(blocks, reps.tolist(), tris, probs):
+        smp = DistanceMatrixSample(order=n, dist=block, marks=tuple(marks[i] for i in rep))
+        object.__setattr__(smp, "_key", (tuple(tri), smp.marks))
+        entries.append((repr(smp.key()), smp, p))
+    entries.sort(key=lambda e: e[0])
 
     return DistanceMatrixLaw(
         order=n,
-        samples=tuple(e[0] for e in entries),
-        probs=tuple(e[1] for e in entries),
+        samples=tuple(e[1] for e in entries),
+        probs=tuple(e[2] for e in entries),
         exact=exact,
     )
 

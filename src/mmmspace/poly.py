@@ -20,9 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FiniteMmmSpace, MarkSpace, _sample_indices, _weight_total
+from .core import (
+    FiniteMmmSpace, MarkSpace, _require_finite, _sample_indices, _weight_total,
+)
 from .dmat import ENUM_BUDGET, EXACT_TUPLE_LIMIT, exact_law
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError
 
 __all__ = [
     "Polynomial",
@@ -125,32 +127,17 @@ def mark_indicator(label, pos: int = 0, order: int | None = None) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 def _evaluate_product_exact(phi: Polynomial, space: FiniteMmmSpace) -> float:
-    """Tensor contraction for product-form polynomials of order <= 3."""
+    """Contract a product-form polynomial, one einsum index per sampled
+    point: sum over tuples of prod_t w g_t(u_t) prod_kl f_kl(r_kl), a weighted
+    homomorphism density, over (total weight)^n."""
     n = phi.order
-    w = space.weights
     total = _weight_total(space)
-    vecs = []
-    for t in range(n):
-        g = phi.mark_factors[t]
-        vecs.append(w * np.array([float(g(mk)) for mk in space.marks]))
-    mats = {}
-    for (k, l), f in phi.pair_factors:
-        m = np.asarray(f(space.distances), dtype=float)
-        if (k, l) in mats:
-            mats[(k, l)] = mats[(k, l)] * m
-        else:
-            mats[(k, l)] = m
-
-    letters = "ijk"
-    operands, script = [], []
-    for t in range(n):
-        operands.append(vecs[t])
-        script.append(letters[t])
-    for (k, l), m in mats.items():
-        operands.append(m)
-        script.append(letters[k] + letters[l])
-    val = float(np.einsum(",".join(script) + "->", *operands))
-    return val / total ** n
+    operands: list = []
+    for t, g in enumerate(phi.mark_factors):
+        operands += [space.weights * np.array([float(g(mk)) for mk in space.marks]), [t]]
+    for kl, f in phi.pair_factors:
+        operands += [np.asarray(f(space.distances), dtype=float), list(kl)]
+    return float(np.einsum(*operands, [], optimize=True)) / total ** n
 
 
 def evaluate_exact(
@@ -158,11 +145,17 @@ def evaluate_exact(
 ) -> float:
     """Integrate the polynomial against the exact distance matrix law.
 
-    Product-form polynomials of order <= 3 go through a direct tensor
-    contraction; everything else enumerates the law (budget-capped).
-    Both paths agree within float tolerance.
+    Product-form polynomials go through a tensor contraction at any order;
+    everything else enumerates the law (budget-capped).  Both routes agree
+    within float tolerance.  Above order 3 the contraction keeps the
+    enumeration's cap: BudgetError when N^order exceeds ``budget``.
+    NaN/inf distances, weights or marks raise ParameterError.
     """
-    if phi.has_product_form and phi.order <= 3:
+    _require_finite(space)
+    if phi.has_product_form:
+        tuples = space.n ** phi.order
+        if phi.order > 3 and tuples > budget:
+            raise BudgetError(f"enumeration needs {tuples} tuples, budget is {budget}")
         return _evaluate_product_exact(phi, space)
     law = exact_law(space, phi.order, budget=budget)
     terms = [
@@ -172,8 +165,8 @@ def evaluate_exact(
 
 
 def _exact_is_cheap(phi: Polynomial, space: FiniteMmmSpace) -> bool:
-    """Whether `evaluate_exact` is cheap: the product contraction applies
-    (product form, order <= 3) or the law has at most EXACT_TUPLE_LIMIT tuples."""
+    """Whether `evaluate_exact` is cheap: product form at order <= 3 (a
+    contraction with no budget) or a law of at most EXACT_TUPLE_LIMIT tuples."""
     cheap_product = phi.has_product_form and phi.order <= 3
     return cheap_product or space.n**phi.order <= EXACT_TUPLE_LIMIT
 

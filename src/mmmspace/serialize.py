@@ -88,8 +88,13 @@ def dump_path(obj: Any, path: str) -> None:
 
 
 def load_path(path: str) -> Any:
+    """Parse a JSON file; the tokens NaN, Infinity, -Infinity raise ParameterError."""
+
+    def reject(token):
+        raise ParameterError(f"{path}: {token} is not a finite JSON number")
+
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=reject)
 
 
 def sha256_path(path: str) -> str:
@@ -175,7 +180,10 @@ def save_space(space: FiniteMmmSpace, path: str) -> None:
 
 
 def load_space(path: str) -> FiniteMmmSpace:
-    return space_from_obj(load_path(path))
+    """Read a space file, NaN/Infinity included: `validate` reports them as
+    ``non-finite`` and every computing entry point rejects them by index."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return space_from_obj(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,19 @@ oracle gets its flow values from scipy's linear programming, so a bug in
 the production max-flow or breakpoint search cannot hide in both routes.
 The MGP lower-bound oracle shares that max-flow on purpose: it rebuilds
 the union metric over the atoms of both laws, so it checks how the cross
-matrix reaches the solver, not the solver.
+matrix reaches the solver, not the solver.  The exact-law oracle shares
+only the grouping key (`round_sig`), which defines the atoms.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
 
 from mmmspace import FinitePointMeasure, mark_marginal, pair_distance_law, prohorov_exact
+from mmmspace.dmat import round_sig
 
 
 def _min_eps_for_subset(pa, dist_to_A, q_probs):
@@ -102,3 +106,20 @@ def mgp_lower_union_oracle(a, b):
     second = 0.5 * _union_prohorov(va.tolist(), pa, vb.tolist(), pb,
                                    lambda x, y: abs(x - y))
     return first, second
+
+
+def exact_law_oracle(space, n):
+    """`exact_law` as a plain loop over all N^n index tuples with Fraction
+    weights: [(key, first tuple, probability)] in the documented atom order
+    (sorted by repr of the key)."""
+    w = [Fraction(float(x)) for x in space.weights]
+    norm = sum(w, Fraction(0)) ** n
+    atoms: dict = {}
+    for t in itertools.product(range(space.n), repeat=n):
+        tri = tuple(float(round_sig(space.distances[t[i], t[j]]))
+                    for i in range(n) for j in range(i + 1, n))
+        key = (tri, tuple(space.marks[i] for i in t))
+        first, mass = atoms.get(key, (t, Fraction(0)))
+        atoms[key] = (first, mass + math.prod(w[i] for i in t))
+    ordered = sorted(atoms.items(), key=lambda item: repr(item[0]))
+    return [(key, first, mass / norm) for key, (first, mass) in ordered]

@@ -172,6 +172,23 @@ def test_prohorov_from_files(capsys, tmp_path):
     assert np.abs(witness.sum(axis=1) - [0.75, 0.25]).max() <= 1e-10
 
 
+def test_nan_tokens_in_input_files_are_rejected(capsys, tmp_path):
+    metric = tmp_path / "metric.json"
+    metric.write_text('{"schema": "mmm-metric/v1", "n": 2, "matrix": [[0.0, NaN], [1.0, 0.0]]}')
+    p = tmp_path / "p.json"
+    dump_path({"schema": "mmm-measure/v1", "atoms": [0, 1], "probs": [0.5, 0.5]}, p)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"leaves": 5, "theta": float("inf")}))
+    for argv in (("prohorov", "--metric", metric, "--p", p, "--q", p),
+                 ("simulate", "--model", "kingman", "--params", params,
+                  "--out", tmp_path / "x.json")):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        payload = json.loads(stderr)
+        assert payload["error"] == "bad-parameter"
+        assert "is not a finite JSON number" in payload["detail"]
+
+
 # --- dist --------------------------------------------------------------------------
 
 

@@ -211,6 +211,13 @@ def test_distance_tail_rejects_non_finite_distances():
         distance_tail(nan_cloud(), [0.0])
 
 
+def test_ball_masses_reject_non_finite_distances():
+    # the NaN pair would count as outside every ball: modulus_mass read 0.333
+    for call in (lambda s: ball_masses(s, 0.5), lambda s: modulus_mass(s, 0.5, 0.2)):
+        with pytest.raises(ParameterError, match=r"'nan': d\(0,1\) = nan is not finite"):
+            call(nan_cloud())
+
+
 def test_family_validation(space_A):
     with pytest.raises(ParameterError):
         family_tightness([], [0.5], [0.25])

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmmspace import (
     FiniteMmmSpace,
     MarkSpace,
     ParameterError,
+    Polynomial,
     BudgetError,
+    distance_monomial,
+    evaluate_exact,
     exact_law,
     law_push,
     law_shift,
@@ -22,8 +26,10 @@ from mmmspace import (
     sample_many,
     shift,
 )
-from mmmspace.dmat import MM_DUMMY_LABEL, round_sig
+from mmmspace import dmat
+from mmmspace.dmat import MM_DUMMY_LABEL, DistanceMatrixSample, round_sig
 
+from _oracles import exact_law_oracle
 from conftest import nan_cloud, random_space, two_point
 
 
@@ -130,6 +136,76 @@ def test_prob_of_known_sample(space_A):
     assert law.prob_of(s) == Fraction(1, 4)
 
 
+def oracle_spaces(rng, count):
+    """Small spaces with tied and only key-tied distances (points on a
+    0.1-spaced line), coincident points, zero and non-dyadic weights, and
+    label or Euclidean marks that repeat."""
+    spaces = []
+    for k in range(count):
+        n = int(rng.integers(1, 6))
+        x = 0.1 * rng.integers(0, 4, size=n)
+        w = rng.uniform(0.0, 1.0, size=n)
+        w[rng.random(n) < 0.25] = 0.0
+        w[0] = 0.1
+        if k % 2:
+            ms, marks = MarkSpace.euclidean(2), rng.integers(0, 2, size=(n, 2)) * 0.5
+        else:
+            ms, marks = MarkSpace.discrete(("a", "b")), rng.choice(["a", "b"], size=n)
+        spaces.append(FiniteMmmSpace(distances=np.abs(x[:, None] - x[None, :]),
+                                     marks=tuple(marks.tolist()), weights=w,
+                                     mark_space=ms, label=f"oracle-{k}"))
+    return spaces
+
+
+def test_exact_law_matches_the_fraction_tuple_loop():
+    rng = np.random.default_rng(43)
+    for space in oracle_spaces(rng, 14):
+        for order in (1, 2, 3, 4):
+            ref = exact_law_oracle(space, order)
+            law = exact_law(space, order)
+            assert law.exact
+            assert [s.key() for s in law.samples] == [key for key, _, _ in ref]
+            assert list(law.probs) == [p for _, _, p in ref]
+            for s, (key, first, _) in zip(law.samples, ref):
+                assert np.array_equal(s.dist, space.distances[np.ix_(first, first)])
+                assert DistanceMatrixSample(order, s.dist, s.marks).key() == key
+            flt = exact_law(space, order, exact=False)
+            assert [s.key() for s in flt.samples] == [key for key, _, _ in ref]
+            assert max(abs(p - float(q)) for p, (_, _, q) in zip(flt.probs, ref)) <= 1e-15
+
+
+def test_exact_law_merges_chunks(monkeypatch):
+    # dyadic weights with a small denominator make every float product and
+    # sum exact, so the float law must equal the rational one bit for bit
+    rng = np.random.default_rng(44)
+    base = random_space(rng, max_n=5, min_n=5)
+    spaces = [base, FiniteMmmSpace(distances=base.distances, marks=base.marks,
+                                   weights=rng.uniform(0.1, 1.0, size=5),
+                                   mark_space=base.mark_space)]
+    whole = [(exact_law(s, 4), exact_law(s, 4, exact=False)) for s in spaces]
+    monkeypatch.setattr(dmat, "EXACT_LAW_CHUNK", 37)  # 17 chunks of 625 tuples
+    for space, (rational, flt) in zip(spaces, whole):
+        for law, ref in ((exact_law(space, 4), rational),
+                         (exact_law(space, 4, exact=False), flt)):
+            assert [s.key() for s in law.samples] == [s.key() for s in ref.samples]
+            for a, b in zip(law.samples, ref.samples):
+                assert a.dist.tobytes() == b.dist.tobytes()
+        assert exact_law(space, 4).probs == rational.probs
+        chunked = exact_law(space, 4, exact=False).probs
+        assert max(abs(p - float(q)) for p, q in zip(chunked, rational.probs)) <= 1e-15
+    assert exact_law(base, 4, exact=False).probs == tuple(map(float, whole[0][0].probs))
+
+
+def test_exact_law_and_evaluate_exact_reject_non_finite_distances():
+    plain = Polynomial(order=2, body=lambda dist, marks: float(dist[0, 1]), bound=10.0)
+    calls = (lambda s: exact_law(s, 2), lambda s: exact_law(s, 2, exact=False),
+             lambda s: evaluate_exact(distance_monomial(0, 1), s),
+             lambda s: evaluate_exact(plain, s))
+    for call in calls:
+        with pytest.raises(ParameterError, match=r"'nan': d\(0,1\) = nan is not finite"):
+            call(nan_cloud())
+
+
 # ---------------------------------------------------------------------------
 # exchangeability and shift consistency (exact identities)
 # ---------------------------------------------------------------------------
@@ -141,6 +217,29 @@ def test_exchangeability_exact():
         law = exact_law(s, 3)
         for sigma in itertools.permutations(range(3)):
             assert laws_equal(law_push(law, sigma), law)
+
+
+@st.composite
+def tiny_spaces(draw):
+    """1-4 points on a line (repeated positions allowed), any weights in
+    [0, 1] with a positive total, two labels."""
+    n = draw(st.integers(1, 4))
+    coord = st.floats(0.0, 10.0).filter(lambda v: v == 0.0 or v >= 1e-6)
+    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+                   .filter(lambda ws: math.fsum(ws) > 0))
+    marks = draw(st.lists(st.sampled_from(("a", "b")), min_size=n, max_size=n))
+    return FiniteMmmSpace(distances=np.abs(x[:, None] - x[None, :]), marks=marks,
+                          weights=weights, mark_space=MarkSpace.discrete(("a", "b")))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(space=tiny_spaces(), order=st.integers(1, 3), data=st.data())
+def test_rational_law_sums_to_one_and_is_exchangeable(space, order, data):
+    law = exact_law(space, order)
+    assert law.exact and law.total() == 1
+    sigma = data.draw(st.permutations(range(order)))
+    assert laws_equal(law_push(law, sigma), law)
 
 
 def test_shift_consistency_exact():

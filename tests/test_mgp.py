@@ -29,6 +29,7 @@ from mmmspace import (
     mgp_lower,
     mgp_upper,
     two_sample_test,
+    validate,
 )
 from mmmspace.mgp import _all_pairs_cross, _gluing_feasible, _profile_cost
 
@@ -328,6 +329,15 @@ def test_non_finite_spaces_are_rejected():
                                 mark_space=good.mark_space)
     with pytest.raises(ParameterError, match=r"^space '': weight 0 = inf is not finite$"):
         mgp_bounds(good, inf_weight)
+    points = euclidean_cloud(5, 2, "point", seed=1)
+    nan_mark = FiniteMmmSpace(distances=points.distances,
+                              marks=((math.nan, 0.0),) + points.marks[1:],
+                              weights=points.weights, mark_space=points.mark_space,
+                              label="nan-mark")
+    assert validate(nan_mark).kinds() == {"mark-invalid"}
+    for call in calls:
+        with pytest.raises(ParameterError, match=r"'nan-mark': mark 0 = \(nan, 0.0\) is not"):
+            call(nan_mark, points)
 
 
 def test_mgp_upper_rejects_zero_total_weight(space_A):

@@ -124,6 +124,19 @@ def test_tensor_route_matches_law_route():
         assert evaluate_exact(fast, space) == pytest.approx(
             evaluate_exact(slow, space), abs=1e-12
         )
+    # orders 4 and 5: products of family members with a factor on every pair
+    panel = default_panel(AB_MARKS, n_max=3, size=120)
+    by_order = {k: [phi for phi in panel if phi.order == k] for k in (2, 3)}
+    for k in range(12):
+        space = random_space(rng, max_n=4, min_n=2)
+        a = by_order[2][int(rng.integers(len(by_order[2])))]
+        b = by_order[2 + k % 2][int(rng.integers(len(by_order[2 + k % 2])))]
+        fast = multiply(a, b)
+        assert fast.order == 4 + k % 2 and fast.has_product_form
+        slow = Polynomial(order=fast.order, body=fast.body, bound=fast.bound)
+        assert evaluate_exact(fast, space) == pytest.approx(
+            evaluate_exact(slow, space), abs=1e-12
+        )
 
 
 def test_product_integral_is_product_of_integrals():
@@ -179,6 +192,13 @@ def test_budget_guard():
     plain = Polynomial(order=3, body=lambda dist, marks: 1.0, bound=1.0)
     with pytest.raises(BudgetError):
         evaluate_exact(plain, space, budget=10)
+    # the contraction keeps the enumeration's cap above order 3 only
+    pair = distance_monomial(0, 1)
+    with pytest.raises(BudgetError, match="enumeration needs 625 tuples, budget is 624"):
+        evaluate_exact(multiply(pair, pair), space, budget=624)
+    assert evaluate_exact(multiply(pair, pair), space, budget=625) >= 0.0
+    assert evaluate_exact(multiply(pair, distance_monomial(0, 0, order=1)), space,
+                          budget=10) == 0.0
 
 
 # --- the product algebra ----------------------------------------------------

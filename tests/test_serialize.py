@@ -103,3 +103,7 @@ def test_load_path_rejects_malformed(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(json.JSONDecodeError):
         load_path(bad)
+    for token in ("NaN", "Infinity", "-Infinity"):
+        bad.write_text('{"x": [1.0, %s]}' % token)
+        with pytest.raises(ParameterError, match=f"{token} is not a finite JSON number"):
+            load_path(bad)
