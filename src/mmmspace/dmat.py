@@ -50,16 +50,29 @@ ENUM_BUDGET = 10_000_000
 EXACT_TUPLE_LIMIT = 200_000
 EXACT_LAW_CHUNK = 1_000_000
 KEY_SIG_DIGITS = 12
+MAX_DECIMAL_EXPONENT = math.floor(math.log10(np.finfo(float).max))
 
 
 def round_sig(x, sig: int = KEY_SIG_DIGITS):
-    """Round to ``sig`` significant digits (vectorized; grouping key only)."""
+    """Round to ``sig`` significant digits (vectorized; grouping key only).
+
+    Below 10^(sig - 309) (1e-297 at 12 digits) the scale 10^dec overflows a
+    float, so those values are rounded through their decimal repr instead.
+    """
     arr = np.asarray(x, dtype=float)
     out = arr.copy()
     nz = (arr != 0) & np.isfinite(arr)
-    mag = np.floor(np.log10(np.abs(arr[nz])))
-    dec = sig - 1 - mag
-    out[nz] = np.round(arr[nz] * 10.0 ** dec) / 10.0 ** dec
+    vals = arr[nz]
+    # in place, so that the temporaries of a large key array stay few
+    dec = np.log10(np.abs(vals))
+    np.subtract(sig - 1, np.floor(dec, out=dec), out=dec)
+    tiny = dec > MAX_DECIMAL_EXPONENT
+    scale = np.power(10.0, np.minimum(dec, MAX_DECIMAL_EXPONENT, out=dec), out=dec)
+    keys = np.multiply(vals, scale, out=vals)
+    np.divide(np.round(keys, out=keys), scale, out=keys)
+    if tiny.any():
+        keys[tiny] = [float(f"{v:.{sig - 1}e}") for v in arr[nz][tiny].tolist()]
+    out[nz] = keys
     if out.ndim == 0:
         return float(out)
     return out

@@ -14,6 +14,13 @@ breakpoints at the distinct cross distances, so the answer is
 max(t_k, g(t_k)) on the first breakpoint interval that contains its own
 candidate; that first interval is found by binary search because
 g(t_k) - t_{k+1} is strictly decreasing.
+
+Two flow oracles compute the routable mass.  `_max_flow_mass` is Dinic's
+algorithm and serves every admissible pattern; `_line_flow_mass` is a
+greedy pass for patterns whose rows are intervals with nondecreasing
+ends, as for two laws on the real line with sorted atoms.  Both return
+the same integer flow.  A caller that only needs to know whether the
+distance lies below a bound asks `_prohorov_below`, which runs one flow.
 """
 
 from __future__ import annotations
@@ -137,46 +144,113 @@ def _max_flow_mass(cp, cq, admissible: np.ndarray):
     return total, flow
 
 
-def _prohorov_cross(dpq: np.ndarray, wp: np.ndarray, wq: np.ndarray):
+def _line_flow_mass(cp, cq, admissible: np.ndarray):
+    """`_max_flow_mass` for admissible patterns whose rows are intervals.
+
+    Requires every nonempty row i to be one run of columns [s_i, e_i] with
+    s_i and e_i nondecreasing in i; rows with no admissible column may sit
+    anywhere.  Two laws on the real line with increasing atoms va, vb have
+    this pattern under abs(va[i] - vb[j]) <= t, since the rounded
+    difference is monotone in each argument.
+
+    Greedy: rows in order, each filling its columns left to right.  A
+    column j is usable by exactly the later rows with s_i' <= j, a set
+    that grows with j, so filling left columns first keeps for later rows
+    a residual that dominates any other choice, and columns left of the
+    current row's start are useless to every later row.  The flow is
+    therefore maximal, and as an integer it equals Dinic's.
+
+    Returns (flow mass as int, flow matrix in integer units); the matrix
+    may differ from Dinic's, the mass does not.
+    """
+    width = admissible.sum(axis=1)
+    rows = np.flatnonzero(width)
+    first = admissible.argmax(axis=1)[rows]
+    last = first + width[rows] - 1
+    room = cq.tolist()
+    moves: list[tuple[int, int, int]] = []
+    j = 0
+    for i, supply, start, end in zip(rows.tolist(), cp[rows].tolist(),
+                                     first.tolist(), last.tolist()):
+        j = max(j, start)
+        while supply > 0 and j <= end:
+            move = min(supply, room[j])
+            moves.append((i, j, move))
+            supply -= move
+            room[j] -= move
+            if room[j] == 0:
+                j += 1
+    flow = np.zeros(admissible.shape)
+    if moves:
+        mi, mj, mv = zip(*moves)
+        flow[mi, mj] = mv
+    return sum(m[2] for m in moves), flow
+
+
+def _flow_problem(dpq: np.ndarray, wp: np.ndarray, wq: np.ndarray):
+    """Integer masses and the breakpoints t_0 < t_1 < ... of g."""
+    cp = np.rint(wp * FLOW_SCALE).astype(np.int64)
+    cq = np.rint(wq * FLOW_SCALE).astype(np.int64)
+    ts = np.unique(dpq)
+    if len(ts) == 0 or ts[0] > 0.0:
+        ts = np.concatenate([[0.0], ts])
+    return cp, cq, ts
+
+
+def _excluded_mass(flow_value: int) -> float:
+    return max(0.0, 1.0 - flow_value / FLOW_SCALE)
+
+
+def _prohorov_below(dpq: np.ndarray, wp: np.ndarray, wq: np.ndarray, bound: float) -> bool:
+    """Whether ``_prohorov_cross(dpq, wp, wq)[0] < bound``, by one max-flow.
+
+    With f_k = max(t_k, g(t_k)) on the breakpoints of `_flow_problem`, the
+    value is f at the first k with g(t_k) < t_{k+1} (or the last k).  For
+    earlier k, f_k = g(t_k) >= f_{k+1}; for later k, f_k >= t_k, which
+    exceeds both t and g at that first k.  So the value is min_k f_k, in
+    the same floats.  The computed g is nonincreasing in k (the routable
+    integer mass only grows with t), hence value < bound exactly when
+    g(t_K) < bound for the largest breakpoint t_K < bound; without such a
+    breakpoint the answer is no.  Since g <= 1, a bound above 1 needs no
+    flow.
+    """
+    cp, cq, ts = _flow_problem(dpq, wp, wq)
+    k = int(np.searchsorted(ts, bound, side="left")) - 1
+    if k < 0:
+        return False
+    if bound > 1.0:
+        return True
+    fv, _ = _max_flow_mass(cp, cq, dpq <= ts[k])
+    return _excluded_mass(fv) < bound
+
+
+def _prohorov_cross(dpq: np.ndarray, wp: np.ndarray, wq: np.ndarray, flow=_max_flow_mass):
     """Core solver on the cross-distance matrix alone.
+
+    ``flow`` is the max-flow oracle: `_max_flow_mass`, or `_line_flow_mass`
+    when every admissible pattern ``dpq <= t`` has its shape.
 
     Returns (value, coupling) where the coupling rows index p's atoms and
     columns q's atoms, marginals within 1e-10.
     """
-    cp = np.rint(wp * FLOW_SCALE).astype(np.int64)
-    cq = np.rint(wq * FLOW_SCALE).astype(np.int64)
-
-    ts = np.unique(dpq)
-    if len(ts) == 0 or ts[0] > 0.0:
-        ts = np.concatenate([[0.0], ts])
-
-    cache: dict[int, tuple] = {}
+    cp, cq, ts = _flow_problem(dpq, wp, wq)
 
     def solve(k: int):
-        got = cache.get(k)
-        if got is None:
-            fv, fm = _max_flow_mass(cp, cq, dpq <= ts[k])
-            g = max(0.0, 1.0 - fv / FLOW_SCALE)
-            got = (g, fm)
-            cache[k] = got
-        return got
+        fv, fm = flow(cp, cq, dpq <= ts[k])
+        return _excluded_mass(fv), fm
 
-    T = len(ts)
-
-    def fits(k: int) -> bool:
-        # candidate of interval k lies inside it: g_k < t_{k+1} (last: always)
-        if k == T - 1:
-            return True
-        return solve(k)[0] < ts[k + 1]
-
-    lo, hi = 0, T - 1
+    # keep only the flow at the current hi, so that at most two flow
+    # matrices are alive at once
+    lo, hi = 0, len(ts) - 1
+    at_hi = None
     while lo < hi:
         mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
+        got = solve(mid)
+        if got[0] < ts[mid + 1]:  # candidate of interval mid lies inside it
+            hi, at_hi = mid, got
         else:
             lo = mid + 1
-    g, fm = solve(lo)
+    g, fm = at_hi if at_hi is not None else solve(lo)  # else lo is the last interval
     value = max(float(ts[lo]), g)
 
     pi = fm.astype(float) / FLOW_SCALE

@@ -6,8 +6,11 @@ oracle gets its flow values from scipy's linear programming, so a bug in
 the production max-flow or breakpoint search cannot hide in both routes.
 The MGP lower-bound oracle shares that max-flow on purpose: it rebuilds
 the union metric over the atoms of both laws, so it checks how the cross
-matrix reaches the solver, not the solver.  The exact-law oracle shares
-only the grouping key (`round_sig`), which defines the atoms.
+matrix reaches the solver, not the solver.  The MGP upper-bound oracle
+shares the candidate gluings and the full Prohorov solver, so it checks
+only how `mgp_upper` prunes candidates against its incumbent.  The
+exact-law oracle shares only the grouping key (`round_sig`), which defines
+the atoms.
 """
 
 import itertools
@@ -17,8 +20,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from mmmspace import FinitePointMeasure, mark_marginal, pair_distance_law, prohorov_exact
+from mmmspace import (
+    FinitePointMeasure, GluedSpace, correspondence_cross, mark_marginal, pair_distance_law,
+    prohorov_exact,
+)
 from mmmspace.dmat import round_sig
+from mmmspace.mgp import _all_pairs_cross, _candidate_pair_sets
 
 
 def _min_eps_for_subset(pa, dist_to_A, q_probs):
@@ -106,6 +113,19 @@ def mgp_lower_union_oracle(a, b):
     second = 0.5 * _union_prohorov(va.tolist(), pa, vb.tolist(), pb,
                                    lambda x, y: abs(x - y))
     return first, second
+
+
+def mgp_upper_full_oracle(a, b, strategy, budget=16, seed=0):
+    """`mgp_upper` as a plain loop that evaluates every candidate in full and
+    keeps the first strict minimum: (value, witness cross)."""
+    crosses = [correspondence_cross(a, b, pairs)[0]
+               for pairs in _candidate_pair_sets(a, b, strategy, budget, seed) if pairs]
+    best = None
+    for c in crosses + [_all_pairs_cross(a, b)]:
+        v, _ = GluedSpace(left=a, right=b, cross=c).prohorov()
+        if best is None or v < best[0]:
+            best = (v, c)
+    return best
 
 
 def exact_law_oracle(space, n):

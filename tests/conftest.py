@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mmmspace import FiniteMmmSpace, MarkSpace, euclidean_cloud
 
@@ -57,6 +60,20 @@ def random_space(rng, max_n=5, labels=("a", "b"), scale=1.0, min_n=1):
         mark_space=MarkSpace.discrete(labels),
         label=f"random-{n}",
     )
+
+
+@st.composite
+def tiny_spaces(draw):
+    """1-4 points on a line (repeated positions allowed), any weights in
+    [0, 1] with a positive total, two labels."""
+    n = draw(st.integers(1, 4))
+    coord = st.floats(0.0, 10.0).filter(lambda v: v == 0.0 or v >= 1e-6)
+    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+                   .filter(lambda ws: math.fsum(ws) > 0))
+    marks = draw(st.lists(st.sampled_from(("a", "b")), min_size=n, max_size=n))
+    return FiniteMmmSpace(distances=np.abs(x[:, None] - x[None, :]), marks=marks,
+                          weights=weights, mark_space=AB_MARKS)
 
 
 def relabeled(space, rng):

@@ -30,7 +30,7 @@ from mmmspace import dmat
 from mmmspace.dmat import MM_DUMMY_LABEL, DistanceMatrixSample, round_sig
 
 from _oracles import exact_law_oracle
-from conftest import nan_cloud, random_space, two_point
+from conftest import AB_MARKS, nan_cloud, random_space, tiny_spaces, two_point
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +219,6 @@ def test_exchangeability_exact():
             assert laws_equal(law_push(law, sigma), law)
 
 
-@st.composite
-def tiny_spaces(draw):
-    """1-4 points on a line (repeated positions allowed), any weights in
-    [0, 1] with a positive total, two labels."""
-    n = draw(st.integers(1, 4))
-    coord = st.floats(0.0, 10.0).filter(lambda v: v == 0.0 or v >= 1e-6)
-    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
-    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
-                   .filter(lambda ws: math.fsum(ws) > 0))
-    marks = draw(st.lists(st.sampled_from(("a", "b")), min_size=n, max_size=n))
-    return FiniteMmmSpace(distances=np.abs(x[:, None] - x[None, :]), marks=marks,
-                          weights=weights, mark_space=MarkSpace.discrete(("a", "b")))
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(space=tiny_spaces(), order=st.integers(1, 3), data=st.data())
 def test_rational_law_sums_to_one_and_is_exchangeable(space, order, data):
@@ -327,6 +313,25 @@ def test_pair_distance_law_weighted():
     assert values.tolist() == [0.0, 1.0]
     assert probs[0] == pytest.approx(10 / 16)
     assert probs[1] == pytest.approx(6 / 16)
+
+
+def test_keys_of_a_distance_below_the_decimal_scale_range():
+    # 10^dec overflows for |x| below about 1e-297, so the key of 1e-300
+    # must come from the fallback, finite and equal for equal distances
+    ab = two_point(d=1e-300, marks=("a", "b"), mark_space=AB_MARKS)
+    keys = [s.key() for s in exact_law(ab, 2).samples]
+    assert all(math.isfinite(v) for key, _ in keys for v in key)
+    assert ((1e-300,), ("a", "b")) in keys and ((1e-300,), ("b", "a")) in keys
+    values, _ = pair_distance_law(ab)
+    assert values.tolist() == [0.0, 1e-300]
+
+    aa = two_point(d=1e-300, marks=("a", "a"), mark_space=AB_MARKS)
+    law = exact_law(aa, 2)
+    assert sorted(s.key() for s in law.samples) == [((0.0,), ("a", "a")),
+                                                    ((1e-300,), ("a", "a"))]
+    assert law.probs == (Fraction(1, 2), Fraction(1, 2))
+    assert round_sig(np.array([5e-324, -1.23456789012345e-299])).tolist() == [
+        5e-324, -1.23456789012e-299]
 
 
 def test_pair_distance_law_rejects_non_finite_distances():

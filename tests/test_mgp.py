@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmmspace.core
 from mmmspace import (
@@ -31,10 +32,10 @@ from mmmspace import (
     two_sample_test,
     validate,
 )
-from mmmspace.mgp import _all_pairs_cross, _gluing_feasible, _profile_cost
+from mmmspace.mgp import STRATEGIES, _all_pairs_cross, _gluing_feasible, _profile_cost
 
-from _oracles import mark_distance, mgp_lower_union_oracle
-from conftest import AB_MARKS, nan_cloud, random_space, relabeled, two_point
+from _oracles import mark_distance, mgp_lower_union_oracle, mgp_upper_full_oracle
+from conftest import AB_MARKS, nan_cloud, random_space, relabeled, tiny_spaces, two_point
 
 
 def one_point(mark, mark_space=AB_MARKS, label="pt"):
@@ -203,6 +204,42 @@ def test_upper_is_deterministic_per_seed():
     assert np.array_equal(c1, c2)
 
 
+def test_upper_prunes_candidates_like_the_full_loop():
+    rng = np.random.default_rng(47)
+    pairs = [random_pair(rng, max_n=5) for _ in range(10)]
+    pairs += [(euclidean_cloud(int(rng.integers(3, 9)), 2, marks, seed=k),
+               euclidean_cloud(int(rng.integers(3, 9)), 2, marks, seed=k + 50))
+              for k, marks in enumerate(("sign", "point") * 3)]
+    pairs += [(kingman(CoalescentConfig(leaves=6 + k, theta=1.0, seed=k)),
+               kingman(CoalescentConfig(leaves=8, theta=1.0, seed=k + 30)))
+              for k in range(3)]
+    for a, b in pairs:
+        for strategy in STRATEGIES:
+            value, cross = mgp_upper(a, b, strategy=strategy, budget=6, seed=2)
+            want, want_cross = mgp_upper_full_oracle(a, b, strategy, budget=6, seed=2)
+            assert value == want
+            assert cross.tobytes() == want_cross.tobytes()
+
+
+def reweighted(space, perm=None):
+    """The space with weights normalized to total 1, atoms in ``perm`` order."""
+    perm = np.arange(space.n) if perm is None else np.asarray(perm)
+    return FiniteMmmSpace(distances=space.distances[np.ix_(perm, perm)],
+                          marks=tuple(space.marks[i] for i in perm),
+                          weights=space.weights[perm] / math.fsum(space.weights),
+                          mark_space=space.mark_space)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(raw=tiny_spaces(), b=tiny_spaces().map(reweighted), data=st.data())
+def test_lower_is_symmetric_relabelling_invariant_and_below_the_upper_bound(raw, b, data):
+    a = reweighted(raw)
+    lower = mgp_lower(a, b)
+    assert mgp_lower(b, a) == lower
+    assert mgp_lower(reweighted(raw, data.draw(st.permutations(range(a.n)))), b) == lower
+    assert lower <= mgp_bounds(a, b).upper + 1e-9
+
+
 def test_lower_parameter_checks(space_A):
     with pytest.raises(ParameterError):
         mgp_lower(space_A, space_A, orders=())
@@ -314,6 +351,20 @@ def test_bounds_memory_stays_below_the_all_pairs_arrays():
         tracemalloc.stop()
     # the all-pairs correspondence alone would take 3600 x 3600 floats (99 MiB)
     assert peak < 32 * 2**20
+
+
+def test_lower_keeps_one_flow_matrix_per_search():
+    a = euclidean_cloud(40, 2, "point", seed=1)
+    b = euclidean_cloud(40, 2, "point", seed=2)
+    tracemalloc.start()
+    try:
+        mgp_lower(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 781 distinct pair distances per side: one float matrix is 4.7 MiB, and
+    # keeping the flow of every threshold the search tries took 112 MiB
+    assert peak < 48 * 2**20
 
 
 def test_non_finite_spaces_are_rejected():

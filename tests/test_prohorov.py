@@ -12,6 +12,9 @@ from mmmspace import (
     prohorov_exact,
     strassen_check,
 )
+from mmmspace.prohorov import (
+    FLOW_SCALE, _line_flow_mass, _max_flow_mass, _prohorov_below, _prohorov_cross,
+)
 
 from _oracles import prohorov_lp_scan_oracle, prohorov_subset_oracle
 from conftest import dyadic_weights, random_points_metric
@@ -144,6 +147,81 @@ def test_matches_lp_breakpoint_scan():
         want = prohorov_lp_scan_oracle(metric, p.atoms, p.probs,
                                        q.atoms, q.probs)
         assert value == pytest.approx(want, abs=1e-7), trial
+
+
+# --- flow oracles and the incumbent test ----------------------------------
+
+
+def integer_masses(w):
+    return np.rint(np.asarray(w) * FLOW_SCALE).astype(np.int64)
+
+
+def check_line_flow(va, pa, vb, pb):
+    """The line flow against Dinic at every breakpoint of |va - vb|; returns
+    how many admissible patterns had an empty row between nonempty rows."""
+    dpq = np.abs(va[:, None] - vb[None, :])
+    cp, cq = integer_masses(pa), integer_masses(pb)
+    gaps = 0
+    for t in np.unique(np.concatenate([[0.0], dpq.ravel()])):
+        adm = dpq <= t
+        got, flow = _line_flow_mass(cp, cq, adm)
+        assert got == _max_flow_mass(cp, cq, adm)[0], t
+        assert flow.sum() == got and not flow[~adm].any()
+        assert (flow.sum(axis=1) <= cp).all() and (flow.sum(axis=0) <= cq).all()
+        full = np.flatnonzero(adm.any(axis=1))
+        gaps += int(len(full) and not adm[full[0]:full[-1] + 1].any(axis=1).all())
+    return gaps
+
+
+def test_line_flow_matches_dinic_on_sorted_laws():
+    rng = np.random.default_rng(61)
+    gaps = 0
+    for trial in range(150):
+        ka, kb = (int(k) for k in rng.integers(1, 9, size=2))
+        if trial % 2:  # ties within each law and across the two
+            va = np.sort(0.1 * rng.integers(0, 6, size=ka))
+            vb = np.sort(0.1 * rng.integers(0, 6, size=kb))
+        else:
+            va = np.sort(rng.uniform(0.0, 3.0, size=ka))
+            vb = np.sort(rng.uniform(0.0, 3.0, size=kb))
+        pa = dyadic_weights(rng, ka, denom=32) if trial % 3 else rng.dirichlet(np.ones(ka))
+        pb = dyadic_weights(rng, kb, denom=32) if trial % 3 else rng.dirichlet(np.ones(kb))
+        gaps += check_line_flow(va, pa, vb, pb)
+    # a row with no admissible column between rows that have some
+    va, vb = np.array([0.0, 5.0, 10.0]), np.array([0.0, 10.0])
+    assert check_line_flow(va, [0.25, 0.5, 0.25], vb, [0.5, 0.5]) > 0
+    assert gaps > 0
+
+
+def test_line_flow_reads_the_rounded_difference():
+    # fl(0.55 - 0.03) <= 0.52 holds, but the shortcut 0.03 >= fl(0.55 - 0.52)
+    # does not, so an oracle built on it would route nothing at t = 0.52
+    va, vb, t = np.array([0.55]), np.array([0.03]), 0.52
+    adm = np.abs(va[:, None] - vb[None, :]) <= t
+    shortcut = (vb[None, :] >= va[:, None] - t) & (vb[None, :] <= va[:, None] + t)
+    assert adm.all() and not shortcut.any()
+    cp = cq = integer_masses([1.0])
+    assert _line_flow_mass(cp, cq, adm)[0] == _max_flow_mass(cp, cq, adm)[0] == FLOW_SCALE
+    one = np.array([1.0])
+    value, _ = _prohorov_cross(np.abs(va[:, None] - vb[None, :]), one, one,
+                               flow=_line_flow_mass)
+    assert value == 0.52
+
+
+def test_incumbent_test_matches_the_full_value():
+    rng = np.random.default_rng(73)
+    for trial in range(60):
+        metric, p, q = random_instance(rng, max_support=6)
+        dpq = metric[np.ix_(p.atoms, q.atoms)]
+        if trial % 4 == 0:  # many tied distances
+            dpq = np.round(dpq, 1)
+        value, _ = _prohorov_cross(dpq, p.probs, q.probs)
+        ts = np.unique(dpq)
+        bounds = [0.0, value, np.nextafter(value, 2.0), np.nextafter(value, -1.0),
+                  1.0, 1.5, math.inf, *ts.tolist()]
+        for bound in bounds:
+            assert _prohorov_below(dpq, p.probs, q.probs, bound) == (value < bound), (
+                trial, bound)
 
 
 # --- strassen_check -------------------------------------------------------
