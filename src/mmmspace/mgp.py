@@ -278,6 +278,32 @@ def _all_pairs_cross(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
     return np.full((a.n, b.n), diam / 2.0)
 
 
+def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, seed: int):
+    """`mgp_upper` over the candidates of ``strategies`` in turn, then the
+    all-pairs gluing: (value, coupling, witness cross).  The coupling is the
+    one returned by the Prohorov search that accepted the witness."""
+    if a.mark_space != b.mark_space:
+        raise ParameterError("both spaces must share the mark space")
+    _require_finite(a, b)
+    for space in (a, b):
+        _weight_total(space)
+        FinitePointMeasure(atoms=np.arange(space.n), probs=space.weights).check()
+    crosses = (
+        correspondence_cross(a, b, pairs)[0]
+        for strategy in strategies
+        for pairs in _candidate_pair_sets(a, b, strategy, budget, seed)
+        if pairs
+    )
+    off = a.mark_space.cross_distances(a.marks, b.marks)
+    value, coupling, cross = math.inf, None, None
+    for c in itertools.chain(crosses, [_all_pairs_cross(a, b)]):
+        m = c + off
+        if _prohorov_below(m, a.weights, b.weights, value):
+            (value, coupling), cross = _prohorov_cross(m, a.weights, b.weights), c
+    glue(a, b, cross)  # witness must validate; raises if not
+    return float(value), coupling, cross
+
+
 def mgp_upper(
     a: FiniteMmmSpace,
     b: FiniteMmmSpace,
@@ -288,38 +314,20 @@ def mgp_upper(
     """Upper bound on the marked Gromov-Prohorov distance.
 
     Evaluates the Prohorov distance across the correspondence gluings (see
-    `correspondence_cross`) of the chosen strategy, then across the
-    all-pairs gluing, and returns (best value, witness cross matrix); ties
-    go to the earlier candidate.  A candidate after the first is only
-    tested against the incumbent, by one max-flow (`_prohorov_below`), and
-    its full binary search runs only when it is strictly better, so losing
-    and tying candidates cost one flow each.  The witness always passes
-    `glue` validation.  Deterministic per seed.  Memory is
-    O(N1 N2 (N1 + N2)).
+    `correspondence_cross`) of the chosen strategy, then the all-pairs
+    gluing, and returns (best value, witness cross matrix); the first strict
+    minimum in that order wins.  A candidate after the first costs one
+    max-flow against the incumbent (`_prohorov_below`) unless it is strictly
+    better.  The witness passes `glue`.  Deterministic per seed.  Memory is
+    O(N1 N2 (N1 + N2)).  NaN/inf entries and a nonpositive total weight
+    raise ParameterError, weights that do not sum to 1 MarginalError.
 
     The all-pairs gluing is the constant max(diam1, diam2)/2: on metrics
     with a zero diagonal and nonnegative entries all pairs have distortion
     max(diam1, diam2), and the k=i, l=j term of the min is the least.
-    NaN/inf entries and a nonpositive total weight raise ParameterError.
     """
-    if a.mark_space != b.mark_space:
-        raise ParameterError("both spaces must share the mark space")
-    _require_finite(a, b)
-    for space in (a, b):
-        _weight_total(space)
-    crosses = (
-        correspondence_cross(a, b, pairs)[0]
-        for pairs in _candidate_pair_sets(a, b, strategy, budget, seed)
-        if pairs
-    )
-    off = a.mark_space.cross_distances(a.marks, b.marks)
-    value, cross = math.inf, None
-    for c in itertools.chain(crosses, [_all_pairs_cross(a, b)]):
-        m = c + off
-        if _prohorov_below(m, a.weights, b.weights, value):
-            value, cross = _prohorov_cross(m, a.weights, b.weights)[0], c
-    glue(a, b, cross)  # witness must validate; raises if not
-    return float(value), cross
+    value, _, cross = _best_gluing(a, b, (strategy,), budget, seed)
+    return value, cross
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +510,10 @@ def mgp_exact(
     are pruned with the monotone bound (objective at the tightened lower
     corner) and split until the edge length falls below ``grid`` or the
     node budget runs out.  The result carries the best value found as
-    ``exact`` plus a ``slack`` such that the true infimum lies in
-    [exact - slack, exact].
+    ``exact`` (and ``upper``) plus a ``slack`` such that the true infimum
+    lies in [exact - slack, exact]; the first strict minimum among the
+    start points, then the node candidates, is the witness, and its
+    coupling is the one the Prohorov search that accepted it returned.
 
     Parameters
     ----------
@@ -532,8 +542,8 @@ def mgp_exact(
     off = a.mark_space.cross_distances(a.marks, b.marks)
     resolution = grid * max(1.0, diam)
 
-    def objective(c):
-        return _prohorov_cross(c + off, wa, wb)[0]
+    def solve(c):
+        return _prohorov_cross(c + off, wa, wb)
 
     def beats(c, incumbent):
         return _prohorov_below(c + off, wa, wb, incumbent)
@@ -541,12 +551,7 @@ def mgp_exact(
     lower = mgp_lower(a, b)
 
     # ---- upper side: strategies + coordinate descent ----
-    starts = []
-    upper = math.inf
-    for strategy in STRATEGIES:
-        v, c = mgp_upper(a, b, strategy=strategy, budget=8, seed=seed)
-        upper = min(upper, v)
-        starts.append(c)
+    starts = [mgp_upper(a, b, strategy=s, budget=8, seed=seed)[1] for s in STRATEGIES]
     rng = np.random.default_rng(seed)
     starts.append(_all_pairs_cross(a, b))
     for _ in range(4):
@@ -554,11 +559,11 @@ def mgp_exact(
         if _gluing_feasible(c, r1, r2):
             starts.append(c)
 
-    best_v, best_c = math.inf, None
+    best_v, best_c, coupling = math.inf, None, None
     for c0 in starts:
         c = _coordinate_floor(c0, r1, r2)
         if _gluing_feasible(c, r1, r2) and beats(c, best_v):
-            best_v, best_c = objective(c), c
+            (best_v, coupling), best_c = solve(c), c
 
     # ---- branch-and-bound certificate ----
     lo0 = np.zeros((a.n, b.n))
@@ -568,7 +573,7 @@ def mgp_exact(
     heap: list = []
     counter = itertools.count()
     if feasible:
-        heapq.heappush(heap, (objective(lo0), next(counter), lo0, hi0))
+        heapq.heappush(heap, (solve(lo0)[0], next(counter), lo0, hi0))
     nodes = 0
     leaf_bounds: list[float] = []
     while heap and nodes < budget:
@@ -589,7 +594,7 @@ def mgp_exact(
             if not _gluing_feasible(floored, r1, r2):
                 floored = mid
             if beats(floored, best_v):
-                best_v, best_c = objective(floored), floored
+                (best_v, coupling), best_c = solve(floored), floored
         ij = np.unravel_index(np.argmax(width), width.shape)
         cut = (lo[ij] + hi[ij]) / 2.0
         for side in (0, 1):
@@ -601,7 +606,7 @@ def mgp_exact(
             clo, chi, ok = _tighten_box(clo, chi, r1, r2)
             if not ok:
                 continue
-            heapq.heappush(heap, (objective(clo), next(counter), clo, chi))
+            heapq.heappush(heap, (solve(clo)[0], next(counter), clo, chi))
 
     for bound, _, _, _ in heap:
         leaf_bounds.append(bound)
@@ -611,11 +616,9 @@ def mgp_exact(
         glob_lb = max(glob_lb, best_v)  # search space exhausted
     slack = max(0.0, best_v - glob_lb)
 
-    upper = min(upper, best_v) if math.isfinite(best_v) else upper
-    value, coupling = _prohorov_cross(best_c + off, wa, wb)
     return MgpResult(
         lower=lower,
-        upper=float(max(upper, best_v)),
+        upper=float(best_v),
         exact=float(best_v),
         slack=float(slack),
         witness_cross=best_c,
@@ -629,19 +632,14 @@ def mgp_bounds(
     budget: int = 16,
     seed: int = 0,
 ) -> MgpResult:
-    """Best lower/upper bounds from all strategies (no certificate)."""
+    """`mgp_lower`, and the best upper bound of all strategies (no certificate).
+
+    The upper side is one `mgp_upper` pass over the candidates of every
+    strategy in `STRATEGIES` order, then the all-pairs gluing once; the
+    first strict minimum in that order wins, and the witness coupling comes
+    from the Prohorov search that accepted it.
+    """
     lower = mgp_lower(a, b)
-    best = math.inf
-    witness = None
-    for strategy in STRATEGIES:
-        v, c = mgp_upper(a, b, strategy=strategy, budget=budget, seed=seed)
-        if v < best:
-            best, witness = v, c
-    g = GluedSpace(left=a, right=b, cross=witness)
-    _, coupling = g.prohorov()
-    return MgpResult(
-        lower=lower,
-        upper=float(best),
-        witness_cross=witness,
-        witness_coupling=coupling,
-    )
+    upper, coupling, witness = _best_gluing(a, b, STRATEGIES, budget, seed)
+    return MgpResult(lower=lower, upper=upper, witness_cross=witness,
+                     witness_coupling=coupling)

@@ -136,11 +136,10 @@ def _max_flow_mass(cp, cq, admissible: np.ndarray):
                 break
             total += pushed
 
+    # p->q edge k is edge 2 (np_ + k), after the np_ source edges; the
+    # reverse capacity of each, at the odd index after it, is its flow
     flow = np.zeros((np_, nq))
-    edge_base = 2 * np_  # p->q edges start after the np_ source edges
-    for k, (i, j) in enumerate(zip(ai.tolist(), aj.tolist())):
-        e = edge_base + 2 * k
-        flow[i, j] = cap[e ^ 1]  # reverse capacity equals routed flow
+    flow[ai, aj] = cap[2 * np_ + 1: 2 * (np_ + len(ai)): 2]
     return total, flow
 
 
@@ -262,6 +261,20 @@ def _prohorov_cross(dpq: np.ndarray, wp: np.ndarray, wq: np.ndarray, flow=_max_f
     return value, pi
 
 
+def _checked_cross(metric, p: FinitePointMeasure, q: FinitePointMeasure) -> np.ndarray:
+    """``metric[p.atoms, q.atoms]`` after checking both measures; an atom
+    index outside [0, len(metric)) raises MarginalError."""
+    metric = np.asarray(metric, dtype=float)
+    for m in (p, q):
+        m.check()
+        bad = m.atoms[(m.atoms < 0) | (m.atoms >= len(metric))]
+        if bad.size:
+            raise MarginalError(
+                f"atom index {bad[0]} is outside the {len(metric)}-point metric"
+            )
+    return metric[np.ix_(p.atoms, q.atoms)]
+
+
 def prohorov_exact(metric: np.ndarray, p: FinitePointMeasure, q: FinitePointMeasure):
     """Exact Prohorov distance and a witness coupling.
 
@@ -270,7 +283,8 @@ def prohorov_exact(metric: np.ndarray, p: FinitePointMeasure, q: FinitePointMeas
     metric : (M, M) array
         Pseudo-metric over the shared index space of both atom sets.
     p, q : FinitePointMeasure
-        Probabilities must sum to 1 within 1e-10.
+        Atoms must lie in [0, M) and probabilities sum to 1 within 1e-10
+        (MarginalError otherwise).
 
     Returns
     -------
@@ -278,11 +292,7 @@ def prohorov_exact(metric: np.ndarray, p: FinitePointMeasure, q: FinitePointMeas
         The coupling attains the optimum: mass beyond ``value`` is at most
         ``value`` and the marginals match p and q within 1e-10.
     """
-    p.check()
-    q.check()
-    metric = np.asarray(metric, dtype=float)
-    dpq = metric[np.ix_(p.atoms, q.atoms)]
-    return _prohorov_cross(dpq, p.probs, q.probs)
+    return _prohorov_cross(_checked_cross(metric, p, q), p.probs, q.probs)
 
 
 def strassen_check(
@@ -295,15 +305,12 @@ def strassen_check(
     distance eps, so it must agree with ``prohorov_exact`` at the returned
     value.  Exponential in the support size; refuses more than 20 atoms.
     """
-    p.check()
-    q.check()
-    kp, kq = len(p.atoms), len(q.atoms)
+    dpq = _checked_cross(metric, p, q)
+    kp, kq = dpq.shape
     if max(kp, kq) > STRASSEN_BOUND:
         raise TooLargeError(
             f"subset enumeration is limited to {STRASSEN_BOUND} support atoms"
         )
-    metric = np.asarray(metric, dtype=float)
-    dpq = metric[np.ix_(p.atoms, q.atoms)]
     thick_bits = np.zeros(kp, dtype=np.int64)
     for i in range(kp):
         bits = 0

@@ -8,9 +8,11 @@ The MGP lower-bound oracle shares that max-flow on purpose: it rebuilds
 the union metric over the atoms of both laws, so it checks how the cross
 matrix reaches the solver, not the solver.  The MGP upper-bound oracle
 shares the candidate gluings and the full Prohorov solver, so it checks
-only how `mgp_upper` prunes candidates against its incumbent.  The
-exact-law oracle shares only the grouping key (`round_sig`), which defines
-the atoms.
+only how `mgp_upper` prunes candidates against its incumbent.  The MGP
+bounds oracle runs `mgp_upper` once per strategy and solves the winner
+again, so it checks how `mgp_bounds` merges the strategies into one pass
+and where it takes the coupling from.  The exact-law oracle shares only
+the grouping key (`round_sig`), which defines the atoms.
 """
 
 import itertools
@@ -21,11 +23,11 @@ import numpy as np
 from scipy.optimize import linprog
 
 from mmmspace import (
-    FinitePointMeasure, GluedSpace, correspondence_cross, mark_marginal, pair_distance_law,
-    prohorov_exact,
+    FinitePointMeasure, GluedSpace, MgpResult, correspondence_cross, mark_marginal, mgp_lower,
+    mgp_upper, pair_distance_law, prohorov_exact,
 )
 from mmmspace.dmat import round_sig
-from mmmspace.mgp import _all_pairs_cross, _candidate_pair_sets
+from mmmspace.mgp import STRATEGIES, _all_pairs_cross, _candidate_pair_sets
 
 
 def _min_eps_for_subset(pa, dist_to_A, q_probs):
@@ -126,6 +128,21 @@ def mgp_upper_full_oracle(a, b, strategy, budget=16, seed=0):
         if best is None or v < best[0]:
             best = (v, c)
     return best
+
+
+def mgp_bounds_per_strategy_oracle(a, b, budget=16, seed=0):
+    """`mgp_bounds` as one `mgp_upper` call per strategy, keeping the first
+    strict minimum, then a fresh Prohorov solve of the winner for its
+    coupling."""
+    lower = mgp_lower(a, b)
+    best, witness = math.inf, None
+    for strategy in STRATEGIES:
+        v, c = mgp_upper(a, b, strategy=strategy, budget=budget, seed=seed)
+        if v < best:
+            best, witness = v, c
+    _, coupling = GluedSpace(left=a, right=b, cross=witness).prohorov()
+    return MgpResult(lower=lower, upper=float(best), witness_cross=witness,
+                     witness_coupling=coupling)
 
 
 def exact_law_oracle(space, n):

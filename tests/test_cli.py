@@ -172,6 +172,21 @@ def test_prohorov_from_files(capsys, tmp_path):
     assert np.abs(witness.sum(axis=1) - [0.75, 0.25]).max() <= 1e-10
 
 
+def test_prohorov_rejects_atoms_outside_the_metric(capsys, tmp_path):
+    metric = tmp_path / "metric.json"
+    dump_path({"schema": "mmm-metric/v1", "n": 3,
+               "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}, metric)
+    p = tmp_path / "p.json"
+    dump_path({"schema": "mmm-measure/v1", "atoms": [5], "probs": [1.0]}, p)
+    q = tmp_path / "q.json"
+    dump_path({"schema": "mmm-measure/v1", "atoms": [0, 1], "probs": [0.5, 0.5]}, q)
+    code, stdout, stderr = run_cli(capsys, "prohorov", "--metric", metric, "--p", p, "--q", q)
+    assert (code, stdout) == (1, "")
+    payload = json.loads(stderr)
+    assert payload["error"] == "bad-marginal"
+    assert payload["detail"] == "atom index 5 is outside the 3-point metric"
+
+
 def test_nan_tokens_in_input_files_are_rejected(capsys, tmp_path):
     metric = tmp_path / "metric.json"
     metric.write_text('{"schema": "mmm-metric/v1", "n": 2, "matrix": [[0.0, NaN], [1.0, 0.0]]}')

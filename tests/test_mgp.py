@@ -34,7 +34,9 @@ from mmmspace import (
 )
 from mmmspace.mgp import STRATEGIES, _all_pairs_cross, _gluing_feasible, _profile_cost
 
-from _oracles import mark_distance, mgp_lower_union_oracle, mgp_upper_full_oracle
+from _oracles import (
+    mark_distance, mgp_bounds_per_strategy_oracle, mgp_lower_union_oracle, mgp_upper_full_oracle,
+)
 from conftest import AB_MARKS, nan_cloud, random_space, relabeled, tiny_spaces, two_point
 
 
@@ -240,6 +242,14 @@ def test_lower_is_symmetric_relabelling_invariant_and_below_the_upper_bound(raw,
     assert lower <= mgp_bounds(a, b).upper + 1e-9
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=tiny_spaces().map(reweighted), b=tiny_spaces().map(reweighted))
+def test_bounds_upper_is_the_least_strategy_upper(a, b):
+    res = mgp_bounds(a, b)
+    assert res.upper == min(mgp_upper(a, b, strategy=s)[0] for s in STRATEGIES)
+    glue(a, b, res.witness_cross)
+
+
 def test_lower_parameter_checks(space_A):
     with pytest.raises(ParameterError):
         mgp_lower(space_A, space_A, orders=())
@@ -398,6 +408,21 @@ def test_mgp_upper_rejects_zero_total_weight(space_A):
             mgp_upper(*pair)
 
 
+def test_mgp_upper_checks_the_marginals():
+    # weights of total 0.5, 2 or 3 are no law; taken as one they move the
+    # coupling-search bound off 1.0 (to 0.694, 0.552 and 0.333)
+    a, b = euclidean_cloud(6, 2, "sign", seed=1), euclidean_cloud(6, 2, "sign", seed=2)
+    assert [mgp_upper(a, b, strategy=s)[0] for s in STRATEGIES] == [1.0] * 3
+    for scale in (0.5, 2.0, 3.0):
+        heavy = FiniteMmmSpace(distances=a.distances, marks=a.marks, weights=a.weights * scale,
+                               mark_space=a.mark_space, label="heavy")
+        assert validate(heavy).kinds() == {"weight-sum"}
+        for strategy in STRATEGIES:
+            for pair in ((heavy, b), (b, heavy)):
+                with pytest.raises(MarginalError, match="probabilities sum to .*, not 1"):
+                    mgp_upper(*pair, strategy=strategy)
+
+
 def test_mgp_lower_checks_the_marginals(space_A):
     # weights summing to 2 give a mark marginal of mass 2 (order 1 comes first)
     heavy = two_point(weights=(1.0, 1.0))
@@ -482,6 +507,32 @@ def test_mgp_bounds_bundle():
         for s in ("identity-ish", "coupling-search", "random-restarts")
     )
     assert res.upper == pytest.approx(best, abs=1e-12)
+
+
+def test_bounds_match_the_per_strategy_loop():
+    rng = np.random.default_rng(58)
+    pairs = [random_pair(rng, max_n=5) for _ in range(10)]
+    pairs += [(euclidean_cloud(int(rng.integers(3, 9)), 2, marks, seed=k),
+               euclidean_cloud(int(rng.integers(3, 9)), 2, marks, seed=k + 40))
+              for k, marks in enumerate(("sign", "point") * 4)]
+    pairs += [(kingman(CoalescentConfig(leaves=5 + k, theta=1.0, seed=k)),
+               kingman(CoalescentConfig(leaves=7, theta=1.0, seed=k + 60)))
+              for k in range(4)]
+    ties = 0
+    for a, b in pairs:
+        res = mgp_bounds(a, b, budget=6, seed=1)
+        want = mgp_bounds_per_strategy_oracle(a, b, budget=6, seed=1)
+        assert (res.lower, res.upper) == (want.lower, want.upper)
+        coupling = want.witness_coupling
+        if res.witness_cross.tobytes() != want.witness_cross.tobytes():
+            # the one allowed difference: identity-ish ends on the all-pairs
+            # gluing and a later strategy's candidate ties it exactly
+            assert want.witness_cross.tobytes() == _all_pairs_cross(a, b).tobytes()
+            value, coupling = GluedSpace(left=a, right=b, cross=res.witness_cross).prohorov()
+            assert value == res.upper
+            ties += 1
+        assert res.witness_coupling.tobytes() == coupling.tobytes()
+    assert ties < len(pairs) // 2
 
 
 def test_result_validation():

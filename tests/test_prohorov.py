@@ -157,17 +157,20 @@ def integer_masses(w):
 
 
 def check_line_flow(va, pa, vb, pb):
-    """The line flow against Dinic at every breakpoint of |va - vb|; returns
-    how many admissible patterns had an empty row between nonempty rows."""
+    """The line flow against Dinic at every breakpoint of |va - vb|, and both
+    flow matrices against the masses they route; returns how many
+    admissible patterns had an empty row between nonempty rows."""
     dpq = np.abs(va[:, None] - vb[None, :])
     cp, cq = integer_masses(pa), integer_masses(pb)
     gaps = 0
     for t in np.unique(np.concatenate([[0.0], dpq.ravel()])):
         adm = dpq <= t
         got, flow = _line_flow_mass(cp, cq, adm)
-        assert got == _max_flow_mass(cp, cq, adm)[0], t
-        assert flow.sum() == got and not flow[~adm].any()
-        assert (flow.sum(axis=1) <= cp).all() and (flow.sum(axis=0) <= cq).all()
+        want, dinic = _max_flow_mass(cp, cq, adm)
+        assert got == want, t
+        for f in (flow, dinic):
+            assert f.sum() == got and not f[~adm].any()
+            assert (f.sum(axis=1) <= cp).all() and (f.sum(axis=0) <= cq).all()
         full = np.flatnonzero(adm.any(axis=1))
         gaps += int(len(full) and not adm[full[0]:full[-1] + 1].any(axis=1).all())
     return gaps
@@ -271,3 +274,16 @@ def test_marginal_errors():
     with pytest.raises(MarginalError, match="non-finite"):
         prohorov_exact(metric, measure([0, 1], [math.nan, 1.0]),
                        measure([1], [1.0]))
+
+
+def test_atom_indices_must_lie_in_the_metric():
+    # atom -1 would read the last row and answer for [2, 0]
+    metric = random_points_metric(np.random.default_rng(3), 3)
+    good = measure([2, 0], [0.5, 0.5])
+    for atoms, bad in (([5], 5), ([-1, 0], -1), ([0, 3], 3)):
+        other = measure(atoms, np.full(len(atoms), 1.0 / len(atoms)))
+        for p, q in ((other, good), (good, other)):
+            for call in (prohorov_exact, lambda m, p, q: strassen_check(m, p, q, 0.1)):
+                with pytest.raises(MarginalError,
+                                   match=f"^atom index {bad} is outside the 3-point metric$"):
+                    call(metric, p, q)
