@@ -13,8 +13,7 @@ Exit codes: 0 success, 1 domain error (machine-readable JSON on
 stderr), 2 usage error.
 
 Seeds resolve as --seed, else the MMM_SEED environment variable, else
-0.  A --threads flag is accepted so that recorded command lines replay,
-and is otherwise ignored: everything runs single-threaded.
+0.
 """
 
 from __future__ import annotations
@@ -401,8 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite metric measure spaces with marks: sampling laws, "
         "polynomials, Prohorov machinery, and diagnostics.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted so recorded command lines replay; ignored")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
@@ -502,10 +499,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads is not None and args.threads < 1:
-        print(dumps({"error": "bad-parameter", "detail": "--threads must be >= 1"}),
-              file=sys.stderr)
-        return 1
     try:
         return args.func(args, argv)
     except DomainError as exc:

@@ -38,9 +38,7 @@ from .core import (
 )
 from .dmat import mark_marginal, pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
-from .prohorov import (
-    FinitePointMeasure, _line_flow_mass, _max_flow_mass, _prohorov_below, _prohorov_cross,
-)
+from .prohorov import _check_probs, _coupling, _line_flow_mass, _prohorov_search
 
 __all__ = [
     "GluedSpace",
@@ -118,7 +116,8 @@ class GluedSpace:
     def prohorov(self):
         """Prohorov distance between the two pushforwards: (value, coupling)."""
         m, wp, wq = self.product_measures()
-        return _prohorov_cross(m, wp, wq)
+        value, flow = _prohorov_search(m, wp, wq)
+        return value, _coupling(flow, wp, wq)
 
 
 def glue(
@@ -280,14 +279,14 @@ def _all_pairs_cross(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
 
 def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, seed: int):
     """`mgp_upper` over the candidates of ``strategies`` in turn, then the
-    all-pairs gluing: (value, coupling, witness cross).  The coupling is the
-    one returned by the Prohorov search that accepted the witness."""
+    all-pairs gluing: (value, coupling, witness cross).  The coupling comes
+    from the flow of the Prohorov search that accepted the witness."""
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
     _require_finite(a, b)
     for space in (a, b):
         _weight_total(space)
-        FinitePointMeasure(atoms=np.arange(space.n), probs=space.weights).check()
+        _check_probs(space.weights, f"space {space.label!r}: ")
     crosses = (
         correspondence_cross(a, b, pairs)[0]
         for strategy in strategies
@@ -295,13 +294,13 @@ def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, 
         if pairs
     )
     off = a.mark_space.cross_distances(a.marks, b.marks)
-    value, coupling, cross = math.inf, None, None
+    value, flow, cross = math.inf, None, None
     for c in itertools.chain(crosses, [_all_pairs_cross(a, b)]):
-        m = c + off
-        if _prohorov_below(m, a.weights, b.weights, value):
-            (value, coupling), cross = _prohorov_cross(m, a.weights, b.weights), c
+        got = _prohorov_search(c + off, a.weights, b.weights, value)
+        if got is not None:
+            (value, flow), cross = got, c
     glue(a, b, cross)  # witness must validate; raises if not
-    return float(value), coupling, cross
+    return float(value), _coupling(flow, a.weights, b.weights), cross
 
 
 def mgp_upper(
@@ -317,9 +316,9 @@ def mgp_upper(
     `correspondence_cross`) of the chosen strategy, then the all-pairs
     gluing, and returns (best value, witness cross matrix); the first strict
     minimum in that order wins.  A candidate after the first costs one
-    max-flow against the incumbent (`_prohorov_below`) unless it is strictly
-    better.  The witness passes `glue`.  Deterministic per seed.  Memory is
-    O(N1 N2 (N1 + N2)).  NaN/inf entries and a nonpositive total weight
+    max-flow against the incumbent (`_prohorov_search`) unless it is
+    strictly better.  The witness passes `glue`.  Deterministic per seed.
+    Memory is O(N1 N2 (N1 + N2)).  NaN/inf entries and a nonpositive total weight
     raise ParameterError, weights that do not sum to 1 MarginalError.
 
     The all-pairs gluing is the constant max(diam1, diam2)/2: on metrics
@@ -333,14 +332,6 @@ def mgp_upper(
 # ---------------------------------------------------------------------------
 # lower bounds
 # ---------------------------------------------------------------------------
-
-def _law_prohorov(cross: np.ndarray, probs_a, probs_b, flow=_max_flow_mass) -> float:
-    """Prohorov distance between two laws given the distances between their atoms."""
-    probs_a, probs_b = np.asarray(probs_a), np.asarray(probs_b)
-    for probs in (probs_a, probs_b):
-        FinitePointMeasure(atoms=np.arange(len(probs)), probs=probs).check()
-    return _prohorov_cross(cross, probs_a, probs_b, flow)[0]
-
 
 def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
     """Projection lower bounds on the marked Gromov-Prohorov distance.
@@ -359,24 +350,26 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
     flow solves it in O(Ka + Kb) Python steps after O(Ka Kb) numpy passes
     over the matrix; with Ka, Kb up to about N1^2 / 2 and N2^2 / 2 the
     matrix and its sort bound time and memory.  The value equals Dinic's
-    bit for bit.  Both laws must have total mass 1 (MarginalError
-    otherwise).
+    bit for bit.  The weights of each space must be a probability vector
+    (MarginalError naming the space otherwise).
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
     if not orders or any(o not in (1, 2) for o in orders):
         raise ParameterError("orders must be a nonempty subset of {1, 2}")
     _require_finite(a, b)
+    for space in (a, b):
+        _check_probs(space.weights, f"space {space.label!r}: ")
     bounds = []
     if 1 in orders:
         ma, mb = mark_marginal(a), mark_marginal(b)
         cross = a.mark_space.cross_distances(list(ma), list(mb))
-        bounds.append(_law_prohorov(cross, list(ma.values()), list(mb.values())))
+        bounds.append(_prohorov_search(cross, list(ma.values()), list(mb.values()))[0])
     if 2 in orders:
         va, pa = pair_distance_law(a)
         vb, pb = pair_distance_law(b)
         cross = np.abs(va[:, None] - vb[None, :])
-        bounds.append(0.5 * _law_prohorov(cross, pa, pb, flow=_line_flow_mass))
+        bounds.append(0.5 * _prohorov_search(cross, pa, pb, flow=_line_flow_mass)[0])
     return float(max(bounds))
 
 
@@ -542,11 +535,8 @@ def mgp_exact(
     off = a.mark_space.cross_distances(a.marks, b.marks)
     resolution = grid * max(1.0, diam)
 
-    def solve(c):
-        return _prohorov_cross(c + off, wa, wb)
-
-    def beats(c, incumbent):
-        return _prohorov_below(c + off, wa, wb, incumbent)
+    def search(c, bound):
+        return _prohorov_search(c + off, wa, wb, bound)
 
     lower = mgp_lower(a, b)
 
@@ -559,21 +549,31 @@ def mgp_exact(
         if _gluing_feasible(c, r1, r2):
             starts.append(c)
 
-    best_v, best_c, coupling = math.inf, None, None
+    best_v, best_c, best_flow = math.inf, None, None
     for c0 in starts:
         c = _coordinate_floor(c0, r1, r2)
-        if _gluing_feasible(c, r1, r2) and beats(c, best_v):
-            (best_v, coupling), best_c = solve(c), c
+        got = search(c, best_v) if _gluing_feasible(c, r1, r2) else None
+        if got is not None:
+            (best_v, best_flow), best_c = got, c
 
     # ---- branch-and-bound certificate ----
+    # A box whose bound is not below best_v costs one flow and is never
+    # pushed: best_v only falls, so popped it would stop the search, and
+    # a bound >= best_v reaches slack only through min(., best_v).
+    heap: list = []
+    counter = itertools.count()
+
+    def push(lo, hi):
+        got = search(lo, best_v)
+        if got is not None:
+            heapq.heappush(heap, (got[0], next(counter), lo, hi))
+
     lo0 = np.zeros((a.n, b.n))
     hi0 = np.full((a.n, b.n), diam)
     lo0, hi0, feasible = _tighten_box(lo0, hi0, r1, r2)
     glob_lb = lower
-    heap: list = []
-    counter = itertools.count()
     if feasible:
-        heapq.heappush(heap, (solve(lo0)[0], next(counter), lo0, hi0))
+        push(lo0, hi0)
     nodes = 0
     leaf_bounds: list[float] = []
     while heap and nodes < budget:
@@ -593,8 +593,9 @@ def mgp_exact(
             floored = _coordinate_floor(mid, r1, r2)
             if not _gluing_feasible(floored, r1, r2):
                 floored = mid
-            if beats(floored, best_v):
-                (best_v, coupling), best_c = solve(floored), floored
+            got = search(floored, best_v)
+            if got is not None:
+                (best_v, best_flow), best_c = got, floored
         ij = np.unravel_index(np.argmax(width), width.shape)
         cut = (lo[ij] + hi[ij]) / 2.0
         for side in (0, 1):
@@ -604,16 +605,15 @@ def mgp_exact(
             else:
                 clo[ij] = cut
             clo, chi, ok = _tighten_box(clo, chi, r1, r2)
-            if not ok:
-                continue
-            heapq.heappush(heap, (solve(clo)[0], next(counter), clo, chi))
+            if ok:
+                push(clo, chi)
 
     for bound, _, _, _ in heap:
         leaf_bounds.append(bound)
     if leaf_bounds:
         glob_lb = max(glob_lb, min(min(leaf_bounds), best_v))
     else:
-        glob_lb = max(glob_lb, best_v)  # search space exhausted
+        glob_lb = max(glob_lb, best_v)  # every box explored or hopeless
     slack = max(0.0, best_v - glob_lb)
 
     return MgpResult(
@@ -622,7 +622,7 @@ def mgp_exact(
         exact=float(best_v),
         slack=float(slack),
         witness_cross=best_c,
-        witness_coupling=coupling,
+        witness_coupling=_coupling(best_flow, wa, wb),
     )
 
 

@@ -15,12 +15,13 @@ max(t_k, g(t_k)) on the first breakpoint interval that contains its own
 candidate; that first interval is found by binary search because
 g(t_k) - t_{k+1} is strictly decreasing.
 
-Two flow oracles compute the routable mass.  `_max_flow_mass` is Dinic's
-algorithm and serves every admissible pattern; `_line_flow_mass` is a
-greedy pass for patterns whose rows are intervals with nondecreasing
-ends, as for two laws on the real line with sorted atoms.  Both return
-the same integer flow.  A caller that only needs to know whether the
-distance lies below a bound asks `_prohorov_below`, which runs one flow.
+Every value comes from one search, `_prohorov_search`, which also takes an
+incumbent bound and returns None, after one flow, when the distance is
+not below it.  Two flow oracles route the same integer mass as a sparse
+flow: `_max_flow_mass` (Dinic's algorithm) serves every admissible
+pattern, `_line_flow_mass` (a greedy pass) patterns whose rows are
+intervals with nondecreasing ends, as for two laws on the real line with
+sorted atoms.  `_coupling` builds a dense witness coupling from a flow.
 """
 
 from __future__ import annotations
@@ -55,16 +56,21 @@ class FinitePointMeasure:
         object.__setattr__(self, "probs", probs)
 
     def check(self):
-        if len(self.atoms) == 0:
-            raise MarginalError("measure needs at least one atom")
-        if not np.all(np.isfinite(self.probs)):
-            raise MarginalError("non-finite probability")
-        if self.probs.min() < 0:
-            raise MarginalError("negative probability")
-        if abs(math.fsum(self.probs.tolist()) - 1.0) > MARGINAL_TOL:
-            raise MarginalError(
-                f"probabilities sum to {math.fsum(self.probs.tolist())!r}, not 1"
-            )
+        _check_probs(self.probs)
+
+
+def _check_probs(probs: np.ndarray, owner: str = ""):
+    """MarginalError, its message prefixed by ``owner``, unless ``probs`` is a
+    nonempty finite nonnegative vector summing to 1 within MARGINAL_TOL."""
+    if len(probs) == 0:
+        raise MarginalError(f"{owner}measure needs at least one atom")
+    if not np.all(np.isfinite(probs)):
+        raise MarginalError(f"{owner}non-finite probability")
+    if probs.min() < 0:
+        raise MarginalError(f"{owner}negative probability")
+    total = math.fsum(probs.tolist())
+    if abs(total - 1.0) > MARGINAL_TOL:
+        raise MarginalError(f"{owner}probabilities sum to {total!r}, not 1")
 
 
 def _max_flow_mass(cp, cq, admissible: np.ndarray):
@@ -74,7 +80,8 @@ def _max_flow_mass(cp, cq, admissible: np.ndarray):
     can overflow.  Node layout: 0 = source, 1..np = p atoms,
     np+1..np+nq = q atoms, last = sink.
 
-    Returns (flow mass as int, flow matrix in integer units).
+    Returns (flow mass as int, sparse flow (rows, cols, amounts) in
+    integer units over the pairs that carry some).
     """
     np_, nq = admissible.shape
     src, snk = 0, np_ + nq + 1
@@ -138,9 +145,9 @@ def _max_flow_mass(cp, cq, admissible: np.ndarray):
 
     # p->q edge k is edge 2 (np_ + k), after the np_ source edges; the
     # reverse capacity of each, at the odd index after it, is its flow
-    flow = np.zeros((np_, nq))
-    flow[ai, aj] = cap[2 * np_ + 1: 2 * (np_ + len(ai)): 2]
-    return total, flow
+    amounts = np.array(cap[2 * np_ + 1: 2 * (np_ + len(ai)): 2], dtype=np.int64)
+    used = amounts > 0
+    return total, (ai[used], aj[used], amounts[used])
 
 
 def _line_flow_mass(cp, cq, admissible: np.ndarray):
@@ -159,8 +166,8 @@ def _line_flow_mass(cp, cq, admissible: np.ndarray):
     current row's start are useless to every later row.  The flow is
     therefore maximal, and as an integer it equals Dinic's.
 
-    Returns (flow mass as int, flow matrix in integer units); the matrix
-    may differ from Dinic's, the mass does not.
+    Returns (flow mass as int, sparse flow (rows, cols, amounts) in
+    integer units); the flow may differ from Dinic's, the mass does not.
     """
     width = admissible.sum(axis=1)
     rows = np.flatnonzero(width)
@@ -179,69 +186,53 @@ def _line_flow_mass(cp, cq, admissible: np.ndarray):
             room[j] -= move
             if room[j] == 0:
                 j += 1
-    flow = np.zeros(admissible.shape)
-    if moves:
-        mi, mj, mv = zip(*moves)
-        flow[mi, mj] = mv
-    return sum(m[2] for m in moves), flow
+    rows, cols, amounts = np.array(moves, dtype=np.int64).reshape(-1, 3).T
+    return int(amounts.sum()), (rows, cols, amounts)
 
 
-def _flow_problem(dpq: np.ndarray, wp: np.ndarray, wq: np.ndarray):
-    """Integer masses and the breakpoints t_0 < t_1 < ... of g."""
-    cp = np.rint(wp * FLOW_SCALE).astype(np.int64)
-    cq = np.rint(wq * FLOW_SCALE).astype(np.int64)
+def _prohorov_search(dpq: np.ndarray, wp, wq, bound: float = math.inf, flow=_max_flow_mass):
+    """Prohorov distance from the cross-distance matrix alone, if below ``bound``.
+
+    Returns (value, sparse flow) when the value is below ``bound`` and None
+    otherwise; ``_coupling(flow, wp, wq)`` is a witness coupling.  ``flow``
+    is the max-flow oracle: `_max_flow_mass`, or `_line_flow_mass` when
+    every admissible pattern ``dpq <= t`` has its shape.
+
+    Let t_0 = 0 < t_1 < ... be 0 and the distinct cross distances, g(t_k)
+    the excluded mass at t_k and f_k = max(t_k, g(t_k)).  The value is f at
+    the first k with g(t_k) < t_{k+1} (or the last k), found by binary
+    search.  For earlier k, f_k = g(t_k) >= f_{k+1}; for later k, f_k >=
+    t_k, which exceeds both t and g at that first k.  So the value is
+    min_k f_k, in the same floats.  The computed g is nonincreasing in k
+    (the routable integer mass only grows with t), hence value < bound
+    exactly when g(t_K) < bound for the largest breakpoint t_K < bound;
+    without such a breakpoint the answer is no.  Since g <= 1, a bound
+    above 1 needs no flow.  When g(t_K) < bound, either K is the last
+    index or g(t_K) < bound <= t_{K+1}, so the first k lies in [0, K] and
+    the search starts there with the flow at t_K in hand.  Every flow is a
+    function of its threshold alone, so the value and the flow equal
+    those of the unbounded search.
+    """
+    cp = np.rint(np.asarray(wp) * FLOW_SCALE).astype(np.int64)
+    cq = np.rint(np.asarray(wq) * FLOW_SCALE).astype(np.int64)
     ts = np.unique(dpq)
     if len(ts) == 0 or ts[0] > 0.0:
         ts = np.concatenate([[0.0], ts])
-    return cp, cq, ts
-
-
-def _excluded_mass(flow_value: int) -> float:
-    return max(0.0, 1.0 - flow_value / FLOW_SCALE)
-
-
-def _prohorov_below(dpq: np.ndarray, wp: np.ndarray, wq: np.ndarray, bound: float) -> bool:
-    """Whether ``_prohorov_cross(dpq, wp, wq)[0] < bound``, by one max-flow.
-
-    With f_k = max(t_k, g(t_k)) on the breakpoints of `_flow_problem`, the
-    value is f at the first k with g(t_k) < t_{k+1} (or the last k).  For
-    earlier k, f_k = g(t_k) >= f_{k+1}; for later k, f_k >= t_k, which
-    exceeds both t and g at that first k.  So the value is min_k f_k, in
-    the same floats.  The computed g is nonincreasing in k (the routable
-    integer mass only grows with t), hence value < bound exactly when
-    g(t_K) < bound for the largest breakpoint t_K < bound; without such a
-    breakpoint the answer is no.  Since g <= 1, a bound above 1 needs no
-    flow.
-    """
-    cp, cq, ts = _flow_problem(dpq, wp, wq)
-    k = int(np.searchsorted(ts, bound, side="left")) - 1
-    if k < 0:
-        return False
-    if bound > 1.0:
-        return True
-    fv, _ = _max_flow_mass(cp, cq, dpq <= ts[k])
-    return _excluded_mass(fv) < bound
-
-
-def _prohorov_cross(dpq: np.ndarray, wp: np.ndarray, wq: np.ndarray, flow=_max_flow_mass):
-    """Core solver on the cross-distance matrix alone.
-
-    ``flow`` is the max-flow oracle: `_max_flow_mass`, or `_line_flow_mass`
-    when every admissible pattern ``dpq <= t`` has its shape.
-
-    Returns (value, coupling) where the coupling rows index p's atoms and
-    columns q's atoms, marginals within 1e-10.
-    """
-    cp, cq, ts = _flow_problem(dpq, wp, wq)
 
     def solve(k: int):
-        fv, fm = flow(cp, cq, dpq <= ts[k])
-        return _excluded_mass(fv), fm
+        mass, sparse = flow(cp, cq, dpq <= ts[k])
+        return max(0.0, 1.0 - mass / FLOW_SCALE), sparse
 
-    # keep only the flow at the current hi, so that at most two flow
-    # matrices are alive at once
-    lo, hi = 0, len(ts) - 1
+    # keep only the flow at the current hi, so that at most two flows are
+    # alive at once
+    lo, hi = 0, int(np.searchsorted(ts, bound, side="left")) - 1
+    if hi < 0:
+        return None
     at_hi = None
+    if bound <= 1.0:
+        at_hi = solve(hi)
+        if at_hi[0] >= bound:
+            return None
     while lo < hi:
         mid = (lo + hi) // 2
         got = solve(mid)
@@ -249,16 +240,22 @@ def _prohorov_cross(dpq: np.ndarray, wp: np.ndarray, wq: np.ndarray, flow=_max_f
             hi, at_hi = mid, got
         else:
             lo = mid + 1
-    g, fm = at_hi if at_hi is not None else solve(lo)  # else lo is the last interval
-    value = max(float(ts[lo]), g)
+    g, sparse = at_hi if at_hi is not None else solve(lo)  # else lo is the last interval
+    return max(float(ts[lo]), g), sparse
 
-    pi = fm.astype(float) / FLOW_SCALE
+
+def _coupling(flow, wp: np.ndarray, wq: np.ndarray) -> np.ndarray:
+    """Dense coupling of p (rows) and q (columns) from a sparse flow, with
+    the unrouted residuals spread proportionally; marginals within 1e-10."""
+    rows, cols, amounts = flow
+    pi = np.zeros((len(wp), len(wq)))
+    pi[rows, cols] = amounts / FLOW_SCALE
     res_p = np.maximum(wp - pi.sum(axis=1), 0.0)
     res_q = np.maximum(wq - pi.sum(axis=0), 0.0)
     rho = res_p.sum()
     if rho > 0 and res_q.sum() > 0:
         pi = pi + np.outer(res_p, res_q) / max(rho, res_q.sum())
-    return value, pi
+    return pi
 
 
 def _checked_cross(metric, p: FinitePointMeasure, q: FinitePointMeasure) -> np.ndarray:
@@ -292,7 +289,8 @@ def prohorov_exact(metric: np.ndarray, p: FinitePointMeasure, q: FinitePointMeas
         The coupling attains the optimum: mass beyond ``value`` is at most
         ``value`` and the marginals match p and q within 1e-10.
     """
-    return _prohorov_cross(_checked_cross(metric, p, q), p.probs, q.probs)
+    value, flow = _prohorov_search(_checked_cross(metric, p, q), p.probs, q.probs)
+    return value, _coupling(flow, p.probs, q.probs)
 
 
 def strassen_check(

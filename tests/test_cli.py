@@ -244,6 +244,20 @@ def test_validate_rejects_nan_distance(capsys, tmp_path):
     assert {v["kind"] for v in report["violations"]} == {"non-finite"}
 
 
+def test_dist_names_the_space_whose_weights_do_not_sum_to_one(capsys, tmp_path, ab_space):
+    heavy = tmp_path / "heavy.json"
+    save_space(two_point(weights=(1.0, 1.0), marks=("a", "b"), mark_space=AB_MARKS,
+                         label="heavy"), heavy)
+    for argv in (("--a", heavy, "--b", ab_space), ("--a", ab_space, "--b", heavy),
+                 ("--a", heavy, "--b", ab_space, "--exact")):
+        code, stdout, stderr = run_cli(capsys, "dist", *argv)
+        assert code == 1 and stdout == ""
+        assert json.loads(stderr) == {
+            "error": "bad-marginal",
+            "detail": "space 'heavy': probabilities sum to 2.0, not 1",
+        }
+
+
 def test_dist_and_test_reject_nan_distance(capsys, tmp_path):
     cloud = euclidean_cloud(6, 2, seed=4)
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -455,12 +469,8 @@ def test_memory_error_exits_one(capsys, ab_space, monkeypatch):
 
 
 def test_threads_flag(capsys, ab_space):
-    code, _, stderr = run_cli(capsys, "--threads", 0, "validate",
-                              "--space", ab_space)
-    assert code == 1
-    assert json.loads(stderr)["error"] == "bad-parameter"
-    code, out_a, _ = run_cli(capsys, "--threads", 2, "validate",
-                             "--space", ab_space)
-    assert code == 0
-    code, out_b, _ = run_cli(capsys, "validate", "--space", ab_space)
-    assert out_a == out_b
+    # there is no --threads option: everything runs single-threaded
+    code, stdout, stderr = run_cli(capsys, "--threads", 2, "validate",
+                                   "--space", ab_space)
+    assert code == 2
+    assert stdout == "" and stderr.startswith("usage: mmm")

@@ -419,16 +419,37 @@ def test_mgp_upper_checks_the_marginals():
         assert validate(heavy).kinds() == {"weight-sum"}
         for strategy in STRATEGIES:
             for pair in ((heavy, b), (b, heavy)):
-                with pytest.raises(MarginalError, match="probabilities sum to .*, not 1"):
+                with pytest.raises(MarginalError,
+                                   match="space 'heavy': probabilities sum to .*, not 1"):
                     mgp_upper(*pair, strategy=strategy)
 
 
 def test_mgp_lower_checks_the_marginals(space_A):
-    # weights summing to 2 give a mark marginal of mass 2 (order 1 comes first)
-    heavy = two_point(weights=(1.0, 1.0))
+    # the raw weights are checked, whichever orders are asked for: the
+    # pair-distance law alone would normalise weights summing to 2
+    heavy = two_point(weights=(1.0, 1.0), label="heavy")
     for pair in ((heavy, space_A), (space_A, heavy)):
-        with pytest.raises(MarginalError, match="sum to 2.0, not 1"):
-            mgp_lower(*pair)
+        for call in (mgp_lower, lambda x, y: mgp_lower(x, y, orders=(2,)), mgp_bounds,
+                     mgp_exact):
+            with pytest.raises(MarginalError,
+                               match="space 'heavy': probabilities sum to 2.0, not 1"):
+                call(*pair)
+
+
+def test_mgp_lower_rejects_a_negative_weight_inside_a_mark():
+    # mark a carries 0.6 - 0.1 = 0.5, so the mark marginal alone is a law
+    marks = MarkSpace.discrete(("a", "b"))
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    neg = FiniteMmmSpace(distances=d, marks=("a", "a", "b"), weights=np.array([0.6, -0.1, 0.5]),
+                         mark_space=marks, label="neg")
+    ok = FiniteMmmSpace(distances=d, marks=("a", "b", "b"), weights=np.array([0.2, 0.3, 0.5]),
+                        mark_space=marks, label="ok")
+    for pair in ((neg, ok), (ok, neg)):
+        for orders in ((1,), (2,), (1, 2)):
+            with pytest.raises(MarginalError, match="space 'neg': negative probability"):
+                mgp_lower(*pair, orders=orders)
+        with pytest.raises(MarginalError, match="space 'neg': negative probability"):
+            mgp_upper(*pair)
 
 
 def test_gluing_feasibility_matches_the_pairwise_loop():

@@ -13,7 +13,7 @@ from mmmspace import (
     strassen_check,
 )
 from mmmspace.prohorov import (
-    FLOW_SCALE, _line_flow_mass, _max_flow_mass, _prohorov_below, _prohorov_cross,
+    FLOW_SCALE, _line_flow_mass, _max_flow_mass, _prohorov_search,
 )
 
 from _oracles import prohorov_lp_scan_oracle, prohorov_subset_oracle
@@ -158,19 +158,25 @@ def integer_masses(w):
 
 def check_line_flow(va, pa, vb, pb):
     """The line flow against Dinic at every breakpoint of |va - vb|, and both
-    flow matrices against the masses they route; returns how many
+    sparse flows against the masses they route; returns how many
     admissible patterns had an empty row between nonempty rows."""
     dpq = np.abs(va[:, None] - vb[None, :])
     cp, cq = integer_masses(pa), integer_masses(pb)
     gaps = 0
     for t in np.unique(np.concatenate([[0.0], dpq.ravel()])):
         adm = dpq <= t
-        got, flow = _line_flow_mass(cp, cq, adm)
+        got, line = _line_flow_mass(cp, cq, adm)
         want, dinic = _max_flow_mass(cp, cq, adm)
         assert got == want, t
-        for f in (flow, dinic):
-            assert f.sum() == got and not f[~adm].any()
-            assert (f.sum(axis=1) <= cp).all() and (f.sum(axis=0) <= cq).all()
+        for rows, cols, amounts in (line, dinic):
+            assert amounts.sum() == got
+            # distinct admissible pairs, each carrying a nonnegative amount
+            assert adm[rows, cols].all() and (amounts >= 0).all()
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+            out, into = np.zeros_like(cp), np.zeros_like(cq)
+            np.add.at(out, rows, amounts)
+            np.add.at(into, cols, amounts)
+            assert (out <= cp).all() and (into <= cq).all()
         full = np.flatnonzero(adm.any(axis=1))
         gaps += int(len(full) and not adm[full[0]:full[-1] + 1].any(axis=1).all())
     return gaps
@@ -206,25 +212,41 @@ def test_line_flow_reads_the_rounded_difference():
     cp = cq = integer_masses([1.0])
     assert _line_flow_mass(cp, cq, adm)[0] == _max_flow_mass(cp, cq, adm)[0] == FLOW_SCALE
     one = np.array([1.0])
-    value, _ = _prohorov_cross(np.abs(va[:, None] - vb[None, :]), one, one,
-                               flow=_line_flow_mass)
+    value, _ = _prohorov_search(np.abs(va[:, None] - vb[None, :]), one, one,
+                                flow=_line_flow_mass)
     assert value == 0.52
 
 
 def test_incumbent_test_matches_the_full_value():
+    """Below the bound, the bounded search returns the unbounded value and
+    flow, so witness couplings cannot drift; at or above it, None."""
+    def check(dpq, wp, wq, flow, label):
+        value, want = _prohorov_search(dpq, wp, wq, flow=flow)
+        bounds = [0.0, value, np.nextafter(value, 2.0), np.nextafter(value, -1.0),
+                  1.0, 1.5, math.inf, *np.unique(dpq).tolist()]
+        for bound in bounds:
+            got = _prohorov_search(dpq, wp, wq, bound, flow=flow)
+            if value >= bound:
+                assert got is None, (label, bound)
+            else:
+                assert got is not None and got[0] == value, (label, bound)
+                assert all(np.array_equal(x, y) for x, y in zip(got[1], want)), (label, bound)
+
     rng = np.random.default_rng(73)
     for trial in range(60):
         metric, p, q = random_instance(rng, max_support=6)
         dpq = metric[np.ix_(p.atoms, q.atoms)]
         if trial % 4 == 0:  # many tied distances
             dpq = np.round(dpq, 1)
-        value, _ = _prohorov_cross(dpq, p.probs, q.probs)
-        ts = np.unique(dpq)
-        bounds = [0.0, value, np.nextafter(value, 2.0), np.nextafter(value, -1.0),
-                  1.0, 1.5, math.inf, *ts.tolist()]
-        for bound in bounds:
-            assert _prohorov_below(dpq, p.probs, q.probs, bound) == (value < bound), (
-                trial, bound)
+        check(dpq, p.probs, q.probs, _max_flow_mass, trial)
+    for trial in range(30):  # laws on the line, on both oracles
+        ka, kb = (int(k) for k in rng.integers(1, 8, size=2))
+        va = np.sort(0.1 * rng.integers(0, 8, size=ka))
+        vb = np.sort(0.1 * rng.integers(0, 8, size=kb))
+        dpq = np.abs(va[:, None] - vb[None, :])
+        pa, pb = rng.dirichlet(np.ones(ka)), rng.dirichlet(np.ones(kb))
+        for flow in (_line_flow_mass, _max_flow_mass):
+            check(dpq, pa, pb, flow, (trial, flow.__name__))
 
 
 # --- strassen_check -------------------------------------------------------
