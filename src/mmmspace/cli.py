@@ -3,11 +3,12 @@
 Nine subcommands: validate, sample, poly-eval, prohorov, dist,
 tightness, simulate, test, converge.  Structures travel as JSON
 (schemas "mmm-space/v1", "mmm-metric/v1", "mmm-measure/v1"), curves and
-tables as CSV.  Every command that writes files also writes an
-"mmm-manifest/v1" JSON next to them recording the command line, seed,
-and SHA-256 digests of inputs and outputs; `replay` re-runs a manifest
-and reproduces the outputs byte for byte (the manifest's own timestamp
-is the only thing that moves).
+tables as CSV.  Each subcommand only computes: it returns its stdout
+text, the files to write and the input paths, and `run` alone prints,
+writes the files and records them in one "mmm-manifest/v1" JSON next to
+them (the command line, seed, and SHA-256 digests of inputs and
+outputs).  `replay` re-runs a manifest and reproduces the outputs byte
+for byte (the manifest's own timestamp is the only thing that moves).
 
 Exit codes: 0 success, 1 domain error (machine-readable JSON on
 stderr), 2 usage error.
@@ -41,16 +42,23 @@ from .serialize import (
     dumps,
     load_path,
     load_space,
+    marks_to_obj,
     measure_from_obj,
     metric_from_obj,
-    save_space,
     sha256_path,
-    space_from_obj,
+    space_to_obj,
     upper_triangle,
 )
 from .stats import convergence_table, two_sample_test
 
 __all__ = ["run", "main", "replay"]
+
+
+class _Violations(DomainError):
+    """`validate` found violations; the payload is the whole report."""
+
+    def payload(self) -> dict:
+        return self.args[0]
 
 
 def _resolve_seed(args) -> int:
@@ -73,10 +81,9 @@ def _manifest_path(outputs: list) -> Path:
     return first.with_name(first.name + ".manifest.json")
 
 
-def _write_manifest(args, argv, seed, inputs, outputs) -> None:
-    if not outputs:
-        return
+def _write_manifest(args, argv, inputs, outputs) -> None:
     argv = list(argv)
+    seed = getattr(args, "seed", 0)
     if hasattr(args, "seed") and "--seed" not in argv:
         argv += ["--seed", str(seed)]
     manifest = {
@@ -112,11 +119,27 @@ def _load_spaces_dir(directory: str):
     return paths, [load_space(p) for p in paths]
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (stdout text or None, {path: text}, inputs)
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args, argv) -> int:
+def _printed(args, text: str, inputs):
+    """Print ``text``, and also write it to ``--out`` when given."""
+    return text, ({args.out: text} if args.out else {}), inputs
+
+
+def _written(args, text: str, inputs):
+    """Write ``text`` to ``--out`` when given, else print it."""
+    return (None, {args.out: text}, inputs) if args.out else (text, {}, inputs)
+
+
+def _cmd_validate(args):
     space = load_space(args.space)
     report = validate(space, tol=args.tol)
     payload = {
@@ -134,42 +157,22 @@ def _cmd_validate(args, argv) -> int:
     }
     if not report.ok:
         worst = max(report.violations, key=lambda v: v.magnitude)
-        payload["error"] = "invariant-violation"
-        payload["detail"] = worst.message
-        print(dumps(payload), file=sys.stderr)
-        return 1
-    text = dumps(payload) + "\n"
-    print(text, end="")
-    if args.out:
-        _write_text(Path(args.out), text)
-        _write_manifest(args, argv, 0, [args.space], [args.out])
-    return 0
+        raise _Violations({**payload, "error": "invariant-violation",
+                           "detail": worst.message})
+    return _printed(args, dumps(payload) + "\n", [args.space])
 
 
-def _cmd_sample(args, argv) -> int:
+def _cmd_sample(args):
     space = load_space(args.space)
-    seed = _resolve_seed(args)
-    lines = []
-    for s in sample_many(space, args.n, args.count, seed):
-        lines.append(
-            dumps(
-                {
-                    "n": s.order,
-                    "dist_upper": upper_triangle(s.dist),
-                    "marks": [
-                        list(m) if space.mark_space.kind == "euclidean" else m
-                        for m in s.marks
-                    ],
-                }
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(Path(args.out), text)
-        _write_manifest(args, argv, seed, [args.space], [args.out])
-    else:
-        print(text, end="")
-    return 0
+    lines = [
+        dumps({
+            "n": s.order,
+            "dist_upper": upper_triangle(s.dist),
+            "marks": marks_to_obj(s.marks, space.mark_space),
+        })
+        for s in sample_many(space, args.n, args.count, args.seed)
+    ]
+    return _written(args, "\n".join(lines) + "\n", [args.space])
 
 
 def _poly_rows(space, panel, mc, seed):
@@ -181,25 +184,15 @@ def _poly_rows(space, panel, mc, seed):
     return rows
 
 
-def _cmd_poly_eval(args, argv) -> int:
+def _cmd_poly_eval(args):
     space = load_space(args.space)
-    seed = _resolve_seed(args)
-    if args.panel != "default":
-        raise ParameterError(f"unknown panel {args.panel!r}")
     panel = default_panel(space.mark_space, args.n_max, args.size)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["polynomial", "exact", "mc_estimate", "mc_stderr"])
-    writer.writerows(_poly_rows(space, panel, args.mc, seed))
-    if args.out:
-        _write_text(Path(args.out), buf.getvalue())
-        _write_manifest(args, argv, seed, [args.space], [args.out])
-    else:
-        print(buf.getvalue(), end="")
-    return 0
+    text = _csv([["polynomial", "exact", "mc_estimate", "mc_stderr"],
+                 *_poly_rows(space, panel, args.mc, args.seed)])
+    return _written(args, text, [args.space])
 
 
-def _cmd_prohorov(args, argv) -> int:
+def _cmd_prohorov(args):
     metric = metric_from_obj(load_path(args.metric))
     atoms_p, probs_p = measure_from_obj(load_path(args.p))
     atoms_q, probs_q = measure_from_obj(load_path(args.q))
@@ -209,21 +202,16 @@ def _cmd_prohorov(args, argv) -> int:
         FinitePointMeasure(atoms=atoms_q, probs=probs_q),
     )
     text = dumps({"value": value, "witness": coupling}) + "\n"
-    print(text, end="")
-    if args.out:
-        _write_text(Path(args.out), text)
-        _write_manifest(args, argv, 0, [args.metric, args.p, args.q], [args.out])
-    return 0
+    return _printed(args, text, [args.metric, args.p, args.q])
 
 
-def _cmd_dist(args, argv) -> int:
+def _cmd_dist(args):
     a = load_space(args.a)
     b = load_space(args.b)
-    seed = _resolve_seed(args)
     if args.exact:
-        result = mgp_exact(a, b, budget=args.budget, seed=seed)
+        result = mgp_exact(a, b, budget=args.budget, seed=args.seed)
     else:
-        result = mgp_bounds(a, b, budget=max(1, args.budget // 250), seed=seed)
+        result = mgp_bounds(a, b, budget=max(1, args.budget // 250), seed=args.seed)
     payload = {
         "lower": result.lower,
         "upper": result.upper,
@@ -232,15 +220,10 @@ def _cmd_dist(args, argv) -> int:
         "witness_cross": result.witness_cross,
         "witness_coupling": result.witness_coupling,
     }
-    text = dumps(payload) + "\n"
-    print(text, end="")
-    if args.out:
-        _write_text(Path(args.out), text)
-        _write_manifest(args, argv, seed, [args.a, args.b], [args.out])
-    return 0
+    return _printed(args, dumps(payload) + "\n", [args.a, args.b])
 
 
-def _cmd_tightness(args, argv) -> int:
+def _cmd_tightness(args):
     paths, spaces = _load_spaces_dir(args.spaces)
     report = family_tightness(
         spaces,
@@ -249,22 +232,15 @@ def _cmd_tightness(args, argv) -> int:
         tail_grid=_float_list(args.tail) if args.tail else None,
         mark_labels=args.mark_labels.split(",") if args.mark_labels else None,
         mark_radii=_float_list(args.mark_radii) if args.mark_radii else None,
-        modulus_threshold=args.threshold,
-        tail_threshold=args.threshold,
+        threshold=args.threshold,
     )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["curve", "eps_or_threshold", "delta", "value"])
+    rows = [["curve", "eps_or_threshold", "delta", "value"]]
     for d_index, delta in enumerate(report.delta_grid):
         for e_index, eps in enumerate(report.eps_grid):
-            writer.writerow(
-                ["modulus", _fmt(eps), _fmt(delta),
-                 _fmt(report.modulus[d_index, e_index])]
-            )
+            rows.append(["modulus", _fmt(eps), _fmt(delta),
+                         _fmt(report.modulus[d_index, e_index])])
     for t, v in zip(report.tail_grid, report.distance_tail):
-        writer.writerow(["distance_tail", _fmt(t), "", _fmt(v)])
+        rows.append(["distance_tail", _fmt(t), "", _fmt(v)])
     if report.mark_tail.size:
         radii = (
             _float_list(args.mark_radii)
@@ -272,122 +248,83 @@ def _cmd_tightness(args, argv) -> int:
             else list(range(report.mark_tail.size))
         )
         for t, v in zip(radii, report.mark_tail):
-            writer.writerow(["mark_tail", _fmt(t), "", _fmt(v)])
-    curves = outdir / "tightness_curves.csv"
-    verdicts = outdir / "tightness_verdicts.json"
-    _write_text(curves, buf.getvalue())
-    _write_text(
-        verdicts,
-        dumps(
-            {
-                "verdicts": report.verdicts,
-                "tightness_consistent": report.tightness_consistent,
-                "spaces": [str(p) for p in paths],
-            }
-        )
-        + "\n",
-    )
-    _write_manifest(args, argv, 0, paths, [curves, verdicts])
-    return 0
+            rows.append(["mark_tail", _fmt(t), "", _fmt(v)])
+    verdicts = {
+        "verdicts": report.verdicts,
+        "tightness_consistent": report.tightness_consistent,
+        "spaces": [str(p) for p in paths],
+    }
+    outdir = Path(args.out)
+    files = {
+        outdir / "tightness_curves.csv": _csv(rows),
+        outdir / "tightness_verdicts.json": dumps(verdicts) + "\n",
+    }
+    return None, files, paths
 
 
-def _cmd_simulate(args, argv) -> int:
+def _cmd_simulate(args):
     params = load_path(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise ParameterError("--params must hold a JSON object")
-    seed = _resolve_seed(args)
-    params = dict(params)
-    params["seed"] = seed
+    params = dict(params, seed=args.seed)
     try:
-        if args.model == "kingman":
-            if "alphabet" in params:
-                params["alphabet"] = tuple(params["alphabet"])
-            space = kingman(CoalescentConfig(**params))
-        elif args.model == "moran":
-            if "alphabet" in params:
-                params["alphabet"] = tuple(params["alphabet"])
-            space = moran(MoranConfig(**params))
-        elif args.model == "cloud":
+        if args.model == "cloud":
             space = euclidean_cloud(**params)
         else:
-            raise ParameterError(f"unknown model {args.model!r}")
+            if "alphabet" in params:
+                params["alphabet"] = tuple(params["alphabet"])
+            model, config = {"kingman": (kingman, CoalescentConfig),
+                             "moran": (moran, MoranConfig)}[args.model]
+            space = model(config(**params))
     except TypeError as exc:
         raise ParameterError(f"bad params for model {args.model!r}: {exc}") from exc
-    save_space(space, args.out)
     inputs = [args.params] if args.params else []
-    _write_manifest(args, argv, seed, inputs, [args.out])
-    return 0
+    return None, {args.out: dumps(space_to_obj(space)) + "\n"}, inputs
 
 
-def _cmd_test(args, argv) -> int:
+def _cmd_test(args):
     a = load_space(args.a)
     b = load_space(args.b)
-    seed = _resolve_seed(args)
     result = two_sample_test(
-        a, b, n=args.n, m=args.m, permutations=args.perms, seed=seed
+        a, b, n=args.n, m=args.m, permutations=args.perms, seed=args.seed
     )
-    text = (
-        dumps(
-            {
-                "statistic": result.statistic,
-                "p_value": result.p_value,
-                "order": result.order,
-                "samples": result.samples,
-                "permutations": result.permutations,
-                "feature": result.feature,
-            }
-        )
-        + "\n"
-    )
-    print(text, end="")
-    if args.out:
-        _write_text(Path(args.out), text)
-        _write_manifest(args, argv, seed, [args.a, args.b], [args.out])
-    return 0
+    payload = {
+        "statistic": result.statistic,
+        "p_value": result.p_value,
+        "order": result.order,
+        "samples": result.samples,
+        "permutations": result.permutations,
+        "feature": result.feature,
+    }
+    return _printed(args, dumps(payload) + "\n", [args.a, args.b])
 
 
-def _cmd_converge(args, argv) -> int:
+def _cmd_converge(args):
     paths, spaces = _load_spaces_dir(args.seq)
     target = load_space(args.target) if args.target else None
-    seed = _resolve_seed(args)
-    if args.panel != "default":
-        raise ParameterError(f"unknown panel {args.panel!r}")
-    mark_space = spaces[0].mark_space
-    panel = default_panel(mark_space, args.n_max, args.size)
-    table = convergence_table(spaces, target, panel, m=args.mc, seed=seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    panel = default_panel(spaces[0].mark_space, args.n_max, args.size)
+    table = convergence_table(spaces, target, panel, m=args.mc, seed=args.seed)
     header = ["space", "polynomial", "estimate", "stderr"]
     if target is not None:
         header += ["target", "gap"]
-    writer.writerow(header)
+    rows = [header]
     for k, row_label in enumerate(table.row_labels):
         for c, col_label in enumerate(table.column_labels):
             row = [row_label, col_label, _fmt(table.estimates[k, c]),
                    _fmt(table.stderrs[k, c])]
             if target is not None:
                 row += [_fmt(table.target_values[c]), _fmt(table.gaps[k, c])]
-            writer.writerow(row)
+            rows.append(row)
     out = Path(args.out)
-    _write_text(out, buf.getvalue())
-    outputs = [out]
+    files = {out: _csv(rows)}
     if target is not None:
-        sidecar = out.with_name(out.stem + "_trends.json")
-        _write_text(
-            sidecar,
-            dumps(
-                {
-                    "columns": list(table.column_labels),
-                    "trends": list(table.trends),
-                    "target_values": table.target_values,
-                }
-            )
-            + "\n",
-        )
-        outputs.append(sidecar)
-    inputs = list(paths) + ([args.target] if args.target else [])
-    _write_manifest(args, argv, seed, inputs, outputs)
-    return 0
+        trends = {
+            "columns": list(table.column_labels),
+            "trends": list(table.trends),
+            "target_values": table.target_values,
+        }
+        files[out.with_name(out.stem + "_trends.json")] = dumps(trends) + "\n"
+    return None, files, list(paths) + ([args.target] if args.target else [])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly-eval", help="evaluate the polynomial panel")
     p.add_argument("--space", required=True)
-    p.add_argument("--panel", default="default")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--size", type=int, default=8)
     p.add_argument("--mc", type=int, default=10000)
@@ -478,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="panel table along a sequence")
     p.add_argument("--seq", required=True, help="directory of space JSON")
     p.add_argument("--target", default=None)
-    p.add_argument("--panel", default="default")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--size", type=int, default=8)
     p.add_argument("--mc", type=int, default=2000)
@@ -490,7 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse and execute; returns the process exit code."""
+    """Parse and run one subcommand, then print its text, write its files
+    and their one manifest; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
     argv = [str(t) for t in argv]
@@ -500,7 +436,16 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, argv)
+        if hasattr(args, "seed"):
+            args.seed = _resolve_seed(args)
+        text, files, inputs = args.func(args)
+        if text is not None:
+            print(text, end="")
+        for path, content in files.items():
+            _write_text(Path(path), content)
+        if files:
+            _write_manifest(args, argv, inputs, list(files))
+        return 0
     except DomainError as exc:
         print(dumps(exc.payload()), file=sys.stderr)
         return 1

@@ -128,16 +128,15 @@ def family_tightness(
     tail_grid=None,
     mark_labels=None,
     mark_radii=None,
-    modulus_threshold: float = DEFAULT_MASS_THRESHOLD,
-    tail_threshold: float = DEFAULT_MASS_THRESHOLD,
+    threshold: float = DEFAULT_MASS_THRESHOLD,
 ) -> TightnessReport:
     """Sup the diagnostic curves over a family and issue verdicts.
 
     The r12-tail thresholds default to ``eps_grid`` (same units as the
     metric).  The "modulus" verdict holds when, at the smallest delta,
-    some eps on the grid pushes the sup-modulus to ``modulus_threshold``
-    or below; "distance_tail" when the sup tail at the largest threshold
-    is at most ``tail_threshold``; "mark_tail" idem for the mark curve
+    some eps on the grid pushes the sup-modulus to ``threshold`` or
+    below; "distance_tail" when the sup tail at the largest r12 threshold
+    is at most ``threshold``; "mark_tail" idem for the mark curve
     (the last radius, or the given label set).  Mark verdicts need
     labels/radii; omitted, the mark block is skipped (empty curve, no
     verdict).
@@ -173,11 +172,11 @@ def family_tightness(
         m_tail = np.zeros(0)
 
     verdicts = {
-        "modulus": bool(modulus[0, :].min() <= modulus_threshold),
-        "distance_tail": bool(dist_tail[-1] <= tail_threshold),
+        "modulus": bool(modulus[0, :].min() <= threshold),
+        "distance_tail": bool(dist_tail[-1] <= threshold),
     }
     if want_marks:
-        verdicts["mark_tail"] = bool(m_tail[-1] <= tail_threshold)
+        verdicts["mark_tail"] = bool(m_tail[-1] <= threshold)
     return TightnessReport(
         eps_grid=eps_grid,
         delta_grid=delta_grid,

@@ -277,6 +277,17 @@ def _all_pairs_cross(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
     return np.full((a.n, b.n), diam / 2.0)
 
 
+def _candidate_crosses(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, seed: int):
+    """The correspondence gluings of each strategy in turn, then the
+    all-pairs gluing: the candidates of `_best_gluing` and the start points
+    of `mgp_exact`."""
+    for strategy in strategies:
+        for pairs in _candidate_pair_sets(a, b, strategy, budget, seed):
+            if pairs:
+                yield correspondence_cross(a, b, pairs)[0]
+    yield _all_pairs_cross(a, b)
+
+
 def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, seed: int):
     """`mgp_upper` over the candidates of ``strategies`` in turn, then the
     all-pairs gluing: (value, coupling, witness cross).  The coupling comes
@@ -287,15 +298,9 @@ def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, 
     for space in (a, b):
         _weight_total(space)
         _check_probs(space.weights, f"space {space.label!r}: ")
-    crosses = (
-        correspondence_cross(a, b, pairs)[0]
-        for strategy in strategies
-        for pairs in _candidate_pair_sets(a, b, strategy, budget, seed)
-        if pairs
-    )
     off = a.mark_space.cross_distances(a.marks, b.marks)
     value, flow, cross = math.inf, None, None
-    for c in itertools.chain(crosses, [_all_pairs_cross(a, b)]):
+    for c in _candidate_crosses(a, b, strategies, budget, seed):
         got = _prohorov_search(c + off, a.weights, b.weights, value)
         if got is not None:
             (value, flow), cross = got, c
@@ -497,16 +502,18 @@ def mgp_exact(
 ) -> MgpResult:
     """Certified marked Gromov-Prohorov distance for tiny discrete pairs.
 
-    Requires discrete marks and at most 6 points in total.  Runs the
-    correspondence strategies and coordinate descent for the upper side,
-    then a branch-and-bound refinement over the cross-matrix box: nodes
-    are pruned with the monotone bound (objective at the tightened lower
-    corner) and split until the edge length falls below ``grid`` or the
-    node budget runs out.  The result carries the best value found as
-    ``exact`` (and ``upper``) plus a ``slack`` such that the true infimum
-    lies in [exact - slack, exact]; the first strict minimum among the
-    start points, then the node candidates, is the witness, and its
-    coupling is the one the Prohorov search that accepted it returned.
+    Requires discrete marks and at most 6 points in total.  The upper side
+    floors the candidates of `_best_gluing` (every strategy's
+    correspondence gluings, then the all-pairs gluing) and four random
+    repaired gluings by coordinate descent and tests each against the
+    incumbent.  Then a branch-and-bound refinement over the cross-matrix
+    box: nodes are pruned with the monotone bound (objective at the
+    tightened lower corner) and split until the edge length falls below
+    ``grid`` or the node budget runs out.  The result carries the best
+    value found as ``exact`` (and ``upper``) plus a ``slack`` such that the
+    true infimum lies in [exact - slack, exact]; the first strict minimum
+    among the start points, then the node candidates, is the witness, and
+    its coupling is the one the Prohorov search that accepted it returned.
 
     Parameters
     ----------
@@ -540,10 +547,9 @@ def mgp_exact(
 
     lower = mgp_lower(a, b)
 
-    # ---- upper side: strategies + coordinate descent ----
-    starts = [mgp_upper(a, b, strategy=s, budget=8, seed=seed)[1] for s in STRATEGIES]
+    # ---- upper side: every strategy's candidates + coordinate descent ----
+    starts = list(_candidate_crosses(a, b, STRATEGIES, 8, seed))
     rng = np.random.default_rng(seed)
-    starts.append(_all_pairs_cross(a, b))
     for _ in range(4):
         c = _repair(rng.uniform(0.0, max(diam, 1e-12), size=(a.n, b.n)), r1, r2)
         if _gluing_feasible(c, r1, r2):

@@ -125,37 +125,39 @@ def mark_space_from_obj(obj: dict) -> MarkSpace:
 
 
 def upper_triangle(d: np.ndarray) -> list:
-    n = d.shape[0]
-    return [float(d[i, j]) for i in range(n) for j in range(i + 1, n)]
+    # row slices, not np.triu_indices: two n^2/2 index arrays would outweigh
+    # the list itself
+    d = np.asarray(d, dtype=float)
+    return [x for i in range(d.shape[0]) for x in d[i, i + 1:].tolist()]
 
 
 def from_upper_triangle(vals, n: int) -> np.ndarray:
     need = n * (n - 1) // 2
-    vals = list(vals)
-    if len(vals) != need:
+    vals = np.fromiter(map(float, vals), dtype=float)
+    if vals.size != need:
         raise ParameterError(
-            f"upper triangle for {n} points needs {need} entries, got {len(vals)}"
+            f"upper triangle for {n} points needs {need} entries, got {vals.size}"
         )
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     d = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = float(vals[k])
-            k += 1
+    d[upper] = vals
+    d.T[upper] = vals  # the upper triangle of d.T in row-major order is d's lower one
     return d
 
 
+def marks_to_obj(marks, ms: MarkSpace) -> list:
+    """Marks as JSON values: Euclidean marks become lists."""
+    return [list(m) if ms.kind == "euclidean" else m for m in marks]
+
+
 def space_to_obj(space: FiniteMmmSpace) -> dict:
-    marks: list = []
-    for m in space.marks:
-        marks.append(list(m) if space.mark_space.kind == "euclidean" else m)
     return {
         "schema": SPACE_SCHEMA,
         "label": space.label,
         "mark_space": mark_space_to_obj(space.mark_space),
         "n": space.n,
         "weights": [float(w) for w in space.weights],
-        "marks": marks,
+        "marks": marks_to_obj(space.marks, space.mark_space),
         "distances": upper_triangle(space.distances),
     }
 

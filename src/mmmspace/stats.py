@@ -18,7 +18,7 @@ from scipy.spatial.distance import cdist
 from .core import FiniteMmmSpace, _require_finite, _sample_indices, canonicalize
 from .errors import ParameterError
 from .poly import Polynomial, _exact_is_cheap, evaluate_exact, evaluate_mc
-from .serialize import dumps, mark_space_to_obj, upper_triangle
+from .serialize import dumps, space_to_obj
 
 __all__ = [
     "TwoSampleResult",
@@ -76,15 +76,8 @@ def _sorted_copy(space: FiniteMmmSpace) -> FiniteMmmSpace:
 
 
 def _digest(space: FiniteMmmSpace) -> str:
-    obj = {
-        "mark_space": mark_space_to_obj(space.mark_space),
-        "weights": space.weights,
-        "marks": [
-            list(m) if space.mark_space.kind == "euclidean" else m
-            for m in space.marks
-        ],
-        "distances": upper_triangle(space.distances),
-    }
+    full = space_to_obj(space)
+    obj = {key: full[key] for key in ("mark_space", "weights", "marks", "distances")}
     return hashlib.sha256(dumps(obj).encode()).hexdigest()
 
 

@@ -143,10 +143,12 @@ def test_poly_eval_exact_column(capsys, ab_space):
 
 
 def test_poly_eval_unknown_panel(capsys, ab_space):
-    code, _, stderr = run_cli(capsys, "poly-eval", "--space", ab_space,
-                              "--panel", "exotic")
-    assert code == 1
-    assert json.loads(stderr)["error"] == "bad-parameter"
+    # there is no --panel option: the default panel is the only one
+    for panel in ("exotic", "default"):
+        code, stdout, stderr = run_cli(capsys, "poly-eval", "--space", ab_space,
+                                       "--panel", panel)
+        assert code == 2
+        assert stdout == "" and stderr.startswith("usage: mmm")
 
 
 # --- prohorov ---------------------------------------------------------------------
@@ -390,6 +392,16 @@ def test_simulate_rejects_bad_params(capsys, tmp_path):
     assert "kingman" in payload["detail"]
 
 
+def test_simulate_creates_a_missing_output_directory(capsys, tmp_path):
+    out = tmp_path / "new" / "deeper" / "cloud.json"
+    params = write_params(tmp_path, "cloud", {"n": 4, "dim": 2})
+    code, stdout, stderr = run_cli(capsys, "simulate", "--model", "cloud",
+                                   "--params", params, "--seed", 1, "--out", out)
+    assert (code, stdout, stderr) == (0, "", "")
+    assert load_space(out).n == 4
+    assert (out.parent / "cloud.json.manifest.json").exists()
+
+
 # --- test and converge ----------------------------------------------------------------------
 
 
@@ -474,3 +486,64 @@ def test_threads_flag(capsys, ab_space):
                                    "--space", ab_space)
     assert code == 2
     assert stdout == "" and stderr.startswith("usage: mmm")
+
+
+# --- manifests ---------------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, ab_space, ab2_space):
+    family = tmp_path / "family"
+    family.mkdir()
+    for k in (1, 2, 4):
+        save_space(two_point(d=1.0 / k, marks=("a", "b"), mark_space=AB_MARKS,
+                             label=f"pair-{k}"), family / f"pair{k}.json")
+    metric, p, q = tmp_path / "metric.json", tmp_path / "p.json", tmp_path / "q.json"
+    dump_path({"schema": "mmm-metric/v1", "n": 2, "matrix": [[0.0, 1.0], [1.0, 0.0]]}, metric)
+    dump_path({"schema": "mmm-measure/v1", "atoms": [0, 1], "probs": [0.75, 0.25]}, p)
+    dump_path({"schema": "mmm-measure/v1", "atoms": [0, 1], "probs": [0.25, 0.75]}, q)
+    return {"ab": ab_space, "ab2": ab2_space, "family": family, "metric": metric,
+            "p": p, "q": q, "params": write_params(tmp_path, "tree", {"leaves": 5})}
+
+
+# (name, argv without --out, whether --out is optional, number of outputs)
+MANIFEST_COMMANDS = [
+    ("validate", ["validate", "--space", "{ab}"], True, 1),
+    ("sample", ["sample", "--space", "{ab}", "--n", "2", "--count", "3"], True, 1),
+    ("poly-eval", ["poly-eval", "--space", "{ab}", "--n-max", "2", "--size", "3",
+                   "--mc", "50"], True, 1),
+    ("prohorov", ["prohorov", "--metric", "{metric}", "--p", "{p}", "--q", "{q}"], True, 1),
+    ("dist", ["dist", "--a", "{ab}", "--b", "{ab2}"], True, 1),
+    ("dist-exact", ["dist", "--a", "{ab}", "--b", "{ab2}", "--exact"], True, 1),
+    ("tightness", ["tightness", "--spaces", "{family}", "--eps", "0.5,2.0",
+                   "--delta", "0.25,0.6", "--mark-labels", "a"], False, 2),
+    ("simulate", ["simulate", "--model", "kingman", "--params", "{params}"], False, 1),
+    ("test", ["test", "--a", "{ab}", "--b", "{ab2}", "--m", "40", "--perms", "99"], True, 1),
+    ("converge", ["converge", "--seq", "{family}", "--n-max", "2", "--size", "2",
+                  "--mc", "50"], False, 1),
+    ("converge-target", ["converge", "--seq", "{family}", "--target", "{ab}",
+                         "--n-max", "2", "--size", "2", "--mc", "50"], False, 2),
+]
+
+
+@pytest.mark.parametrize("name, argv, optional_out, n_outputs", MANIFEST_COMMANDS,
+                         ids=[c[0] for c in MANIFEST_COMMANDS])
+def test_every_manifest_replays(capsys, monkeypatch, tmp_path, cli_inputs,
+                                name, argv, optional_out, n_outputs):
+    argv = [t.format(**cli_inputs) for t in argv]
+    monkeypatch.chdir(tmp_path)
+    if optional_out:
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0 and stdout != ""
+        assert sorted(tmp_path.rglob("*")) == before
+    assert run_cli(capsys, *argv, "--out", tmp_path / "out" / name)[0] == 0
+    [manifest] = (tmp_path / "out").rglob("*.manifest.json")
+    recorded = json.loads(manifest.read_text())["outputs"]
+    assert len(recorded) == n_outputs
+    assert {p: sha256_path(p) for p in recorded} == recorded
+    for path in recorded:
+        Path(path).write_text("scribble")
+    assert replay(manifest) == 0
+    capsys.readouterr()
+    assert {p: sha256_path(p) for p in recorded} == recorded
