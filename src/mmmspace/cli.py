@@ -211,7 +211,7 @@ def _cmd_dist(args):
     if args.exact:
         result = mgp_exact(a, b, budget=args.budget, seed=args.seed)
     else:
-        result = mgp_bounds(a, b, budget=max(1, args.budget // 250), seed=args.seed)
+        result = mgp_bounds(a, b, seed=args.seed)
     payload = {
         "lower": result.lower,
         "upper": result.upper,
@@ -378,7 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--exact", action="store_true",
                    help="certified search (tiny discrete spaces)")
-    p.add_argument("--budget", type=int, default=4000)
+    p.add_argument("--budget", type=int, default=4000,
+                   help="branch-and-bound node cap of --exact")
     p.add_argument("--out")
     add_seed(p)
     p.set_defaults(func=_cmd_dist)
@@ -426,7 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse and run one subcommand, then print its text, write its files
-    and their one manifest; returns the process exit code."""
+    and their one manifest; returns the process exit code.  An output that
+    resolves to an input is a ParameterError, before anything is written."""
     if argv is None:
         argv = sys.argv[1:]
     argv = [str(t) for t in argv]
@@ -439,6 +441,9 @@ def run(argv=None) -> int:
         if hasattr(args, "seed"):
             args.seed = _resolve_seed(args)
         text, files, inputs = args.func(args)
+        clash = {Path(p).resolve() for p in files} & {Path(p).resolve() for p in inputs}
+        if clash:
+            raise ParameterError(f"output {min(clash)} would overwrite an input")
         if text is not None:
             print(text, end="")
         for path, content in files.items():

@@ -55,9 +55,6 @@ __all__ = [
 GLUE_TOL = 1e-10
 EXACT_SIZE_BOUND = 6
 
-STRATEGIES = ("identity-ish", "coupling-search", "random-restarts")
-
-
 # ---------------------------------------------------------------------------
 # gluings
 # ---------------------------------------------------------------------------
@@ -196,12 +193,15 @@ def correspondence_cross(
     r1(., k) + beta + r2(l, .), with beta >= distortion(pairs)/2.
 
     Always yields an admissible gluing; returns (C, beta, distortion).
+    Indices outside [0, N1) x [0, N2) raise ParameterError.
     """
     pairs = [(int(i), int(j)) for i, j in pairs]
     if not pairs:
         raise ParameterError("correspondence needs at least one pair")
     si = np.array([p[0] for p in pairs])
     sj = np.array([p[1] for p in pairs])
+    if min(si.min(), sj.min()) < 0 or si.max() >= a.n or sj.max() >= b.n:
+        raise ParameterError(f"correspondence pairs must lie in [0, {a.n}) x [0, {b.n})")
     r1, r2 = a.distances, b.distances
     dis = float(np.abs(r1[np.ix_(si, si)] - r2[np.ix_(sj, sj)]).max())
     if beta is None:
@@ -222,11 +222,10 @@ def _profile_cost(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
     return cost + np.abs(a.weights[:, None] - b.weights[None, :])
 
 
-def _greedy_coupling_pairs(a: FiniteMmmSpace, b: FiniteMmmSpace) -> list:
+def _greedy_coupling_pairs(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> list:
     """Support of a greedy transportation plan for the heuristic cost."""
-    cost = _profile_cost(a, b)
-    rem_p = a.weights.astype(float).copy()
-    rem_q = b.weights.astype(float).copy()
+    rem_p = wa.astype(float).copy()
+    rem_q = wb.astype(float).copy()
     order = np.dstack(np.unravel_index(np.argsort(cost, axis=None), cost.shape))[0]
     pairs = []
     for i, j in order:
@@ -238,60 +237,53 @@ def _greedy_coupling_pairs(a: FiniteMmmSpace, b: FiniteMmmSpace) -> list:
     return pairs
 
 
-def _candidate_pair_sets(a, b, strategy: str, budget: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    n1, n2 = a.n, b.n
-    cands: list[list] = []
-
-    if strategy == "identity-ish":
-        if n1 == n2:
-            if n1 <= 8:
-                perm = _find_isometry(a, b, atol=1e-9)
-                if perm is not None:
-                    cands.append([(i, perm[i]) for i in range(n1)])
-            row, col = linear_sum_assignment(_profile_cost(a, b))
-            cands.append(list(zip(row.tolist(), col.tolist())))
-        else:
-            cands.append(_greedy_coupling_pairs(a, b))
-    elif strategy == "coupling-search":
-        support = _greedy_coupling_pairs(a, b)
-        cands.append(support)
-        by_i: dict[int, int] = {}
-        for i, j in support:
-            by_i.setdefault(i, j)
-        cands.append(sorted(by_i.items()))
-    elif strategy == "random-restarts":
-        k = min(n1, n2)
-        for _ in range(max(1, budget)):
-            pi = rng.permutation(n1)[:k]
-            pj = rng.permutation(n2)[:k]
-            cands.append(list(zip(pi.tolist(), pj.tolist())))
-    else:
-        raise ParameterError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
-    return cands
-
-
 def _all_pairs_cross(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
     """`correspondence_cross` of all pairs, in closed form (see `mgp_upper`)."""
     diam = max(a.distances.max(initial=0.0), b.distances.max(initial=0.0))
     return np.full((a.n, b.n), diam / 2.0)
 
 
-def _candidate_crosses(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, seed: int):
-    """The correspondence gluings of each strategy in turn, then the
-    all-pairs gluing: the candidates of `_best_gluing` and the start points
-    of `mgp_exact`."""
-    for strategy in strategies:
-        for pairs in _candidate_pair_sets(a, b, strategy, budget, seed):
-            if pairs:
-                yield correspondence_cross(a, b, pairs)[0]
+def _candidate_pairs(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
+    """The correspondences of `mgp_upper`, in its order, repeats included."""
+    n1, n2 = a.n, b.n
+    cost = _profile_cost(a, b)
+    if n1 == n2:
+        if n1 <= 8:
+            perm = _find_isometry(a, b, atol=1e-9)
+            if perm is not None:
+                yield [(i, perm[i]) for i in range(n1)]
+        row, col = linear_sum_assignment(cost)
+        yield list(zip(row.tolist(), col.tolist()))
+    support = _greedy_coupling_pairs(cost, a.weights, b.weights)
+    yield support
+    by_i: dict[int, int] = {}
+    for i, j in support:
+        by_i.setdefault(i, j)
+    yield list(by_i.items())
+    rng = np.random.default_rng(seed)
+    k = min(n1, n2)
+    for _ in range(16):
+        yield list(zip(rng.permutation(n1)[:k].tolist(), rng.permutation(n2)[:k].tolist()))
+
+
+def _candidate_crosses(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
+    """The correspondence gluings of `_candidate_pairs`, each pair set once
+    (`correspondence_cross` depends only on the set), then the all-pairs
+    gluing: the candidates of `_best_gluing` and the start points of
+    `mgp_exact`."""
+    seen = set()
+    for pairs in _candidate_pairs(a, b, seed):
+        key = frozenset(pairs)
+        if key and key not in seen:
+            seen.add(key)
+            yield correspondence_cross(a, b, pairs)[0]
     yield _all_pairs_cross(a, b)
 
 
-def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, seed: int):
-    """`mgp_upper` over the candidates of ``strategies`` in turn, then the
-    all-pairs gluing: (value, coupling, witness cross).  The coupling comes
-    from the flow of the Prohorov search that accepted the witness."""
+def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
+    """`mgp_upper` over `_candidate_crosses`: (value, coupling, witness
+    cross).  The coupling comes from the flow of the Prohorov search that
+    accepted the witness."""
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
     _require_finite(a, b)
@@ -300,7 +292,7 @@ def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, 
         _check_probs(space.weights, f"space {space.label!r}: ")
     off = a.mark_space.cross_distances(a.marks, b.marks)
     value, flow, cross = math.inf, None, None
-    for c in _candidate_crosses(a, b, strategies, budget, seed):
+    for c in _candidate_crosses(a, b, seed):
         got = _prohorov_search(c + off, a.weights, b.weights, value)
         if got is not None:
             (value, flow), cross = got, c
@@ -308,21 +300,18 @@ def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, strategies, budget: int, 
     return float(value), _coupling(flow, a.weights, b.weights), cross
 
 
-def mgp_upper(
-    a: FiniteMmmSpace,
-    b: FiniteMmmSpace,
-    strategy: str = "coupling-search",
-    budget: int = 16,
-    seed: int = 0,
-):
+def mgp_upper(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int = 0):
     """Upper bound on the marked Gromov-Prohorov distance.
 
-    Evaluates the Prohorov distance across the correspondence gluings (see
-    `correspondence_cross`) of the chosen strategy, then the all-pairs
-    gluing, and returns (best value, witness cross matrix); the first strict
-    minimum in that order wins.  A candidate after the first costs one
-    max-flow against the incumbent (`_prohorov_search`) unless it is
-    strictly better.  The witness passes `glue`.  Deterministic per seed.
+    Evaluates the Prohorov distance across one list of correspondence
+    gluings (see `correspondence_cross`): the isometry when n1 = n2 <= 8,
+    the profile assignment when n1 = n2, the greedy coupling support and
+    its first pair per row, and 16 seeded random partial bijections, each
+    pair set once, then the all-pairs gluing.  Returns (best value, witness
+    cross matrix); the first strict minimum in that order wins.  A
+    candidate after the first costs one max-flow against the incumbent
+    (`_prohorov_search`) unless it is strictly better.  The witness passes
+    `glue`.  Deterministic per seed.
     Memory is O(N1 N2 (N1 + N2)).  NaN/inf entries and a nonpositive total weight
     raise ParameterError, weights that do not sum to 1 MarginalError.
 
@@ -330,7 +319,7 @@ def mgp_upper(
     with a zero diagonal and nonnegative entries all pairs have distortion
     max(diam1, diam2), and the k=i, l=j term of the min is the least.
     """
-    value, _, cross = _best_gluing(a, b, (strategy,), budget, seed)
+    value, _, cross = _best_gluing(a, b, seed)
     return value, cross
 
 
@@ -503,8 +492,8 @@ def mgp_exact(
     """Certified marked Gromov-Prohorov distance for tiny discrete pairs.
 
     Requires discrete marks and at most 6 points in total.  The upper side
-    floors the candidates of `_best_gluing` (every strategy's
-    correspondence gluings, then the all-pairs gluing) and four random
+    floors the candidates of `mgp_upper` (its correspondence gluings, then
+    the all-pairs gluing) and four random
     repaired gluings by coordinate descent and tests each against the
     incumbent.  Then a branch-and-bound refinement over the cross-matrix
     box: nodes are pruned with the monotone bound (objective at the
@@ -547,8 +536,8 @@ def mgp_exact(
 
     lower = mgp_lower(a, b)
 
-    # ---- upper side: every strategy's candidates + coordinate descent ----
-    starts = list(_candidate_crosses(a, b, STRATEGIES, 8, seed))
+    # ---- upper side: the candidates of mgp_upper + coordinate descent ----
+    starts = list(_candidate_crosses(a, b, seed))
     rng = np.random.default_rng(seed)
     for _ in range(4):
         c = _repair(rng.uniform(0.0, max(diam, 1e-12), size=(a.n, b.n)), r1, r2)
@@ -632,20 +621,13 @@ def mgp_exact(
     )
 
 
-def mgp_bounds(
-    a: FiniteMmmSpace,
-    b: FiniteMmmSpace,
-    budget: int = 16,
-    seed: int = 0,
-) -> MgpResult:
-    """`mgp_lower`, and the best upper bound of all strategies (no certificate).
+def mgp_bounds(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int = 0) -> MgpResult:
+    """`mgp_lower` and `mgp_upper` in one result (no certificate).
 
-    The upper side is one `mgp_upper` pass over the candidates of every
-    strategy in `STRATEGIES` order, then the all-pairs gluing once; the
-    first strict minimum in that order wins, and the witness coupling comes
-    from the Prohorov search that accepted it.
+    The upper bound and its witness cross are those of `mgp_upper`, and the
+    witness coupling comes from the Prohorov search that accepted it.
     """
     lower = mgp_lower(a, b)
-    upper, coupling, witness = _best_gluing(a, b, STRATEGIES, budget, seed)
+    upper, coupling, witness = _best_gluing(a, b, seed)
     return MgpResult(lower=lower, upper=upper, witness_cross=witness,
                      witness_coupling=coupling)

@@ -42,13 +42,19 @@ STRASSEN_BOUND = 20
 
 @dataclass(frozen=True)
 class FinitePointMeasure:
-    """Atoms (indices into a shared metric) with probabilities."""
+    """Atoms (indices into a shared metric) with probabilities.  Atoms that
+    are not whole numbers within int64 raise MarginalError."""
 
     atoms: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=int)
+        atoms = np.asarray(self.atoms)
+        if atoms.dtype.kind not in "iu" and not (
+            atoms.dtype.kind == "f" and np.all((atoms == np.floor(atoms)) & (abs(atoms) < 2.0**63))
+        ):
+            raise MarginalError("atoms must be whole numbers within int64")
+        atoms = atoms.astype(int)
         probs = np.asarray(self.probs, dtype=float)
         if atoms.shape != probs.shape or atoms.ndim != 1:
             raise MarginalError("atoms and probs must be equal-length vectors")

@@ -218,6 +218,6 @@ def measure_from_obj(obj: dict):
     if obj.get("schema") != MEASURE_SCHEMA:
         raise ParameterError(f"expected schema {MEASURE_SCHEMA}")
     return (
-        np.asarray(obj["atoms"], dtype=int),
+        np.asarray(obj["atoms"]),
         np.asarray(obj["probs"], dtype=float),
     )

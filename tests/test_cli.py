@@ -189,6 +189,19 @@ def test_prohorov_rejects_atoms_outside_the_metric(capsys, tmp_path):
     assert payload["detail"] == "atom index 5 is outside the 3-point metric"
 
 
+def test_prohorov_rejects_fractional_atoms(capsys, tmp_path):
+    metric = tmp_path / "metric.json"
+    dump_path({"schema": "mmm-metric/v1", "n": 2, "matrix": [[0.0, 1.0], [1.0, 0.0]]}, metric)
+    p = tmp_path / "p.json"
+    dump_path({"schema": "mmm-measure/v1", "atoms": [0.9], "probs": [1.0]}, p)
+    q = tmp_path / "q.json"
+    dump_path({"schema": "mmm-measure/v1", "atoms": [1.5], "probs": [1.0]}, q)
+    code, stdout, stderr = run_cli(capsys, "prohorov", "--metric", metric, "--p", p, "--q", q)
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "bad-marginal",
+                                  "detail": "atoms must be whole numbers within int64"}
+
+
 def test_nan_tokens_in_input_files_are_rejected(capsys, tmp_path):
     metric = tmp_path / "metric.json"
     metric.write_text('{"schema": "mmm-metric/v1", "n": 2, "matrix": [[0.0, NaN], [1.0, 0.0]]}')
@@ -287,6 +300,21 @@ def test_validate_manifest_replays(capsys, ab_space, tmp_path):
     assert replay(manifest) == 0
     capsys.readouterr()
     assert sha256_path(out) == digest
+
+
+def test_out_may_not_name_an_input(capsys, ab_space, ab2_space, tmp_path):
+    before = ab_space.read_bytes()
+    for argv in (("validate", "--space", ab_space, "--out", ab_space),
+                 ("dist", "--a", ab2_space, "--b", ab_space,
+                  "--out", tmp_path / "sub" / ".." / ab_space.name),
+                 ("sample", "--space", ab_space, "--n", 2, "--count", 3, "--out", ab_space)):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        payload = json.loads(stderr)
+        assert payload["error"] == "bad-parameter"
+        assert payload["detail"].endswith("would overwrite an input")
+        assert ab_space.read_bytes() == before
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 # --- tightness ------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import mmmspace.core
 from mmmspace import (
     CoalescentConfig,
+    DomainError,
     FiniteMmmSpace,
     GluedSpace,
     GluingError,
@@ -32,11 +33,9 @@ from mmmspace import (
     two_sample_test,
     validate,
 )
-from mmmspace.mgp import STRATEGIES, _all_pairs_cross, _gluing_feasible, _profile_cost
+from mmmspace.mgp import _all_pairs_cross, _gluing_feasible, _profile_cost
 
-from _oracles import (
-    mark_distance, mgp_bounds_per_strategy_oracle, mgp_lower_union_oracle, mgp_upper_full_oracle,
-)
+from _oracles import mark_distance, mgp_lower_union_oracle, mgp_upper_full_oracle
 from conftest import AB_MARKS, nan_cloud, random_space, relabeled, tiny_spaces, two_point
 
 
@@ -158,6 +157,10 @@ def test_correspondence_default_beta_is_half_distortion(space_A, space_A2):
         correspondence_cross(space_A, space_A2, pairs, beta=0.49)
     with pytest.raises(ParameterError):
         correspondence_cross(space_A, space_A2, [])
+    # -1 would silently mean the last point, 2 an IndexError
+    for bad in ([(-1, 0)], [(0, -1)], [(2, 0)], [(0, 0), (0, 2)]):
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 2\) x \[0, 2\)"):
+            correspondence_cross(space_A, space_A2, bad)
 
 
 def test_correspondence_always_glues():
@@ -177,11 +180,12 @@ def test_correspondence_always_glues():
 
 
 def test_identity_strategy_nails_relabeled_copies():
+    # the isometry candidate puts a relabelled copy at distance zero
     rng = np.random.default_rng(62)
     for _ in range(20):
         a = random_space(rng, max_n=5, min_n=2)
         b, _ = relabeled(a, rng)
-        v, cross = mgp_upper(a, b, strategy="identity-ish", budget=8, seed=0)
+        v, cross = mgp_upper(a, b, seed=0)
         assert v <= 1e-9
         assert is_equivalent_exact(a, b)
         glue(a, b, cross)
@@ -189,19 +193,19 @@ def test_identity_strategy_nails_relabeled_copies():
 
 def test_lower_never_exceeds_upper():
     rng = np.random.default_rng(7)
-    for strategy in ("identity-ish", "coupling-search", "random-restarts"):
+    for seed in range(3):
         for _ in range(25):
             a, b = random_pair(rng)
             lo = mgp_lower(a, b)
-            up, _ = mgp_upper(a, b, strategy=strategy, budget=8, seed=1)
+            up, _ = mgp_upper(a, b, seed=seed)
             assert lo <= up + 1e-9
 
 
 def test_upper_is_deterministic_per_seed():
     rng = np.random.default_rng(80)
     a, b = random_pair(rng, max_n=4)
-    v1, c1 = mgp_upper(a, b, strategy="random-restarts", budget=12, seed=4)
-    v2, c2 = mgp_upper(a, b, strategy="random-restarts", budget=12, seed=4)
+    v1, c1 = mgp_upper(a, b, seed=4)
+    v2, c2 = mgp_upper(a, b, seed=4)
     assert v1 == v2
     assert np.array_equal(c1, c2)
 
@@ -216,11 +220,10 @@ def test_upper_prunes_candidates_like_the_full_loop():
                kingman(CoalescentConfig(leaves=8, theta=1.0, seed=k + 30)))
               for k in range(3)]
     for a, b in pairs:
-        for strategy in STRATEGIES:
-            value, cross = mgp_upper(a, b, strategy=strategy, budget=6, seed=2)
-            want, want_cross = mgp_upper_full_oracle(a, b, strategy, budget=6, seed=2)
-            assert value == want
-            assert cross.tobytes() == want_cross.tobytes()
+        value, cross = mgp_upper(a, b, seed=2)
+        want, want_cross = mgp_upper_full_oracle(a, b, seed=2)
+        assert value == want
+        assert cross.tobytes() == want_cross.tobytes()
 
 
 def reweighted(space, perm=None):
@@ -242,12 +245,30 @@ def test_lower_is_symmetric_relabelling_invariant_and_below_the_upper_bound(raw,
     assert lower <= mgp_bounds(a, b).upper + 1e-9
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(a=tiny_spaces().map(reweighted), b=tiny_spaces().map(reweighted))
-def test_bounds_upper_is_the_least_strategy_upper(a, b):
-    res = mgp_bounds(a, b)
-    assert res.upper == min(mgp_upper(a, b, strategy=s)[0] for s in STRATEGIES)
-    glue(a, b, res.witness_cross)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(raw_a=tiny_spaces(), raw_b=tiny_spaces(), normalize=st.booleans(),
+       pairs=st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=4))
+def test_bound_entry_points_give_finite_bounds_or_domain_errors(raw_a, raw_b, normalize, pairs):
+    # raw tiny spaces mostly carry weights that are no law, and the pairs
+    # may be empty or index outside the spaces
+    a, b = (reweighted(raw_a), reweighted(raw_b)) if normalize else (raw_a, raw_b)
+    got = []
+    for call in (mgp_lower, mgp_upper, mgp_bounds,
+                 lambda x, y: correspondence_cross(x, y, pairs)):
+        try:
+            got.append(call(a, b))
+        except DomainError:
+            got.append(None)
+    lower, upper, res, corr = got
+    assert (res is None) == (lower is None or upper is None)
+    if res is not None:
+        assert 0.0 <= lower <= upper[0] + 1e-9 and upper[0] <= 1.0
+        assert (res.lower, res.upper) == (lower, upper[0])
+        assert res.witness_cross.tobytes() == upper[1].tobytes()
+        glue(a, b, res.witness_cross)
+    if corr is not None:
+        cross, beta, dis = corr
+        assert np.all(np.isfinite(cross)) and math.isfinite(beta) and math.isfinite(dis)
 
 
 def test_lower_parameter_checks(space_A):
@@ -409,19 +430,18 @@ def test_mgp_upper_rejects_zero_total_weight(space_A):
 
 
 def test_mgp_upper_checks_the_marginals():
-    # weights of total 0.5, 2 or 3 are no law; taken as one they move the
-    # coupling-search bound off 1.0 (to 0.694, 0.552 and 0.333)
+    # weights of total 0.5, 2 or 3 are no law; taken as one they would
+    # move the bound off 1.0
     a, b = euclidean_cloud(6, 2, "sign", seed=1), euclidean_cloud(6, 2, "sign", seed=2)
-    assert [mgp_upper(a, b, strategy=s)[0] for s in STRATEGIES] == [1.0] * 3
+    assert mgp_upper(a, b)[0] == 1.0
     for scale in (0.5, 2.0, 3.0):
         heavy = FiniteMmmSpace(distances=a.distances, marks=a.marks, weights=a.weights * scale,
                                mark_space=a.mark_space, label="heavy")
         assert validate(heavy).kinds() == {"weight-sum"}
-        for strategy in STRATEGIES:
-            for pair in ((heavy, b), (b, heavy)):
-                with pytest.raises(MarginalError,
-                                   match="space 'heavy': probabilities sum to .*, not 1"):
-                    mgp_upper(*pair, strategy=strategy)
+        for pair in ((heavy, b), (b, heavy)):
+            with pytest.raises(MarginalError,
+                               match="space 'heavy': probabilities sum to .*, not 1"):
+                mgp_upper(*pair)
 
 
 def test_mgp_lower_checks_the_marginals(space_A):
@@ -519,18 +539,14 @@ def test_mgp_lower_matches_the_union_metric_route():
 def test_mgp_bounds_bundle():
     rng = np.random.default_rng(55)
     a, b = random_pair(rng, max_n=4)
-    res = mgp_bounds(a, b, budget=12, seed=3)
+    res = mgp_bounds(a, b, seed=3)
     assert res.exact is None
     assert res.lower <= res.upper + 1e-9
     glue(a, b, res.witness_cross)
-    best = min(
-        mgp_upper(a, b, strategy=s, budget=12, seed=3)[0]
-        for s in ("identity-ish", "coupling-search", "random-restarts")
-    )
-    assert res.upper == pytest.approx(best, abs=1e-12)
+    assert res.upper == mgp_upper(a, b, seed=3)[0]
 
 
-def test_bounds_match_the_per_strategy_loop():
+def test_bounds_match_the_full_loop():
     rng = np.random.default_rng(58)
     pairs = [random_pair(rng, max_n=5) for _ in range(10)]
     pairs += [(euclidean_cloud(int(rng.integers(3, 9)), 2, marks, seed=k),
@@ -539,21 +555,14 @@ def test_bounds_match_the_per_strategy_loop():
     pairs += [(kingman(CoalescentConfig(leaves=5 + k, theta=1.0, seed=k)),
                kingman(CoalescentConfig(leaves=7, theta=1.0, seed=k + 60)))
               for k in range(4)]
-    ties = 0
     for a, b in pairs:
-        res = mgp_bounds(a, b, budget=6, seed=1)
-        want = mgp_bounds_per_strategy_oracle(a, b, budget=6, seed=1)
-        assert (res.lower, res.upper) == (want.lower, want.upper)
-        coupling = want.witness_coupling
-        if res.witness_cross.tobytes() != want.witness_cross.tobytes():
-            # the one allowed difference: identity-ish ends on the all-pairs
-            # gluing and a later strategy's candidate ties it exactly
-            assert want.witness_cross.tobytes() == _all_pairs_cross(a, b).tobytes()
-            value, coupling = GluedSpace(left=a, right=b, cross=res.witness_cross).prohorov()
-            assert value == res.upper
-            ties += 1
+        res = mgp_bounds(a, b, seed=1)
+        want, want_cross = mgp_upper_full_oracle(a, b, seed=1)
+        assert (res.lower, res.upper) == (mgp_lower(a, b), want)
+        assert res.witness_cross.tobytes() == want_cross.tobytes()
+        # the coupling of a fresh solve of the witness
+        _, coupling = GluedSpace(left=a, right=b, cross=want_cross).prohorov()
         assert res.witness_coupling.tobytes() == coupling.tobytes()
-    assert ties < len(pairs) // 2
 
 
 def test_result_validation():

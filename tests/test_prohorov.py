@@ -296,6 +296,12 @@ def test_marginal_errors():
     with pytest.raises(MarginalError, match="non-finite"):
         prohorov_exact(metric, measure([0, 1], [math.nan, 1.0]),
                        measure([1], [1.0]))
+    # cast to int, 0.9 and 1.5 would read atoms 0 and 1 and answer 1.0
+    for atoms in ([0.9], [1.5], [math.nan], [math.inf], [1e20], ["a"], [None], [True]):
+        with pytest.raises(MarginalError, match="^atoms must be whole numbers within int64$"):
+            measure(atoms, [1.0])
+    assert measure([0.0, 2.0], [0.5, 0.5]).atoms.tolist() == [0, 2]
+    assert measure(np.array([1], dtype=np.uint8), [1.0]).atoms.tolist() == [1]
 
 
 def test_atom_indices_must_lie_in_the_metric():
