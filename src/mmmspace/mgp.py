@@ -373,7 +373,12 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
 
 @dataclass(frozen=True)
 class MgpResult:
-    """Bounds (and optionally a certified value) for one space pair."""
+    """Bounds (and optionally a certified value) for one space pair.
+
+    `mgp_exact` also reports its work: ``nodes``, the branch-and-bound
+    nodes it expanded, and ``budget_exhausted``, whether boxes that could
+    still beat ``exact`` were left when the node budget ran out.
+    """
 
     lower: float
     upper: float
@@ -381,6 +386,8 @@ class MgpResult:
     slack: float | None = None
     witness_cross: np.ndarray | None = None
     witness_coupling: np.ndarray | None = None
+    nodes: int | None = None
+    budget_exhausted: bool | None = None
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-9:
@@ -395,82 +402,92 @@ class MgpResult:
 
 def _tighten_box(lo, hi, r1, r2):
     """Interval propagation of the gluing constraints; returns
-    (lo, hi, feasible)."""
+    (lo, hi, feasible).  The sweeps stop once both corners move by at most
+    1e-14 + 1e-5 * |old| entrywise, the test of ``np.allclose(new, old,
+    atol=1e-14)`` on finite arrays."""
     lo = lo.copy()
     hi = hi.copy()
+    r1_rows, r2_cols = r1[:, :, None], r2[None, :, :]
     for _ in range(2 * (r1.shape[0] + r2.shape[0])):
-        hi_rows = (r1[:, :, None] + hi[None, :, :]).min(axis=1)
-        hi_cols = (hi[:, :, None] + r2[None, :, :]).min(axis=1)
+        hi_rows = (r1_rows + hi[None, :, :]).min(axis=1)
+        hi_cols = (hi[:, :, None] + r2_cols).min(axis=1)
         new_hi = np.minimum(hi, np.minimum(hi_rows, hi_cols))
-        lo_rows = np.maximum(
-            r1[:, :, None] - hi[None, :, :], lo[None, :, :] - r1[:, :, None]
-        ).max(axis=1)
-        lo_cols = np.maximum(
-            lo[:, :, None] - r2[None, :, :], r2[None, :, :] - hi[:, :, None]
-        ).max(axis=1)
+        lo_rows = np.maximum(r1_rows - hi[None, :, :], lo[None, :, :] - r1_rows).max(axis=1)
+        lo_cols = np.maximum(lo[:, :, None] - r2_cols, r2_cols - hi[:, :, None]).max(axis=1)
         new_lo = np.maximum(lo, np.maximum(lo_rows, lo_cols))
         new_lo = np.maximum(new_lo, 0.0)
-        if np.allclose(new_lo, lo, atol=1e-14) and np.allclose(
-            new_hi, hi, atol=1e-14
-        ):
-            lo, hi = new_lo, new_hi
-            break
+        settled = (np.all(np.abs(new_lo - lo) <= 1e-14 + 1e-5 * np.abs(lo))
+                   and np.all(np.abs(new_hi - hi) <= 1e-14 + 1e-5 * np.abs(hi)))
         lo, hi = new_lo, new_hi
+        if settled:
+            break
     feasible = bool(np.all(lo <= hi + 1e-12))
     return lo, hi, feasible
 
 
 def _coordinate_floor(c, r1, r2, sweeps: int = 60):
-    """Push every cross entry to the lower end of its feasible interval."""
-    c = c.copy()
-    n1, n2 = c.shape
+    """Push every cross entry to the lower end of its feasible interval.
+
+    Runs on Python floats (the same IEEE arithmetic as numpy's scalars, in
+    the same order, so the result is bitwise that of a numpy loop)."""
+    c = c.tolist()
+    r1, r2 = r1.tolist(), r2.tolist()
+    n1, n2 = len(r1), len(r2)
     for _ in range(sweeps):
         delta = 0.0
         for i in range(n1):
+            row, ri = c[i], r1[i]
             for j in range(n2):
+                rj = r2[j]
                 lo = 0.0
                 for i2 in range(n1):
                     if i2 != i:
-                        lo = max(lo, abs(c[i2, j] - r1[i, i2]))
+                        lo = max(lo, abs(c[i2][j] - ri[i2]))
                 for j2 in range(n2):
                     if j2 != j:
-                        lo = max(lo, abs(c[i, j2] - r2[j, j2]))
-                if lo < c[i, j]:
-                    delta = max(delta, c[i, j] - lo)
-                    c[i, j] = lo
+                        lo = max(lo, abs(row[j2] - rj[j2]))
+                if lo < row[j]:
+                    delta = max(delta, row[j] - lo)
+                    row[j] = lo
         if delta < 1e-14:
             break
-    return c
+    return np.array(c, dtype=float)
 
 
 def _repair(c, r1, r2, lo=None, hi=None, sweeps: int = 40):
-    """Clamp entries into their feasible intervals (Gauss-Seidel)."""
-    c = c.copy()
-    n1, n2 = c.shape
+    """Clamp entries into their feasible intervals (Gauss-Seidel), on Python
+    floats as in `_coordinate_floor`."""
+    c = c.tolist()
+    r1, r2 = r1.tolist(), r2.tolist()
+    lo = None if lo is None else lo.tolist()
+    hi = None if hi is None else hi.tolist()
+    n1, n2 = len(r1), len(r2)
     for _ in range(sweeps):
         worst = 0.0
         for i in range(n1):
+            row, ri = c[i], r1[i]
             for j in range(n2):
+                rj = r2[j]
                 lob = 0.0
                 upb = math.inf
                 for i2 in range(n1):
                     if i2 != i:
-                        lob = max(lob, abs(c[i2, j] - r1[i, i2]))
-                        upb = min(upb, c[i2, j] + r1[i, i2])
+                        lob = max(lob, abs(c[i2][j] - ri[i2]))
+                        upb = min(upb, c[i2][j] + ri[i2])
                 for j2 in range(n2):
                     if j2 != j:
-                        lob = max(lob, abs(c[i, j2] - r2[j, j2]))
-                        upb = min(upb, c[i, j2] + r2[j, j2])
+                        lob = max(lob, abs(row[j2] - rj[j2]))
+                        upb = min(upb, row[j2] + rj[j2])
                 if lo is not None:
-                    lob = max(lob, lo[i, j])
+                    lob = max(lob, lo[i][j])
                 if hi is not None:
-                    upb = min(upb, hi[i, j])
-                new = min(max(c[i, j], lob), upb)
-                worst = max(worst, abs(new - c[i, j]))
-                c[i, j] = new
+                    upb = min(upb, hi[i][j])
+                new = min(max(row[j], lob), upb)
+                worst = max(worst, abs(new - row[j]))
+                row[j] = new
         if worst < 1e-14:
             break
-    return c
+    return np.array(c, dtype=float)
 
 
 def _gluing_feasible(c, r1, r2, tol=1e-9) -> bool:
@@ -503,6 +520,8 @@ def mgp_exact(
     true infimum lies in [exact - slack, exact]; the first strict minimum
     among the start points, then the node candidates, is the witness, and
     its coupling is the one the Prohorov search that accepted it returned.
+    ``nodes`` counts the expanded nodes, and ``budget_exhausted`` says
+    whether the budget stopped the search with boxes still open.
 
     Parameters
     ----------
@@ -603,6 +622,7 @@ def mgp_exact(
             if ok:
                 push(clo, chi)
 
+    budget_exhausted = bool(heap)
     for bound, _, _, _ in heap:
         leaf_bounds.append(bound)
     if leaf_bounds:
@@ -618,6 +638,8 @@ def mgp_exact(
         slack=float(slack),
         witness_cross=best_c,
         witness_coupling=_coupling(best_flow, wa, wb),
+        nodes=nodes,
+        budget_exhausted=budget_exhausted,
     )
 
 

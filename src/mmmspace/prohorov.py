@@ -16,12 +16,22 @@ candidate; that first interval is found by binary search because
 g(t_k) - t_{k+1} is strictly decreasing.
 
 Every value comes from one search, `_prohorov_search`, which also takes an
-incumbent bound and returns None, after one flow, when the distance is
-not below it.  Two flow oracles route the same integer mass as a sparse
-flow: `_max_flow_mass` (Dinic's algorithm) serves every admissible
-pattern, `_line_flow_mass` (a greedy pass) patterns whose rows are
-intervals with nondecreasing ends, as for two laws on the real line with
-sorted atoms.  `_coupling` builds a dense witness coupling from a flow.
+incumbent bound and returns None, after at most one flow, when the
+distance is not below it.  Two flow oracles route the same integer mass
+as a sparse flow: `_max_flow_mass` (Dinic's algorithm) serves every
+admissible pattern, `_line_flow_mass` (a greedy pass) patterns whose rows
+are intervals with nondecreasing ends, as for two laws on the real line
+with sorted atoms.  `_coupling` builds a dense witness coupling from a
+flow.
+
+Before each Dinic flow the search tries a cut certificate: no row can
+send more than its own mass or more than its admissible columns hold, and
+likewise for columns, so min(sum_i min(p_i, q(N(i))), sum_j min(q_j,
+p(N(j)))) bounds the routable mass from above, exactly in integers.  Its
+excluded mass is a lower bound on g, and a probe whose answer that bound
+already decides (g not below the incumbent, or g not below the next
+breakpoint) runs no flow.  Those probes only ever discarded their flow,
+so values and flows are unchanged.
 """
 
 from __future__ import annotations
@@ -196,6 +206,20 @@ def _line_flow_mass(cp, cq, admissible: np.ndarray):
     return int(amounts.sum()), (rows, cols, amounts)
 
 
+def _cut_excluded_mass(cp, cq, admissible: np.ndarray) -> float:
+    """A lower bound on the excluded mass ``1 - flow / FLOW_SCALE`` from a cut.
+
+    Row i routes at most min(cp_i, cq(N(i))), where N(i) are its admissible
+    columns, and column j at most min(cq_j, cp(N(j))), so the max-flow mass
+    is at most the smaller of the two sums.  Both are exact int64 sums of
+    0/1-matrix-vector products, and the map from mass to excluded mass is
+    monotone in floats, so the bound never exceeds the flow's value.
+    """
+    rows = np.minimum(cp, admissible @ cq).sum()
+    cols = np.minimum(cq, cp @ admissible).sum()
+    return max(0.0, 1.0 - int(min(rows, cols)) / FLOW_SCALE)
+
+
 def _prohorov_search(dpq: np.ndarray, wp, wq, bound: float = math.inf, flow=_max_flow_mass):
     """Prohorov distance from the cross-distance matrix alone, if below ``bound``.
 
@@ -218,6 +242,13 @@ def _prohorov_search(dpq: np.ndarray, wp, wq, bound: float = math.inf, flow=_max
     the search starts there with the flow at t_K in hand.  Every flow is a
     function of its threshold alone, so the value and the flow equal
     those of the unbounded search.
+
+    Before each flow, `_cut_excluded_mass` gives h(t_k) <= g(t_k).  When
+    h(t_K) >= bound the answer is no, and when h(t_mid) >= t_{mid+1} the
+    probe moves ``lo`` past mid; both are the decisions the flow would
+    have made, and both discard that flow, so the value and the flow
+    returned are unchanged.  The line flow skips the cut: its O(Ka + Kb)
+    steps cost less than the cut's matrix-vector products.
     """
     cp = np.rint(np.asarray(wp) * FLOW_SCALE).astype(np.int64)
     cq = np.rint(np.asarray(wq) * FLOW_SCALE).astype(np.int64)
@@ -225,9 +256,13 @@ def _prohorov_search(dpq: np.ndarray, wp, wq, bound: float = math.inf, flow=_max
     if len(ts) == 0 or ts[0] > 0.0:
         ts = np.concatenate([[0.0], ts])
 
-    def solve(k: int):
-        mass, sparse = flow(cp, cq, dpq <= ts[k])
+    def solve(admissible: np.ndarray):
+        mass, sparse = flow(cp, cq, admissible)
         return max(0.0, 1.0 - mass / FLOW_SCALE), sparse
+
+    def settled(admissible: np.ndarray, at_least: float) -> bool:
+        """Whether the cut alone shows g >= ``at_least`` at this pattern."""
+        return flow is not _line_flow_mass and _cut_excluded_mass(cp, cq, admissible) >= at_least
 
     # keep only the flow at the current hi, so that at most two flows are
     # alive at once
@@ -236,17 +271,22 @@ def _prohorov_search(dpq: np.ndarray, wp, wq, bound: float = math.inf, flow=_max
         return None
     at_hi = None
     if bound <= 1.0:
-        at_hi = solve(hi)
+        admissible = dpq <= ts[hi]
+        if settled(admissible, bound):
+            return None
+        at_hi = solve(admissible)
         if at_hi[0] >= bound:
             return None
     while lo < hi:
         mid = (lo + hi) // 2
-        got = solve(mid)
-        if got[0] < ts[mid + 1]:  # candidate of interval mid lies inside it
+        admissible = dpq <= ts[mid]
+        got = None if settled(admissible, ts[mid + 1]) else solve(admissible)
+        # the candidate of interval mid lies inside it
+        if got is not None and got[0] < ts[mid + 1]:
             hi, at_hi = mid, got
         else:
             lo = mid + 1
-    g, sparse = at_hi if at_hi is not None else solve(lo)  # else lo is the last interval
+    g, sparse = at_hi if at_hi is not None else solve(dpq <= ts[lo])  # else lo is the last interval
     return max(float(ts[lo]), g), sparse
 
 

@@ -10,7 +10,10 @@ matrix reaches the solver, not the solver.  The MGP upper-bound oracle
 shares the candidate gluings and the full Prohorov solver, so it checks
 only how `mgp_upper` skips repeated pair sets and prunes candidates
 against its incumbent.  The exact-law oracle shares only
-the grouping key (`round_sig`), which defines the atoms.
+the grouping key (`round_sig`), which defines the atoms.  The box oracles
+are `mgp_exact`'s branch-and-bound helpers as numpy loops on numpy scalars,
+the reference for the plain-float versions, which must match them bit for
+bit.
 """
 
 import itertools
@@ -144,3 +147,82 @@ def exact_law_oracle(space, n):
         atoms[key] = (first, mass + math.prod(w[i] for i in t))
     ordered = sorted(atoms.items(), key=lambda item: repr(item[0]))
     return [(key, first, mass / norm) for key, (first, mass) in ordered]
+
+
+def tighten_box_oracle(lo, hi, r1, r2):
+    """`mgp._tighten_box` with ``np.allclose`` as its stopping test."""
+    lo = lo.copy()
+    hi = hi.copy()
+    for _ in range(2 * (r1.shape[0] + r2.shape[0])):
+        hi_rows = (r1[:, :, None] + hi[None, :, :]).min(axis=1)
+        hi_cols = (hi[:, :, None] + r2[None, :, :]).min(axis=1)
+        new_hi = np.minimum(hi, np.minimum(hi_rows, hi_cols))
+        lo_rows = np.maximum(
+            r1[:, :, None] - hi[None, :, :], lo[None, :, :] - r1[:, :, None]
+        ).max(axis=1)
+        lo_cols = np.maximum(
+            lo[:, :, None] - r2[None, :, :], r2[None, :, :] - hi[:, :, None]
+        ).max(axis=1)
+        new_lo = np.maximum(lo, np.maximum(lo_rows, lo_cols))
+        new_lo = np.maximum(new_lo, 0.0)
+        if np.allclose(new_lo, lo, atol=1e-14) and np.allclose(
+            new_hi, hi, atol=1e-14
+        ):
+            lo, hi = new_lo, new_hi
+            break
+        lo, hi = new_lo, new_hi
+    feasible = bool(np.all(lo <= hi + 1e-12))
+    return lo, hi, feasible
+
+
+def coordinate_floor_oracle(c, r1, r2, sweeps=60):
+    """`mgp._coordinate_floor` indexing numpy arrays entry by entry."""
+    c = c.copy()
+    n1, n2 = c.shape
+    for _ in range(sweeps):
+        delta = 0.0
+        for i in range(n1):
+            for j in range(n2):
+                lo = 0.0
+                for i2 in range(n1):
+                    if i2 != i:
+                        lo = max(lo, abs(c[i2, j] - r1[i, i2]))
+                for j2 in range(n2):
+                    if j2 != j:
+                        lo = max(lo, abs(c[i, j2] - r2[j, j2]))
+                if lo < c[i, j]:
+                    delta = max(delta, c[i, j] - lo)
+                    c[i, j] = lo
+        if delta < 1e-14:
+            break
+    return c
+
+
+def repair_oracle(c, r1, r2, lo=None, hi=None, sweeps=40):
+    """`mgp._repair` indexing numpy arrays entry by entry."""
+    c = c.copy()
+    n1, n2 = c.shape
+    for _ in range(sweeps):
+        worst = 0.0
+        for i in range(n1):
+            for j in range(n2):
+                lob = 0.0
+                upb = math.inf
+                for i2 in range(n1):
+                    if i2 != i:
+                        lob = max(lob, abs(c[i2, j] - r1[i, i2]))
+                        upb = min(upb, c[i2, j] + r1[i, i2])
+                for j2 in range(n2):
+                    if j2 != j:
+                        lob = max(lob, abs(c[i, j2] - r2[j, j2]))
+                        upb = min(upb, c[i, j2] + r2[j, j2])
+                if lo is not None:
+                    lob = max(lob, lo[i, j])
+                if hi is not None:
+                    upb = min(upb, hi[i, j])
+                new = min(max(c[i, j], lob), upb)
+                worst = max(worst, abs(new - c[i, j]))
+                c[i, j] = new
+        if worst < 1e-14:
+            break
+    return c

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mmmspace.core
 from mmmspace import (
@@ -35,7 +35,10 @@ from mmmspace import (
 )
 from mmmspace.mgp import _all_pairs_cross, _gluing_feasible, _profile_cost
 
-from _oracles import mark_distance, mgp_lower_union_oracle, mgp_upper_full_oracle
+from _oracles import (
+    coordinate_floor_oracle, mark_distance, mgp_lower_union_oracle, mgp_upper_full_oracle,
+    repair_oracle, tighten_box_oracle,
+)
 from conftest import AB_MARKS, nan_cloud, random_space, relabeled, tiny_spaces, two_point
 
 
@@ -354,6 +357,82 @@ def test_exact_triangle_up_to_slack():
         rbc = mgp_exact(b, c, budget=600, grid=0.05, seed=trial)
         rac = mgp_exact(a, c, budget=600, grid=0.05, seed=trial)
         assert rac.exact - rac.slack <= rab.exact + rbc.exact + 1e-9
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(raw_a=tiny_spaces(), raw_b=tiny_spaces(), normalize=st.integers(0, 3).map(bool),
+       seed=st.integers(0, 3))
+def test_exact_gives_a_certified_bracket_or_a_domain_error(raw_a, raw_b, normalize, seed):
+    # raw tiny spaces mostly carry weights that are no law, so three draws
+    # in four normalize them
+    assume(raw_a.n + raw_b.n <= 6)
+    a, b = (reweighted(raw_a), reweighted(raw_b)) if normalize else (raw_a, raw_b)
+    try:
+        res = mgp_exact(a, b, budget=60, seed=seed)
+    except DomainError:
+        return
+    assert math.isfinite(res.exact) and 0.0 <= res.exact <= 1.0
+    assert res.slack >= 0.0
+    assert res.lower <= res.exact - res.slack + 1e-9
+    assert res.exact <= res.upper
+    glue(a, b, res.witness_cross)
+    pi = res.witness_coupling
+    assert np.abs(pi.sum(axis=1) - a.weights).max() <= 1e-10
+    assert np.abs(pi.sum(axis=0) - b.weights).max() <= 1e-10
+
+
+def test_exact_reports_nodes_and_the_budget():
+    a = euclidean_cloud(3, 2, "constant", seed=1)
+    b = euclidean_cloud(3, 2, "constant", seed=2)
+    cut_short = mgp_exact(a, b, budget=0)
+    assert cut_short.nodes == 0 and cut_short.budget_exhausted is True
+    assert cut_short.slack > 0.0
+    full = mgp_exact(a, b)
+    assert full.nodes > 0 and full.budget_exhausted is False
+    copy, _ = relabeled(a, np.random.default_rng(5))
+    same = mgp_exact(a, copy)
+    assert same.exact <= 1e-9 and same.budget_exhausted is False
+    bounds = mgp_bounds(a, b)
+    assert bounds.nodes is None and bounds.budget_exhausted is None
+
+
+def test_box_helpers_match_the_numpy_loops(monkeypatch):
+    """The plain-float box helpers reproduce the numpy-scalar loops bit for
+    bit, on random boxes and on the boxes mgp_exact itself splits."""
+    calls = []
+    for name in ("_tighten_box", "_coordinate_floor", "_repair"):
+        def spy(*args, _real=getattr(mmmspace.mgp, name), _name=name, **kwargs):
+            calls.append((_name, args, kwargs))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mmmspace.mgp, name, spy)
+    rng = np.random.default_rng(404)
+    for trial in range(6):
+        a, b = random_pair(rng)
+        mgp_exact(a, b, budget=30, seed=trial)
+    monkeypatch.undo()
+    assert sum(1 for name, _, kw in calls if name == "_repair" and "lo" in kw) > 0
+    for trial in range(200):
+        a, b = random_pair(rng)
+        r1, r2 = a.distances, b.distances
+        diam = max(r1.max(), r2.max(), 0.1)
+        c = rng.uniform(0.0, diam, size=(a.n, b.n))
+        if trial % 3 == 0:  # tied entries
+            c = np.round(c, 1)
+        lo = rng.uniform(0.0, diam / 2, size=c.shape)
+        hi = lo + rng.uniform(0.0, diam, size=c.shape)
+        calls += [("_tighten_box", (lo, hi, r1, r2), {}),
+                  ("_coordinate_floor", (c, r1, r2), {}),
+                  ("_repair", (c, r1, r2), {}),
+                  ("_repair", ((lo + hi) / 2, r1, r2), {"lo": lo, "hi": hi})]
+    oracles = {"_tighten_box": tighten_box_oracle, "_coordinate_floor": coordinate_floor_oracle,
+               "_repair": repair_oracle}
+    for name, args, kwargs in calls:
+        got = getattr(mmmspace.mgp, name)(*args, **kwargs)
+        want = oracles[name](*args, **kwargs)
+        if name == "_tighten_box":
+            assert got[2] == want[2]
+            got, want = np.stack(got[:2]), np.stack(want[:2])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_exact_preconditions(space_A):

@@ -13,7 +13,7 @@ from mmmspace import (
     strassen_check,
 )
 from mmmspace.prohorov import (
-    FLOW_SCALE, _line_flow_mass, _max_flow_mass, _prohorov_search,
+    FLOW_SCALE, _cut_excluded_mass, _line_flow_mass, _max_flow_mass, _prohorov_search,
 )
 
 from _oracles import prohorov_lp_scan_oracle, prohorov_subset_oracle
@@ -247,6 +247,51 @@ def test_incumbent_test_matches_the_full_value():
         pa, pb = rng.dirichlet(np.ones(ka)), rng.dirichlet(np.ones(kb))
         for flow in (_line_flow_mass, _max_flow_mass):
             check(dpq, pa, pb, flow, (trial, flow.__name__))
+
+
+def test_cut_never_exceeds_the_flow():
+    """At every breakpoint the cut's excluded mass is at most Dinic's, and
+    the search returns Dinic's flow at the largest breakpoint <= its value,
+    the flow of the search without the cut."""
+    rng = np.random.default_rng(97)
+    for trial in range(80):
+        metric, p, q = random_instance(rng, max_support=6)
+        dpq = metric[np.ix_(p.atoms, q.atoms)]
+        if trial % 2:  # many tied distances
+            dpq = np.round(dpq, 1)
+        wp, wq = p.probs.copy(), q.probs.copy()
+        if trial % 3 == 0:  # zero-weight atoms on either side
+            for w in (wp, wq):
+                if len(w) > 1:
+                    w[rng.integers(len(w))] = 0.0
+                    w /= w.sum()
+        cp, cq = integer_masses(wp), integer_masses(wq)
+        ts = np.unique(np.concatenate([[0.0], dpq.ravel()]))
+        for t in ts:
+            adm = dpq <= t
+            mass, _ = _max_flow_mass(cp, cq, adm)
+            assert _cut_excluded_mass(cp, cq, adm) <= max(0.0, 1.0 - mass / FLOW_SCALE), \
+                (trial, t)
+        value, flow = _prohorov_search(dpq, wp, wq)
+        _, want = _max_flow_mass(cp, cq, dpq <= ts[ts <= value].max())
+        assert all(np.array_equal(x, y) for x, y in zip(flow, want)), trial
+
+
+def test_cut_settles_an_incumbent_test_without_a_flow():
+    # at t = 0.1 only the pair (0, 0) is admissible, so at most 1/2 of the
+    # mass routes and the cut alone shows g(0.1) >= 1/2 >= the bound
+    flows = []
+
+    def counted(cp, cq, adm):
+        flows.append(adm)
+        return _max_flow_mass(cp, cq, adm)
+
+    dpq = np.array([[0.1, 3.0], [3.0, 3.0]])
+    half = np.array([0.5, 0.5])
+    assert _prohorov_search(dpq, half, half, 0.3, flow=counted) is None
+    assert flows == []
+    value, _ = _prohorov_search(dpq, half, half, flow=counted)
+    assert value == 0.5 and flows
 
 
 # --- strassen_check -------------------------------------------------------
