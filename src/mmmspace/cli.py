@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import os
@@ -331,7 +332,14 @@ def _cmd_converge(args):
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `mmm` parser, built once per process.
+
+    Every call returns the same parser: no argument has a mutable default,
+    and ``set_defaults(func=_cmd_*)`` binds the command functions as they
+    are when it is first built.
+    """
     parser = argparse.ArgumentParser(
         prog="mmm",
         description="Finite metric measure spaces with marks: sampling laws, "

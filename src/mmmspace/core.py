@@ -231,7 +231,7 @@ def _require_finite(*spaces: FiniteMmmSpace) -> None:
 TRIANGLE_BLOCK_ELEMENTS = 1 << 18
 
 
-def _triangle_blocks(d: np.ndarray):
+def _triangle_blocks(d: np.ndarray, upper: bool = False):
     """Yield ``(i0, excess)`` with ``excess[a, j, k] = d(i, k) - d(i, j) - d(j, k)``
     for i = i0 + a.
 
@@ -239,7 +239,10 @@ def _triangle_blocks(d: np.ndarray):
     entries (one row of i at least), so a scan over all triples holds O(n^2)
     memory; a space that fits one block is done in a single pass.  Blocks
     come in increasing i, so C-order scans of the blocks in turn see the
-    triples in the order of the full n^3 tensor.  Yields nothing for n < 3.
+    triples in the order of the full n^3 tensor.  With ``upper`` a block
+    holds only the columns k > i0, so ``excess[a, j, c]`` is the entry of
+    k = i0 + 1 + c, with the same operands and value.  Yields nothing for
+    n < 3.
     """
     n = d.shape[0]
     if n < 3:
@@ -247,7 +250,8 @@ def _triangle_blocks(d: np.ndarray):
     step = max(1, TRIANGLE_BLOCK_ELEMENTS // (n * n))
     for i0 in range(0, n, step):
         rows = d[i0: i0 + step]
-        yield i0, rows[:, None, :] - rows[:, :, None] - d[None, :, :]
+        k0 = i0 + 1 if upper else 0
+        yield i0, rows[:, None, k0:] - rows[:, :, None] - d[None, :, k0:]
 
 
 def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
@@ -303,17 +307,20 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
             )
 
     limit = tol * np.maximum(1.0, d)
-    for i0, excess in _triangle_blocks(d):
-        aa, jj, kk = np.nonzero(excess > limit[i0: i0 + len(excess), None, :])
-        for a, j, k in zip(aa.tolist(), jj.tolist(), kk.tolist()):
-            i = i0 + a
+    # only i < k is reported, so each block skips the columns k <= i0
+    for i0, excess in _triangle_blocks(d, upper=True):
+        mask = excess > limit[i0: i0 + len(excess), None, i0 + 1:]
+        if not mask.any():
+            continue
+        for a, j, c in zip(*(ix.tolist() for ix in np.nonzero(mask))):
+            i, k = i0 + a, i0 + 1 + c
             if i < k and j != i and j != k:
                 out.append(
                     Violation(
                         "triangle",
                         (i, j, k),
-                        float(excess[a, j, k]),
-                        f"triangle violation ({i},{j},{k}), excess {excess[a, j, k]:g}",
+                        float(excess[a, j, c]),
+                        f"triangle violation ({i},{j},{k}), excess {excess[a, j, c]:g}",
                     )
                 )
 

@@ -38,7 +38,9 @@ from .core import (
 )
 from .dmat import mark_marginal, pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
-from .prohorov import _check_probs, _coupling, _line_flow_mass, _prohorov_search
+from .prohorov import (
+    _check_probs, _coupling, _integer_masses, _line_flow_mass, _prohorov_search,
+)
 
 __all__ = [
     "GluedSpace",
@@ -111,9 +113,12 @@ class GluedSpace:
         )
 
     def prohorov(self):
-        """Prohorov distance between the two pushforwards: (value, coupling)."""
+        """Prohorov distance between the two pushforwards: (value, coupling).
+        Weights that are not a probability vector raise MarginalError."""
+        for space in (self.left, self.right):
+            _check_probs(space.weights, f"space {space.label!r}: ")
         m, wp, wq = self.product_measures()
-        value, flow = _prohorov_search(m, wp, wq)
+        value, flow = _prohorov_search(m, _integer_masses(wp), _integer_masses(wq))
         return value, _coupling(flow, wp, wq)
 
 
@@ -291,9 +296,10 @@ def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
         _weight_total(space)
         _check_probs(space.weights, f"space {space.label!r}: ")
     off = a.mark_space.cross_distances(a.marks, b.marks)
+    ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
     value, flow, cross = math.inf, None, None
     for c in _candidate_crosses(a, b, seed):
-        got = _prohorov_search(c + off, a.weights, b.weights, value)
+        got = _prohorov_search(c + off, ca, cb, value)
         if got is not None:
             (value, flow), cross = got, c
     glue(a, b, cross)  # witness must validate; raises if not
@@ -358,12 +364,14 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
     if 1 in orders:
         ma, mb = mark_marginal(a), mark_marginal(b)
         cross = a.mark_space.cross_distances(list(ma), list(mb))
-        bounds.append(_prohorov_search(cross, list(ma.values()), list(mb.values()))[0])
+        masses = _integer_masses(list(ma.values())), _integer_masses(list(mb.values()))
+        bounds.append(_prohorov_search(cross, *masses)[0])
     if 2 in orders:
         va, pa = pair_distance_law(a)
         vb, pb = pair_distance_law(b)
         cross = np.abs(va[:, None] - vb[None, :])
-        bounds.append(0.5 * _prohorov_search(cross, pa, pb, flow=_line_flow_mass)[0])
+        masses = _integer_masses(pa), _integer_masses(pb)
+        bounds.append(0.5 * _prohorov_search(cross, *masses, flow=_line_flow_mass)[0])
     return float(max(bounds))
 
 
@@ -550,8 +558,10 @@ def mgp_exact(
     off = a.mark_space.cross_distances(a.marks, b.marks)
     resolution = grid * max(1.0, diam)
 
+    ca, cb = _integer_masses(wa), _integer_masses(wb)
+
     def search(c, bound):
-        return _prohorov_search(c + off, wa, wb, bound)
+        return _prohorov_search(c + off, ca, cb, bound)
 
     lower = mgp_lower(a, b)
 

@@ -8,9 +8,10 @@ For measures p, q on a shared finite metric space the distance is
 For fixed eps the smallest excluded mass g(eps) is 1 minus the largest
 mass routable through pairs with d <= eps, a bipartite transportation
 feasibility problem solved by maximum flow on integer capacities
-(probabilities scaled by 10^12 and rounded; error at most 2e-12 per
-constraint).  g is a nonincreasing right-continuous step function with
-breakpoints at the distinct cross distances, so the answer is
+(probabilities scaled by 10^12 and rounded by largest remainder, so each
+side holds exactly 10^12 units; error at most 1e-12 per atom).  g is a
+nonincreasing right-continuous step function with breakpoints at the
+distinct cross distances, so the answer is
 max(t_k, g(t_k)) on the first breakpoint interval that contains its own
 candidate; that first interval is found by binary search because
 g(t_k) - t_{k+1} is strictly decreasing.
@@ -220,11 +221,31 @@ def _cut_excluded_mass(cp, cq, admissible: np.ndarray) -> float:
     return max(0.0, 1.0 - int(min(rows, cols)) / FLOW_SCALE)
 
 
-def _prohorov_search(dpq: np.ndarray, wp, wq, bound: float = math.inf, flow=_max_flow_mass):
+def _integer_masses(w) -> np.ndarray:
+    """Probabilities ``w`` in integer units of 1/FLOW_SCALE, summing to
+    exactly FLOW_SCALE.
+
+    Largest-remainder rounding of the quotas FLOW_SCALE * w_i / sum(w):
+    every quota is rounded down, and the units still missing go one each
+    to the largest fractional parts (ties to the lower index).  Each mass
+    is within one unit of its quota, and a measure against itself routes
+    all FLOW_SCALE units, where plain rounding of thirds loses one.
+    """
+    w = np.asarray(w, dtype=float)
+    quota = w * FLOW_SCALE / math.fsum(w.tolist())
+    mass = np.floor(quota).astype(np.int64)
+    mass[np.argsort(mass - quota, kind="stable")[:FLOW_SCALE - int(mass.sum())]] += 1
+    return mass
+
+
+def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf, flow=_max_flow_mass):
     """Prohorov distance from the cross-distance matrix alone, if below ``bound``.
 
-    Returns (value, sparse flow) when the value is below ``bound`` and None
-    otherwise; ``_coupling(flow, wp, wq)`` is a witness coupling.  ``flow``
+    ``cp`` and ``cq`` are the `_integer_masses` of the two measures, which
+    a caller that searches many matrices for one pair of measures rounds
+    once.  Returns (value, sparse flow) when the value is below ``bound``
+    and None otherwise; ``_coupling(flow, wp, wq)`` is a witness coupling
+    for the probabilities wp, wq behind them.  ``flow``
     is the max-flow oracle: `_max_flow_mass`, or `_line_flow_mass` when
     every admissible pattern ``dpq <= t`` has its shape.
 
@@ -250,8 +271,6 @@ def _prohorov_search(dpq: np.ndarray, wp, wq, bound: float = math.inf, flow=_max
     returned are unchanged.  The line flow skips the cut: its O(Ka + Kb)
     steps cost less than the cut's matrix-vector products.
     """
-    cp = np.rint(np.asarray(wp) * FLOW_SCALE).astype(np.int64)
-    cq = np.rint(np.asarray(wq) * FLOW_SCALE).astype(np.int64)
     ts = np.unique(dpq)
     if len(ts) == 0 or ts[0] > 0.0:
         ts = np.concatenate([[0.0], ts])
@@ -335,7 +354,8 @@ def prohorov_exact(metric: np.ndarray, p: FinitePointMeasure, q: FinitePointMeas
         The coupling attains the optimum: mass beyond ``value`` is at most
         ``value`` and the marginals match p and q within 1e-10.
     """
-    value, flow = _prohorov_search(_checked_cross(metric, p, q), p.probs, q.probs)
+    value, flow = _prohorov_search(_checked_cross(metric, p, q),
+                                   _integer_masses(p.probs), _integer_masses(q.probs))
     return value, _coupling(flow, p.probs, q.probs)
 
 

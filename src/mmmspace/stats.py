@@ -41,27 +41,39 @@ def _canonical_order(space: FiniteMmmSpace) -> list:
     of a space therefore sort identically unless they contain atoms that
     profile-refinement cannot separate (symmetric twins, for which any
     order yields the same matrix, or degenerate regular configurations).
+
+    Colour refinement in array passes, in O(n^2) memory.  Colours start as
+    the ranks of (repr(mark), weight).  Each round sorts every row's n - 1
+    off-diagonal pairs (d[i, j], colour[j]) by distance, then colour, puts
+    the atom's own colour in front, and dense-ranks the rows
+    lexicographically; it stops when the number of colours stops growing.
     """
     n = space.n
-    d = space.distances
+    if n < 2:
+        return list(range(n))
     keys = [(repr(space.marks[i]), float(space.weights[i])) for i in range(n)]
-    groups = len(set(keys))
+    rank = {k: t for t, k in enumerate(sorted(set(keys)))}
+    colour = np.array([rank[k] for k in keys])
+    groups = len(rank)
+    off = ~np.eye(n, dtype=bool)
+    dist = space.distances[off].reshape(n, n - 1)
+    others = np.broadcast_to(np.arange(n), (n, n))[off].reshape(n, n - 1)
+    rows = np.empty((n, 2 * n - 1))
     for _ in range(n):
-        rank = {k: t for t, k in enumerate(sorted(set(keys)))}
-        keys = [
-            (
-                rank[keys[i]],
-                tuple(
-                    sorted((float(d[i, j]), rank[keys[j]]) for j in range(n) if j != i)
-                ),
-            )
-            for i in range(n)
-        ]
-        new_groups = len(set(keys))
+        near = np.lexsort((colour[others], dist))
+        rows[:, 0] = colour
+        rows[:, 1::2] = np.take_along_axis(dist, near, axis=1)
+        rows[:, 2::2] = colour[np.take_along_axis(others, near, axis=1)]
+        # lexsort's last key is its primary one: column 0 goes last
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        colour = np.empty(n, dtype=np.int64)
+        colour[order] = np.concatenate(([0], np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))))
+        new_groups = int(colour[order[-1]]) + 1
         if new_groups == groups:
             break
         groups = new_groups
-    return sorted(range(n), key=lambda i: (keys[i], i))
+    return np.lexsort((np.arange(n), colour)).tolist()
 
 
 def _sorted_copy(space: FiniteMmmSpace) -> FiniteMmmSpace:

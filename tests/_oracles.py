@@ -226,3 +226,42 @@ def repair_oracle(c, r1, r2, lo=None, hi=None, sweeps=40):
         if worst < 1e-14:
             break
     return c
+
+
+def canonical_order_oracle(space):
+    """`stats._canonical_order` as plain-Python colour refinement: one sorted
+    tuple of (distance, colour) pairs per atom per round, ranked by sorting
+    the distinct keys."""
+    n = space.n
+    d = space.distances
+    keys = [(repr(space.marks[i]), float(space.weights[i])) for i in range(n)]
+    groups = len(set(keys))
+    for _ in range(n):
+        rank = {k: t for t, k in enumerate(sorted(set(keys)))}
+        keys = [
+            (
+                rank[keys[i]],
+                tuple(
+                    sorted((float(d[i, j]), rank[keys[j]]) for j in range(n) if j != i)
+                ),
+            )
+            for i in range(n)
+        ]
+        new_groups = len(set(keys))
+        if new_groups == groups:
+            break
+        groups = new_groups
+    return sorted(range(n), key=lambda i: (keys[i], i))
+
+
+def triangle_violations_oracle(d, tol=1e-12):
+    """`validate`'s triangle violations from the full n^3 excess tensor:
+    (kind, (i, j, k), excess, message) for i < k, j outside {i, k}, in C
+    order."""
+    n = len(d)
+    excess = d[:, None, :] - d[:, :, None] - d[None, :, :]
+    i, j, k = np.indices((n, n, n))
+    hit = (excess > tol * np.maximum(1.0, d)[:, None, :]) & (i < k) & (j != i) & (j != k)
+    return [("triangle", (a, b, c), float(excess[a, b, c]),
+             f"triangle violation ({a},{b},{c}), excess {excess[a, b, c]:g}")
+            for a, b, c in np.argwhere(hit).tolist()]

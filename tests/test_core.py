@@ -19,7 +19,7 @@ from mmmspace import (
     validate,
 )
 
-from _oracles import mark_distance
+from _oracles import mark_distance, triangle_violations_oracle
 from conftest import AB_MARKS, BIT_MARKS, random_space, relabeled, two_point
 
 
@@ -251,6 +251,40 @@ def test_validate_blockwise_scan_matches_plain_loops(monkeypatch):
             "diagonal", "asymmetry", "negativity", "triangle",
             "weight-negative", "weight-sum", "duplicate-points",
         }
+
+
+def broken_matrix(rng, n, tol=1e-12):
+    """A random pseudo-metric with some triangles broken by stretched
+    entries and every off-diagonal pair asymmetric within ``tol``."""
+    pts = rng.normal(size=(n, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    for _ in range(max(1, n // 4)):
+        i, k = rng.choice(n, size=2, replace=False)
+        d[i, k] = d[k, i] = d[i, k] + rng.uniform(0.0, 1.5)
+    nudge = np.triu(rng.uniform(0.0, 0.5 * tol, size=(n, n)), k=1)
+    return d + nudge * np.maximum(1.0, d)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 7])
+def test_validate_triangles_match_the_full_tensor(monkeypatch, rows):
+    """The upper-column scan reports exactly the full tensor's triangles, in
+    single-pass, one-row and multi-row blocks with a short last block."""
+    rng = np.random.default_rng(31 + (rows or 0))
+    seen = 0
+    for n in (3, 4, 5, 9, 17, 30):
+        if rows is not None:
+            monkeypatch.setattr(mmmspace.core, "TRIANGLE_BLOCK_ELEMENTS", rows * n * n)
+        for _ in range(3):
+            d = broken_matrix(rng, n)
+            space = FiniteMmmSpace(distances=d, marks=("a",) * n,
+                                   weights=np.full(n, 1 / n), mark_space=AB_MARKS)
+            report = validate(space)
+            assert "asymmetry" not in report
+            got = [(v.kind, v.indices, v.magnitude, v.message)
+                   for v in report.violations if v.kind == "triangle"]
+            assert got == triangle_violations_oracle(d)
+            seen += len(got)
+    assert seen > 0
 
 
 def test_validate_memory_is_quadratic():

@@ -13,7 +13,8 @@ from mmmspace import (
     strassen_check,
 )
 from mmmspace.prohorov import (
-    FLOW_SCALE, _cut_excluded_mass, _line_flow_mass, _max_flow_mass, _prohorov_search,
+    FLOW_SCALE, _cut_excluded_mass, _integer_masses, _line_flow_mass, _max_flow_mass,
+    _prohorov_search,
 )
 
 from _oracles import prohorov_lp_scan_oracle, prohorov_subset_oracle
@@ -71,7 +72,20 @@ def test_identical_measures_have_distance_zero():
     for _ in range(10):
         metric, p, _ = random_instance(rng)
         value, _ = prohorov_exact(metric, p, p)
-        assert value <= 1e-9
+        assert value == 0.0
+    # rounding each third to its nearest unit would leave the total one short
+    thirds = measure([0, 1, 2], [1 / 3] * 3)
+    assert prohorov_exact(np.ones((3, 3)) - np.eye(3), thirds, thirds)[0] == 0.0
+
+
+def test_integer_masses_sum_to_the_flow_scale():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 7, 30):
+        for w in (np.full(n, 1 / n), rng.dirichlet(np.ones(n)), dyadic_weights(rng, n)):
+            mass = _integer_masses(w)
+            assert mass.dtype == np.int64 and int(mass.sum()) == FLOW_SCALE
+            assert np.all(np.abs(mass - w * FLOW_SCALE) < 1.0 + 1e-3)
+    assert _integer_masses([1 / 3] * 3).tolist() == [333333333334, 333333333333, 333333333333]
 
 
 def test_discrete_metric_matches_total_variation():
@@ -152,16 +166,12 @@ def test_matches_lp_breakpoint_scan():
 # --- flow oracles and the incumbent test ----------------------------------
 
 
-def integer_masses(w):
-    return np.rint(np.asarray(w) * FLOW_SCALE).astype(np.int64)
-
-
 def check_line_flow(va, pa, vb, pb):
     """The line flow against Dinic at every breakpoint of |va - vb|, and both
     sparse flows against the masses they route; returns how many
     admissible patterns had an empty row between nonempty rows."""
     dpq = np.abs(va[:, None] - vb[None, :])
-    cp, cq = integer_masses(pa), integer_masses(pb)
+    cp, cq = _integer_masses(pa), _integer_masses(pb)
     gaps = 0
     for t in np.unique(np.concatenate([[0.0], dpq.ravel()])):
         adm = dpq <= t
@@ -209,10 +219,9 @@ def test_line_flow_reads_the_rounded_difference():
     adm = np.abs(va[:, None] - vb[None, :]) <= t
     shortcut = (vb[None, :] >= va[:, None] - t) & (vb[None, :] <= va[:, None] + t)
     assert adm.all() and not shortcut.any()
-    cp = cq = integer_masses([1.0])
+    cp = cq = _integer_masses([1.0])
     assert _line_flow_mass(cp, cq, adm)[0] == _max_flow_mass(cp, cq, adm)[0] == FLOW_SCALE
-    one = np.array([1.0])
-    value, _ = _prohorov_search(np.abs(va[:, None] - vb[None, :]), one, one,
+    value, _ = _prohorov_search(np.abs(va[:, None] - vb[None, :]), cp, cq,
                                 flow=_line_flow_mass)
     assert value == 0.52
 
@@ -221,11 +230,12 @@ def test_incumbent_test_matches_the_full_value():
     """Below the bound, the bounded search returns the unbounded value and
     flow, so witness couplings cannot drift; at or above it, None."""
     def check(dpq, wp, wq, flow, label):
-        value, want = _prohorov_search(dpq, wp, wq, flow=flow)
+        cp, cq = _integer_masses(wp), _integer_masses(wq)
+        value, want = _prohorov_search(dpq, cp, cq, flow=flow)
         bounds = [0.0, value, np.nextafter(value, 2.0), np.nextafter(value, -1.0),
                   1.0, 1.5, math.inf, *np.unique(dpq).tolist()]
         for bound in bounds:
-            got = _prohorov_search(dpq, wp, wq, bound, flow=flow)
+            got = _prohorov_search(dpq, cp, cq, bound, flow=flow)
             if value >= bound:
                 assert got is None, (label, bound)
             else:
@@ -265,14 +275,14 @@ def test_cut_never_exceeds_the_flow():
                 if len(w) > 1:
                     w[rng.integers(len(w))] = 0.0
                     w /= w.sum()
-        cp, cq = integer_masses(wp), integer_masses(wq)
+        cp, cq = _integer_masses(wp), _integer_masses(wq)
         ts = np.unique(np.concatenate([[0.0], dpq.ravel()]))
         for t in ts:
             adm = dpq <= t
             mass, _ = _max_flow_mass(cp, cq, adm)
             assert _cut_excluded_mass(cp, cq, adm) <= max(0.0, 1.0 - mass / FLOW_SCALE), \
                 (trial, t)
-        value, flow = _prohorov_search(dpq, wp, wq)
+        value, flow = _prohorov_search(dpq, cp, cq)
         _, want = _max_flow_mass(cp, cq, dpq <= ts[ts <= value].max())
         assert all(np.array_equal(x, y) for x, y in zip(flow, want)), trial
 
@@ -287,7 +297,7 @@ def test_cut_settles_an_incumbent_test_without_a_flow():
         return _max_flow_mass(cp, cq, adm)
 
     dpq = np.array([[0.1, 3.0], [3.0, 3.0]])
-    half = np.array([0.5, 0.5])
+    half = _integer_masses([0.5, 0.5])
     assert _prohorov_search(dpq, half, half, 0.3, flow=counted) is None
     assert flows == []
     value, _ = _prohorov_search(dpq, half, half, flow=counted)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmmspace import (
     FiniteMmmSpace,
@@ -18,9 +19,10 @@ from mmmspace import (
     two_sample_test,
 )
 
-from mmmspace.stats import _energies
+from mmmspace.stats import _canonical_order, _energies
 
-from conftest import BIT_MARKS, random_space, relabeled, two_point
+from _oracles import canonical_order_oracle
+from conftest import AB_MARKS, BIT_MARKS, random_space, relabeled, tiny_spaces, two_point
 
 
 def as_row(result):
@@ -45,6 +47,66 @@ def test_matrix_energies_match_submatrix_means():
         want = (2.0 * dmat[np.ix_(x, ~x)].mean() - dmat[np.ix_(x, x)].mean()
                 - dmat[np.ix_(~x, ~x)].mean())
         assert got[c] == pytest.approx(want, rel=0, abs=1e-12)
+
+
+# --- canonical atom order ---------------------------------------------------
+
+
+def order_corpus():
+    """Tiny spaces of all three mark kinds, with n = 0, 1 and 2, symmetric
+    twins and tied distances."""
+    rng = np.random.default_rng(13)
+    for n in (0, 1):
+        yield FiniteMmmSpace(distances=np.zeros((n, n)), marks=("a",) * n,
+                             weights=np.ones(n), mark_space=AB_MARKS)
+    yield two_point()
+    yield two_point(marks=(1, 1))
+    for trial in range(40):
+        yield random_space(rng, max_n=7, min_n=1)
+        for marks in ("sign", "constant", "point"):
+            yield euclidean_cloud(int(rng.integers(1, 9)), 2, marks, seed=trial)
+    for n in range(3, 9):
+        # a cycle: every atom alike, so refinement separates none of them
+        steps = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        yield FiniteMmmSpace(distances=np.minimum(steps, n - steps).astype(float),
+                             marks=("a",) * n, weights=np.full(n, 1 / n),
+                             mark_space=AB_MARKS)
+        # a path graph at distance 1 along edges and 2 elsewhere: the ends
+        # separate in the first round, and each round moves one step in
+        path = np.where(steps == 1, 1.0, 2.0)
+        np.fill_diagonal(path, 0.0)
+        yield FiniteMmmSpace(distances=path, marks=("a",) * n, weights=np.full(n, 1 / n),
+                             mark_space=AB_MARKS)
+        # L1 distances on a 3x3 grid (many ties) with atoms 0 and 1 made
+        # symmetric twins: equal rows, marks and weights
+        pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+        d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        d[1, :] = d[:, 1] = d[0, :]
+        d[0, 1] = d[1, 0] = 1.0
+        d[1, 1] = 0.0
+        marks = rng.choice(["a", "b"], size=n).tolist()
+        marks[1] = marks[0]
+        w = rng.integers(1, 3, size=n).astype(float)
+        w[1] = w[0]
+        yield FiniteMmmSpace(distances=d, marks=tuple(marks), weights=w / w.sum(),
+                             mark_space=AB_MARKS)
+
+
+def test_canonical_order_matches_the_plain_python_refinement():
+    for k, space in enumerate(order_corpus()):
+        moved, _ = relabeled(space, np.random.default_rng(k))
+        for s in (space, moved):
+            assert _canonical_order(s) == canonical_order_oracle(s), k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=tiny_spaces(), b=tiny_spaces(), order=st.integers(0, 2**32 - 1))
+def test_two_sample_is_invariant_under_relabelling_either_space(a, b, order):
+    base = two_sample_test(a, b, m=20, permutations=99, seed=3)
+    rng = np.random.default_rng(order)
+    for moved_a, moved_b in ((relabeled(a, rng)[0], b), (a, relabeled(b, rng)[0])):
+        got = two_sample_test(moved_a, moved_b, m=20, permutations=99, seed=3)
+        assert (got.statistic, got.p_value) == (base.statistic, base.p_value)
 
 
 # --- determinism and symmetries ----------------------------------------------
