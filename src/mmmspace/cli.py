@@ -27,6 +27,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -66,10 +67,6 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     return int(os.environ.get("MMM_SEED", "0"))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -143,19 +140,8 @@ def _written(args, text: str, inputs):
 def _cmd_validate(args):
     space = load_space(args.space)
     report = validate(space, tol=args.tol)
-    payload = {
-        "ok": report.ok,
-        "n": space.n,
-        "violations": [
-            {
-                "kind": v.kind,
-                "indices": list(v.indices),
-                "magnitude": v.magnitude,
-                "message": v.message,
-            }
-            for v in report.violations
-        ],
-    }
+    payload = {"ok": report.ok, "n": space.n,
+               "violations": [asdict(v) for v in report.violations]}
     if not report.ok:
         worst = max(report.violations, key=lambda v: v.magnitude)
         raise _Violations({**payload, "error": "invariant-violation",
@@ -179,9 +165,9 @@ def _cmd_sample(args):
 def _poly_rows(space, panel, mc, seed):
     rows = []
     for c, phi in enumerate(panel):
-        exact = _fmt(evaluate_exact(phi, space)) if _exact_is_cheap(phi, space) else ""
+        exact = float(evaluate_exact(phi, space)) if _exact_is_cheap(phi, space) else ""
         est, err = evaluate_mc(phi, space, mc, seed + 101 * c)
-        rows.append([phi.description, exact, _fmt(est), _fmt(err)])
+        rows.append([phi.description, exact, float(est), float(err)])
     return rows
 
 
@@ -238,10 +224,10 @@ def _cmd_tightness(args):
     rows = [["curve", "eps_or_threshold", "delta", "value"]]
     for d_index, delta in enumerate(report.delta_grid):
         for e_index, eps in enumerate(report.eps_grid):
-            rows.append(["modulus", _fmt(eps), _fmt(delta),
-                         _fmt(report.modulus[d_index, e_index])])
+            rows.append(["modulus", float(eps), float(delta),
+                         float(report.modulus[d_index, e_index])])
     for t, v in zip(report.tail_grid, report.distance_tail):
-        rows.append(["distance_tail", _fmt(t), "", _fmt(v)])
+        rows.append(["distance_tail", float(t), "", float(v)])
     if report.mark_tail.size:
         radii = (
             _float_list(args.mark_radii)
@@ -249,7 +235,7 @@ def _cmd_tightness(args):
             else list(range(report.mark_tail.size))
         )
         for t, v in zip(radii, report.mark_tail):
-            rows.append(["mark_tail", _fmt(t), "", _fmt(v)])
+            rows.append(["mark_tail", float(t), "", float(v)])
     verdicts = {
         "verdicts": report.verdicts,
         "tightness_consistent": report.tightness_consistent,
@@ -289,15 +275,7 @@ def _cmd_test(args):
     result = two_sample_test(
         a, b, n=args.n, m=args.m, permutations=args.perms, seed=args.seed
     )
-    payload = {
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "order": result.order,
-        "samples": result.samples,
-        "permutations": result.permutations,
-        "feature": result.feature,
-    }
-    return _printed(args, dumps(payload) + "\n", [args.a, args.b])
+    return _printed(args, dumps(asdict(result)) + "\n", [args.a, args.b])
 
 
 def _cmd_converge(args):
@@ -311,10 +289,10 @@ def _cmd_converge(args):
     rows = [header]
     for k, row_label in enumerate(table.row_labels):
         for c, col_label in enumerate(table.column_labels):
-            row = [row_label, col_label, _fmt(table.estimates[k, c]),
-                   _fmt(table.stderrs[k, c])]
+            row = [row_label, col_label, float(table.estimates[k, c]),
+                   float(table.stderrs[k, c])]
             if target is not None:
-                row += [_fmt(table.target_values[c]), _fmt(table.gaps[k, c])]
+                row += [float(table.target_values[c]), float(table.gaps[k, c])]
             rows.append(row)
     out = Path(args.out)
     files = {out: _csv(rows)}

@@ -39,11 +39,20 @@ __all__ = [
 DEFAULT_MASS_THRESHOLD = 0.05
 
 
+def _increasing(grid, what: str) -> np.ndarray:
+    """``grid`` as a float array; ParameterError unless it is nonempty,
+    free of NaN and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0 or np.isnan(grid).any() or np.any(np.diff(grid) <= 0):
+        raise ParameterError(f"{what} must be nonempty and increasing, without NaN")
+    return grid
+
+
 def ball_masses(space: FiniteMmmSpace, eps: float) -> np.ndarray:
     """Mass of the open ball of radius eps around each atom (strict <);
     NaN/inf distances, weights or marks raise ParameterError."""
-    if eps <= 0:
-        raise ParameterError("ball radius must be positive")
+    if not eps > 0:
+        raise ParameterError(f"ball radius must be positive, got {eps!r}")
     _require_finite(space)
     inside = space.distances < eps
     return inside @ space.weights
@@ -59,9 +68,7 @@ def modulus_mass(space: FiniteMmmSpace, eps: float, delta: float) -> float:
 
 def distance_tail(space: FiniteMmmSpace, thresholds) -> np.ndarray:
     """P(r12 > t) for each threshold t, exactly from the order-2 law."""
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.size == 0 or np.any(np.diff(thresholds) <= 0):
-        raise ParameterError("thresholds must be nonempty and increasing")
+    thresholds = _increasing(thresholds, "thresholds")
     values, probs = pair_distance_law(space)
     out = np.empty(thresholds.size)
     for t_index, t in enumerate(thresholds):
@@ -86,9 +93,7 @@ def mark_tail(space: FiniteMmmSpace, radii=None, labels=None) -> np.ndarray:
         return np.array([mass])
     if radii is None or labels is not None:
         raise ParameterError("euclidean mark spaces take a radius grid")
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or np.any(np.diff(radii) <= 0):
-        raise ParameterError("radii must be nonempty and increasing")
+    radii = _increasing(radii, "radii")
     out = np.empty(radii.size)
     norms_weights = [
         (float(np.linalg.norm(np.asarray(mark))), w) for mark, w in marg.items()
@@ -144,15 +149,15 @@ def family_tightness(
     spaces = list(spaces)
     if not spaces:
         raise ParameterError("family must be nonempty")
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    if eps_grid.size == 0 or np.any(np.diff(eps_grid) <= 0) or eps_grid[0] <= 0:
-        raise ParameterError("eps grid must be positive and increasing")
-    if delta_grid.size == 0 or np.any(np.diff(delta_grid) <= 0):
-        raise ParameterError("delta grid must be increasing")
+    eps_grid = _increasing(eps_grid, "eps grid")
+    delta_grid = _increasing(delta_grid, "delta grid")
+    if eps_grid[0] <= 0:
+        raise ParameterError("eps grid must be positive")
     if tail_grid is None:
         tail_grid = eps_grid.copy()
     tail_grid = np.asarray(tail_grid, dtype=float)
+    if math.isnan(threshold):
+        raise ParameterError("threshold must not be NaN")
 
     modulus = np.zeros((delta_grid.size, eps_grid.size))
     for d_index, delta in enumerate(delta_grid):

@@ -268,8 +268,12 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
 
     Memory is O(n^2): triangles are scanned in blocks of the first index.
 
-    Returns a ValidationReport; it never raises.
+    Returns a ValidationReport: a fault in the space is reported, never
+    raised.  A ``tol`` that is NaN, negative or infinite raises
+    ParameterError, since it would hide or invent violations.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tol must be finite and nonnegative, got {tol!r}")
     d = space.distances
     w = space.weights
     n = space.n

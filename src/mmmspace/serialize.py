@@ -1,9 +1,11 @@
 """JSON interchange for spaces, measures, metrics, and results.
 
-Schema names are versioned ("mmm-space/v1" etc).  The writer emits floats
-with 17 significant digits, which round-trips IEEE doubles exactly; the
-reader is plain JSON.  Distances travel as the upper triangle in row-major
-order.
+Schema names are versioned ("mmm-space/v1" etc).  The writer is the
+standard library's JSON encoder: floats go out as Python's shortest
+round-trip ``repr`` (``0.1``, ``1.0``, ``-0.0``, ``1e+16``), which reads
+back as the same IEEE double, and NaN or infinity is refused.  numpy
+arrays and scalars are written as their ``tolist()`` values.  The reader
+is plain JSON.  Distances travel as the upper triangle in row-major order.
 """
 
 from __future__ import annotations
@@ -24,61 +26,23 @@ MANIFEST_SCHEMA = "mmm-manifest/v1"
 
 
 # ---------------------------------------------------------------------------
-# low-level writer
+# writer
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if x != x:
-        raise ParameterError("NaN is not serializable")
-    if x in (float("inf"), float("-inf")):
-        raise ParameterError("infinity is not serializable")
-    s = format(float(x), ".17g")
-    return s
-
-
-def _write(obj: Any, parts: list) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        first = True
-        for k, v in obj.items():
-            if not first:
-                parts.append(", ")
-            first = False
-            parts.append(json.dumps(str(k)))
-            parts.append(": ")
-            _write(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        parts.append("[")
-        first = True
-        for v in seq:
-            if not first:
-                parts.append(", ")
-            first = False
-            _write(v, parts)
-        parts.append("]")
-    else:
-        raise ParameterError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj: Any) -> Any:
+    """numpy arrays and scalars as their Python values (``tolist``)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise ParameterError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj: Any) -> str:
-    """Serialize to JSON with float round-trip fidelity (17 sig digits)."""
-    parts: list = []
-    _write(obj, parts)
-    return "".join(parts)
+    """Serialize to JSON, floats as their shortest round-trip ``repr``;
+    NaN and infinities raise ParameterError."""
+    try:
+        return json.dumps(obj, allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from None
 
 
 def dump_path(obj: Any, path: str) -> None:

@@ -9,7 +9,7 @@ import pytest
 
 from mmmspace import FiniteMmmSpace, MarkSpace, euclidean_cloud, load_space, save_space
 from mmmspace.cli import replay, run
-from mmmspace.serialize import dump_path, sha256_path, space_to_obj
+from mmmspace.serialize import dump_path, dumps, sha256_path, space_to_obj
 
 from conftest import AB_MARKS, nan_cloud, two_point
 
@@ -78,6 +78,21 @@ def test_validate_flags_triangle_violation(capsys, tmp_path):
     assert set(worst) == {"kind", "indices", "magnitude", "message"}
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_validate_rejects_a_bad_tol(capsys, tmp_path, tol):
+    # with --tol nan every comparison was false and a broken space read ok
+    bad = tmp_path / "bad.json"
+    dump_path({"schema": "mmm-space/v1", "label": "broken",
+               "mark_space": {"kind": "discrete", "labels": ["a"]}, "n": 3,
+               "weights": [1 / 3, 1 / 3, 1 / 3], "marks": ["a", "a", "a"],
+               "distances": [1.0, 1.0, 5.0]}, bad)
+    code, stdout, stderr = run_cli(capsys, "validate", "--space", bad, "--tol", tol)
+    assert (code, stdout) == (1, "")
+    report = json.loads(stderr)
+    assert report["error"] == "bad-parameter"
+    assert "tol must be finite and nonnegative" in report["detail"]
+
+
 # --- sample --------------------------------------------------------------------
 
 
@@ -140,6 +155,8 @@ def test_poly_eval_exact_column(capsys, ab_space):
     for row in rows[1:]:
         assert row[1] != ""  # tiny space: every cell is exact
         assert abs(float(row[2]) - float(row[1])) <= 6 * float(row[3]) + 1e-9
+        # one float format: each CSV cell is that float's JSON text
+        assert all(dumps(float(cell)) == cell for cell in row[1:])
 
 
 def test_poly_eval_unknown_panel(capsys, ab_space):
@@ -361,6 +378,19 @@ def test_tightness_rejects_nan_distance(capsys, tmp_path):
     report = json.loads(stderr)
     assert report["error"] == "bad-parameter"
     assert "d(0,1) = nan is not finite" in report["detail"]
+
+
+def test_tightness_rejects_nan_eps(capsys, tmp_path):
+    # the tail grid defaults to eps, and a NaN threshold read as a tail of 0
+    family = tmp_path / "family"
+    family.mkdir()
+    save_space(two_point(marks=("a", "b"), mark_space=AB_MARKS), family / "ab.json")
+    code, stdout, stderr = run_cli(capsys, "tightness", "--spaces", family,
+                                   "--eps", "nan", "--delta", "0.05",
+                                   "--out", tmp_path / "tight")
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr)["error"] == "bad-parameter"
+    assert not (tmp_path / "tight").exists()
 
 
 # --- simulate and replay -----------------------------------------------------------------

@@ -218,6 +218,40 @@ def test_ball_masses_reject_non_finite_distances():
             call(nan_cloud())
 
 
+def planar_pair():
+    """Two atoms of mass 1/2 at distance 1, marked (0, 0) and (3, 4)."""
+    return FiniteMmmSpace(distances=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                          marks=((0.0, 0.0), (3.0, 4.0)), weights=np.array([0.5, 0.5]),
+                          mark_space=MarkSpace.euclidean(2))
+
+
+def test_nan_radii_and_thresholds_are_rejected(space_A):
+    # every comparison with NaN is false: ball masses read all zeros and
+    # both tails read 0
+    calls = [
+        lambda: ball_masses(space_A, math.nan),
+        lambda: modulus_mass(space_A, math.nan, 0.25),
+        lambda: distance_tail(space_A, [math.nan]),
+        lambda: distance_tail(space_A, [0.5, math.nan]),
+        lambda: mark_tail(planar_pair(), radii=[math.nan]),
+        lambda: family_tightness([space_A], [math.nan], [0.25]),
+        lambda: family_tightness([space_A], [0.5], [math.nan]),
+        lambda: family_tightness([space_A], [0.5], [0.25], tail_grid=[math.nan]),
+        lambda: family_tightness([space_A], [0.5], [0.25], threshold=math.nan),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+
+
+def test_infinite_radii_and_thresholds_stay_legal(space_A):
+    assert ball_masses(space_A, math.inf).tolist() == [1.0, 1.0]
+    assert distance_tail(space_A, [0.5, math.inf]).tolist() == [0.5, 0.0]
+    assert mark_tail(planar_pair(), radii=[4.0, math.inf]).tolist() == [0.5, 0.0]
+    report = family_tightness([space_A], [0.5, math.inf], [0.25], threshold=math.inf)
+    assert report.tightness_consistent is True
+
+
 def test_family_validation(space_A):
     with pytest.raises(ParameterError):
         family_tightness([], [0.5], [0.25])

@@ -150,6 +150,20 @@ def test_validate_names_triangle_triple():
     assert v.magnitude == pytest.approx(3.0)  # 5 > 1 + 1 by 3
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf])
+def test_validate_rejects_a_tol_that_hides_or_invents_violations(tol):
+    # NaN compares false with everything, so this broken space read as valid;
+    # a negative tol flags every pair as asymmetric, an infinite one every
+    # pair with equal marks as duplicate points
+    d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    bad = FiniteMmmSpace(distances=d, marks=(0, 0, 0),
+                         weights=np.array([0.25, 0.5, 0.25]),
+                         mark_space=BIT_MARKS)
+    with pytest.raises(ParameterError, match="tol must be finite and nonnegative"):
+        validate(bad, tol=tol)
+    assert "triangle" in validate(bad, tol=0.0)
+
+
 def test_validate_flags_weight_problems():
     s = two_point(weights=(0.5, 0.4))
     assert "weight-sum" in validate(s)

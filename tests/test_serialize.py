@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmmspace import FiniteMmmSpace, MarkSpace, ParameterError, load_space, save_space
 from mmmspace.serialize import (
@@ -22,17 +23,36 @@ from conftest import random_space, two_point
 
 
 def test_floats_round_trip_exactly():
-    values = [1 / 3, math.pi, 0.1, 1e-17, 2**53 - 1.0, 4.9e-324]
+    values = [1 / 3, math.pi, 0.1, 1e-17, 2**53 - 1.0, 4.9e-324, 1.0, -0.0, 1e16]
     text = dumps({"v": values})
+    assert text == ('{"v": [0.3333333333333333, 3.141592653589793, 0.1, 1e-17, '
+                    '9007199254740991.0, 5e-324, 1.0, -0.0, 1e+16]}')
     back = json.loads(text)["v"]
-    assert back == values
+    assert [type(x) for x in back] == [float] * len(values)
+    assert [x.hex() for x in back] == [x.hex() for x in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_float_reads_back_as_the_same_float(x):
+    back = json.loads(dumps(x))
+    assert type(back) is float and back.hex() == x.hex()
+
+
+def test_numpy_values_are_written_as_their_python_values():
+    values = [np.float32(0.1), np.int64(-7), np.bool_(True), np.array(2.5),
+              np.array([[1.0, -0.0], [1 / 3, 4.0]]), np.arange(3)]
+    for v in values:
+        assert dumps(v) == json.dumps(v.tolist())
 
 
 def test_nan_and_inf_rejected():
-    with pytest.raises(ParameterError):
-        dumps({"v": float("nan")})
-    with pytest.raises(ParameterError):
-        dumps({"v": float("inf")})
+    for bad in (float("nan"), float("inf"), np.float64(-np.inf),
+                np.array([0.5, np.nan]), [[1.0], np.array([np.inf])]):
+        with pytest.raises(ParameterError, match="not JSON compliant"):
+            dumps({"v": bad})
+    with pytest.raises(ParameterError, match="cannot serialize set"):
+        dumps({"v": {1, 2}})
 
 
 def test_upper_triangle_round_trip():
