@@ -229,13 +229,10 @@ def _cmd_tightness(args):
     for t, v in zip(report.tail_grid, report.distance_tail):
         rows.append(["distance_tail", float(t), "", float(v)])
     if report.mark_tail.size:
-        radii = (
-            _float_list(args.mark_radii)
-            if args.mark_radii
-            else list(range(report.mark_tail.size))
-        )
+        # a label set has no radius: its one tail value gets an empty cell
+        radii = _float_list(args.mark_radii) if args.mark_radii else [""]
         for t, v in zip(radii, report.mark_tail):
-            rows.append(["mark_tail", float(t), "", float(v)])
+            rows.append(["mark_tail", t, "", float(v)])
     verdicts = {
         "verdicts": report.verdicts,
         "tightness_consistent": report.tightness_consistent,

@@ -61,6 +61,7 @@ def round_sig(x, sig: int = KEY_SIG_DIGITS):
     """
     arr = np.asarray(x, dtype=float)
     out = arr.copy()
+    out += 0.0  # -0.0 to 0.0, so that equal keys print alike
     nz = (arr != 0) & np.isfinite(arr)
     vals = arr[nz]
     # in place, so that the temporaries of a large key array stay few
@@ -141,25 +142,33 @@ class DistanceMatrixLaw:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _make_sample(space: FiniteMmmSpace, idx: np.ndarray) -> DistanceMatrixSample:
-    return DistanceMatrixSample(
-        order=len(idx),
-        dist=space.distances[np.ix_(idx, idx)],
-        marks=tuple(space.marks[i] for i in idx),
-    )
+def _samples(space: FiniteMmmSpace, idx: np.ndarray) -> list:
+    """The samples of the index rows ``idx``: all blocks come from one fancy
+    index, made read-only, and each sample keeps a view of its block."""
+    blocks = space.distances[idx[:, :, None], idx[:, None, :]]
+    blocks.flags.writeable = False
+    marks = np.fromiter(space.marks, dtype=object, count=space.n)[idx].tolist()
+    out = []
+    for block, row in zip(blocks, marks):
+        smp = object.__new__(DistanceMatrixSample)
+        fields = smp.__dict__  # frozen: fill the fields without __init__'s copy
+        fields["order"] = len(row)
+        fields["dist"] = block
+        fields["marks"] = tuple(row)
+        out.append(smp)
+    return out
 
 
 def sample(space: FiniteMmmSpace, n: int, seed: int) -> DistanceMatrixSample:
     """Draw one order-n sample from the distance matrix law (per-seed deterministic)."""
     if n < 1:
         raise ParameterError("order must be >= 1")
-    return _make_sample(space, _sample_indices(space, n, seed))
+    return _samples(space, _sample_indices(space, n, seed)[None, :])[0]
 
 
 def sample_many(space: FiniteMmmSpace, n: int, m: int, seed: int) -> list:
     """Draw m independent order-n samples from one seeded stream."""
-    idx = _sample_indices(space, (m, n), seed)
-    return [_make_sample(space, row) for row in idx]
+    return _samples(space, _sample_indices(space, (m, n), seed))
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +183,36 @@ def _mantissas(w: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array([num * (q // den) for num, den in ratios], dtype=object), q
 
 
-def _group_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
-    """Sum ``values`` by group id with np.add.reduceat (exact on Python ints)."""
-    order = np.argsort(groups, kind="stable")
-    starts = np.searchsorted(groups[order], np.arange(count))
-    return np.add.reduceat(values[order], starts)
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of an integer matrix with one stable sort.
+
+    Returns (order, new): ``order`` sorts the rows lexicographically, ties
+    in row order, and ``new[k]`` marks where the k-th sorted row differs
+    from the one before it.  So ``order[new]`` holds the first row of each
+    group, groups sorted by their rows, and ``cumsum(new) - 1`` gives the
+    group ids in sorted order.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    return order, new
+
+
+def _repr_order(tris: list, marks: list) -> list:
+    """Positions of the keys (tri, marks) in the order of repr((tri, marks)).
+
+    ``tris[a]`` and ``marks[a]`` list the reprs of the a-th key's rounded
+    distances and of its marks, so callers can cache one repr per value.
+    All keys have the same order, so the tuples' reprs share one shape."""
+    if not tris:
+        return []
+    p, n = len(tris[0]), len(marks[0])
+    mid = ",), (" if p == 1 else "), ("
+    end = ",))" if n == 1 else "))"
+    texts = [f"(({', '.join(t)}{mid}{', '.join(m)}{end}" for t, m in zip(tris, marks)]
+    return sorted(range(len(texts)), key=texts.__getitem__)
 
 
 def exact_law(
@@ -206,8 +240,11 @@ def exact_law(
         Atoms aggregated by (distances rounded to 12 significant digits,
         exact mark tuple), sorted by key, each represented by its first
         tuple; probabilities normalized by (sum of weights)^n and summing to
-        exactly 1 in the rational case.  Chunks of EXACT_LAW_CHUNK tuples
-        are grouped by one ``np.unique`` each, and merged by one more.
+        exactly 1 in the rational case.  A tuple's key row holds integer
+        codes of its rounded distances (code order is value order) and
+        its mark ids; chunks of EXACT_LAW_CHUNK tuples are grouped by one
+        stable lexsort of these rows each, and merged by one more.  The
+        samples' blocks are read-only views of one array.
         NaN/inf entries and a nonpositive total weight raise ParameterError.
     """
     if n < 1:
@@ -223,8 +260,18 @@ def exact_law(
 
     D, w = space.distances, space.weights
     mantissas, q = _mantissas(w)
+    # float products and their norm both carry an exact factor 2^-e that
+    # puts the largest weight in [1/2, 1), so that tiny weights' norm does
+    # not underflow to 0
+    e = math.frexp(float(w.max()))[1]
+    w = np.ldexp(w, -e)
     seen: dict = {}  # shared mark values share ids
-    mark_ids = np.array([seen.setdefault(mk, len(seen)) for mk in space.marks], dtype=float)
+    mark_ids = [seen.setdefault(mk, len(seen)) for mk in space.marks]
+    # code order is value order; one code per 12-digit distance
+    vals, codes = np.unique(round_sig(D), return_inverse=True)
+    dtype = np.min_scalar_type(max(len(vals), len(seen)) - 1)
+    codes = codes.reshape(D.shape).astype(dtype)
+    mark_ids = np.array(mark_ids, dtype=dtype)
     rows, cols = np.triu_indices(n, 1)
     radix = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
@@ -232,55 +279,53 @@ def exact_law(
     for start in range(0, K, EXACT_LAW_CHUNK):
         base = np.arange(start, min(start + EXACT_LAW_CHUNK, K), dtype=np.int64)
         idx = base[:, None] // radix % N
-        keymat = np.column_stack([round_sig(D[idx[:, rows], idx[:, cols]]), mark_ids[idx]])
-        uniq, firsts, inverse = np.unique(
-            keymat, axis=0, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
+        keys = np.concatenate([codes[idx[:, rows], idx[:, cols]], mark_ids[idx]], axis=1)
+        order, new = _group_rows(keys)
         if exact:
             prods = np.prod(mantissas[idx], axis=1)
-            chunk_sums.append(_group_sums(prods, inverse, len(uniq)))
+            chunk_sums.append(np.add.reduceat(prods[order], np.flatnonzero(new)))
         else:
             prods = np.prod(w[np.sort(idx, axis=1)], axis=1)
-            chunk_sums.append(np.bincount(inverse, weights=prods, minlength=len(uniq)))
-        chunk_keys.append(uniq)
+            group = np.empty(len(order), dtype=np.intp)
+            group[order] = np.cumsum(new) - 1
+            chunk_sums.append(np.bincount(group, weights=prods))
+        firsts = order[new]
+        chunk_keys.append(keys[firsts])
         chunk_reps.append(idx[firsts])
 
-    keymat, reps, sums = chunk_keys[0], chunk_reps[0], chunk_sums[0]
+    keys, reps, sums = chunk_keys[0], chunk_reps[0], chunk_sums[0]
     if len(chunk_keys) > 1:
         # A key occurs at most once per chunk and the chunks follow the
         # enumeration, so first occurrences hold the first tuples.  Chunk
         # sums add exactly, so float sums are rounded once, as by fsum.
-        keymat, firsts, inverse = np.unique(
-            np.concatenate(chunk_keys), axis=0, return_index=True, return_inverse=True
-        )
+        order, new = _group_rows(np.concatenate(chunk_keys))
+        firsts = order[new]
+        keys = np.concatenate(chunk_keys)[firsts]
         reps = np.concatenate(chunk_reps)[firsts]
         parts = np.concatenate(chunk_sums)
         if not exact:
             parts = np.array([Fraction(x) for x in parts], dtype=object)
-        sums = _group_sums(parts, inverse.reshape(-1), len(keymat))
+        sums = np.add.reduceat(parts[order], np.flatnonzero(new))
 
     total_m = int(sum(mantissas))
     if exact:
         norm = total_m ** n
         probs = [Fraction(int(x), norm) for x in sums]
     else:
-        norm = float(Fraction(total_m, q) ** n)
+        norm = float((Fraction(total_m, q) / Fraction(2) ** e) ** n)
         probs = [float(x) / norm for x in sums]
-    blocks = D[reps[:, :, None], reps[:, None, :]]
-    tris = keymat[:, : len(rows)].tolist()
-    marks = space.marks
-    entries = []
-    for block, rep, tri, p in zip(blocks, reps.tolist(), tris, probs):
-        smp = DistanceMatrixSample(order=n, dist=block, marks=tuple(marks[i] for i in rep))
-        object.__setattr__(smp, "_key", (tuple(tri), smp.marks))
-        entries.append((repr(smp.key()), smp, p))
-    entries.sort(key=lambda e: e[0])
+    samples = _samples(space, reps)
+    tri_codes = keys[:, : len(rows)]
+    for smp, tri in zip(samples, vals[tri_codes].tolist()):
+        smp.__dict__["_key"] = (tuple(tri), smp.marks)
+    value_reprs = np.array([repr(v) for v in vals.tolist()], dtype=object)
+    mark_reprs = np.array([repr(mk) for mk in space.marks], dtype=object)
+    order = _repr_order(value_reprs[tri_codes].tolist(), mark_reprs[reps].tolist())
 
     return DistanceMatrixLaw(
         order=n,
-        samples=tuple(e[1] for e in entries),
-        probs=tuple(e[2] for e in entries),
+        samples=tuple(samples[a] for a in order),
+        probs=tuple(probs[a] for a in order),
         exact=exact,
     )
 
@@ -294,7 +339,10 @@ def _law_from_pairs(order: int, pairs: list, exact: bool) -> DistanceMatrixLaw:
             agg[k] = []
             reps[k] = smp
         agg[k].append(p)
-    keys = sorted(agg, key=repr)
+    keys = list(agg)
+    ranks = _repr_order([[repr(v) for v in k[0]] for k in keys],
+                        [[repr(mk) for mk in k[1]] for k in keys])
+    keys = [keys[a] for a in ranks]
     probs = []
     for k in keys:
         if exact:

@@ -132,12 +132,17 @@ def _evaluate_product_exact(phi: Polynomial, space: FiniteMmmSpace) -> float:
     homomorphism density, over (total weight)^n."""
     n = phi.order
     total = _weight_total(space)
+    # where (total weight)^n would leave the normal float range, the weights
+    # and their total are scaled by one power of two, exactly
+    k = math.frexp(total)[1]
+    e = 0 if -1021 <= n * (k - 1) and n * k <= 1023 else k
+    w = np.ldexp(space.weights, -e)
     operands: list = []
     for t, g in enumerate(phi.mark_factors):
-        operands += [space.weights * np.array([float(g(mk)) for mk in space.marks]), [t]]
+        operands += [w * np.array([float(g(mk)) for mk in space.marks]), [t]]
     for kl, f in phi.pair_factors:
         operands += [np.asarray(f(space.distances), dtype=float), list(kl)]
-    return float(np.einsum(*operands, [], optimize=True)) / total ** n
+    return float(np.einsum(*operands, [], optimize=True)) / math.ldexp(total, -e) ** n
 
 
 def evaluate_exact(

@@ -76,6 +76,19 @@ def tiny_spaces(draw):
                           weights=weights, mark_space=AB_MARKS)
 
 
+@st.composite
+def tiny_marked_spaces(draw):
+    """`tiny_spaces` whose marks are either labels or 2-D Euclidean points
+    from a small grid, so that repeated marks are common."""
+    space = draw(tiny_spaces())
+    if draw(st.booleans()):
+        return space
+    grid = st.tuples(st.sampled_from((0.0, 0.5, -1.0)), st.sampled_from((0.0, 2.0)))
+    marks = draw(st.lists(grid, min_size=space.n, max_size=space.n))
+    return FiniteMmmSpace(distances=space.distances, marks=marks, weights=space.weights,
+                          mark_space=MarkSpace.euclidean(2))
+
+
 def relabeled(space, rng):
     """The same space with atoms in a random order."""
     perm = rng.permutation(space.n)

@@ -356,6 +356,8 @@ def test_tightness_writes_curves_and_verdicts(capsys, tmp_path):
     assert rows[0] == ["curve", "eps_or_threshold", "delta", "value"]
     names = {r[0] for r in rows[1:]}
     assert names == {"modulus", "distance_tail", "mark_tail"}
+    # a label set has no radius, so its tail row leaves that cell empty
+    assert [r for r in rows if r[0] == "mark_tail"] == [["mark_tail", "", "", "0.0"]]
     verdicts = json.loads((out / "tightness_verdicts.json").read_text())
     assert verdicts["tightness_consistent"] is True
     assert len(verdicts["spaces"]) == 3
@@ -365,6 +367,18 @@ def test_tightness_writes_curves_and_verdicts(capsys, tmp_path):
         Path(path).write_text("scribble")
     assert replay(manifest) == 0
     assert {p: sha256_path(p) for p in digests} == digests
+    # Euclidean marks keep their radii in that cell
+    clouds = tmp_path / "clouds"
+    clouds.mkdir()
+    for k in (1, 2):
+        save_space(euclidean_cloud(5, 2, "point", seed=k), clouds / f"cloud{k}.json")
+    code, _, _ = run_cli(capsys, "tightness", "--spaces", clouds, "--eps", "0.5",
+                         "--delta", "0.25", "--mark-radii", "0.5,2.0",
+                         "--out", tmp_path / "tight_clouds")
+    assert code == 0
+    curves = (tmp_path / "tight_clouds" / "tightness_curves.csv").read_text()
+    rows = list(csv.reader(curves.strip().split("\n")))
+    assert [r[1] for r in rows if r[0] == "mark_tail"] == ["0.5", "2.0"]
 
 
 def test_tightness_rejects_nan_distance(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmmspace import (
+    DomainError,
     FiniteMmmSpace,
     MarkSpace,
     ParameterError,
@@ -30,7 +31,9 @@ from mmmspace import dmat
 from mmmspace.dmat import MM_DUMMY_LABEL, DistanceMatrixSample, round_sig
 
 from _oracles import exact_law_oracle
-from conftest import AB_MARKS, nan_cloud, random_space, tiny_spaces, two_point
+from conftest import (
+    AB_MARKS, nan_cloud, random_space, tiny_marked_spaces, tiny_spaces, two_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +199,73 @@ def test_exact_law_merges_chunks(monkeypatch):
     assert exact_law(base, 4, exact=False).probs == tuple(map(float, whole[0][0].probs))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(space=tiny_marked_spaces(), order=st.integers(1, 3))
+def test_exact_law_matches_the_oracle_on_tiny_marked_spaces(space, order):
+    ref = exact_law_oracle(space, order)
+    law = exact_law(space, order)
+    flt = exact_law(space, order, exact=False)
+    assert law.exact and not flt.exact
+    for got in (law, flt):
+        assert [repr(s.key()) for s in got.samples] == [repr(key) for key, _, _ in ref]
+        for s, (_, first, _) in zip(got.samples, ref):
+            assert s.dist.tobytes() == space.distances[np.ix_(first, first)].tobytes()
+            assert s.marks == tuple(space.marks[i] for i in first)
+            assert not s.dist.flags.writeable
+    assert list(law.probs) == [p for _, _, p in ref]
+    assert max(abs(p - float(q)) for p, (_, _, q) in zip(flt.probs, ref)) <= 1e-15
+
+
+@st.composite
+def rough_spaces(draw):
+    """Tiny marked spaces, some with a non-finite, huge or tiny distance,
+    zero weights, or weights near either end of the float range."""
+    space = draw(tiny_marked_spaces())
+    d, w = space.distances.copy(), np.array(space.weights)
+    how = draw(st.sampled_from(("plain", "distance", "zero", "scaled")))
+    if how == "distance" and space.n > 1:
+        d[0, 1] = d[1, 0] = draw(st.sampled_from((np.nan, np.inf, 1e-300, 1e300)))
+    elif how == "zero":
+        w[:] = 0.0
+    elif how == "scaled":
+        w *= draw(st.sampled_from((1e-300, 1e300)))
+    return FiniteMmmSpace(distances=d, marks=space.marks, weights=w,
+                          mark_space=space.mark_space)
+
+
+def _or_none(call):
+    try:
+        return call()
+    except DomainError:
+        return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(space=rough_spaces(), order=st.integers(1, 3))
+def test_law_entry_points_give_finite_values_or_domain_errors(space, order):
+    for exact in (True, False):
+        law = _or_none(lambda: exact_law(space, order, exact=exact))
+        if law is not None:
+            assert all(math.isfinite(p) for p in law.probs)
+            assert all(np.isfinite(s.dist).all() for s in law.samples)
+    pair = _or_none(lambda: pair_distance_law(space))
+    if pair is not None:
+        assert np.isfinite(pair[0]).all() and np.isfinite(pair[1]).all()
+    summed = Polynomial(order=order, body=lambda dist, marks: float(dist.sum()), bound=10.0)
+    for phi in (summed, distance_monomial(0, order - 1, order=order)):
+        value = _or_none(lambda: evaluate_exact(phi, space))
+        assert value is None or math.isfinite(value)
+
+
+def test_samples_hold_read_only_views(space_A):
+    draws = [sample(space_A, 3, seed=2), *sample_many(space_A, 3, 4, seed=2)]
+    draws += exact_law(space_A, 3).samples
+    for s in draws:
+        assert not s.dist.flags.writeable
+        with pytest.raises(ValueError):
+            s.dist[0, 1] = 5.0
+
+
 def test_exact_law_and_evaluate_exact_reject_non_finite_distances():
     plain = Polynomial(order=2, body=lambda dist, marks: float(dist[0, 1]), bound=10.0)
     calls = (lambda s: exact_law(s, 2), lambda s: exact_law(s, 2, exact=False),
@@ -332,6 +402,20 @@ def test_keys_of_a_distance_below_the_decimal_scale_range():
     assert law.probs == (Fraction(1, 2), Fraction(1, 2))
     assert round_sig(np.array([5e-324, -1.23456789012345e-299])).tolist() == [
         5e-324, -1.23456789012e-299]
+
+
+def test_a_negative_zero_distance_keys_as_zero():
+    # -0.0 == 0.0, so both land in one atom; its key must print one way
+    # whichever tuple comes first, or law_push could sort differently
+    aa = FiniteMmmSpace(distances=np.array([[-0.0, -0.0], [0.0, 0.0]]), marks=("a", "a"),
+                        weights=(0.5, 0.5), mark_space=AB_MARKS)
+    assert math.copysign(1.0, round_sig(-0.0)) == 1.0
+    for exact in (True, False):
+        law = exact_law(aa, 3, exact=exact)
+        assert [repr(s.key()) for s in law.samples] == ["((0.0, 0.0, 0.0), ('a', 'a', 'a'))"]
+        assert law.probs == ((Fraction(1) if exact else 1.0),)
+        pushed = law_push(law, (2, 0, 1))
+        assert [repr(s.key()) for s in pushed.samples] == [repr(law.samples[0].key())]
 
 
 def test_pair_distance_law_rejects_non_finite_distances():
