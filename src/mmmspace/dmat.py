@@ -5,18 +5,23 @@ marks) pairs; this module draws from that law, enumerates it exactly for
 finite spaces, and implements the index operations (injective relabeling
 and the shift onto fresh indices) that make the polynomial algebra work.
 
-Exactness: every IEEE weight is a dyadic rational, so w_i = M_i / Q with
-integer mantissas M_i over one power of two Q.  An atom's probability in
+Every law of sampled tuples (`exact_law`, `law_push`, `pair_distance_law`)
+is added up by `_aggregate`: one stable lexsort groups equal key rows,
+and masses add exactly or by fsum.  Exactness: every IEEE weight is
+a dyadic rational, so w_i = M_i / Q with integer mantissas M_i over one
+power of two Q.  An atom's probability in
 `exact_law` is then (sum over its tuples of prod M) / (sum M)^n, summed in
 integers with one Fraction per atom, so permutation invariance and shift
 consistency hold as algebraic identities, not merely within float
 tolerance.  Beyond EXACT_TUPLE_LIMIT enumerated tuples the law switches to
-float probabilities built from order-independent primitives (sorted-factor
-products, exactly rounded sums).
+float probabilities from order-independent primitives: sorted-factor
+products, summed per atom by an fsum within each chunk of EXACT_LAW_CHUNK
+tuples and an fsum over the chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,49 +117,61 @@ class DistanceMatrixSample:
         return self.order == other.order and self.key() == other.key()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrixLaw:
-    """Finite law of (distance block, marks): atoms sorted by key."""
+    """Finite law of (distance block, marks), atoms sorted by repr(key).
+
+    ``blocks`` is one read-only (K, n, n) array holding each atom's first
+    tuple's distance block, ``marks`` the read-only (K, n) object array of
+    its marks and ``probs`` the K probabilities (Fractions when ``exact``).
+    ``samples`` wraps them as `DistanceMatrixSample`s on first use.
+    """
 
     order: int
-    samples: tuple
+    blocks: np.ndarray
+    marks: np.ndarray
     probs: tuple
     exact: bool
+
+    def __post_init__(self):
+        self.blocks.flags.writeable = False
+        self.marks.flags.writeable = False
+
+    @functools.cached_property
+    def samples(self) -> tuple:
+        """The atoms as samples, built on first use (see `_wrap`)."""
+        return tuple(_wrap(self.blocks, self.marks.tolist()))
 
     @property
     def atoms(self) -> tuple:
         return tuple(zip(self.samples, self.probs))
 
     def total(self):
-        if self.exact:
-            return sum(self.probs, Fraction(0))
-        return math.fsum(self.probs)
+        return sum(self.probs, Fraction(0)) if self.exact else math.fsum(self.probs)
 
     def prob_of(self, sample: DistanceMatrixSample):
         k = sample.key()
-        for s, p in zip(self.samples, self.probs):
-            if s.key() == k:
-                return p
-        return Fraction(0) if self.exact else 0.0
+        return next((p for s, p in zip(self.samples, self.probs) if s.key() == k),
+                    Fraction(0) if self.exact else 0.0)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
-def _samples(space: FiniteMmmSpace, idx: np.ndarray) -> list:
-    """The samples of the index rows ``idx``: all blocks come from one fancy
-    index, made read-only, and each sample keeps a view of its block."""
-    blocks = space.distances[idx[:, :, None], idx[:, None, :]]
+def _wrap(blocks: np.ndarray, marks: list) -> list:
+    """Samples holding read-only views of ``blocks`` (K, n, n) and the rows
+    of ``marks``, every key set from one `round_sig` over all triangles."""
     blocks.flags.writeable = False
-    marks = np.fromiter(space.marks, dtype=object, count=space.n)[idx].tolist()
+    rows, cols = np.triu_indices(blocks.shape[1], 1)
     out = []
-    for block, row in zip(blocks, marks):
+    for block, row, tri in zip(blocks, marks, round_sig(blocks[:, rows, cols]).tolist()):
         smp = object.__new__(DistanceMatrixSample)
         fields = smp.__dict__  # frozen: fill the fields without __init__'s copy
         fields["order"] = len(row)
         fields["dist"] = block
-        fields["marks"] = tuple(row)
+        fields["marks"] = row = tuple(row)
+        fields["_key"] = (tuple(tri), row)
         out.append(smp)
     return out
 
@@ -163,12 +180,14 @@ def sample(space: FiniteMmmSpace, n: int, seed: int) -> DistanceMatrixSample:
     """Draw one order-n sample from the distance matrix law (per-seed deterministic)."""
     if n < 1:
         raise ParameterError("order must be >= 1")
-    return _samples(space, _sample_indices(space, n, seed)[None, :])[0]
+    return sample_many(space, n, 1, seed)[0]
 
 
 def sample_many(space: FiniteMmmSpace, n: int, m: int, seed: int) -> list:
     """Draw m independent order-n samples from one seeded stream."""
-    return _samples(space, _sample_indices(space, (m, n), seed))
+    idx = _sample_indices(space, (m, n), seed)
+    blocks = space.distances[idx[:, :, None], idx[:, None, :]]
+    return _wrap(blocks, np.fromiter(space.marks, dtype=object, count=space.n)[idx].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +202,56 @@ def _mantissas(w: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array([num * (q // den) for num, den in ratios], dtype=object), q
 
 
-def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of an integer matrix with one stable sort.
+def _codes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct 12-digit keys of ``x`` in value order, and each entry's
+    code (its key's position), shaped like ``x``."""
+    values, codes = np.unique(round_sig(x), return_inverse=True)
+    return values, codes.reshape(x.shape)
 
-    Returns (order, new): ``order`` sorts the rows lexicographically, ties
-    in row order, and ``new[k]`` marks where the k-th sorted row differs
-    from the one before it.  So ``order[new]`` holds the first row of each
-    group, groups sorted by their rows, and ``cumsum(new) - 1`` gives the
-    group ids in sorted order.
+
+def _ids(items) -> tuple[np.ndarray, list]:
+    """One integer id per item, equal items sharing it, and the distinct
+    items in id order."""
+    seen: dict = {}
+    ids = [seen.setdefault(x, len(seen)) for x in items]
+    return np.array(ids, dtype=np.intp), list(seen)
+
+
+def _aggregate(keys: np.ndarray, masses: np.ndarray, exact: bool):
+    """Add up the masses of equal rows of a key matrix: (firsts, sums).
+
+    One stable lexsort groups the rows; ``firsts[g]`` is the position of
+    group g's first row, groups sorted by their rows.  Exact masses
+    (integers or Fractions in an object array) add exactly; float masses
+    add by fsum, so each sum is correctly rounded.
     """
-    order = np.lexsort(keys.T[::-1])
+    # no columns (an order-0 push): one group
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
     ranked = keys[order]
     new = np.empty(len(order), dtype=bool)
     new[:1] = True
     np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    return order, new
+    starts = np.flatnonzero(new)
+    if exact:
+        sums = np.add.reduceat(masses[order], starts)
+    else:
+        parts = masses[order].tolist()
+        ends = starts[1:].tolist() + [len(parts)]
+        sums = np.array([math.fsum(parts[lo:hi]) for lo, hi in zip(starts.tolist(), ends)])
+    return order[new], sums
 
 
-def _repr_order(tris: list, marks: list) -> list:
-    """Positions of the keys (tri, marks) in the order of repr((tri, marks)).
-
-    ``tris[a]`` and ``marks[a]`` list the reprs of the a-th key's rounded
-    distances and of its marks, so callers can cache one repr per value.
-    All keys have the same order, so the tuples' reprs share one shape."""
-    if not tris:
-        return []
-    p, n = len(tris[0]), len(marks[0])
+def _atom_order(tri_codes, values, mark_ids, mark_values) -> list:
+    """Positions of the atoms in the order of repr(key), atom a having the key
+    (values[tri_codes[a]], mark_values[mark_ids[a]]): one repr per value and
+    per mark, joined in the shape that all keys of one order share."""
+    p, n = tri_codes.shape[1], mark_ids.shape[1]
+    value_reprs = np.array([repr(v) for v in values.tolist()], dtype=object)
+    mark_reprs = np.array([repr(mk) for mk in mark_values], dtype=object)
     mid = ",), (" if p == 1 else "), ("
     end = ",))" if n == 1 else "))"
-    texts = [f"(({', '.join(t)}{mid}{', '.join(m)}{end}" for t, m in zip(tris, marks)]
+    texts = [f"(({', '.join(t)}{mid}{', '.join(m)}{end}"
+             for t, m in zip(value_reprs[tri_codes].tolist(), mark_reprs[mark_ids].tolist())]
     return sorted(range(len(texts)), key=texts.__getitem__)
 
 
@@ -238,13 +278,12 @@ def exact_law(
     -------
     DistanceMatrixLaw
         Atoms aggregated by (distances rounded to 12 significant digits,
-        exact mark tuple), sorted by key, each represented by its first
-        tuple; probabilities normalized by (sum of weights)^n and summing to
-        exactly 1 in the rational case.  A tuple's key row holds integer
-        codes of its rounded distances (code order is value order) and
-        its mark ids; chunks of EXACT_LAW_CHUNK tuples are grouped by one
-        stable lexsort of these rows each, and merged by one more.  The
-        samples' blocks are read-only views of one array.
+        exact mark tuple), sorted by repr of the key, each represented by
+        its first tuple; probabilities normalized by (sum of weights)^n and
+        summing to exactly 1 in the rational case.  A tuple's key row holds
+        the codes of its rounded distances and its mark ids; `_aggregate`
+        groups each chunk of EXACT_LAW_CHUNK rows and then the chunks'
+        atoms, so a float probability is the fsum of its chunks' fsums.
         NaN/inf entries and a nonpositive total weight raise ParameterError.
     """
     if n < 1:
@@ -265,102 +304,65 @@ def exact_law(
     # not underflow to 0
     e = math.frexp(float(w.max()))[1]
     w = np.ldexp(w, -e)
-    seen: dict = {}  # shared mark values share ids
-    mark_ids = [seen.setdefault(mk, len(seen)) for mk in space.marks]
-    # code order is value order; one code per 12-digit distance
-    vals, codes = np.unique(round_sig(D), return_inverse=True)
-    dtype = np.min_scalar_type(max(len(vals), len(seen)) - 1)
-    codes = codes.reshape(D.shape).astype(dtype)
-    mark_ids = np.array(mark_ids, dtype=dtype)
+    mark_ids, distinct = _ids(space.marks)
+    vals, codes = _codes(D)
+    dtype = np.min_scalar_type(max(len(vals), len(distinct)) - 1)
+    codes, mark_ids = codes.astype(dtype), mark_ids.astype(dtype)
     rows, cols = np.triu_indices(n, 1)
     radix = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    chunk_keys, chunk_reps, chunk_sums = [], [], []
+    chunks = []
     for start in range(0, K, EXACT_LAW_CHUNK):
         base = np.arange(start, min(start + EXACT_LAW_CHUNK, K), dtype=np.int64)
         idx = base[:, None] // radix % N
         keys = np.concatenate([codes[idx[:, rows], idx[:, cols]], mark_ids[idx]], axis=1)
-        order, new = _group_rows(keys)
-        if exact:
-            prods = np.prod(mantissas[idx], axis=1)
-            chunk_sums.append(np.add.reduceat(prods[order], np.flatnonzero(new)))
-        else:
-            prods = np.prod(w[np.sort(idx, axis=1)], axis=1)
-            group = np.empty(len(order), dtype=np.intp)
-            group[order] = np.cumsum(new) - 1
-            chunk_sums.append(np.bincount(group, weights=prods))
-        firsts = order[new]
-        chunk_keys.append(keys[firsts])
-        chunk_reps.append(idx[firsts])
+        masses = np.prod(mantissas[idx] if exact else w[np.sort(idx, axis=1)], axis=1)
+        firsts, sums = _aggregate(keys, masses, exact)
+        chunks.append((keys[firsts], idx[firsts], sums))
+    keys, reps, sums = (np.concatenate(parts) for parts in zip(*chunks))
+    if len(chunks) > 1:
+        # a key occurs at most once per chunk and the chunks follow the
+        # enumeration, so first occurrences hold the first tuples
+        firsts, sums = _aggregate(keys, sums, exact)
+        keys, reps = keys[firsts], reps[firsts]
 
-    keys, reps, sums = chunk_keys[0], chunk_reps[0], chunk_sums[0]
-    if len(chunk_keys) > 1:
-        # A key occurs at most once per chunk and the chunks follow the
-        # enumeration, so first occurrences hold the first tuples.  Chunk
-        # sums add exactly, so float sums are rounded once, as by fsum.
-        order, new = _group_rows(np.concatenate(chunk_keys))
-        firsts = order[new]
-        keys = np.concatenate(chunk_keys)[firsts]
-        reps = np.concatenate(chunk_reps)[firsts]
-        parts = np.concatenate(chunk_sums)
-        if not exact:
-            parts = np.array([Fraction(x) for x in parts], dtype=object)
-        sums = np.add.reduceat(parts[order], np.flatnonzero(new))
-
-    total_m = int(sum(mantissas))
+    order = _atom_order(keys[:, : len(rows)], vals, reps, space.marks)
+    reps, sums = reps[order], sums[order]
+    norm = int(sum(mantissas)) ** n
     if exact:
-        norm = total_m ** n
-        probs = [Fraction(int(x), norm) for x in sums]
+        probs = tuple(Fraction(int(x), norm) for x in sums)
     else:
-        norm = float((Fraction(total_m, q) / Fraction(2) ** e) ** n)
-        probs = [float(x) / norm for x in sums]
-    samples = _samples(space, reps)
-    tri_codes = keys[:, : len(rows)]
-    for smp, tri in zip(samples, vals[tri_codes].tolist()):
-        smp.__dict__["_key"] = (tuple(tri), smp.marks)
-    value_reprs = np.array([repr(v) for v in vals.tolist()], dtype=object)
-    mark_reprs = np.array([repr(mk) for mk in space.marks], dtype=object)
-    order = _repr_order(value_reprs[tri_codes].tolist(), mark_reprs[reps].tolist())
-
+        probs = tuple((sums / float(Fraction(norm, q ** n) / Fraction(2) ** (e * n))).tolist())
     return DistanceMatrixLaw(
         order=n,
-        samples=tuple(samples[a] for a in order),
-        probs=tuple(probs[a] for a in order),
-        exact=exact,
-    )
-
-
-def _law_from_pairs(order: int, pairs: list, exact: bool) -> DistanceMatrixLaw:
-    agg: dict = {}
-    reps: dict = {}
-    for smp, p in pairs:
-        k = smp.key()
-        if k not in agg:
-            agg[k] = []
-            reps[k] = smp
-        agg[k].append(p)
-    keys = list(agg)
-    ranks = _repr_order([[repr(v) for v in k[0]] for k in keys],
-                        [[repr(mk) for mk in k[1]] for k in keys])
-    keys = [keys[a] for a in ranks]
-    probs = []
-    for k in keys:
-        if exact:
-            probs.append(sum(agg[k], Fraction(0)))
-        else:
-            probs.append(math.fsum(agg[k]))
-    return DistanceMatrixLaw(
-        order=order,
-        samples=tuple(reps[k] for k in keys),
-        probs=tuple(probs),
+        blocks=D[reps[:, :, None], reps[:, None, :]],
+        marks=np.fromiter(space.marks, dtype=object, count=N)[reps],
+        probs=probs,
         exact=exact,
     )
 
 
 def law_push(law: DistanceMatrixLaw, sigma: Sequence[int]) -> DistanceMatrixLaw:
-    """Push a law through an injective index map and re-aggregate exactly."""
-    pairs = [(permute(s, sigma), p) for s, p in zip(law.samples, law.probs)]
-    return _law_from_pairs(len(sigma), pairs, law.exact)
+    """Push a law through an injective index map and re-aggregate it:
+    blocks and marks are pulled back as by `permute`, keyed as in
+    `exact_law` and added up by `_aggregate` (fsum for float laws)."""
+    sig = _index_map(sigma, law.order)
+    rows, cols = np.triu_indices(len(sig), 1)
+    blocks, marks = law.blocks[:, sig][:, :, sig], law.marks[:, sig]
+    vals, tri_codes = _codes(blocks[:, rows, cols])
+    mark_ids, distinct = _ids(marks.ravel().tolist())
+    mark_ids = mark_ids.reshape(marks.shape)
+    masses = np.array(law.probs, dtype=object if law.exact else float)
+    firsts, sums = _aggregate(np.concatenate([tri_codes, mark_ids], axis=1), masses, law.exact)
+    order = _atom_order(tri_codes[firsts], vals, mark_ids[firsts], distinct)
+    firsts = firsts[order]
+    return DistanceMatrixLaw(
+        order=len(sig),
+        blocks=blocks[firsts],
+        marks=marks[firsts],
+        probs=tuple(sums[order].tolist()),
+        exact=law.exact,
+    )
 
 
 def law_shift(law: DistanceMatrixLaw, k: int) -> DistanceMatrixLaw:
@@ -372,15 +374,11 @@ def law_shift(law: DistanceMatrixLaw, k: int) -> DistanceMatrixLaw:
 
 def laws_equal(a: DistanceMatrixLaw, b: DistanceMatrixLaw, tol: float = 0.0) -> bool:
     """Compare two laws atom by atom (rational probs compare exactly)."""
-    if a.order != b.order or len(a.samples) != len(b.samples):
+    if a.order != b.order or len(a.probs) != len(b.probs):
         return False
     for (sa, pa), (sb, pb) in zip(a.atoms, b.atoms):
-        if sa.key() != sb.key():
-            return False
-        if isinstance(pa, Fraction) and isinstance(pb, Fraction):
-            if pa != pb:
-                return False
-        elif abs(float(pa) - float(pb)) > tol:
+        rational = isinstance(pa, Fraction) and isinstance(pb, Fraction)
+        if sa.key() != sb.key() or (pa != pb if rational else abs(float(pa) - float(pb)) > tol):
             return False
     return True
 
@@ -398,13 +396,9 @@ def pair_distance_law(space: FiniteMmmSpace):
     """
     _require_finite(space)
     w = space.weights / _weight_total(space)
-    keys = round_sig(space.distances).reshape(-1)
-    order = np.argsort(keys, kind="stable")
-    values, starts = np.unique(keys[order], return_index=True)
-    mass = np.outer(w, w).reshape(-1)[order].tolist()
-    ends = starts[1:].tolist() + [len(mass)]
-    probs = [math.fsum(mass[lo:hi]) for lo, hi in zip(starts.tolist(), ends)]
-    return values, np.array(probs)
+    keys = round_sig(space.distances).reshape(-1, 1)
+    firsts, probs = _aggregate(keys, np.outer(w, w).reshape(-1), exact=False)
+    return keys[firsts, 0], probs
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +423,29 @@ def project_mm(space: FiniteMmmSpace) -> FiniteMmmSpace:
 
 
 def mark_marginal(space: FiniteMmmSpace) -> dict:
-    """Mark marginal: canonical mark value -> total weight (fsum per value)."""
+    """Mark marginal: canonical mark value -> total weight (fsum per value),
+    marks in order of first appearance.  NaN/inf distances, weights or
+    Euclidean mark coordinates raise ParameterError."""
+    _require_finite(space)
     agg: dict = {}
-    for mk, wt in zip(space.marks, space.weights):
-        agg.setdefault(mk, []).append(float(wt))
+    for mk, wt in zip(space.marks, space.weights.tolist()):
+        agg.setdefault(mk, []).append(wt)
     return {mk: math.fsum(vals) for mk, vals in agg.items()}
 
 
 # ---------------------------------------------------------------------------
 # index operations
 # ---------------------------------------------------------------------------
+
+def _index_map(sigma: Sequence[int], order: int) -> list:
+    """``sigma`` as a list of ints, checked to be injective into range(order)."""
+    sig = [int(t) for t in sigma]
+    if len(set(sig)) != len(sig):
+        raise ParameterError("index map must be injective")
+    if sig and (min(sig) < 0 or max(sig) >= order):
+        raise ParameterError("index map goes out of range")
+    return sig
+
 
 def permute(s: DistanceMatrixSample, sigma: Sequence[int]) -> DistanceMatrixSample:
     """Pull back a sample along an injective index map (0-based).
@@ -447,17 +454,8 @@ def permute(s: DistanceMatrixSample, sigma: Sequence[int]) -> DistanceMatrixSamp
     len(sigma), dist'[s][t] = dist[sigma[s]][sigma[t]] and marks' =
     marks[sigma[t]].
     """
-    sig = [int(t) for t in sigma]
-    if len(set(sig)) != len(sig):
-        raise ParameterError("index map must be injective")
-    if sig and (min(sig) < 0 or max(sig) >= s.order):
-        raise ParameterError("index map goes out of range")
-    idx = np.asarray(sig, dtype=int)
-    return DistanceMatrixSample(
-        order=len(sig),
-        dist=s.dist[np.ix_(idx, idx)],
-        marks=tuple(s.marks[t] for t in sig),
-    )
+    sig = _index_map(sigma, s.order)
+    return DistanceMatrixSample(len(sig), s.dist[np.ix_(sig, sig)], tuple(s.marks[t] for t in sig))
 
 
 def shift(s: DistanceMatrixSample, k: int) -> DistanceMatrixSample:

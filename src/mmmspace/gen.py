@@ -11,6 +11,7 @@ modeling claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +30,23 @@ __all__ = [
 DNA = ("A", "C", "G", "T")
 
 
-def _check_transition(transition, k: int):
-    if transition is None:
-        return None
-    t = np.asarray(transition, dtype=float)
+def _check_mutation(config) -> None:
+    """Checks shared by both configs: finite ``theta`` >= 0, a nonempty
+    ``alphabet``, and a finite stochastic ``transition`` (stored read-only)."""
+    if not 0 <= config.theta < math.inf:
+        raise ParameterError(f"mutation rate must be finite and nonnegative, got {config.theta!r}")
+    if not config.alphabet:
+        raise ParameterError("alphabet must be nonempty")
+    if config.transition is None:
+        return
+    k = len(config.alphabet)
+    t = np.asarray(config.transition, dtype=float)
     if t.shape != (k, k):
         raise ParameterError(f"transition matrix must be {k}x{k}")
-    if t.min() < 0 or np.abs(t.sum(axis=1) - 1.0).max() > 1e-9:
+    if not (t >= 0).all() or not np.abs(t.sum(axis=1) - 1.0).max() <= 1e-9:
         raise ParameterError("transition rows must be stochastic")
     t.flags.writeable = False
-    return t
+    object.__setattr__(config, "transition", t)
 
 
 @dataclass(frozen=True)
@@ -52,15 +60,9 @@ class CoalescentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.leaves < 1:
+        if not self.leaves >= 1:
             raise ParameterError("need at least one leaf")
-        if self.theta < 0:
-            raise ParameterError("mutation rate must be nonnegative")
-        if not self.alphabet:
-            raise ParameterError("alphabet must be nonempty")
-        object.__setattr__(
-            self, "transition", _check_transition(self.transition, len(self.alphabet))
-        )
+        _check_mutation(self)
 
 
 @dataclass(frozen=True)
@@ -82,17 +84,11 @@ class MoranConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 2:
+        if not self.population >= 2:
             raise ParameterError("population must be at least 2")
-        if self.horizon <= 0:
-            raise ParameterError("horizon must be positive")
-        if self.theta < 0:
-            raise ParameterError("mutation rate must be nonnegative")
-        if not self.alphabet:
-            raise ParameterError("alphabet must be nonempty")
-        object.__setattr__(
-            self, "transition", _check_transition(self.transition, len(self.alphabet))
-        )
+        if not 0 < self.horizon < math.inf:
+            raise ParameterError(f"horizon must be finite and positive, got {self.horizon!r}")
+        _check_mutation(self)
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,8 @@ def evaluate_exact(
             raise BudgetError(f"enumeration needs {tuples} tuples, budget is {budget}")
         return _evaluate_product_exact(phi, space)
     law = exact_law(space, phi.order, budget=budget)
-    terms = [
-        float(p) * float(phi.body(s.dist, s.marks)) for s, p in zip(law.samples, law.probs)
-    ]
+    terms = [float(p) * float(phi.body(block, tuple(marks)))
+             for block, marks, p in zip(law.blocks, law.marks.tolist(), law.probs)]
     return math.fsum(terms)
 
 
@@ -182,10 +181,12 @@ def evaluate_mc(phi: Polynomial, space: FiniteMmmSpace, m: int, seed: int):
     Draws m iid order-n samples from one seeded stream (the same stream
     ``dmat.sample_many`` would use).  The standard error is the sample
     standard deviation (ddof=1) over sqrt(m); it is exactly 0 for a
-    constant integrand.
+    constant integrand.  NaN/inf distances, weights or marks raise
+    ParameterError.
     """
     if m < 1:
         raise ParameterError("need at least one Monte Carlo draw")
+    _require_finite(space)
     idx = _sample_indices(space, (m, phi.order), seed)
     D = space.distances
     if phi.has_product_form:
@@ -204,12 +205,11 @@ def evaluate_mc(phi: Polynomial, space: FiniteMmmSpace, m: int, seed: int):
             vals[r] = phi.body(
                 D[np.ix_(row, row)], tuple(marks[i] for i in row)
             )
-    est = float(vals.mean())
-    if m > 1:
-        err = float(vals.std(ddof=1) / math.sqrt(m))
-    else:
-        err = float("nan")
-    return est, err
+    # an exact power-of-two scale keeps the squared deviations finite
+    e = max(math.frexp(float(np.abs(vals).max()))[1] - 500, 0)
+    vals = np.ldexp(vals, -e)
+    err = math.ldexp(float(vals.std(ddof=1)), e) / math.sqrt(m) if m > 1 else math.nan
+    return math.ldexp(float(vals.mean()), e), err
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ distributional assumptions.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +202,9 @@ def two_sample_test(
     idx2 = _sample_indices(cb, (m, n), rng)
     embed = _mark_embedding(ca)
     pooled = np.vstack([_features(ca, idx1, embed), _features(cb, idx2, embed)])
+    # an exact power-of-two scale keeps the distances and their sums finite
+    e = max(math.frexp(float(np.abs(pooled).max()))[1] - 500, 0)
+    pooled = np.ldexp(pooled, -e)
     dmat = cdist(pooled, pooled)
 
     # column 0 is the observed split; the permutations follow in draw order
@@ -215,7 +219,7 @@ def two_sample_test(
     observed = energies[0]
     hits = int(np.count_nonzero(energies[1:] >= observed - 1e-12))
     return TwoSampleResult(
-        statistic=float(observed),
+        statistic=math.ldexp(float(observed), e),
         p_value=(1 + hits) / (permutations + 1),
         order=n,
         samples=m,

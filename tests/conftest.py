@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mmmspace import FiniteMmmSpace, MarkSpace, euclidean_cloud
+from mmmspace import DomainError, FiniteMmmSpace, MarkSpace, euclidean_cloud
 
 BIT_MARKS = MarkSpace.discrete((0, 1))
 AB_MARKS = MarkSpace.discrete(("a", "b"))
@@ -87,6 +87,31 @@ def tiny_marked_spaces(draw):
     marks = draw(st.lists(grid, min_size=space.n, max_size=space.n))
     return FiniteMmmSpace(distances=space.distances, marks=marks, weights=space.weights,
                           mark_space=MarkSpace.euclidean(2))
+
+
+@st.composite
+def rough_spaces(draw):
+    """Tiny marked spaces, some with a non-finite, huge or tiny distance,
+    zero weights, or weights near either end of the float range."""
+    space = draw(tiny_marked_spaces())
+    d, w = space.distances.copy(), np.array(space.weights)
+    how = draw(st.sampled_from(("plain", "distance", "zero", "scaled")))
+    if how == "distance" and space.n > 1:
+        d[0, 1] = d[1, 0] = draw(st.sampled_from((np.nan, np.inf, 1e-300, 1e300)))
+    elif how == "zero":
+        w[:] = 0.0
+    elif how == "scaled":
+        w *= draw(st.sampled_from((1e-300, 1e300)))
+    return FiniteMmmSpace(distances=d, marks=space.marks, weights=w,
+                          mark_space=space.mark_space)
+
+
+def or_none(call):
+    """The value of ``call()``, or None if it raises a DomainError."""
+    try:
+        return call()
+    except DomainError:
+        return None
 
 
 def relabeled(space, rng):

@@ -4,20 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmmspace import (
     FiniteMmmSpace,
     MarkSpace,
     ParameterError,
+    Polynomial,
     ball_masses,
+    distance_monomial,
     distance_tail,
+    euclidean_cloud,
+    evaluate_mc,
     family_tightness,
     mark_tail,
     modulus_mass,
     sampled_functionals,
+    two_sample_test,
 )
 
-from conftest import AB_MARKS, BIT_MARKS, nan_cloud, random_space, relabeled, two_point
+from conftest import (
+    AB_MARKS, BIT_MARKS, nan_cloud, or_none, random_space, relabeled, rough_spaces, two_point,
+)
 
 
 def path_space(n_points, spacing, label="path"):
@@ -223,6 +231,44 @@ def planar_pair():
     return FiniteMmmSpace(distances=np.array([[0.0, 1.0], [1.0, 0.0]]),
                           marks=((0.0, 0.0), (3.0, 4.0)), weights=np.array([0.5, 0.5]),
                           mark_space=MarkSpace.euclidean(2))
+
+
+def test_mark_tail_rejects_a_non_finite_weight():
+    # mark_tail read [nan]: the marginal summed the NaN weight
+    s = euclidean_cloud(5, 2, "sign", seed=3)
+    w = s.weights.copy()
+    w[2] = np.nan
+    bad = FiniteMmmSpace(distances=s.distances, marks=s.marks, weights=w,
+                         mark_space=s.mark_space, label="nan-weight")
+    with pytest.raises(ParameterError, match="'nan-weight': weight 2 = nan is not finite"):
+        mark_tail(bad, labels=["+"])
+    with pytest.raises(ParameterError, match="'nan-weight'"):
+        family_tightness([s, bad], [0.5], [0.25], mark_labels=["+"])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(space=rough_spaces(), order=st.integers(1, 3))
+def test_curves_draws_and_the_test_give_finite_values_or_domain_errors(space, order):
+    marks = ({"labels": ["a"]} if space.mark_space.kind == "discrete"
+             else {"radii": [0.5, 2.0]})
+    summed = Polynomial(order=order, body=lambda dist, marks: float(dist.sum()), bound=10.0)
+    calls = [
+        lambda: evaluate_mc(distance_monomial(0, order - 1, order=order), space, 50, 0),
+        lambda: evaluate_mc(summed, space, 50, 1),
+        lambda: distance_tail(space, [0.5, 1.0, 1e300]),
+        lambda: mark_tail(space, **marks),
+        lambda: modulus_mass(space, 0.5, 0.25),
+        lambda: family_tightness([space, space], [0.5, 1.0], [0.1, 0.5],
+                                 **{"mark_" + k: v for k, v in marks.items()}),
+        lambda: two_sample_test(space, space, m=20, permutations=99, seed=2),
+    ]
+    for call in calls:
+        out = or_none(call)
+        if hasattr(out, "verdicts"):
+            out = np.concatenate([out.modulus.ravel(), out.distance_tail, out.mark_tail])
+        elif hasattr(out, "p_value"):
+            out = (out.statistic, out.p_value)
+        assert out is None or np.isfinite(np.asarray(out, dtype=float)).all()
 
 
 def test_nan_radii_and_thresholds_are_rejected(space_A):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmmspace import (
-    DomainError,
     FiniteMmmSpace,
     MarkSpace,
     ParameterError,
@@ -32,7 +31,8 @@ from mmmspace.dmat import MM_DUMMY_LABEL, DistanceMatrixSample, round_sig
 
 from _oracles import exact_law_oracle
 from conftest import (
-    AB_MARKS, nan_cloud, random_space, tiny_marked_spaces, tiny_spaces, two_point,
+    AB_MARKS, nan_cloud, or_none, random_space, rough_spaces, tiny_marked_spaces,
+    tiny_spaces, two_point,
 )
 
 
@@ -216,44 +216,20 @@ def test_exact_law_matches_the_oracle_on_tiny_marked_spaces(space, order):
     assert max(abs(p - float(q)) for p, (_, _, q) in zip(flt.probs, ref)) <= 1e-15
 
 
-@st.composite
-def rough_spaces(draw):
-    """Tiny marked spaces, some with a non-finite, huge or tiny distance,
-    zero weights, or weights near either end of the float range."""
-    space = draw(tiny_marked_spaces())
-    d, w = space.distances.copy(), np.array(space.weights)
-    how = draw(st.sampled_from(("plain", "distance", "zero", "scaled")))
-    if how == "distance" and space.n > 1:
-        d[0, 1] = d[1, 0] = draw(st.sampled_from((np.nan, np.inf, 1e-300, 1e300)))
-    elif how == "zero":
-        w[:] = 0.0
-    elif how == "scaled":
-        w *= draw(st.sampled_from((1e-300, 1e300)))
-    return FiniteMmmSpace(distances=d, marks=space.marks, weights=w,
-                          mark_space=space.mark_space)
-
-
-def _or_none(call):
-    try:
-        return call()
-    except DomainError:
-        return None
-
-
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(space=rough_spaces(), order=st.integers(1, 3))
 def test_law_entry_points_give_finite_values_or_domain_errors(space, order):
     for exact in (True, False):
-        law = _or_none(lambda: exact_law(space, order, exact=exact))
+        law = or_none(lambda: exact_law(space, order, exact=exact))
         if law is not None:
             assert all(math.isfinite(p) for p in law.probs)
             assert all(np.isfinite(s.dist).all() for s in law.samples)
-    pair = _or_none(lambda: pair_distance_law(space))
+    pair = or_none(lambda: pair_distance_law(space))
     if pair is not None:
         assert np.isfinite(pair[0]).all() and np.isfinite(pair[1]).all()
     summed = Polynomial(order=order, body=lambda dist, marks: float(dist.sum()), bound=10.0)
     for phi in (summed, distance_monomial(0, order - 1, order=order)):
-        value = _or_none(lambda: evaluate_exact(phi, space))
+        value = or_none(lambda: evaluate_exact(phi, space))
         assert value is None or math.isfinite(value)
 
 
@@ -314,6 +290,41 @@ def test_injective_pushforward_consistency():
     law3 = exact_law(s, 3)
     law2 = exact_law(s, 2)
     assert laws_equal(law_push(law3, (0, 2)), law2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(space=tiny_marked_spaces(), order=st.integers(1, 3), data=st.data())
+def test_an_injective_push_is_the_law_of_the_chosen_indices(space, order, data):
+    # sigma picks len(sigma) distinct indices in any order, so the pushed law
+    # must be the law of that many indices; law_push merges the source atoms
+    # by the same grouping that exact_law runs on its tuples
+    sigma = data.draw(st.permutations(range(order)))[: data.draw(st.integers(1, order))]
+    for exact in (True, False):
+        pushed = law_push(exact_law(space, order, exact=exact), sigma)
+        assert pushed.exact == exact
+        assert laws_equal(pushed, exact_law(space, len(sigma), exact=exact), tol=1e-15)
+
+
+def test_a_law_holds_read_only_arrays_and_builds_samples_on_demand(monkeypatch):
+    space = random_space(np.random.default_rng(45), max_n=4, min_n=4)
+    law = exact_law(space, 3)
+    assert "samples" not in law.__dict__
+    assert law.blocks.shape == (len(law.probs), 3, 3) and law.marks.shape == (len(law.probs), 3)
+    assert not law.blocks.flags.writeable and not law.marks.flags.writeable
+    plain = Polynomial(order=3, body=lambda dist, marks: float(dist[0, 2]), bound=10.0)
+    want = math.fsum(float(p) * float(s.dist[0, 2]) for s, p in law.atoms)
+    with monkeypatch.context() as m:
+        # the enumerated path of evaluate_exact reads blocks and marks only
+        m.setattr(dmat, "_wrap", lambda *args: pytest.fail("samples were built"))
+        assert evaluate_exact(plain, space) == want
+    for a, s in enumerate(law.samples):
+        assert np.shares_memory(s.dist, law.blocks) and not s.dist.flags.writeable
+        assert s.dist.tobytes() == law.blocks[a].tobytes()
+        assert s.marks == tuple(law.marks[a])
+        assert s.key() == DistanceMatrixSample(3, s.dist, s.marks).key()
+    assert law.samples is law.samples
+    pushed = law_push(law, (2, 0))
+    assert "samples" not in pushed.__dict__ and not pushed.blocks.flags.writeable
 
 
 def test_law_push_rejects_non_injective(space_A):

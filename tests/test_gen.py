@@ -157,6 +157,30 @@ def test_moran_config_validation():
         MoranConfig(population=3, theta=-0.5)
 
 
+def test_configs_reject_non_finite_parameters():
+    nan, inf = math.nan, math.inf
+    with pytest.raises(ParameterError, match="horizon must be finite and positive, got nan"):
+        MoranConfig(population=4, horizon=nan, seed=1)
+    with pytest.raises(ParameterError, match="horizon must be finite and positive, got inf"):
+        MoranConfig(population=4, horizon=inf)
+    for config in (CoalescentConfig, MoranConfig):
+        size = 3
+        for theta in (nan, inf):
+            with pytest.raises(ParameterError, match="mutation rate must be finite"):
+                config(size, theta=theta)
+        with pytest.raises(ParameterError, match="transition rows must be stochastic"):
+            config(size, transition=np.full((4, 4), nan))
+        rows = np.eye(4)
+        rows[1] = [inf, 0.0, 0.0, 0.0]
+        with pytest.raises(ParameterError, match="transition rows must be stochastic"):
+            config(size, transition=rows)
+        with pytest.raises(ParameterError):
+            config(nan)
+        # a valid transition is kept, read-only
+        kept = config(size, theta=1.0, transition=np.eye(4)).transition
+        assert np.array_equal(kept, np.eye(4)) and not kept.flags.writeable
+
+
 # --- euclidean clouds ------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from mmmspace import (
     BudgetError,
+    FiniteMmmSpace,
     MarkSpace,
     ParameterError,
     Polynomial,
@@ -21,7 +22,7 @@ from mmmspace import (
     product_family,
 )
 
-from conftest import AB_MARKS, random_space, two_point
+from conftest import AB_MARKS, nan_cloud, random_space, two_point
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
 ONE = lambda u: 1.0  # noqa: E731
@@ -184,6 +185,23 @@ def test_evaluation_rejects_zero_total_weight():
         evaluate_mc(distance_monomial(0, 1), zero, m=10, seed=0)
     with pytest.raises(ParameterError, match="'zero': weights must have positive total"):
         evaluate_exact(distance_monomial(0, 1), zero)
+
+
+def test_evaluate_mc_rejects_non_finite_distances():
+    with pytest.raises(ParameterError, match=r"'nan': d\(0,1\) = nan is not finite"):
+        evaluate_mc(distance_monomial(0, 1), nan_cloud(), 200, 0)
+
+
+def test_mc_of_huge_values_scales_exactly():
+    # squaring deviations near 1e300 would overflow; the estimate and its
+    # error must be the ones of the scaled-down space times 2^900, exactly
+    space = random_space(np.random.default_rng(46), max_n=5, min_n=4)
+    huge = FiniteMmmSpace(distances=np.ldexp(space.distances, 900), marks=space.marks,
+                          weights=space.weights, mark_space=space.mark_space)
+    for phi in (distance_monomial(0, 1), multiply(distance_monomial(0, 1), constant(1.0))):
+        est, err = evaluate_mc(phi, space, 300, 7)
+        assert evaluate_mc(phi, huge, 300, 7) == (math.ldexp(est, 900), math.ldexp(err, 900))
+        assert math.isfinite(math.ldexp(err, 900))
 
 
 def test_budget_guard():

@@ -1,5 +1,7 @@
 """Tests for the permutation two-sample test and convergence tables."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +176,18 @@ def test_power_separates_scaled_spaces(space_A, space_A2):
         res = two_sample_test(space_A, space_A2, m=200, permutations=99,
                               seed=seed)
         assert res.p_value <= 0.05, seed
+
+
+def test_two_sample_statistic_of_huge_distances_scales_exactly():
+    # one label, so the features are the distances alone and scale with them;
+    # a space against itself, so that the digests cannot reorder the sides
+    s = random_space(np.random.default_rng(47), max_n=5, min_n=4, labels=("a",))
+    huge = FiniteMmmSpace(distances=np.ldexp(s.distances, 900), marks=s.marks,
+                          weights=s.weights, mark_space=s.mark_space)
+    base = two_sample_test(s, s, m=30, permutations=99, seed=3)
+    big = two_sample_test(huge, huge, m=30, permutations=99, seed=3)
+    assert big.statistic == math.ldexp(base.statistic, 900) and math.isfinite(big.statistic)
+    assert big.p_value == base.p_value
 
 
 def test_two_sample_validation(space_A):
