@@ -196,7 +196,7 @@ def _cmd_dist(args):
     a = load_space(args.a)
     b = load_space(args.b)
     if args.exact:
-        result = mgp_exact(a, b, budget=args.budget, seed=args.seed)
+        result = mgp_exact(a, b, budget=args.budget)
     else:
         result = mgp_bounds(a, b, seed=args.seed)
     payload = {
@@ -360,9 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--exact", action="store_true",
-                   help="certified search (tiny discrete spaces)")
+                   help="exact value (tiny discrete spaces)")
     p.add_argument("--budget", type=int, default=4000,
-                   help="branch-and-bound node cap of --exact")
+                   help="max-flow cap of --exact")
     p.add_argument("--out")
     add_seed(p)
     p.set_defaults(func=_cmd_dist)

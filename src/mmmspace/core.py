@@ -545,7 +545,9 @@ def is_equivalent_exact(
 # ---------------------------------------------------------------------------
 
 def _sample_indices(space: FiniteMmmSpace, size, seed) -> np.ndarray:
-    """Atom indices drawn iid from the weights (a Generator ``seed`` is used as is)."""
+    """Atom indices drawn iid from the weights (a Generator ``seed`` is used as is).
+    NaN/inf distances, weights or marks raise ParameterError."""
+    _require_finite(space)
     p = space.weights / _weight_total(space)
     return np.random.default_rng(seed).choice(space.n, size=size, p=p)
 

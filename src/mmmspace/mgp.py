@@ -4,29 +4,20 @@ The distance is the infimum, over metric gluings of the two point sets,
 of the Prohorov distance between the pushforward measures on the glued
 space crossed with the mark space (metric = glued distance + mark
 distance).  A gluing is determined by its cross matrix C; the four
-triangle-inequality families tie C to the two given metrics.
+triangle-inequality families tie C to the two given metrics.  The
+Prohorov objective depends on the gluing only through the matrix
+M = C + mark offsets.
 
-Key structural facts used throughout (and unit-tested):
-
-* the Prohorov objective depends on the gluing only through the matrix
-  M = C + mark offsets, is entrywise nondecreasing in M, and is
-  1-Lipschitz under sup-norm perturbations of M;
-* any admissible C may be truncated at max(diam1, diam2) entrywise
-  without breaking admissibility or increasing the objective, so the
-  search box [0, max diam]^(N1 x N2) contains minimizers;
-* given all other entries, the feasible interval of one entry has the
-  closed form [max over pairs of |C_neighbor - r|, min over pairs of
-  C_neighbor + r], so coordinate descent moves straight to the lower
-  endpoint and stays admissible.
-
-`mgp_exact` combines descent with a branch-and-bound refinement whose
-reported slack bounds the gap to the true infimum.
+Upper bounds come from correspondence gluings, which put every pair of a
+relation R at half its distortion dis(R) or closer, and lower bounds from
+projections to the mark marginal and the pair-distance law.  With 0/1
+mark distances a gluing below 1 matches only equal-mark points, and no
+gluing brings the pairs of R closer than dis(R)/2, so `mgp_exact`
+computes the distance as a finite minimum over relations.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +30,8 @@ from .core import (
 from .dmat import mark_marginal, pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
 from .prohorov import (
-    _check_probs, _coupling, _integer_masses, _line_flow_mass, _prohorov_search,
+    FLOW_SCALE, _check_probs, _coupling, _cut_excluded_mass, _integer_masses,
+    _line_flow_mass, _max_flow_mass, _prohorov_search,
 )
 
 __all__ = [
@@ -274,8 +266,7 @@ def _candidate_pairs(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
 def _candidate_crosses(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
     """The correspondence gluings of `_candidate_pairs`, each pair set once
     (`correspondence_cross` depends only on the set), then the all-pairs
-    gluing: the candidates of `_best_gluing` and the start points of
-    `mgp_exact`."""
+    gluing: the candidates of `_best_gluing`."""
     seen = set()
     for pairs in _candidate_pairs(a, b, seed):
         key = frozenset(pairs)
@@ -376,16 +367,16 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
 
 
 # ---------------------------------------------------------------------------
-# certified exact optimization (tiny spaces)
+# exact value (tiny discrete-marked spaces)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MgpResult:
     """Bounds (and optionally a certified value) for one space pair.
 
-    `mgp_exact` also reports its work: ``nodes``, the branch-and-bound
-    nodes it expanded, and ``budget_exhausted``, whether boxes that could
-    still beat ``exact`` were left when the node budget ran out.
+    `mgp_exact` also reports its work: ``nodes``, the max-flows it ran,
+    and ``budget_exhausted``, whether its flow budget stopped the scan
+    before every relation that could beat ``exact`` was tried.
     """
 
     lower: float
@@ -408,138 +399,57 @@ class MgpResult:
             raise ParameterError("certified value escapes the bounds")
 
 
-def _tighten_box(lo, hi, r1, r2):
-    """Interval propagation of the gluing constraints; returns
-    (lo, hi, feasible).  The sweeps stop once both corners move by at most
-    1e-14 + 1e-5 * |old| entrywise, the test of ``np.allclose(new, old,
-    atol=1e-14)`` on finite arrays."""
-    lo = lo.copy()
-    hi = hi.copy()
-    r1_rows, r2_cols = r1[:, :, None], r2[None, :, :]
-    for _ in range(2 * (r1.shape[0] + r2.shape[0])):
-        hi_rows = (r1_rows + hi[None, :, :]).min(axis=1)
-        hi_cols = (hi[:, :, None] + r2_cols).min(axis=1)
-        new_hi = np.minimum(hi, np.minimum(hi_rows, hi_cols))
-        lo_rows = np.maximum(r1_rows - hi[None, :, :], lo[None, :, :] - r1_rows).max(axis=1)
-        lo_cols = np.maximum(lo[:, :, None] - r2_cols, r2_cols - hi[:, :, None]).max(axis=1)
-        new_lo = np.maximum(lo, np.maximum(lo_rows, lo_cols))
-        new_lo = np.maximum(new_lo, 0.0)
-        settled = (np.all(np.abs(new_lo - lo) <= 1e-14 + 1e-5 * np.abs(lo))
-                   and np.all(np.abs(new_hi - hi) <= 1e-14 + 1e-5 * np.abs(hi)))
-        lo, hi = new_lo, new_hi
-        if settled:
-            break
-    feasible = bool(np.all(lo <= hi + 1e-12))
-    return lo, hi, feasible
+def _maximal_cliques(adj: list) -> list:
+    """Maximal cliques, as bitmasks, of the graph whose vertex v has the
+    neighbour bitmask ``adj[v]`` (no self loops): Bron-Kerbosch with the
+    highest vertex of P | X as pivot."""
+    cliques = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            cliques.append(r)
+            return
+        pivot = (p | x).bit_length() - 1
+        rest = p & ~adj[pivot]
+        while rest:
+            v = rest & -rest
+            n = adj[v.bit_length() - 1]
+            expand(r | v, p & n, x & n)
+            p, x, rest = p & ~v, x | v, rest & ~v
+
+    expand(0, (1 << len(adj)) - 1, 0)
+    return cliques
 
 
-def _coordinate_floor(c, r1, r2, sweeps: int = 60):
-    """Push every cross entry to the lower end of its feasible interval.
+def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = 4000) -> MgpResult:
+    """Marked Gromov-Prohorov distance of tiny discrete pairs, by a finite scan.
 
-    Runs on Python floats (the same IEEE arithmetic as numpy's scalars, in
-    the same order, so the result is bitwise that of a numpy loop)."""
-    c = c.tolist()
-    r1, r2 = r1.tolist(), r2.tolist()
-    n1, n2 = len(r1), len(r2)
-    for _ in range(sweeps):
-        delta = 0.0
-        for i in range(n1):
-            row, ri = c[i], r1[i]
-            for j in range(n2):
-                rj = r2[j]
-                lo = 0.0
-                for i2 in range(n1):
-                    if i2 != i:
-                        lo = max(lo, abs(c[i2][j] - ri[i2]))
-                for j2 in range(n2):
-                    if j2 != j:
-                        lo = max(lo, abs(row[j2] - rj[j2]))
-                if lo < row[j]:
-                    delta = max(delta, row[j] - lo)
-                    row[j] = lo
-        if delta < 1e-14:
-            break
-    return np.array(c, dtype=float)
+    Requires discrete marks and at most 6 points in total.  Let Z be the
+    pairs (i, j) with equal marks, dis(S) the distortion of a relation S
+    in Z (max over (i, j), (k, l) in S of |r1(i, k) - r2(j, l)|) and g(S)
+    the excluded mass of the integer max-flow with only S admissible.
+    The distance is min(1, min over nonempty S of max(dis(S)/2, g(S))):
 
+    * a gluing and coupling at some eps < 1 keep S = {C + marks <= eps}
+      inside Z (mark distances are 0 or 1), the triangle inequality gives
+      dis(S)/2 <= eps and the coupling g(S) <= eps;
+    * `correspondence_cross` of S puts every pair of S at dis(S)/2 or
+      below, so its Prohorov distance is at most max(dis(S)/2, g(S)).
 
-def _repair(c, r1, r2, lo=None, hi=None, sweeps: int = 40):
-    """Clamp entries into their feasible intervals (Gauss-Seidel), on Python
-    floats as in `_coordinate_floor`."""
-    c = c.tolist()
-    r1, r2 = r1.tolist(), r2.tolist()
-    lo = None if lo is None else lo.tolist()
-    hi = None if hi is None else hi.tolist()
-    n1, n2 = len(r1), len(r2)
-    for _ in range(sweeps):
-        worst = 0.0
-        for i in range(n1):
-            row, ri = c[i], r1[i]
-            for j in range(n2):
-                rj = r2[j]
-                lob = 0.0
-                upb = math.inf
-                for i2 in range(n1):
-                    if i2 != i:
-                        lob = max(lob, abs(c[i2][j] - ri[i2]))
-                        upb = min(upb, c[i2][j] + ri[i2])
-                for j2 in range(n2):
-                    if j2 != j:
-                        lob = max(lob, abs(row[j2] - rj[j2]))
-                        upb = min(upb, row[j2] + rj[j2])
-                if lo is not None:
-                    lob = max(lob, lo[i][j])
-                if hi is not None:
-                    upb = min(upb, hi[i][j])
-                new = min(max(row[j], lob), upb)
-                worst = max(worst, abs(new - row[j]))
-                row[j] = new
-        if worst < 1e-14:
-            break
-    return np.array(c, dtype=float)
+    The scan takes the distinct levels d of |r1 - r2|/2 over pairs of Z in
+    increasing order and stops at the first d that is not below the best
+    value.  At level d it runs one flow per maximal clique of the graph on
+    Z joining pairs within d, since g only falls as S grows.  A clique met
+    at an earlier level, or whose `_cut_excluded_mass` already reaches the
+    best value, can improve nothing and runs no flow.
 
-
-def _gluing_feasible(c, r1, r2, tol=1e-9) -> bool:
-    """Whether |C[i] - C[i2]| <= r(i, i2) <= C[i] + C[i2] on rows and columns."""
-    for m, r in ((c, r1), (c.T, r2)):
-        x, y, rr = m[:, None, :], m[None, :, :], r[:, :, None]
-        if np.any(np.abs(x - y) > rr + tol) or np.any(x + y < rr - tol):
-            return False
-    return True
-
-
-def mgp_exact(
-    a: FiniteMmmSpace,
-    b: FiniteMmmSpace,
-    budget: int = 4000,
-    grid: float = 0.02,
-    seed: int = 0,
-) -> MgpResult:
-    """Certified marked Gromov-Prohorov distance for tiny discrete pairs.
-
-    Requires discrete marks and at most 6 points in total.  The upper side
-    floors the candidates of `mgp_upper` (its correspondence gluings, then
-    the all-pairs gluing) and four random
-    repaired gluings by coordinate descent and tests each against the
-    incumbent.  Then a branch-and-bound refinement over the cross-matrix
-    box: nodes are pruned with the monotone bound (objective at the
-    tightened lower corner) and split until the edge length falls below
-    ``grid`` or the node budget runs out.  The result carries the best
-    value found as ``exact`` (and ``upper``) plus a ``slack`` such that the
-    true infimum lies in [exact - slack, exact]; the first strict minimum
-    among the start points, then the node candidates, is the witness, and
-    its coupling is the one the Prohorov search that accepted it returned.
-    ``nodes`` counts the expanded nodes, and ``budget_exhausted`` says
-    whether the budget stopped the search with boxes still open.
-
-    Parameters
-    ----------
-    budget : int
-        Branch-and-bound node cap.
-    grid : float
-        Box edge-length resolution: absolute when the spaces have unit
-        scale, interpreted times max(1, max diameter).
-    seed : int
-        Seed for the heuristic start points.
+    The witness is `correspondence_cross` of the best relation, or the
+    all-pairs gluing when no relation beats 1; ``exact`` and ``upper`` are
+    its Prohorov distance and the coupling comes from that search.
+    ``budget`` caps the flows; ``nodes`` counts those run and
+    ``budget_exhausted`` says whether the cap stopped the scan.  Stopped at
+    level d, the distance lies in [max(lower, min(exact, d)), exact] and
+    ``slack`` is the width of that bracket; otherwise ``slack`` is 0.
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
@@ -549,107 +459,53 @@ def mgp_exact(
         raise TooLargeError(
             f"certified search is limited to {EXACT_SIZE_BOUND} points in total"
         )
-
-    r1, r2 = a.distances, b.distances
-    wa, wb = a.weights, b.weights
-    diam = max(
-        float(r1.max()) if r1.size else 0.0, float(r2.max()) if r2.size else 0.0
-    )
-    off = a.mark_space.cross_distances(a.marks, b.marks)
-    resolution = grid * max(1.0, diam)
-
-    ca, cb = _integer_masses(wa), _integer_masses(wb)
-
-    def search(c, bound):
-        return _prohorov_search(c + off, ca, cb, bound)
-
     lower = mgp_lower(a, b)
+    off = a.mark_space.cross_distances(a.marks, b.marks)
+    ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
+    zi, zj = np.nonzero(off == 0.0)
+    half = np.abs(a.distances[np.ix_(zi, zi)] - b.distances[np.ix_(zj, zj)]) / 2.0
+    half = np.maximum(half, half.T)
+    loops = np.eye(len(zi), dtype=bool)
+    bits = 1 << np.arange(len(zi), dtype=np.int64)
 
-    # ---- upper side: the candidates of mgp_upper + coordinate descent ----
-    starts = list(_candidate_crosses(a, b, seed))
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        c = _repair(rng.uniform(0.0, max(diam, 1e-12), size=(a.n, b.n)), r1, r2)
-        if _gluing_feasible(c, r1, r2):
-            starts.append(c)
-
-    best_v, best_c, best_flow = math.inf, None, None
-    for c0 in starts:
-        c = _coordinate_floor(c0, r1, r2)
-        got = search(c, best_v) if _gluing_feasible(c, r1, r2) else None
-        if got is not None:
-            (best_v, best_flow), best_c = got, c
-
-    # ---- branch-and-bound certificate ----
-    # A box whose bound is not below best_v costs one flow and is never
-    # pushed: best_v only falls, so popped it would stop the search, and
-    # a bound >= best_v reaches slack only through min(., best_v).
-    heap: list = []
-    counter = itertools.count()
-
-    def push(lo, hi):
-        got = search(lo, best_v)
-        if got is not None:
-            heapq.heappush(heap, (got[0], next(counter), lo, hi))
-
-    lo0 = np.zeros((a.n, b.n))
-    hi0 = np.full((a.n, b.n), diam)
-    lo0, hi0, feasible = _tighten_box(lo0, hi0, r1, r2)
-    glob_lb = lower
-    if feasible:
-        push(lo0, hi0)
-    nodes = 0
-    leaf_bounds: list[float] = []
-    while heap and nodes < budget:
-        bound, _, lo, hi = heapq.heappop(heap)
-        if bound >= best_v - 1e-12:
-            leaf_bounds.append(bound)
-            heap.clear()
+    best, best_members, flows, stopped_at, seen = 1.0, None, 0, None, set()
+    for level in np.unique(half).tolist():
+        if level >= best or stopped_at is not None:
             break
-        nodes += 1
-        width = hi - lo
-        if width.max() <= resolution:
-            leaf_bounds.append(bound)
-            continue
-        # candidate inside the node keeps the upper side honest
-        mid = _repair((lo + hi) / 2.0, r1, r2, lo=lo, hi=hi)
-        if _gluing_feasible(mid, r1, r2):
-            floored = _coordinate_floor(mid, r1, r2)
-            if not _gluing_feasible(floored, r1, r2):
-                floored = mid
-            got = search(floored, best_v)
-            if got is not None:
-                (best_v, best_flow), best_c = got, floored
-        ij = np.unravel_index(np.argmax(width), width.shape)
-        cut = (lo[ij] + hi[ij]) / 2.0
-        for side in (0, 1):
-            clo, chi = lo.copy(), hi.copy()
-            if side == 0:
-                chi[ij] = cut
-            else:
-                clo[ij] = cut
-            clo, chi, ok = _tighten_box(clo, chi, r1, r2)
-            if ok:
-                push(clo, chi)
+        adj = (((half <= level) & ~loops) @ bits).tolist()
+        for clique in _maximal_cliques(adj):
+            if level >= best:
+                break
+            if clique in seen:
+                continue
+            members = [k for k in range(len(zi)) if clique >> k & 1]
+            admissible = np.zeros(off.shape, dtype=bool)
+            admissible[zi[members], zj[members]] = True
+            if _cut_excluded_mass(ca, cb, admissible) < best:
+                if flows >= budget:
+                    stopped_at = level
+                    break
+                flows += 1
+                g = max(0.0, 1.0 - _max_flow_mass(ca, cb, admissible)[0] / FLOW_SCALE)
+                if max(level, g) < best:
+                    best, best_members = max(level, g), members
+            seen.add(clique)
 
-    budget_exhausted = bool(heap)
-    for bound, _, _, _ in heap:
-        leaf_bounds.append(bound)
-    if leaf_bounds:
-        glob_lb = max(glob_lb, min(min(leaf_bounds), best_v))
+    if best_members:
+        cross = correspondence_cross(a, b, zip(zi[best_members], zj[best_members]))[0]
     else:
-        glob_lb = max(glob_lb, best_v)  # every box explored or hopeless
-    slack = max(0.0, best_v - glob_lb)
-
+        cross = _all_pairs_cross(a, b)
+    exact, flow = _prohorov_search(cross + off, ca, cb)
+    floor = exact if stopped_at is None else max(lower, min(exact, stopped_at))
     return MgpResult(
         lower=lower,
-        upper=float(best_v),
-        exact=float(best_v),
-        slack=float(slack),
-        witness_cross=best_c,
-        witness_coupling=_coupling(best_flow, wa, wb),
-        nodes=nodes,
-        budget_exhausted=budget_exhausted,
+        upper=float(exact),
+        exact=float(exact),
+        slack=float(max(0.0, exact - floor)),
+        witness_cross=cross,
+        witness_coupling=_coupling(flow, a.weights, b.weights),
+        nodes=flows,
+        budget_exhausted=stopped_at is not None,
     )
 
 

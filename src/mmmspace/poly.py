@@ -186,7 +186,6 @@ def evaluate_mc(phi: Polynomial, space: FiniteMmmSpace, m: int, seed: int):
     """
     if m < 1:
         raise ParameterError("need at least one Monte Carlo draw")
-    _require_finite(space)
     idx = _sample_indices(space, (m, phi.order), seed)
     D = space.distances
     if phi.has_product_form:

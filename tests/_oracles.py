@@ -10,10 +10,10 @@ matrix reaches the solver, not the solver.  The MGP upper-bound oracle
 shares the candidate gluings and the full Prohorov solver, so it checks
 only how `mgp_upper` skips repeated pair sets and prunes candidates
 against its incumbent.  The exact-law oracle shares only
-the grouping key (`round_sig`), which defines the atoms.  The box oracles
-are `mgp_exact`'s branch-and-bound helpers as numpy loops on numpy scalars,
-the reference for the plain-float versions, which must match them bit for
-bit.
+the grouping key (`round_sig`), which defines the atoms.  The relation
+oracle enumerates every relation between equal-mark points and gets each
+one's excluded mass from the LP max-flow, so it shares nothing with
+`mgp_exact`'s level scan, cliques or Dinic flows.
 """
 
 import itertools
@@ -149,83 +149,23 @@ def exact_law_oracle(space, n):
     return [(key, first, mass / norm) for key, (first, mass) in ordered]
 
 
-def tighten_box_oracle(lo, hi, r1, r2):
-    """`mgp._tighten_box` with ``np.allclose`` as its stopping test."""
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(2 * (r1.shape[0] + r2.shape[0])):
-        hi_rows = (r1[:, :, None] + hi[None, :, :]).min(axis=1)
-        hi_cols = (hi[:, :, None] + r2[None, :, :]).min(axis=1)
-        new_hi = np.minimum(hi, np.minimum(hi_rows, hi_cols))
-        lo_rows = np.maximum(
-            r1[:, :, None] - hi[None, :, :], lo[None, :, :] - r1[:, :, None]
-        ).max(axis=1)
-        lo_cols = np.maximum(
-            lo[:, :, None] - r2[None, :, :], r2[None, :, :] - hi[:, :, None]
-        ).max(axis=1)
-        new_lo = np.maximum(lo, np.maximum(lo_rows, lo_cols))
-        new_lo = np.maximum(new_lo, 0.0)
-        if np.allclose(new_lo, lo, atol=1e-14) and np.allclose(
-            new_hi, hi, atol=1e-14
-        ):
-            lo, hi = new_lo, new_hi
-            break
-        lo, hi = new_lo, new_hi
-    feasible = bool(np.all(lo <= hi + 1e-12))
-    return lo, hi, feasible
-
-
-def coordinate_floor_oracle(c, r1, r2, sweeps=60):
-    """`mgp._coordinate_floor` indexing numpy arrays entry by entry."""
-    c = c.copy()
-    n1, n2 = c.shape
-    for _ in range(sweeps):
-        delta = 0.0
-        for i in range(n1):
-            for j in range(n2):
-                lo = 0.0
-                for i2 in range(n1):
-                    if i2 != i:
-                        lo = max(lo, abs(c[i2, j] - r1[i, i2]))
-                for j2 in range(n2):
-                    if j2 != j:
-                        lo = max(lo, abs(c[i, j2] - r2[j, j2]))
-                if lo < c[i, j]:
-                    delta = max(delta, c[i, j] - lo)
-                    c[i, j] = lo
-        if delta < 1e-14:
-            break
-    return c
-
-
-def repair_oracle(c, r1, r2, lo=None, hi=None, sweeps=40):
-    """`mgp._repair` indexing numpy arrays entry by entry."""
-    c = c.copy()
-    n1, n2 = c.shape
-    for _ in range(sweeps):
-        worst = 0.0
-        for i in range(n1):
-            for j in range(n2):
-                lob = 0.0
-                upb = math.inf
-                for i2 in range(n1):
-                    if i2 != i:
-                        lob = max(lob, abs(c[i2, j] - r1[i, i2]))
-                        upb = min(upb, c[i2, j] + r1[i, i2])
-                for j2 in range(n2):
-                    if j2 != j:
-                        lob = max(lob, abs(c[i, j2] - r2[j, j2]))
-                        upb = min(upb, c[i, j2] + r2[j, j2])
-                if lo is not None:
-                    lob = max(lob, lo[i, j])
-                if hi is not None:
-                    upb = min(upb, hi[i, j])
-                new = min(max(c[i, j], lob), upb)
-                worst = max(worst, abs(new - c[i, j]))
-                c[i, j] = new
-        if worst < 1e-14:
-            break
-    return c
+def mgp_relation_oracle(a, b):
+    """The marked Gromov-Prohorov distance of two discrete-marked metric
+    spaces as min(1, min over every nonempty set S of equal-mark pairs of
+    max(dis(S) / 2, g(S))): dis(S) the distortion of S as a relation, g(S)
+    one minus the LP max-flow with only S admissible."""
+    z = [(i, j) for i in range(a.n) for j in range(b.n)
+         if mark_distance(a.mark_space, a.marks[i], b.marks[j]) == 0.0]
+    wp, wq = np.asarray(a.weights), np.asarray(b.weights)
+    best = 1.0
+    for mask in range(1, 1 << len(z)):
+        s = [z[k] for k in range(len(z)) if mask >> k & 1]
+        dis = max(abs(a.distances[i, k] - b.distances[j, l]) for i, j in s for k, l in s)
+        cost = np.ones((a.n, b.n))
+        for i, j in s:
+            cost[i, j] = 0.0
+        best = min(best, max(dis / 2.0, 1.0 - _lp_max_flow(cost, wp, wq, 0.0)))
+    return best
 
 
 def canonical_order_oracle(space):

@@ -159,7 +159,7 @@ def test_criterion_3_sandwich_and_triangle():
         for key, (u, w) in {
             "xy": (x, y), "yz": (y, z), "xz": (x, z),
         }.items():
-            r = mgp_exact(u, w, budget=1500, grid=0.02, seed=11)
+            r = mgp_exact(u, w, budget=1500)
             res[key] = r
             pairs += 1
             if not (r.lower <= r.exact + 1e-6 and r.exact <= r.upper + 1e-6):

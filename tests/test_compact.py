@@ -14,11 +14,14 @@ from mmmspace import (
     ball_masses,
     distance_monomial,
     distance_tail,
+    empirical_from_samples,
     euclidean_cloud,
     evaluate_mc,
     family_tightness,
     mark_tail,
     modulus_mass,
+    sample,
+    sample_many,
     sampled_functionals,
     two_sample_test,
 )
@@ -261,6 +264,12 @@ def test_curves_draws_and_the_test_give_finite_values_or_domain_errors(space, or
         lambda: family_tightness([space, space], [0.5, 1.0], [0.1, 0.5],
                                  **{"mark_" + k: v for k, v in marks.items()}),
         lambda: two_sample_test(space, space, m=20, permutations=99, seed=2),
+        lambda: sample(space, order, 3).dist,
+        lambda: [s.dist for s in sample_many(space, order, 4, 3)],
+        lambda: np.r_[empirical_from_samples(space, 5, 4).distances.ravel(),
+                      empirical_from_samples(space, 5, 4).weights],
+        lambda: np.r_[sampled_functionals(space, 20, 5, 0.5).w,
+                      sampled_functionals(space, 20, 5, 0.5).z_eps],
     ]
     for call in calls:
         out = or_none(call)
@@ -269,6 +278,27 @@ def test_curves_draws_and_the_test_give_finite_values_or_domain_errors(space, or
         elif hasattr(out, "p_value"):
             out = (out.statistic, out.p_value)
         assert out is None or np.isfinite(np.asarray(out, dtype=float)).all()
+
+
+def test_every_sampler_rejects_a_non_finite_space():
+    # sample_many and empirical_from_samples drew NaN distances, and an
+    # infinite weight made numpy's choice raise a plain ValueError
+    good = euclidean_cloud(6, 2, seed=4)
+    inf_weight = FiniteMmmSpace(distances=good.distances, marks=good.marks,
+                                weights=np.r_[math.inf, good.weights[1:]],
+                                mark_space=good.mark_space, label="inf-weight")
+    calls = [
+        lambda s: sample(s, 3, 0),
+        lambda s: sample_many(s, 3, 2, 0),
+        lambda s: empirical_from_samples(s, 5, 0),
+        lambda s: sampled_functionals(s, 20, 0, 0.5),
+        lambda s: evaluate_mc(distance_monomial(0, 1, order=2), s, 20, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=r"^space 'nan': d\(0,1\) = nan is not finite$"):
+            call(nan_cloud())
+        with pytest.raises(ParameterError, match=r"^space 'inf-weight': weight 0 = inf is not"):
+            call(inf_weight)
 
 
 def test_nan_radii_and_thresholds_are_rejected(space_A):
