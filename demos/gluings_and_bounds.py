@@ -40,7 +40,7 @@ def main():
     )
 
     print(f"lower bound:  {mgp_lower(x, y):.6f}")
-    v, _ = mgp_upper(x, y, seed=1)
+    v, _ = mgp_upper(x, y)
     print(f"upper bound:  {v:.6f}")
 
     result = mgp_exact(x, y)

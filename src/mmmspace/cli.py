@@ -198,7 +198,7 @@ def _cmd_dist(args):
     if args.exact:
         result = mgp_exact(a, b, budget=args.budget)
     else:
-        result = mgp_bounds(a, b, seed=args.seed)
+        result = mgp_bounds(a, b)
     payload = {
         "lower": result.lower,
         "upper": result.upper,
@@ -322,9 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_seed(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="default: MMM_SEED env var, else 0")
+    def add_seed(p, help="default: MMM_SEED env var, else 0"):
+        p.add_argument("--seed", type=int, default=None, help=help)
 
     p = sub.add_parser("validate", help="check the metric-measure axioms")
     p.add_argument("--space", required=True)
@@ -364,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=4000,
                    help="max-flow cap of --exact")
     p.add_argument("--out")
-    add_seed(p)
+    add_seed(p, help="no effect on dist; accepted so that older manifests replay")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("tightness", help="family tightness diagnostics")

@@ -520,8 +520,9 @@ def is_equivalent_exact(
     (relabeled copies match bit-for-bit; the tolerance only absorbs
     merge-order float noise).  Raises TooLargeError beyond 10 points; use
     the statistical two-sample test for larger spaces.  Spaces without
-    positive total weight raise ParameterError.
+    positive total weight or with NaN/inf entries raise ParameterError.
     """
+    _require_finite(a, b)
     for space in (a, b):
         _weight_total(space)
     a = canonicalize(a)

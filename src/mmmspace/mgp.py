@@ -31,7 +31,7 @@ from .dmat import mark_marginal, pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
 from .prohorov import (
     FLOW_SCALE, _check_probs, _coupling, _cut_excluded_mass, _integer_masses,
-    _line_flow_mass, _max_flow_mass, _prohorov_search,
+    _line_flow_mass, _max_flow_mass, _prohorov_search, _require_finite_entries,
 )
 
 __all__ = [
@@ -119,10 +119,10 @@ def glue(
 ) -> GluedSpace:
     """Glue two spaces along a cross matrix, validating the metric.
 
-    The full (N1+N2) matrix must satisfy every triangle inequality within
-    ``tol`` and the cross entries must be nonnegative; violations raise
-    GluingError naming the worst triple.  The triangle check holds
-    O((N1+N2)^2) memory.
+    The full (N1+N2) matrix must be finite (ParameterError otherwise),
+    satisfy every triangle inequality within ``tol`` and have nonnegative
+    cross entries; violations raise GluingError naming the worst triple.
+    The triangle check holds O((N1+N2)^2) memory.
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("gluing requires one shared mark space")
@@ -135,7 +135,7 @@ def glue(
             f"negative cross entry at {ij}", indices=ij, excess=float(-cross[ij])
         )
     g = GluedSpace(left=a, right=b, cross=np.maximum(cross, 0.0))
-    excess, idx = _triangle_excess(g.z_metric())
+    excess, idx = _triangle_excess(_require_finite_entries(g.z_metric(), "glued metric"))
     if excess > tol:
         raise GluingError(
             f"gluing violates the triangle inequality at {idx} by {excess:g}",
@@ -149,8 +149,9 @@ def glue_three(g12: GluedSpace, g23: GluedSpace, tol: float = GLUE_TOL) -> np.nd
     """Compose two gluings sharing the middle space into a metric on X1+X2+X3.
 
     The outer cross matrix routes through the middle block:
-    C13[i, k] = min_j C12[i, j] + C23[j, k].  The result satisfies every
-    triangle inequality (validated within ``tol``).
+    C13[i, k] = min_j C12[i, j] + C23[j, k].  The result is finite
+    (ParameterError otherwise) and satisfies every triangle inequality
+    (validated within ``tol``).
     """
     mid_a, mid_b = g12.right, g23.left
     same = (
@@ -169,7 +170,7 @@ def glue_three(g12: GluedSpace, g23: GluedSpace, tol: float = GLUE_TOL) -> np.nd
         [c12.T, mid_a.distances, c23],
         [c13.T, c23.T, g23.right.distances],
     ])
-    excess, idx = _triangle_excess(z)
+    excess, idx = _triangle_excess(_require_finite_entries(z, "glued metric"))
     if excess > tol:
         raise GluingError(
             f"three-space gluing violates the triangle inequality at {idx}",
@@ -240,35 +241,45 @@ def _all_pairs_cross(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
     return np.full((a.n, b.n), diam / 2.0)
 
 
-def _candidate_pairs(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
+def _pruned(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs: list):
+    """The prune chain of a relation: drop the ceil(k/10) of its k pairs
+    whose rows of |r1[R, R] - r2[R, R]| have the largest maxima (ties:
+    larger row sum, then earlier position) and yield what is left, until
+    one pair remains."""
+    si, sj = np.array(pairs).T
+    dis = np.abs(a.distances[np.ix_(si, si)] - b.distances[np.ix_(sj, sj)])
+    keep = np.arange(len(pairs))
+    while len(keep) > 1:
+        rows = dis[np.ix_(keep, keep)]
+        order = np.lexsort((-rows.sum(axis=1), -rows.max(axis=1)))
+        keep = np.delete(keep, order[: math.ceil(len(keep) / 10)])
+        yield [pairs[k] for k in keep]
+
+
+def _candidate_pairs(a: FiniteMmmSpace, b: FiniteMmmSpace):
     """The correspondences of `mgp_upper`, in its order, repeats included."""
-    n1, n2 = a.n, b.n
     cost = _profile_cost(a, b)
-    if n1 == n2:
-        if n1 <= 8:
-            perm = _find_isometry(a, b, atol=1e-9)
-            if perm is not None:
-                yield [(i, perm[i]) for i in range(n1)]
-        row, col = linear_sum_assignment(cost)
-        yield list(zip(row.tolist(), col.tolist()))
+    if a.n == b.n <= 8:
+        perm = _find_isometry(a, b, atol=1e-9)
+        if perm is not None:
+            yield [(i, perm[i]) for i in range(a.n)]
+    row, col = linear_sum_assignment(cost)
+    yield list(zip(row.tolist(), col.tolist()))
     support = _greedy_coupling_pairs(cost, a.weights, b.weights)
     yield support
     by_i: dict[int, int] = {}
     for i, j in support:
         by_i.setdefault(i, j)
     yield list(by_i.items())
-    rng = np.random.default_rng(seed)
-    k = min(n1, n2)
-    for _ in range(16):
-        yield list(zip(rng.permutation(n1)[:k].tolist(), rng.permutation(n2)[:k].tolist()))
+    yield from _pruned(a, b, support)
 
 
-def _candidate_crosses(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
+def _candidate_crosses(a: FiniteMmmSpace, b: FiniteMmmSpace):
     """The correspondence gluings of `_candidate_pairs`, each pair set once
     (`correspondence_cross` depends only on the set), then the all-pairs
     gluing: the candidates of `_best_gluing`."""
     seen = set()
-    for pairs in _candidate_pairs(a, b, seed):
+    for pairs in _candidate_pairs(a, b):
         key = frozenset(pairs)
         if key and key not in seen:
             seen.add(key)
@@ -276,7 +287,7 @@ def _candidate_crosses(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
     yield _all_pairs_cross(a, b)
 
 
-def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
+def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace):
     """`mgp_upper` over `_candidate_crosses`: (value, coupling, witness
     cross).  The coupling comes from the flow of the Prohorov search that
     accepted the witness."""
@@ -289,7 +300,7 @@ def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
     off = a.mark_space.cross_distances(a.marks, b.marks)
     ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
     value, flow, cross = math.inf, None, None
-    for c in _candidate_crosses(a, b, seed):
+    for c in _candidate_crosses(a, b):
         got = _prohorov_search(c + off, ca, cb, value)
         if got is not None:
             (value, flow), cross = got, c
@@ -297,18 +308,18 @@ def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int):
     return float(value), _coupling(flow, a.weights, b.weights), cross
 
 
-def mgp_upper(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int = 0):
+def mgp_upper(a: FiniteMmmSpace, b: FiniteMmmSpace):
     """Upper bound on the marked Gromov-Prohorov distance.
 
     Evaluates the Prohorov distance across one list of correspondence
     gluings (see `correspondence_cross`): the isometry when n1 = n2 <= 8,
-    the profile assignment when n1 = n2, the greedy coupling support and
-    its first pair per row, and 16 seeded random partial bijections, each
-    pair set once, then the all-pairs gluing.  Returns (best value, witness
-    cross matrix); the first strict minimum in that order wins.  A
-    candidate after the first costs one max-flow against the incumbent
+    the profile assignment, the greedy coupling support, its first pair
+    per row and the prune chain of the support (`_pruned`), each pair set
+    once, then the all-pairs gluing.  Returns (best value, witness cross
+    matrix); the first strict minimum in that order wins.  A candidate
+    after the first costs one max-flow against the incumbent
     (`_prohorov_search`) unless it is strictly better.  The witness passes
-    `glue`.  Deterministic per seed.
+    `glue`.  The result depends on the two spaces alone.
     Memory is O(N1 N2 (N1 + N2)).  NaN/inf entries and a nonpositive total weight
     raise ParameterError, weights that do not sum to 1 MarginalError.
 
@@ -316,7 +327,7 @@ def mgp_upper(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int = 0):
     with a zero diagonal and nonnegative entries all pairs have distortion
     max(diam1, diam2), and the k=i, l=j term of the min is the least.
     """
-    value, _, cross = _best_gluing(a, b, seed)
+    value, _, cross = _best_gluing(a, b)
     return value, cross
 
 
@@ -509,13 +520,13 @@ def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = 4000) -> MgpRe
     )
 
 
-def mgp_bounds(a: FiniteMmmSpace, b: FiniteMmmSpace, seed: int = 0) -> MgpResult:
+def mgp_bounds(a: FiniteMmmSpace, b: FiniteMmmSpace) -> MgpResult:
     """`mgp_lower` and `mgp_upper` in one result (no certificate).
 
     The upper bound and its witness cross are those of `mgp_upper`, and the
     witness coupling comes from the Prohorov search that accepted it.
     """
     lower = mgp_lower(a, b)
-    upper, coupling, witness = _best_gluing(a, b, seed)
+    upper, coupling, witness = _best_gluing(a, b)
     return MgpResult(lower=lower, upper=upper, witness_cross=witness,
                      witness_coupling=coupling)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MarginalError, TooLargeError
+from .errors import MarginalError, ParameterError, TooLargeError
 
 __all__ = ["FinitePointMeasure", "prohorov_exact", "strassen_check"]
 
@@ -323,9 +323,19 @@ def _coupling(flow, wp: np.ndarray, wq: np.ndarray) -> np.ndarray:
     return pi
 
 
+def _require_finite_entries(m: np.ndarray, what: str) -> np.ndarray:
+    """Return ``m``, or raise ParameterError naming its first NaN/inf entry."""
+    finite = np.isfinite(m)
+    if not finite.all():
+        raise ParameterError(f"{what} entry {tuple(np.argwhere(~finite)[0].tolist())} "
+                             "is not finite")
+    return m
+
+
 def _checked_cross(metric, p: FinitePointMeasure, q: FinitePointMeasure) -> np.ndarray:
     """``metric[p.atoms, q.atoms]`` after checking both measures; an atom
-    index outside [0, len(metric)) raises MarginalError."""
+    index outside [0, len(metric)) raises MarginalError and a NaN/inf entry
+    of the block ParameterError."""
     metric = np.asarray(metric, dtype=float)
     for m in (p, q):
         m.check()
@@ -334,7 +344,8 @@ def _checked_cross(metric, p: FinitePointMeasure, q: FinitePointMeasure) -> np.n
             raise MarginalError(
                 f"atom index {bad[0]} is outside the {len(metric)}-point metric"
             )
-    return metric[np.ix_(p.atoms, q.atoms)]
+    return _require_finite_entries(metric[np.ix_(p.atoms, q.atoms)],
+                                   "metric[p.atoms, q.atoms]")
 
 
 def prohorov_exact(metric: np.ndarray, p: FinitePointMeasure, q: FinitePointMeasure):

@@ -118,18 +118,33 @@ def mgp_lower_union_oracle(a, b):
     return first, second
 
 
-def mgp_upper_full_oracle(a, b, seed=0):
+def mgp_upper_full_oracle(a, b):
     """`mgp_upper` as a plain loop that evaluates every candidate in full,
     repeated pair sets included, and keeps the first strict minimum:
     (value, witness cross)."""
     crosses = [correspondence_cross(a, b, pairs)[0]
-               for pairs in _candidate_pairs(a, b, seed) if pairs]
+               for pairs in _candidate_pairs(a, b) if pairs]
     best = None
     for c in crosses + [_all_pairs_cross(a, b)]:
         v, _ = GluedSpace(left=a, right=b, cross=c).prohorov()
         if best is None or v < best[0]:
             best = (v, c)
     return best
+
+
+def prune_chain_oracle(a, b, pairs):
+    """`mgp._pruned` as a plain loop: each step ranks the remaining pairs by
+    the largest, then the summed distortion against the others, earlier
+    position first on ties, drops the first ceil(k/10) of k and records
+    what is left."""
+    chain, rel = [], list(pairs)
+    while len(rel) > 1:
+        rows = [[abs(a.distances[i, k] - b.distances[j, l]) for k, l in rel] for i, j in rel]
+        rank = sorted(range(len(rel)), key=lambda p: (-max(rows[p]), -math.fsum(rows[p]), p))
+        drop = set(rank[:math.ceil(len(rel) / 10)])
+        rel = [pair for p, pair in enumerate(rel) if p not in drop]
+        chain.append(rel)
+    return chain
 
 
 def exact_law_oracle(space, n):

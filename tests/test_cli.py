@@ -261,6 +261,18 @@ def test_dist_exact_flag(capsys, ab_space, ab2_space):
     assert coupling.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_dist_output_does_not_depend_on_the_seed(capsys, tmp_path):
+    # --seed stays parseable for old manifests but reaches no MGP bound; on
+    # this pair, bounds drawn from random candidates differ between seeds
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_space(euclidean_cloud(8, 2, "sign", seed=2), a)
+    save_space(euclidean_cloud(8, 2, "sign", seed=52), b)
+    outs = [run_cli(capsys, "dist", "--a", a, "--b", b, "--seed", seed)
+            for seed in (0, 5)]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
+
+
 def test_validate_rejects_nan_distance(capsys, tmp_path):
     bad = tmp_path / "nan.json"
     bad.write_text(

@@ -8,6 +8,7 @@ import pytest
 from mmmspace import (
     FinitePointMeasure,
     MarginalError,
+    ParameterError,
     TooLargeError,
     prohorov_exact,
     strassen_check,
@@ -18,7 +19,7 @@ from mmmspace.prohorov import (
 )
 
 from _oracles import prohorov_lp_scan_oracle, prohorov_subset_oracle
-from conftest import dyadic_weights, random_points_metric
+from conftest import dyadic_weights, nan_cloud, random_points_metric
 
 
 def measure(atoms, probs):
@@ -357,6 +358,20 @@ def test_marginal_errors():
             measure(atoms, [1.0])
     assert measure([0.0, 2.0], [0.5, 0.5]).atoms.tolist() == [0, 2]
     assert measure(np.array([1], dtype=np.uint8), [1.0]).atoms.tolist() == [1]
+
+
+def test_non_finite_metric_entries_are_rejected():
+    # a NaN between the two supports is neither near nor far
+    metric = nan_cloud().distances  # d(0, 1) = NaN
+    for p, q in ((measure([0, 2], [0.5, 0.5]), measure([1, 3], [0.5, 0.5])),
+                 (measure([0], [1.0]), measure([1], [1.0]))):
+        for call in (prohorov_exact, lambda m, p, q: strassen_check(m, p, q, 0.5)):
+            for pair in ((p, q), (q, p)):
+                with pytest.raises(ParameterError, match=r"entry \(0, 0\) is not finite$"):
+                    call(metric, *pair)
+    # entries the two supports never read do not matter
+    value, _ = prohorov_exact(metric, measure([0, 2], [0.5, 0.5]), measure([0, 2], [0.5, 0.5]))
+    assert value == 0.0
 
 
 def test_atom_indices_must_lie_in_the_metric():
