@@ -36,7 +36,7 @@ from .core import validate
 from .dmat import sample_many
 from .errors import DomainError, ParameterError, TooLargeError
 from .gen import CoalescentConfig, MoranConfig, euclidean_cloud, kingman, moran
-from .mgp import mgp_bounds, mgp_exact
+from .mgp import EXACT_PAIR_BOUND, SCAN_BUDGET, mgp_bounds, mgp_exact
 from .poly import _exact_is_cheap, default_panel, evaluate_exact, evaluate_mc
 from .prohorov import FinitePointMeasure, prohorov_exact
 from .serialize import (
@@ -358,10 +358,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="marked Gromov-Prohorov bounds")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--exact", action="store_true",
-                   help="exact value (tiny discrete spaces)")
-    p.add_argument("--budget", type=int, default=4000,
-                   help="max-flow cap of --exact")
+    p.add_argument("--exact", action="store_true", help="exact value by the relation scan "
+                   f"(at most {EXACT_PAIR_BOUND} pairs of mark distance below 1)")
+    p.add_argument("--budget", type=int, default=SCAN_BUDGET,
+                   help="search nodes the --exact scan may visit; past them it gives a bracket")
     p.add_argument("--out")
     add_seed(p, help="no effect on dist; accepted so that older manifests replay")
     p.set_defaults(func=_cmd_dist)

@@ -8,12 +8,11 @@ triangle-inequality families tie C to the two given metrics.  The
 Prohorov objective depends on the gluing only through the matrix
 M = C + mark offsets.
 
-Upper bounds come from correspondence gluings, which put every pair of a
-relation R at half its distortion dis(R) or closer, and lower bounds from
-projections to the mark marginal and the pair-distance law.  With 0/1
-mark distances a gluing below 1 matches only equal-mark points, and no
-gluing brings the pairs of R closer than dis(R)/2, so `mgp_exact`
-computes the distance as a finite minimum over relations.
+Lower bounds come from projections to the mark marginal and the
+pair-distance law.  The distance itself is a finite minimum over
+relations between the pairs of mark distance below 1 (see `mgp_exact`),
+and `mgp_exact`, `mgp_bounds` and `mgp_upper` all read it off one scan
+of those relations (`_mgp`).
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
-    FiniteMmmSpace, _find_isometry, _require_finite, _triangle_blocks, _weight_total,
+    FiniteMmmSpace, _require_finite, _triangle_blocks, _weight_total,
 )
 from .dmat import mark_marginal, pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
@@ -47,7 +45,8 @@ __all__ = [
 ]
 
 GLUE_TOL = 1e-10
-EXACT_SIZE_BOUND = 6
+EXACT_PAIR_BOUND = 1500
+SCAN_BUDGET = 5000
 
 # ---------------------------------------------------------------------------
 # gluings
@@ -106,9 +105,11 @@ class GluedSpace:
 
     def prohorov(self):
         """Prohorov distance between the two pushforwards: (value, coupling).
-        Weights that are not a probability vector raise MarginalError."""
+        Weights that are not a probability vector raise MarginalError, a
+        NaN/inf cross entry ParameterError."""
         for space in (self.left, self.right):
             _check_probs(space.weights, f"space {space.label!r}: ")
+        _require_finite_entries(self.cross, "cross")
         m, wp, wq = self.product_measures()
         value, flow = _prohorov_search(m, _integer_masses(wp), _integer_masses(wq))
         return value, _coupling(flow, wp, wq)
@@ -181,33 +182,41 @@ def glue_three(g12: GluedSpace, g23: GluedSpace, tol: float = GLUE_TOL) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# upper bounds via correspondences
+# correspondence gluings
 # ---------------------------------------------------------------------------
 
-def correspondence_cross(
-    a: FiniteMmmSpace, b: FiniteMmmSpace, pairs, beta: float | None = None
-):
-    """Cross matrix from a correspondence: C = min over (k,l) of
-    r1(., k) + beta + r2(l, .), with beta >= distortion(pairs)/2.
+def correspondence_cross(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs, beta=None):
+    """Cross matrix from a correspondence: C = min over (k, l) of
+    r1(., k) + beta_kl + r2(l, .).
 
-    Always yields an admissible gluing; returns (C, beta, distortion).
-    Indices outside [0, N1) x [0, N2) raise ParameterError.
+    ``beta`` is one number or one per pair, in the order of ``pairs``
+    (default: half the distortion of the pairs).  The gluing is admissible
+    when beta_ij + beta_kl >= |r1(i, k) - r2(j, l)| for every two pairs,
+    which is checked within GLUE_TOL.  Returns (C, beta, distortion).
+    Indices outside [0, N1) x [0, N2), NaN/inf entries of either space or
+    of ``beta``, and a ``beta`` that fails the check raise ParameterError.
     """
     pairs = [(int(i), int(j)) for i, j in pairs]
     if not pairs:
         raise ParameterError("correspondence needs at least one pair")
-    si = np.array([p[0] for p in pairs])
-    sj = np.array([p[1] for p in pairs])
+    si, sj = np.array(pairs).T
     if min(si.min(), sj.min()) < 0 or si.max() >= a.n or sj.max() >= b.n:
         raise ParameterError(f"correspondence pairs must lie in [0, {a.n}) x [0, {b.n})")
+    _require_finite(a, b)
     r1, r2 = a.distances, b.distances
-    dis = float(np.abs(r1[np.ix_(si, si)] - r2[np.ix_(sj, sj)]).max())
-    if beta is None:
-        beta = dis / 2.0
-    elif beta < dis / 2.0:
-        raise ParameterError("beta below half the correspondence distortion")
-    stack = r1[:, si][:, :, None] + beta + r2[sj, :][None, :, :]
-    return stack.min(axis=1), float(beta), dis
+    gap = np.abs(r1[np.ix_(si, si)] - r2[np.ix_(sj, sj)])
+    dis = float(gap.max())
+    beta = np.array(dis / 2.0 if beta is None else beta, dtype=float)
+    if beta.shape not in ((), (len(pairs),)):
+        raise ParameterError(f"beta must be one number or {len(pairs)}, one per pair")
+    if not np.all(np.isfinite(beta)):
+        raise ParameterError("beta must be finite")
+    per_pair = np.broadcast_to(beta, (len(pairs),))
+    if np.any(per_pair[:, None] + per_pair[None, :] < gap - GLUE_TOL):
+        raise ParameterError("beta_ij + beta_kl is below |r1(i, k) - r2(j, l)| "
+                             "for two pairs of the correspondence")
+    stack = r1[:, si][:, :, None] + per_pair[None, :, None] + r2[sj, :][None, :, :]
+    return stack.min(axis=1), float(beta) if beta.ndim == 0 else beta, dis
 
 
 def _profile_cost(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
@@ -222,8 +231,7 @@ def _profile_cost(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
 
 def _greedy_coupling_pairs(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> list:
     """Support of a greedy transportation plan for the heuristic cost."""
-    rem_p = wa.astype(float).copy()
-    rem_q = wb.astype(float).copy()
+    rem_p, rem_q = wa.astype(float), wb.astype(float)
     order = np.dstack(np.unravel_index(np.argsort(cost, axis=None), cost.shape))[0]
     pairs = []
     for i, j in order:
@@ -236,7 +244,9 @@ def _greedy_coupling_pairs(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> 
 
 
 def _all_pairs_cross(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
-    """`correspondence_cross` of all pairs, in closed form (see `mgp_upper`)."""
+    """`correspondence_cross` of all pairs, in closed form: on metrics with
+    a zero diagonal and nonnegative entries all pairs have distortion
+    max(diam1, diam2), and the k=i, l=j term of the min is the least."""
     diam = max(a.distances.max(initial=0.0), b.distances.max(initial=0.0))
     return np.full((a.n, b.n), diam / 2.0)
 
@@ -254,81 +264,6 @@ def _pruned(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs: list):
         order = np.lexsort((-rows.sum(axis=1), -rows.max(axis=1)))
         keep = np.delete(keep, order[: math.ceil(len(keep) / 10)])
         yield [pairs[k] for k in keep]
-
-
-def _candidate_pairs(a: FiniteMmmSpace, b: FiniteMmmSpace):
-    """The correspondences of `mgp_upper`, in its order, repeats included."""
-    cost = _profile_cost(a, b)
-    if a.n == b.n <= 8:
-        perm = _find_isometry(a, b, atol=1e-9)
-        if perm is not None:
-            yield [(i, perm[i]) for i in range(a.n)]
-    row, col = linear_sum_assignment(cost)
-    yield list(zip(row.tolist(), col.tolist()))
-    support = _greedy_coupling_pairs(cost, a.weights, b.weights)
-    yield support
-    by_i: dict[int, int] = {}
-    for i, j in support:
-        by_i.setdefault(i, j)
-    yield list(by_i.items())
-    yield from _pruned(a, b, support)
-
-
-def _candidate_crosses(a: FiniteMmmSpace, b: FiniteMmmSpace):
-    """The correspondence gluings of `_candidate_pairs`, each pair set once
-    (`correspondence_cross` depends only on the set), then the all-pairs
-    gluing: the candidates of `_best_gluing`."""
-    seen = set()
-    for pairs in _candidate_pairs(a, b):
-        key = frozenset(pairs)
-        if key and key not in seen:
-            seen.add(key)
-            yield correspondence_cross(a, b, pairs)[0]
-    yield _all_pairs_cross(a, b)
-
-
-def _best_gluing(a: FiniteMmmSpace, b: FiniteMmmSpace):
-    """`mgp_upper` over `_candidate_crosses`: (value, coupling, witness
-    cross).  The coupling comes from the flow of the Prohorov search that
-    accepted the witness."""
-    if a.mark_space != b.mark_space:
-        raise ParameterError("both spaces must share the mark space")
-    _require_finite(a, b)
-    for space in (a, b):
-        _weight_total(space)
-        _check_probs(space.weights, f"space {space.label!r}: ")
-    off = a.mark_space.cross_distances(a.marks, b.marks)
-    ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
-    value, flow, cross = math.inf, None, None
-    for c in _candidate_crosses(a, b):
-        got = _prohorov_search(c + off, ca, cb, value)
-        if got is not None:
-            (value, flow), cross = got, c
-    glue(a, b, cross)  # witness must validate; raises if not
-    return float(value), _coupling(flow, a.weights, b.weights), cross
-
-
-def mgp_upper(a: FiniteMmmSpace, b: FiniteMmmSpace):
-    """Upper bound on the marked Gromov-Prohorov distance.
-
-    Evaluates the Prohorov distance across one list of correspondence
-    gluings (see `correspondence_cross`): the isometry when n1 = n2 <= 8,
-    the profile assignment, the greedy coupling support, its first pair
-    per row and the prune chain of the support (`_pruned`), each pair set
-    once, then the all-pairs gluing.  Returns (best value, witness cross
-    matrix); the first strict minimum in that order wins.  A candidate
-    after the first costs one max-flow against the incumbent
-    (`_prohorov_search`) unless it is strictly better.  The witness passes
-    `glue`.  The result depends on the two spaces alone.
-    Memory is O(N1 N2 (N1 + N2)).  NaN/inf entries and a nonpositive total weight
-    raise ParameterError, weights that do not sum to 1 MarginalError.
-
-    The all-pairs gluing is the constant max(diam1, diam2)/2: on metrics
-    with a zero diagonal and nonnegative entries all pairs have distortion
-    max(diam1, diam2), and the k=i, l=j term of the min is the least.
-    """
-    value, _, cross = _best_gluing(a, b)
-    return value, cross
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +313,16 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact value (tiny discrete-marked spaces)
+# the relation scan
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MgpResult:
     """Bounds (and optionally a certified value) for one space pair.
 
-    `mgp_exact` also reports its work: ``nodes``, the max-flows it ran,
-    and ``budget_exhausted``, whether its flow budget stopped the scan
-    before every relation that could beat ``exact`` was tried.
+    ``nodes`` counts the relation scan's search nodes and ``budget_exhausted``
+    says whether its budget stopped the scan; these two, ``exact`` and
+    ``slack`` are None when the pair is too large for the scan.
     """
 
     lower: float
@@ -401,132 +336,195 @@ class MgpResult:
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-9:
-            raise ParameterError(
-                f"lower bound {self.lower} exceeds upper bound {self.upper}"
-            )
-        if self.exact is not None and not (
-            self.lower - 1e-9 <= self.exact <= self.upper + 1e-9
-        ):
+            raise ParameterError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
+        if self.exact is not None and not self.lower - 1e-9 <= self.exact <= self.upper + 1e-9:
             raise ParameterError("certified value escapes the bounds")
 
 
-def _maximal_cliques(adj: list) -> list:
-    """Maximal cliques, as bitmasks, of the graph whose vertex v has the
-    neighbour bitmask ``adj[v]`` (no self loops): Bron-Kerbosch with the
-    highest vertex of P | X as pivot."""
-    cliques = []
-
-    def expand(r, p, x):
-        if not p and not x:
-            cliques.append(r)
-            return
-        pivot = (p | x).bit_length() - 1
-        rest = p & ~adj[pivot]
-        while rest:
-            v = rest & -rest
-            n = adj[v.bit_length() - 1]
-            expand(r | v, p & n, x & n)
-            p, x, rest = p & ~v, x | v, rest & ~v
-
-    expand(0, (1 << len(adj)) - 1, 0)
-    return cliques
+def _masks(m: np.ndarray) -> list:  # one Python int per row of m; bit k is column k
+    return [int.from_bytes(r.tobytes(), "little") for r in np.packbits(m, -1, bitorder="little")]
 
 
-def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = 4000) -> MgpResult:
-    """Marked Gromov-Prohorov distance of tiny discrete pairs, by a finite scan.
+def _bits(mask: int):  # the set bits, lowest first
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
-    Requires discrete marks and at most 6 points in total.  Let Z be the
-    pairs (i, j) with equal marks, dis(S) the distortion of a relation S
-    in Z (max over (i, j), (k, l) in S of |r1(i, k) - r2(j, l)|) and g(S)
-    the excluded mass of the integer max-flow with only S admissible.
-    The distance is min(1, min over nonempty S of max(dis(S)/2, g(S))):
 
-    * a gluing and coupling at some eps < 1 keep S = {C + marks <= eps}
-      inside Z (mark distances are 0 or 1), the triangle inequality gives
-      dis(S)/2 <= eps and the coupling g(S) <= eps;
-    * `correspondence_cross` of S puts every pair of S at dis(S)/2 or
-      below, so its Prohorov distance is at most max(dis(S)/2, g(S)).
+def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
+    """The scan of `mgp_exact`: (best relation or None, its beta, nodes,
+    level where ``budget`` stopped it or None).
 
-    The scan takes the distinct levels d of |r1 - r2|/2 over pairs of Z in
-    increasing order and stops at the first d that is not below the best
-    value.  At level d it runs one flow per maximal clique of the graph on
-    Z joining pairs within d, since g only falls as S grows.  A clique met
-    at an earlier level, or whose `_cut_excluded_mass` already reaches the
-    best value, can improve nothing and runs no flow.
+    Pairs u = (i, j), v = (k, l) with m = ``off`` < 1 meet at level
+    max((|r1(i, k) - r2(j, l)| + m_ij + m_kl) / 2, m_ij, m_kl).  Levels d go
+    up from the largest below ``floor`` - 1e-9 (lower cliques are dominated)
+    while d is below the best value.  The first level lists every maximal
+    clique of the graph of pairs within d, later ones those through a new
+    edge or isolated pair (Bron-Kerbosch from R = {u, v}, P = N(u) & N(v),
+    Tomita pivot).  A branch whose R | P cannot route 1 - best of p or q
+    mass is cut, as is a clique `_cut_excluded_mass` settles; others run a
+    Dinic flow for g(S).  The level matrix and its sort take O(|Z|^2).
+    """
+    zi, zj = np.nonzero(off < 1.0)
+    m = off[zi, zj]
+    lev = a.distances[np.ix_(zi, zi)] - b.distances[np.ix_(zj, zj)]
+    lev = (np.abs(lev, out=lev) + m[:, None] + m[None, :]) / 2.0
+    lev = np.maximum(np.maximum(lev, lev.T), np.maximum.outer(m, m))
+    iu, ju = np.triu_indices(len(lev))
+    order = np.argsort(lev[iu, ju], kind="stable")
+    iu, ju = iu[order], ju[order]
+    vals = lev[iu, ju]
+    first = np.flatnonzero(np.diff(vals, prepend=-np.inf))  # where each level starts
+    levels, first = vals[first], np.append(first, len(vals)).tolist()
+    k0 = max(0, int(np.searchsorted(levels, floor - 1e-9)) - 1)
+    rows = list(zip(_masks(zi == np.arange(len(ca))[:, None]), ca.tolist()))
+    cols = list(zip(_masks(zj == np.arange(len(cb))[:, None]), cb.tolist()))
+    graph = lev <= (levels[k0] if len(levels) else 0.0)
+    present = _masks(np.diag(graph)[None, :])[0]
+    adj = [mask & ~(1 << u) for u, mask in enumerate(_masks(graph))]
 
-    The witness is `correspondence_cross` of the best relation, or the
-    all-pairs gluing when no relation beats 1; ``exact`` and ``upper`` are
-    its Prohorov distance and the coupling comes from that search.
-    ``budget`` caps the flows; ``nodes`` counts those run and
-    ``budget_exhausted`` says whether the cap stopped the scan.  Stopped at
-    level d, the distance lies in [max(lower, min(exact, d)), exact] and
-    ``slack`` is the width of that bracket; otherwise ``slack`` is 0.
+    best, members, nodes, stopped_at, starts = 1.0, None, 0, None, [(0, present)]
+    for k in range(k0, len(levels)):
+        level = float(levels[k])
+        if level >= best or stopped_at is not None:
+            break
+        if k > k0:
+            joined, edges = [], []
+            new = slice(first[k], first[k + 1])
+            for u, v in zip(iu[new].tolist(), ju[new].tolist()):
+                if u == v:
+                    joined.append(u)
+                else:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                    edges.append((u, v))
+            starts = [(1 << u | 1 << v, adj[u] & adj[v]) for u, v in edges]
+            starts += [(1 << u, 0) for u in joined if not adj[u]]
+        seen, stack = set(), [(r, p, 0) for r, p in reversed(starts)]
+        while stack and level < best:
+            if nodes >= budget:
+                stopped_at = level
+                break
+            nodes += 1
+            r, p, x = stack.pop()
+            reach = r | p
+            routable = min(sum(c for bits, c in rows if reach & bits),
+                           sum(c for bits, c in cols if reach & bits))
+            if max(0.0, 1.0 - routable / FLOW_SCALE) >= best:
+                continue
+            if not p:
+                if not x and r not in seen:
+                    seen.add(r)
+                    mem = np.fromiter(_bits(r), dtype=np.int64)
+                    admissible = np.zeros(off.shape, dtype=bool)
+                    admissible[zi[mem], zj[mem]] = True
+                    if _cut_excluded_mass(ca, cb, admissible) < best:
+                        g = max(0.0, 1.0 - _max_flow_mass(ca, cb, admissible)[0] / FLOW_SCALE)
+                        if max(level, g) < best:
+                            best, members = max(level, g), mem
+                continue
+            pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+            children = []
+            for v in _bits(p & ~adj[pivot]):
+                children.append((r | 1 << v, p & adj[v], x & adj[v]))
+                p, x = p & ~(1 << v), x | 1 << v
+            stack.extend(reversed(children))
+    if members is None:
+        return None, None, nodes, stopped_at
+    beta = lev[np.ix_(members, members)].max() - m[members]
+    return list(zip(zi[members].tolist(), zj[members].tolist())), beta, nodes, stopped_at
+
+
+def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int) -> MgpResult:
+    """`mgp_exact`, `mgp_bounds` and `mgp_upper`: the relation scan and its fallback."""
+    _require_finite(a, b)
+    for space in (a, b):
+        _weight_total(space)  # positive total, before the marginal check
+    lower = mgp_lower(a, b)  # checks the mark space and the weights
+    off = a.mark_space.cross_distances(a.marks, b.marks)
+    ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
+    scanned = np.count_nonzero(off < 1.0) <= EXACT_PAIR_BOUND
+    value, flow, cross, best, nodes, stopped_at = math.inf, None, None, None, None, None
+    if scanned:
+        best, beta, nodes, stopped_at = _relation_scan(a, b, off, ca, cb, lower, budget)
+    if best is not None:
+        cross = correspondence_cross(a, b, best, beta)[0]
+        value, flow = _prohorov_search(cross + off, ca, cb)
+    if not scanned or stopped_at is not None:
+        support = _greedy_coupling_pairs(_profile_cost(a, b), a.weights, b.weights)
+        chain = [support, *_pruned(a, b, support)]
+        for pairs in {frozenset(rel): rel for rel in chain}.values():  # one per pair set
+            c = correspondence_cross(a, b, pairs)[0]
+            got = _prohorov_search(c + off, ca, cb, value)
+            if got is not None:
+                (value, flow), cross = got, c
+    if cross is None:
+        cross = _all_pairs_cross(a, b)
+        value, flow = _prohorov_search(cross + off, ca, cb)
+    glue(a, b, cross)  # witness must validate; raises if not
+    if scanned:
+        lower = value if stopped_at is None else max(lower, min(value, stopped_at))
+    lower = min(lower, value)
+    exact = float(value) if scanned else None
+    return MgpResult(lower=float(lower), upper=float(value), exact=exact,
+                     slack=None if exact is None else float(value - lower), witness_cross=cross,
+                     witness_coupling=_coupling(flow, a.weights, b.weights), nodes=nodes,
+                     budget_exhausted=None if exact is None else stopped_at is not None)
+
+
+def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = SCAN_BUDGET) -> MgpResult:
+    """Marked Gromov-Prohorov distance by a finite scan over relations.
+
+    Works for every mark metric.  Let Z be the pairs (i, j) of mark
+    distance m_ij < 1; two of them, (i, j) and (k, l), meet at level
+    (|r1(i, k) - r2(j, l)| + m_ij + m_kl) / 2, and one is at level m_ij.
+    For a relation S in Z let L(S) be its largest level and g(S) the mass
+    the integer max-flow over S leaves out.  The distance is min(1, min
+    over S of max(L(S), g(S))): a gluing and coupling at eps < 1 keep
+    S = {C + m <= eps}, where the triangle inequality gives L(S) <= eps and
+    the coupling g(S) <= eps (Greven, Pfaffelhuber and Winter, PTRF 2009);
+    and `correspondence_cross` of S at beta_ij = L(S) - m_ij glues every
+    pair of S within L(S) (Memoli's correspondence gluing, FoCM 2011,
+    weighted).  The witness is that gluing for the best S found by
+    `_relation_scan`, or the all-pairs gluing when no S beats 1; ``exact``
+    and ``upper`` are its Prohorov distance, with that search's coupling.
+
+    More than EXACT_PAIR_BOUND (1500) pairs in Z raise TooLargeError: the
+    level matrix holds O(|Z|^2) floats.  ``budget`` caps the scan's search
+    nodes, ``nodes`` counts them and ``budget_exhausted`` says whether the
+    cap stopped the scan.  Stopped at level d, the fallback of
+    `mgp_bounds` may still lower ``exact`` (then an upper bound), ``lower``
+    is max(mgp_lower, min(exact, d)) and ``slack`` the gap; otherwise lower
+    = upper = exact and slack is 0.
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
-    if a.mark_space.kind != "discrete":
-        raise TooLargeError("certified search supports discrete mark spaces only")
-    if a.n + b.n > EXACT_SIZE_BOUND:
-        raise TooLargeError(
-            f"certified search is limited to {EXACT_SIZE_BOUND} points in total"
-        )
-    lower = mgp_lower(a, b)
-    off = a.mark_space.cross_distances(a.marks, b.marks)
-    ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
-    zi, zj = np.nonzero(off == 0.0)
-    half = np.abs(a.distances[np.ix_(zi, zi)] - b.distances[np.ix_(zj, zj)]) / 2.0
-    half = np.maximum(half, half.T)
-    loops = np.eye(len(zi), dtype=bool)
-    bits = 1 << np.arange(len(zi), dtype=np.int64)
-
-    best, best_members, flows, stopped_at, seen = 1.0, None, 0, None, set()
-    for level in np.unique(half).tolist():
-        if level >= best or stopped_at is not None:
-            break
-        adj = (((half <= level) & ~loops) @ bits).tolist()
-        for clique in _maximal_cliques(adj):
-            if level >= best:
-                break
-            if clique in seen:
-                continue
-            members = [k for k in range(len(zi)) if clique >> k & 1]
-            admissible = np.zeros(off.shape, dtype=bool)
-            admissible[zi[members], zj[members]] = True
-            if _cut_excluded_mass(ca, cb, admissible) < best:
-                if flows >= budget:
-                    stopped_at = level
-                    break
-                flows += 1
-                g = max(0.0, 1.0 - _max_flow_mass(ca, cb, admissible)[0] / FLOW_SCALE)
-                if max(level, g) < best:
-                    best, best_members = max(level, g), members
-            seen.add(clique)
-
-    if best_members:
-        cross = correspondence_cross(a, b, zip(zi[best_members], zj[best_members]))[0]
-    else:
-        cross = _all_pairs_cross(a, b)
-    exact, flow = _prohorov_search(cross + off, ca, cb)
-    floor = exact if stopped_at is None else max(lower, min(exact, stopped_at))
-    return MgpResult(
-        lower=lower,
-        upper=float(exact),
-        exact=float(exact),
-        slack=float(max(0.0, exact - floor)),
-        witness_cross=cross,
-        witness_coupling=_coupling(flow, a.weights, b.weights),
-        nodes=flows,
-        budget_exhausted=stopped_at is not None,
-    )
+    size = int(np.count_nonzero(a.mark_space.cross_distances(a.marks, b.marks) < 1.0))
+    if size > EXACT_PAIR_BOUND:
+        raise TooLargeError(f"the relation scan is limited to {EXACT_PAIR_BOUND} pairs of "
+                            f"mark distance below 1; this pair has {size}")
+    return _mgp(a, b, budget)
 
 
 def mgp_bounds(a: FiniteMmmSpace, b: FiniteMmmSpace) -> MgpResult:
-    """`mgp_lower` and `mgp_upper` in one result (no certificate).
+    """Lower and upper bound on the marked Gromov-Prohorov distance.
 
-    The upper bound and its witness cross are those of `mgp_upper`, and the
-    witness coupling comes from the Prohorov search that accepted it.
+    With at most EXACT_PAIR_BOUND pairs of mark distance below 1 this is
+    `mgp_exact` at the default budget (SCAN_BUDGET search nodes).  When the
+    budget stops the scan, or beyond the bound, the upper bound also tries
+    the correspondence gluings of the greedy coupling support of a profile
+    cost and of its prune chain (`_pruned`), each pair set once, first
+    strict minimum.  Beyond the bound ``lower`` is `mgp_lower` and
+    ``exact``, ``slack``, ``nodes`` and ``budget_exhausted`` are None.
+    Lower never exceeds upper; the witness passes `glue`.  NaN/inf entries
+    and a nonpositive total weight raise ParameterError, weights that do
+    not sum to 1 MarginalError.
     """
-    lower = mgp_lower(a, b)
-    upper, coupling, witness = _best_gluing(a, b)
-    return MgpResult(lower=lower, upper=upper, witness_cross=witness,
-                     witness_coupling=coupling)
+    return _mgp(a, b, SCAN_BUDGET)
+
+
+def mgp_upper(a: FiniteMmmSpace, b: FiniteMmmSpace):
+    """Upper bound on the marked Gromov-Prohorov distance: the upper bound
+    and witness cross matrix of `mgp_bounds`, (value, cross)."""
+    res = _mgp(a, b, SCAN_BUDGET)
+    return res.upper, res.witness_cross

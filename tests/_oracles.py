@@ -6,14 +6,15 @@ oracle gets its flow values from scipy's linear programming, so a bug in
 the production max-flow or breakpoint search cannot hide in both routes.
 The MGP lower-bound oracle shares that max-flow on purpose: it rebuilds
 the union metric over the atoms of both laws, so it checks how the cross
-matrix reaches the solver, not the solver.  The MGP upper-bound oracle
-shares the candidate gluings and the full Prohorov solver, so it checks
-only how `mgp_upper` skips repeated pair sets and prunes candidates
-against its incumbent.  The exact-law oracle shares only
+matrix reaches the solver, not the solver.  The MGP fallback oracle
+shares the greedy coupling support and the full Prohorov solver, so it
+checks only how `mgp_bounds` skips repeated pair sets and prunes
+candidates against its incumbent.  The exact-law oracle shares only
 the grouping key (`round_sig`), which defines the atoms.  The relation
-oracle enumerates every relation between equal-mark points and gets each
-one's excluded mass from the LP max-flow, so it shares nothing with
-`mgp_exact`'s level scan, cliques or Dinic flows.
+oracle enumerates every relation between pairs of mark distance below 1
+and gets each one's excluded mass from the LP max-flow, and the level
+oracle solves one mixed-integer program per level, so neither shares
+anything with `mgp_exact`'s level scan, cliques or Dinic flows.
 """
 
 import itertools
@@ -21,14 +22,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from mmmspace import (
     FinitePointMeasure, GluedSpace, correspondence_cross, mark_marginal, pair_distance_law,
     prohorov_exact,
 )
 from mmmspace.dmat import round_sig
-from mmmspace.mgp import _all_pairs_cross, _candidate_pairs
+from mmmspace.mgp import _greedy_coupling_pairs, _profile_cost
 
 
 def _min_eps_for_subset(pa, dist_to_A, q_probs):
@@ -118,14 +119,15 @@ def mgp_lower_union_oracle(a, b):
     return first, second
 
 
-def mgp_upper_full_oracle(a, b):
-    """`mgp_upper` as a plain loop that evaluates every candidate in full,
-    repeated pair sets included, and keeps the first strict minimum:
-    (value, witness cross)."""
-    crosses = [correspondence_cross(a, b, pairs)[0]
-               for pairs in _candidate_pairs(a, b) if pairs]
+def mgp_fallback_oracle(a, b):
+    """The fallback of `mgp_bounds` as a plain loop: the greedy coupling
+    support, then its prune chain (`prune_chain_oracle`), each evaluated
+    in full, repeated pair sets included, keeping the first strict
+    minimum: (value, witness cross)."""
+    support = _greedy_coupling_pairs(_profile_cost(a, b), a.weights, b.weights)
     best = None
-    for c in crosses + [_all_pairs_cross(a, b)]:
+    for pairs in [support] + prune_chain_oracle(a, b, support):
+        c = correspondence_cross(a, b, pairs)[0]
         v, _ = GluedSpace(left=a, right=b, cross=c).prohorov()
         if best is None or v < best[0]:
             best = (v, c)
@@ -164,23 +166,93 @@ def exact_law_oracle(space, n):
     return [(key, first, mass / norm) for key, (first, mass) in ordered]
 
 
-def mgp_relation_oracle(a, b):
-    """The marked Gromov-Prohorov distance of two discrete-marked metric
-    spaces as min(1, min over every nonempty set S of equal-mark pairs of
-    max(dis(S) / 2, g(S))): dis(S) the distortion of S as a relation, g(S)
-    one minus the LP max-flow with only S admissible."""
+def _candidates_and_levels(a, b):
+    """The pairs (i, j) of mark distance below 1, their mark distances, and
+    the level of every two of them, max((|r1(i, k) - r2(j, l)| + m_ij +
+    m_kl) / 2, m_ij, m_kl), as plain loops."""
     z = [(i, j) for i in range(a.n) for j in range(b.n)
-         if mark_distance(a.mark_space, a.marks[i], b.marks[j]) == 0.0]
+         if mark_distance(a.mark_space, a.marks[i], b.marks[j]) < 1.0]
+    m = [mark_distance(a.mark_space, a.marks[i], b.marks[j]) for i, j in z]
+    level = [[max((abs(a.distances[i, k] - b.distances[j, l]) + m[u] + m[v]) / 2.0, m[u], m[v])
+              for v, (k, l) in enumerate(z)] for u, (i, j) in enumerate(z)]
+    return z, level
+
+
+def mgp_relation_oracle(a, b):
+    """The marked Gromov-Prohorov distance as min(1, min over every
+    nonempty set S of pairs of mark distance below 1 of max(L(S), g(S))):
+    L(S) the largest level of two pairs of S, g(S) one minus the LP
+    max-flow with only S admissible.  A set whose level is not below the
+    best value so far needs no flow."""
+    z, level = _candidates_and_levels(a, b)
     wp, wq = np.asarray(a.weights), np.asarray(b.weights)
     best = 1.0
     for mask in range(1, 1 << len(z)):
-        s = [z[k] for k in range(len(z)) if mask >> k & 1]
-        dis = max(abs(a.distances[i, k] - b.distances[j, l]) for i, j in s for k, l in s)
+        s = [k for k in range(len(z)) if mask >> k & 1]
+        top = max(level[u][v] for u in s for v in s)
+        if top >= best:
+            continue
         cost = np.ones((a.n, b.n))
-        for i, j in s:
-            cost[i, j] = 0.0
-        best = min(best, max(dis / 2.0, 1.0 - _lp_max_flow(cost, wp, wq, 0.0)))
+        for u in s:
+            cost[z[u]] = 0.0
+        best = min(best, max(top, 1.0 - _lp_max_flow(cost, wp, wq, 0.0)))
     return best
+
+
+def _clique_flow(z, level, t, wp, wq):
+    """Largest mass a max-flow routes over some set S of pairs whose
+    levels are all at most t, by one mixed-integer program: x_u in {0, 1}
+    picks S, f_u <= x_u is the flow on pair u.  The gap tolerance is 0 for
+    an exact optimum, and HiGHS's presolve is off because it reported a
+    solve error on a 5- against 7-leaf tree pair."""
+    keep = [u for u in range(len(z)) if level[u][u] <= t]
+    if not keep:
+        return 0.0
+    k = len(keep)
+    rows = []
+    for idx, cap in ((0, wp), (1, wq)):
+        for r in range(len(cap)):
+            row = np.zeros(2 * k)
+            row[k:] = [float(z[u][idx] == r) for u in keep]
+            rows.append((row, cap[r]))
+    for n in range(k):
+        row = np.zeros(2 * k)
+        row[n], row[k + n] = -1.0, 1.0
+        rows.append((row, 0.0))
+    for n, u in enumerate(keep):
+        for n2 in range(n + 1, k):
+            if level[u][keep[n2]] > t:
+                row = np.zeros(2 * k)
+                row[n] = row[n2] = 1.0
+                rows.append((row, 1.0))
+    matrix = np.array([r for r, _ in rows])
+    upper = np.array([c for _, c in rows])
+    res = milp(np.r_[np.zeros(k), -np.ones(k)], options={"mip_rel_gap": 0.0, "presolve": False},
+               constraints=LinearConstraint(matrix, -np.inf, upper),
+               integrality=np.r_[np.ones(k), np.zeros(k)], bounds=Bounds(0.0, 1.0))
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def mgp_level_oracle(a, b):
+    """The marked Gromov-Prohorov distance as min over levels t of max(t,
+    G(t)), with G(t) = 1 - `_clique_flow` the least excluded mass of a
+    relation within level t, capped at 1.  G falls as t grows, so the
+    minimum sits at the first t whose G(t) is below the next level, found
+    by binary search over the distinct levels."""
+    z, level = _candidates_and_levels(a, b)
+    ts = sorted({v for row in level for v in row})
+    if not ts:
+        return 1.0
+    wp, wq = np.asarray(a.weights), np.asarray(b.weights)
+    lo, hi = 0, len(ts) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if 1.0 - _clique_flow(z, level, ts[mid], wp, wq) < ts[mid + 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return min(1.0, max(ts[lo], 1.0 - _clique_flow(z, level, ts[lo], wp, wq)))
 
 
 def canonical_order_oracle(space):

@@ -245,8 +245,9 @@ def test_dist_self_is_zero(capsys, ab_space):
     assert code == 0
     result = json.loads(stdout)
     assert result["upper"] <= 1e-9
-    assert result["lower"] <= result["upper"] + 1e-12
-    assert result["exact"] is None
+    # the relation scan finishes on this pair, so the bounds are the value
+    assert result["lower"] == result["exact"] == result["upper"]
+    assert result["slack"] == 0.0
 
 
 def test_dist_exact_flag(capsys, ab_space, ab2_space):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mmmspace.core
+import mmmspace.mgp
 from mmmspace import (
     CoalescentConfig,
     DomainError,
@@ -36,8 +37,8 @@ from mmmspace import (
 from mmmspace.mgp import _all_pairs_cross, _profile_cost, _pruned
 
 from _oracles import (
-    mark_distance, mgp_lower_union_oracle, mgp_relation_oracle, mgp_upper_full_oracle,
-    prune_chain_oracle,
+    mark_distance, mgp_fallback_oracle, mgp_level_oracle, mgp_lower_union_oracle,
+    mgp_relation_oracle, prune_chain_oracle,
 )
 from conftest import AB_MARKS, nan_cloud, random_space, relabeled, tiny_spaces, two_point
 
@@ -171,6 +172,32 @@ def test_correspondence_default_beta_is_half_distortion(space_A, space_A2):
             correspondence_cross(space_A, space_A2, bad)
 
 
+def test_correspondence_takes_a_beta_per_pair(space_A, space_A2):
+    # the pairs (0, 0) and (1, 1) differ by |1 - 2| = 1, so beta_00 + beta_11
+    # must reach 1, and each beta must reach 0 against itself
+    pairs = [(0, 0), (1, 1)]
+    cross, beta, dis = correspondence_cross(space_A, space_A2, pairs, beta=[0.2, 0.8])
+    assert dis == 1.0 and beta.tolist() == [0.2, 0.8]
+    assert cross[0, 0] == 0.2 and cross[1, 1] == 0.8
+    glue(space_A, space_A2, cross)
+    for bad in ([0.2, 0.7], [-0.1, 1.1], [0.5], [0.5, 0.5, 0.5]):
+        with pytest.raises(ParameterError, match="beta"):
+            correspondence_cross(space_A, space_A2, pairs, beta=bad)
+    # a scalar beta reaches dis / 2 exactly as before
+    assert correspondence_cross(space_A, space_A2, pairs, beta=0.5)[1] == 0.5
+
+
+def test_correspondence_rejects_non_finite_input():
+    good, bad = euclidean_cloud(6, 2, seed=4), nan_cloud()
+    identity = [(i, i) for i in range(6)]
+    for beta in (math.nan, math.inf, [0.5, math.nan] + [0.5] * 4):
+        with pytest.raises(ParameterError, match="beta must be finite"):
+            correspondence_cross(good, good, identity, beta=beta)
+    for pair in ((good, bad), (bad, good)):
+        with pytest.raises(ParameterError, match=r"'nan': d\(0,1\) = nan is not finite"):
+            correspondence_cross(*pair, identity)
+
+
 def test_correspondence_always_glues():
     rng = np.random.default_rng(33)
     for _ in range(20):
@@ -188,7 +215,8 @@ def test_correspondence_always_glues():
 
 
 def test_identity_strategy_nails_relabeled_copies():
-    # the isometry candidate puts a relabelled copy at distance zero
+    # the isometry is a relation at level 0 that routes every unit, so the
+    # scan puts a relabelled copy at distance zero
     rng = np.random.default_rng(62)
     for _ in range(20):
         a = random_space(rng, max_n=5, min_n=2)
@@ -215,7 +243,7 @@ def test_upper_is_deterministic():
     assert c1.tobytes() == c2.tobytes()
 
 
-def test_upper_prunes_candidates_like_the_full_loop():
+def test_upper_prunes_candidates_like_the_full_loop(monkeypatch):
     rng = np.random.default_rng(47)
     pairs = [random_pair(rng, max_n=5) for _ in range(10)]
     pairs += [(euclidean_cloud(int(rng.integers(3, 9)), 2, marks, seed=k),
@@ -225,8 +253,18 @@ def test_upper_prunes_candidates_like_the_full_loop():
                kingman(CoalescentConfig(leaves=8, theta=1.0, seed=k + 30)))
               for k in range(3)]
     for a, b in pairs:
+        # within the pair bound: the scan's witness, at the exact value
         value, cross = mgp_upper(a, b)
-        want, want_cross = mgp_upper_full_oracle(a, b)
+        res = mgp_exact(a, b)
+        assert res.slack == 0.0 and value == res.exact
+        assert cross.tobytes() == res.witness_cross.tobytes()
+        assert abs(value - mgp_level_oracle(a, b)) <= 1e-9
+    # beyond it: the fallback chain, pruned against its incumbent (a bound
+    # of -1 sends even a pair with no pair of mark distance below 1 there)
+    monkeypatch.setattr(mmmspace.mgp, "EXACT_PAIR_BOUND", -1)
+    for a, b in pairs:
+        value, cross = mgp_upper(a, b)
+        want, want_cross = mgp_fallback_oracle(a, b)
         assert value == want
         assert cross.tobytes() == want_cross.tobytes()
 
@@ -293,7 +331,9 @@ def test_bound_entry_points_give_finite_bounds_or_domain_errors(raw_a, raw_b, no
     assert (res is None) == (lower is None or upper is None)
     if res is not None:
         assert 0.0 <= lower <= upper[0] + 1e-9 and upper[0] <= 1.0
-        assert (res.lower, res.upper) == (lower, upper[0])
+        # the scan finishes on tiny pairs: both bounds are the exact value
+        assert res.slack == 0.0 and lower <= res.lower + 1e-9
+        assert res.lower == res.upper == upper[0]
         assert res.witness_cross.tobytes() == upper[1].tobytes()
         glue(a, b, res.witness_cross)
     if corr is not None:
@@ -339,8 +379,10 @@ def test_one_point_same_mark_costs_zero():
 
 
 def test_scaled_two_point_distance_is_half(space_A, space_A2):
+    # mgp_lower gives 0.25; the finished scan raises the lower bound to
+    # the exact value
     res = mgp_exact(space_A, space_A2)
-    assert res.lower == pytest.approx(0.25, abs=1e-9)
+    assert res.lower == pytest.approx(0.5, abs=1e-9)
     assert res.exact == pytest.approx(0.5, abs=1e-9)
     assert res.slack <= 1e-9
     g = glue(space_A, space_A2, res.witness_cross)
@@ -420,8 +462,12 @@ def test_exact_reports_nodes_and_the_budget():
     # the unit that rounding thirds leaves over goes to the first atom of
     # each side, so a relabelled copy can miss by that one unit of 1e-12
     assert same.exact <= 1e-12 and same.budget_exhausted is False
+    # mgp_bounds is the same scan at the default budget
     bounds = mgp_bounds(a, b)
-    assert bounds.nodes is None and bounds.budget_exhausted is None
+    assert (bounds.lower, bounds.upper, bounds.exact, bounds.slack) == \
+        (full.lower, full.upper, full.exact, full.slack)
+    assert bounds.nodes == full.nodes and bounds.budget_exhausted is False
+    assert bounds.witness_cross.tobytes() == full.witness_cross.tobytes()
 
 
 def test_a_space_of_thirds_is_at_distance_zero_from_itself():
@@ -432,9 +478,11 @@ def test_a_space_of_thirds_is_at_distance_zero_from_itself():
     assert mgp_exact(a, a).exact == 0.0
 
 
-def oracle_pair(rng):
-    """Two label-marked metric spaces with n1 + n2 <= 6 points, planar or
-    on a line, with repeated points and zero weights now and then."""
+def oracle_pair(rng, euclidean=False):
+    """Two metric spaces with n1 + n2 <= 6 points, planar or on a line, with
+    repeated points and zero weights now and then; marks are labels, or
+    with ``euclidean`` points of [0, 1.5) on a line, on a half-integer grid
+    now and then, so that some pairs sit at mark distance 1 or more."""
     spaces = []
     for n in (int(rng.integers(1, 6)),) * 2:
         n = n if not spaces else int(rng.integers(1, 7 - spaces[0].n))
@@ -443,17 +491,23 @@ def oracle_pair(rng):
             pts = np.round(pts)
         w = rng.integers(0 if rng.random() < 0.3 else 1, 4, size=n).astype(float)
         w[int(rng.integers(n))] += 1.0
+        if euclidean:
+            at = rng.uniform(0.0, 1.5, size=n)
+            at = np.round(at * 2) / 2 if rng.random() < 0.3 else at
+            marks, mark_space = tuple((float(x),) for x in at), MarkSpace.euclidean(1)
+        else:
+            marks = tuple(("a", "b")[t] for t in rng.integers(0, 2, size=n))
+            mark_space = AB_MARKS
         spaces.append(FiniteMmmSpace(
             distances=np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)),
-            marks=tuple(("a", "b")[t] for t in rng.integers(0, 2, size=n)),
-            weights=w / w.sum(), mark_space=AB_MARKS))
+            marks=marks, weights=w / w.sum(), mark_space=mark_space))
     return spaces
 
 
 def test_exact_equals_the_relation_oracle():
     rng = np.random.default_rng(1909)
-    for _ in range(150):
-        a, b = oracle_pair(rng)
+    for k in range(300):
+        a, b = oracle_pair(rng, euclidean=k >= 150)
         res = mgp_exact(a, b)
         assert abs(res.exact - mgp_relation_oracle(a, b)) <= 1e-9
         assert res.slack == 0.0 and res.budget_exhausted is False
@@ -473,18 +527,56 @@ def test_every_budget_brackets_the_full_value():
 
 
 def test_exact_preconditions(space_A):
+    # Euclidean marks and more than 6 points are fine
     euc = MarkSpace.euclidean(1)
     pa = FiniteMmmSpace(
         distances=np.zeros((1, 1)), weights=np.array([1.0]),
         marks=((0.0,),), mark_space=euc, label="e",
     )
-    with pytest.raises(TooLargeError):
-        mgp_exact(pa, pa)
+    assert mgp_exact(pa, pa).exact == 0.0
     rng = np.random.default_rng(9)
     big = random_space(rng, max_n=4, min_n=4)
     other = random_space(rng, max_n=3, min_n=3)
-    with pytest.raises(TooLargeError):
-        mgp_exact(big, other)
+    assert mgp_exact(big, other).slack == 0.0
+    # the cap counts the pairs of mark distance below 1: 39 x 39 = 1521 on
+    # constant marks; beyond it mgp_bounds still gives bounds
+    a, b = (euclidean_cloud(39, 2, "constant", seed=k) for k in (1, 2))
+    with pytest.raises(TooLargeError, match="limited to 1500 pairs .* this pair has 1521"):
+        mgp_exact(a, b)
+    res = mgp_bounds(a, b)
+    assert res.exact is None and res.nodes is None and res.lower <= res.upper
+    glue(a, b, res.witness_cross)
+    # marks 2 apart leave no candidate pair, and the distance is 1
+    far = FiniteMmmSpace(distances=np.zeros((1, 1)), weights=np.array([1.0]),
+                         marks=((2.0,),), mark_space=euc)
+    assert mgp_exact(pa, far).exact == 1.0
+
+
+def test_lower_never_exceeds_upper_by_rounding():
+    # mgp_lower rounds each law's masses on its own and can overshoot the
+    # exact value by about 1e-12: 0.5714285714289999 against
+    # 0.5714285714280001 on the 26th pair of this draw
+    rng = np.random.default_rng(1910)
+    pairs = [oracle_pair(rng) for _ in range(26)][-1:]
+    pairs += [(kingman(CoalescentConfig(leaves=6, theta=1.0, seed=8202)),
+               kingman(CoalescentConfig(leaves=12, theta=1.0, seed=8302)))]
+    assert mgp_lower(*pairs[0]) > mgp_relation_oracle(*pairs[0])
+    for a, b in pairs:
+        for res in (mgp_bounds(a, b), mgp_exact(a, b), mgp_exact(a, b, budget=0)):
+            assert res.lower <= res.upper and res.slack >= 0.0
+
+
+def test_exact_scans_nine_point_clouds():
+    # 81 pairs of equal marks: more than one int64 bitmask holds
+    values = []
+    for k in range(4):
+        a = euclidean_cloud(9, 2, "constant", seed=10 + k)
+        b = euclidean_cloud(9, 2, "constant", seed=20 + k)
+        res = mgp_exact(a, b)
+        assert res.slack == 0.0 and res.budget_exhausted is False
+        glue(a, b, res.witness_cross)
+        values.append(round(res.exact, 4))
+    assert values == [0.2222, 0.3333, 0.3333, 0.2222]
 
 
 def test_bounds_memory_stays_below_the_all_pairs_arrays():
@@ -530,6 +622,8 @@ def test_non_finite_spaces_are_rejected():
         with pytest.raises(ParameterError, match=re.escape(f"glued metric entry {ij} is not")):
             glue(x, y, cross)
     nan_gluing = GluedSpace(left=good, right=good, cross=np.full((6, 6), math.nan))
+    with pytest.raises(ParameterError, match=r"^cross entry \(0, 0\) is not finite$"):
+        nan_gluing.prohorov()
     with pytest.raises(ParameterError, match=r"^glued metric entry \(0, 6\) is not finite$"):
         glue_three(nan_gluing, glue(good, good, good.distances))
     inf_weight = FiniteMmmSpace(distances=good.distances, marks=good.marks,
@@ -558,7 +652,7 @@ def test_mgp_upper_rejects_zero_total_weight(space_A):
 def test_mgp_upper_checks_the_marginals():
     # weights of total 0.5, 2 or 3 are no law: MarginalError, not a bound
     a, b = euclidean_cloud(6, 2, "sign", seed=1), euclidean_cloud(6, 2, "sign", seed=2)
-    assert mgp_upper(a, b)[0] == 0.5
+    assert mgp_upper(a, b)[0] == mgp_exact(a, b).exact == pytest.approx(1 / 3, abs=1e-9)
     for scale in (0.5, 2.0, 3.0):
         heavy = FiniteMmmSpace(distances=a.distances, marks=a.marks, weights=a.weights * scale,
                                mark_space=a.mark_space, label="heavy")
@@ -640,13 +734,14 @@ def test_mgp_bounds_bundle():
     rng = np.random.default_rng(55)
     a, b = random_pair(rng, max_n=4)
     res = mgp_bounds(a, b)
-    assert res.exact is None
-    assert res.lower <= res.upper + 1e-9
+    assert res.lower == res.exact == res.upper and res.slack == 0.0
+    assert abs(res.exact - mgp_relation_oracle(a, b)) <= 1e-9
+    assert mgp_lower(a, b) <= res.lower + 1e-9
     glue(a, b, res.witness_cross)
     assert res.upper == mgp_upper(a, b)[0]
 
 
-def test_bounds_match_the_full_loop():
+def test_bounds_match_the_full_loop(monkeypatch):
     rng = np.random.default_rng(58)
     pairs = [random_pair(rng, max_n=5) for _ in range(10)]
     pairs += [(euclidean_cloud(int(rng.integers(3, 9)), 2, marks, seed=k),
@@ -655,14 +750,25 @@ def test_bounds_match_the_full_loop():
     pairs += [(kingman(CoalescentConfig(leaves=5 + k, theta=1.0, seed=k)),
                kingman(CoalescentConfig(leaves=7, theta=1.0, seed=k + 60)))
               for k in range(4)]
+
+    def fresh_coupling(a, b, cross):
+        return GluedSpace(left=a, right=b, cross=cross).prohorov()[1].tobytes()
+
+    for a, b in pairs:
+        # within the pair bound the scan finishes: both bounds are the value
+        res = mgp_bounds(a, b)
+        assert res.lower == res.upper == res.exact and res.budget_exhausted is False
+        assert abs(res.upper - mgp_level_oracle(a, b)) <= 1e-9
+        assert mgp_lower(a, b) <= res.lower + 1e-9
+        assert res.witness_coupling.tobytes() == fresh_coupling(a, b, res.witness_cross)
+    # beyond the bound (every pair, at -1): the fallback chain
+    monkeypatch.setattr(mmmspace.mgp, "EXACT_PAIR_BOUND", -1)
     for a, b in pairs:
         res = mgp_bounds(a, b)
-        want, want_cross = mgp_upper_full_oracle(a, b)
-        assert (res.lower, res.upper) == (mgp_lower(a, b), want)
+        want, want_cross = mgp_fallback_oracle(a, b)
+        assert (res.lower, res.upper) == (min(mgp_lower(a, b), want), want)
         assert res.witness_cross.tobytes() == want_cross.tobytes()
-        # the coupling of a fresh solve of the witness
-        _, coupling = GluedSpace(left=a, right=b, cross=want_cross).prohorov()
-        assert res.witness_coupling.tobytes() == coupling.tobytes()
+        assert res.witness_coupling.tobytes() == fresh_coupling(a, b, want_cross)
 
 
 def test_result_validation():
