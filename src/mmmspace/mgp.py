@@ -12,7 +12,8 @@ Lower bounds come from projections to the mark marginal and the
 pair-distance law.  The distance itself is a finite minimum over
 relations between the pairs of mark distance below 1 (see `mgp_exact`),
 and `mgp_exact`, `mgp_bounds` and `mgp_upper` all read it off one scan
-of those relations (`_mgp`).
+of those relations (`_mgp`) up to EXACT_PAIR_BOUND or BOUNDS_PAIR_BOUND
+such pairs, past which `mgp_bounds` falls back on heuristic gluings.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
 
 GLUE_TOL = 1e-10
 EXACT_PAIR_BOUND = 1500
+BOUNDS_PAIR_BOUND = 40
 SCAN_BUDGET = 5000
 
 # ---------------------------------------------------------------------------
@@ -320,9 +322,9 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
 class MgpResult:
     """Bounds (and optionally a certified value) for one space pair.
 
+    ``exact`` - ``slack`` is a certified lower bound on ``exact``.
     ``nodes`` counts the relation scan's search nodes and ``budget_exhausted``
-    says whether its budget stopped the scan; these two, ``exact`` and
-    ``slack`` are None when the pair is too large for the scan.
+    says whether its budget stopped the scan; both are None when no scan ran.
     """
 
     lower: float
@@ -352,8 +354,9 @@ def _bits(mask: int):  # the set bits, lowest first
 
 
 def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
-    """The scan of `mgp_exact`: (best relation or None, its beta, nodes,
-    level where ``budget`` stopped it or None).
+    """The scan of `mgp_exact`: (gluing of the best relation S or None,
+    max(L(S), g(S)) or inf, the flow that gave g(S), nodes, level where
+    ``budget`` stopped the scan or None).
 
     Pairs u = (i, j), v = (k, l) with m = ``off`` < 1 meet at level
     max((|r1(i, k) - r2(j, l)| + m_ij + m_kl) / 2, m_ij, m_kl).  Levels d go
@@ -383,7 +386,7 @@ def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
     present = _masks(np.diag(graph)[None, :])[0]
     adj = [mask & ~(1 << u) for u, mask in enumerate(_masks(graph))]
 
-    best, members, nodes, stopped_at, starts = 1.0, None, 0, None, [(0, present)]
+    best, members, flow, nodes, stopped_at, starts = 1.0, None, None, 0, None, [(0, present)]
     for k in range(k0, len(levels)):
         level = float(levels[k])
         if level >= best or stopped_at is not None:
@@ -419,9 +422,10 @@ def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
                     admissible = np.zeros(off.shape, dtype=bool)
                     admissible[zi[mem], zj[mem]] = True
                     if _cut_excluded_mass(ca, cb, admissible) < best:
-                        g = max(0.0, 1.0 - _max_flow_mass(ca, cb, admissible)[0] / FLOW_SCALE)
+                        mass, got = _max_flow_mass(ca, cb, admissible)
+                        g = max(0.0, 1.0 - mass / FLOW_SCALE)
                         if max(level, g) < best:
-                            best, members = max(level, g), mem
+                            best, members, flow = max(level, g), mem, got
                 continue
             pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
             children = []
@@ -430,27 +434,30 @@ def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
                 p, x = p & ~(1 << v), x | 1 << v
             stack.extend(reversed(children))
     if members is None:
-        return None, None, nodes, stopped_at
+        return None, math.inf, None, nodes, stopped_at
     beta = lev[np.ix_(members, members)].max() - m[members]
-    return list(zip(zi[members].tolist(), zj[members].tolist())), beta, nodes, stopped_at
+    pairs = list(zip(zi[members].tolist(), zj[members].tolist()))
+    return correspondence_cross(a, b, pairs, beta)[0], best, flow, nodes, stopped_at
 
 
-def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int) -> MgpResult:
-    """`mgp_exact`, `mgp_bounds` and `mgp_upper`: the relation scan and its fallback."""
+def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False) -> MgpResult:
+    """`mgp_exact` (``exact``), `mgp_bounds` and `mgp_upper`: scan, then fallback."""
     _require_finite(a, b)
     for space in (a, b):
         _weight_total(space)  # positive total, before the marginal check
-    lower = mgp_lower(a, b)  # checks the mark space and the weights
+    if a.mark_space != b.mark_space:
+        raise ParameterError("both spaces must share the mark space")
     off = a.mark_space.cross_distances(a.marks, b.marks)
+    size, cap = int(np.count_nonzero(off < 1.0)), EXACT_PAIR_BOUND if exact else BOUNDS_PAIR_BOUND
+    if exact and size > cap:  # before mgp_lower, whose laws grow as n^2
+        raise TooLargeError(f"the relation scan is limited to {cap} pairs of "
+                            f"mark distance below 1; this pair has {size}")
+    floor = mgp_lower(a, b)  # checks the weights
     ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
-    scanned = np.count_nonzero(off < 1.0) <= EXACT_PAIR_BOUND
-    value, flow, cross, best, nodes, stopped_at = math.inf, None, None, None, None, None
-    if scanned:
-        best, beta, nodes, stopped_at = _relation_scan(a, b, off, ca, cb, lower, budget)
-    if best is not None:
-        cross = correspondence_cross(a, b, best, beta)[0]
-        value, flow = _prohorov_search(cross + off, ca, cb)
-    if not scanned or stopped_at is not None:
+    cross, value, flow, nodes, stopped_at = None, math.inf, None, None, None
+    if size <= cap:
+        cross, value, flow, nodes, stopped_at = _relation_scan(a, b, off, ca, cb, floor, budget)
+    if size > cap or stopped_at is not None:
         support = _greedy_coupling_pairs(_profile_cost(a, b), a.weights, b.weights)
         chain = [support, *_pruned(a, b, support)]
         for pairs in {frozenset(rel): rel for rel in chain}.values():  # one per pair set
@@ -462,14 +469,14 @@ def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int) -> MgpResult:
         cross = _all_pairs_cross(a, b)
         value, flow = _prohorov_search(cross + off, ca, cb)
     glue(a, b, cross)  # witness must validate; raises if not
-    if scanned:
-        lower = value if stopped_at is None else max(lower, min(value, stopped_at))
+    finished = nodes is not None and stopped_at is None
+    lower = (value if finished else max(floor, min(value, stopped_at))) if exact else floor
     lower = min(lower, value)
-    exact = float(value) if scanned else None
-    return MgpResult(lower=float(lower), upper=float(value), exact=exact,
-                     slack=None if exact is None else float(value - lower), witness_cross=cross,
-                     witness_coupling=_coupling(flow, a.weights, b.weights), nodes=nodes,
-                     budget_exhausted=None if exact is None else stopped_at is not None)
+    return MgpResult(lower=float(lower), upper=float(value),
+                     exact=float(value) if exact or finished else None,
+                     slack=float(value - lower) if exact else 0.0 if finished else None,
+                     witness_cross=cross, witness_coupling=_coupling(flow, a.weights, b.weights),
+                     nodes=nodes, budget_exhausted=None if nodes is None else not finished)
 
 
 def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = SCAN_BUDGET) -> MgpResult:
@@ -486,8 +493,8 @@ def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = SCAN_BUDGET) -
     and `correspondence_cross` of S at beta_ij = L(S) - m_ij glues every
     pair of S within L(S) (Memoli's correspondence gluing, FoCM 2011,
     weighted).  The witness is that gluing for the best S found by
-    `_relation_scan`, or the all-pairs gluing when no S beats 1; ``exact``
-    and ``upper`` are its Prohorov distance, with that search's coupling.
+    `_relation_scan`, with the coupling of the flow that gave g(S), or the
+    all-pairs gluing and its Prohorov search when no S beats 1.
 
     More than EXACT_PAIR_BOUND (1500) pairs in Z raise TooLargeError: the
     level matrix holds O(|Z|^2) floats.  ``budget`` caps the scan's search
@@ -497,28 +504,22 @@ def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = SCAN_BUDGET) -
     is max(mgp_lower, min(exact, d)) and ``slack`` the gap; otherwise lower
     = upper = exact and slack is 0.
     """
-    if a.mark_space != b.mark_space:
-        raise ParameterError("both spaces must share the mark space")
-    size = int(np.count_nonzero(a.mark_space.cross_distances(a.marks, b.marks) < 1.0))
-    if size > EXACT_PAIR_BOUND:
-        raise TooLargeError(f"the relation scan is limited to {EXACT_PAIR_BOUND} pairs of "
-                            f"mark distance below 1; this pair has {size}")
-    return _mgp(a, b, budget)
+    return _mgp(a, b, budget, exact=True)
 
 
 def mgp_bounds(a: FiniteMmmSpace, b: FiniteMmmSpace) -> MgpResult:
     """Lower and upper bound on the marked Gromov-Prohorov distance.
 
-    With at most EXACT_PAIR_BOUND pairs of mark distance below 1 this is
-    `mgp_exact` at the default budget (SCAN_BUDGET search nodes).  When the
-    budget stops the scan, or beyond the bound, the upper bound also tries
-    the correspondence gluings of the greedy coupling support of a profile
-    cost and of its prune chain (`_pruned`), each pair set once, first
-    strict minimum.  Beyond the bound ``lower`` is `mgp_lower` and
-    ``exact``, ``slack``, ``nodes`` and ``budget_exhausted`` are None.
-    Lower never exceeds upper; the witness passes `glue`.  NaN/inf entries
-    and a nonpositive total weight raise ParameterError, weights that do
-    not sum to 1 MarginalError.
+    ``lower`` is `mgp_lower`, clamped to ``upper``.  With at most
+    BOUNDS_PAIR_BOUND (40) pairs of mark distance below 1, ``upper`` comes
+    from the scan of `mgp_exact` at SCAN_BUDGET (5000) search nodes; when
+    it finishes, ``upper`` is the distance, ``exact`` too, and slack 0.
+    Beyond the cap, or past the budget, ``exact`` and ``slack`` are None
+    and ``upper`` is the best of the scan's relation and the gluings of the
+    greedy coupling support of a profile cost and its prune chain
+    (`_pruned`), each pair set once, first strict minimum.  The witness
+    passes `glue`.  NaN/inf entries and a nonpositive total weight raise
+    ParameterError, weights that do not sum to 1 MarginalError.
     """
     return _mgp(a, b, SCAN_BUDGET)
 

@@ -253,15 +253,16 @@ def test_upper_prunes_candidates_like_the_full_loop(monkeypatch):
                kingman(CoalescentConfig(leaves=8, theta=1.0, seed=k + 30)))
               for k in range(3)]
     for a, b in pairs:
-        # within the pair bound: the scan's witness, at the exact value
+        # within the pair cap: the scan's witness, at the exact value
+        assert scanned_by_bounds(a, b)
         value, cross = mgp_upper(a, b)
         res = mgp_exact(a, b)
         assert res.slack == 0.0 and value == res.exact
         assert cross.tobytes() == res.witness_cross.tobytes()
         assert abs(value - mgp_level_oracle(a, b)) <= 1e-9
-    # beyond it: the fallback chain, pruned against its incumbent (a bound
-    # of -1 sends even a pair with no pair of mark distance below 1 there)
-    monkeypatch.setattr(mmmspace.mgp, "EXACT_PAIR_BOUND", -1)
+    # the fallback chain, pruned against its incumbent (a cap of -1 sends
+    # even a pair with no pair of mark distance below 1 there)
+    monkeypatch.setattr(mmmspace.mgp, "BOUNDS_PAIR_BOUND", -1)
     for a, b in pairs:
         value, cross = mgp_upper(a, b)
         want, want_cross = mgp_fallback_oracle(a, b)
@@ -292,6 +293,25 @@ def test_pruned_relations_bound_two_large_trees():
     value, cross = mgp_upper(a, b)
     assert mgp_lower(a, b) <= value < 0.8
     glue(a, b, cross)
+
+
+def scanned_by_bounds(a, b):
+    """Whether `mgp_bounds` runs the relation scan on the pair."""
+    off = a.mark_space.cross_distances(a.marks, b.marks)
+    return np.count_nonzero(off < 1.0) <= mmmspace.mgp.BOUNDS_PAIR_BOUND
+
+
+def assert_witness_certifies(a, b, res):
+    """The witness coupling has the two laws as marginals and puts at most
+    ``upper`` mass where the glued cost exceeds ``upper``, and a fresh
+    Prohorov search of the witness gluing finds ``upper``."""
+    pi = res.witness_coupling
+    assert np.abs(pi.sum(axis=1) - a.weights).max() <= 1e-10
+    assert np.abs(pi.sum(axis=0) - b.weights).max() <= 1e-10
+    cost = res.witness_cross + a.mark_space.cross_distances(a.marks, b.marks)
+    assert pi[cost > res.upper + 1e-12].sum() <= res.upper + 1e-12
+    fresh = GluedSpace(left=a, right=b, cross=res.witness_cross).prohorov()[0]
+    assert abs(fresh - res.upper) <= 1e-12
 
 
 def reweighted(space, perm=None):
@@ -331,9 +351,9 @@ def test_bound_entry_points_give_finite_bounds_or_domain_errors(raw_a, raw_b, no
     assert (res is None) == (lower is None or upper is None)
     if res is not None:
         assert 0.0 <= lower <= upper[0] + 1e-9 and upper[0] <= 1.0
-        # the scan finishes on tiny pairs: both bounds are the exact value
-        assert res.slack == 0.0 and lower <= res.lower + 1e-9
-        assert res.lower == res.upper == upper[0]
+        # the scan finishes on tiny pairs: the upper bound is the exact value
+        assert res.slack == 0.0 and res.lower == min(lower, upper[0])
+        assert res.upper == res.exact == upper[0]
         assert res.witness_cross.tobytes() == upper[1].tobytes()
         glue(a, b, res.witness_cross)
     if corr is not None:
@@ -462,10 +482,10 @@ def test_exact_reports_nodes_and_the_budget():
     # the unit that rounding thirds leaves over goes to the first atom of
     # each side, so a relabelled copy can miss by that one unit of 1e-12
     assert same.exact <= 1e-12 and same.budget_exhausted is False
-    # mgp_bounds is the same scan at the default budget
+    # mgp_bounds is the same scan at the default budget, with mgp_lower below
     bounds = mgp_bounds(a, b)
-    assert (bounds.lower, bounds.upper, bounds.exact, bounds.slack) == \
-        (full.lower, full.upper, full.exact, full.slack)
+    assert (bounds.upper, bounds.exact, bounds.slack) == (full.upper, full.exact, full.slack)
+    assert bounds.lower == min(mgp_lower(a, b), full.upper)
     assert bounds.nodes == full.nodes and bounds.budget_exhausted is False
     assert bounds.witness_cross.tobytes() == full.witness_cross.tobytes()
 
@@ -734,9 +754,9 @@ def test_mgp_bounds_bundle():
     rng = np.random.default_rng(55)
     a, b = random_pair(rng, max_n=4)
     res = mgp_bounds(a, b)
-    assert res.lower == res.exact == res.upper and res.slack == 0.0
+    assert res.lower == min(mgp_lower(a, b), res.upper)
+    assert res.exact == res.upper and res.slack == 0.0
     assert abs(res.exact - mgp_relation_oracle(a, b)) <= 1e-9
-    assert mgp_lower(a, b) <= res.lower + 1e-9
     glue(a, b, res.witness_cross)
     assert res.upper == mgp_upper(a, b)[0]
 
@@ -755,20 +775,41 @@ def test_bounds_match_the_full_loop(monkeypatch):
         return GluedSpace(left=a, right=b, cross=cross).prohorov()[1].tobytes()
 
     for a, b in pairs:
-        # within the pair bound the scan finishes: both bounds are the value
+        # within the pair cap the scan finishes: upper is the value
+        assert scanned_by_bounds(a, b)
         res = mgp_bounds(a, b)
-        assert res.lower == res.upper == res.exact and res.budget_exhausted is False
+        assert res.lower == min(mgp_lower(a, b), res.upper)
+        assert res.upper == res.exact and res.budget_exhausted is False
         assert abs(res.upper - mgp_level_oracle(a, b)) <= 1e-9
-        assert mgp_lower(a, b) <= res.lower + 1e-9
-        assert res.witness_coupling.tobytes() == fresh_coupling(a, b, res.witness_cross)
-    # beyond the bound (every pair, at -1): the fallback chain
-    monkeypatch.setattr(mmmspace.mgp, "EXACT_PAIR_BOUND", -1)
+        assert_witness_certifies(a, b, res)
+    # beyond the cap (every pair, at -1): the fallback chain
+    monkeypatch.setattr(mmmspace.mgp, "BOUNDS_PAIR_BOUND", -1)
     for a, b in pairs:
         res = mgp_bounds(a, b)
         want, want_cross = mgp_fallback_oracle(a, b)
         assert (res.lower, res.upper) == (min(mgp_lower(a, b), want), want)
         assert res.witness_cross.tobytes() == want_cross.tobytes()
         assert res.witness_coupling.tobytes() == fresh_coupling(a, b, want_cross)
+
+
+def test_bounds_leave_exact_unset_beyond_the_pair_cap_or_the_budget(monkeypatch):
+    # 81 pairs of equal marks, above the cap of mgp_bounds: it takes the
+    # fallback, while mgp_exact scans them
+    a = euclidean_cloud(9, 2, "constant", seed=10)
+    b = euclidean_cloud(9, 2, "constant", seed=20)
+    res = mgp_bounds(a, b)
+    assert (res.exact, res.slack, res.nodes, res.budget_exhausted) == (None, None, None, None)
+    want, want_cross = mgp_fallback_oracle(a, b)
+    assert (res.lower, res.upper) == (mgp_lower(a, b), want)
+    assert res.witness_cross.tobytes() == want_cross.tobytes()
+    assert res.upper >= mgp_exact(a, b).exact
+    # within the cap, a budget that stops the scan leaves no value either
+    a, b = euclidean_cloud(8, 2, seed=1), euclidean_cloud(8, 2, seed=2)
+    assert scanned_by_bounds(a, b)
+    monkeypatch.setattr(mmmspace.mgp, "SCAN_BUDGET", 0)
+    res = mgp_bounds(a, b)
+    assert (res.exact, res.slack, res.nodes, res.budget_exhausted) == (None, None, 0, True)
+    assert (res.lower, res.upper) == (mgp_lower(a, b), mgp_fallback_oracle(a, b)[0])
 
 
 def test_result_validation():
