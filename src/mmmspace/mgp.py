@@ -459,8 +459,7 @@ def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False)
         cross, value, flow, nodes, stopped_at = _relation_scan(a, b, off, ca, cb, floor, budget)
     if size > cap or stopped_at is not None:
         support = _greedy_coupling_pairs(_profile_cost(a, b), a.weights, b.weights)
-        chain = [support, *_pruned(a, b, support)]
-        for pairs in {frozenset(rel): rel for rel in chain}.values():  # one per pair set
+        for pairs in (support, *_pruned(a, b, support)):
             c = correspondence_cross(a, b, pairs)[0]
             got = _prohorov_search(c + off, ca, cb, value)
             if got is not None:
@@ -517,9 +516,9 @@ def mgp_bounds(a: FiniteMmmSpace, b: FiniteMmmSpace) -> MgpResult:
     Beyond the cap, or past the budget, ``exact`` and ``slack`` are None
     and ``upper`` is the best of the scan's relation and the gluings of the
     greedy coupling support of a profile cost and its prune chain
-    (`_pruned`), each pair set once, first strict minimum.  The witness
-    passes `glue`.  NaN/inf entries and a nonpositive total weight raise
-    ParameterError, weights that do not sum to 1 MarginalError.
+    (`_pruned`), first strict minimum.  The witness passes `glue`.  NaN/inf
+    entries and a nonpositive total weight raise ParameterError, weights
+    that do not sum to 1 MarginalError.
     """
     return _mgp(a, b, SCAN_BUDGET)
 

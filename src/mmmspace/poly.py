@@ -181,11 +181,11 @@ def evaluate_mc(phi: Polynomial, space: FiniteMmmSpace, m: int, seed: int):
     Draws m iid order-n samples from one seeded stream (the same stream
     ``dmat.sample_many`` would use).  The standard error is the sample
     standard deviation (ddof=1) over sqrt(m); it is exactly 0 for a
-    constant integrand.  NaN/inf distances, weights or marks raise
-    ParameterError.
+    constant integrand.  Fewer than two draws, and NaN/inf distances,
+    weights or marks, raise ParameterError.
     """
-    if m < 1:
-        raise ParameterError("need at least one Monte Carlo draw")
+    if m < 2:
+        raise ParameterError("need at least two Monte Carlo draws for a standard error")
     idx = _sample_indices(space, (m, phi.order), seed)
     D = space.distances
     if phi.has_product_form:
@@ -207,7 +207,7 @@ def evaluate_mc(phi: Polynomial, space: FiniteMmmSpace, m: int, seed: int):
     # an exact power-of-two scale keeps the squared deviations finite
     e = max(math.frexp(float(np.abs(vals).max()))[1] - 500, 0)
     vals = np.ldexp(vals, -e)
-    err = math.ldexp(float(vals.std(ddof=1)), e) / math.sqrt(m) if m > 1 else math.nan
+    err = math.ldexp(float(vals.std(ddof=1)), e) / math.sqrt(m)
     return math.ldexp(float(vals.mean()), e), err
 
 

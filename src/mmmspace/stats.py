@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import FiniteMmmSpace, _require_finite, _sample_indices, canonicalize
 from .errors import ParameterError
@@ -144,6 +143,23 @@ class TwoSampleResult:
 PERMUTATION_BLOCK = 256
 
 
+def _row_distances(x: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``x``, as a (k, k) matrix.
+
+    Each entry is the sum over the columns, in order and from 0, of the
+    squared coordinate differences, then one square root: the order in
+    which the C loop of ``scipy.spatial.distance.cdist`` adds, so the
+    matrix equals ``cdist(x, x)`` bit for bit.  Holds two (k, k) arrays.
+    """
+    k = x.shape[0]
+    dist, diff = np.zeros((k, k)), np.empty((k, k))
+    for col in x.T:
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        dist += diff
+    return np.sqrt(dist, out=dist)
+
+
 def _energies(dmat: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Energy statistic of every split in the columns of ``masks``.
 
@@ -173,8 +189,11 @@ def two_sample_test(
     feature rows of `_features`, and compares the two clouds with the
     energy statistic; the p-value comes from ``permutations`` random
     relabelings of the pooled rows, so the level is exact for any m.  The
-    energies of all splits come from matrix products over blocks of
-    PERMUTATION_BLOCK splits, in O(m^2 + m * PERMUTATION_BLOCK) memory.
+    pooled rows' Euclidean distances come from `_row_distances`, which
+    sums the squared differences column by column in feature order and
+    holds two (2m)^2 float arrays.  The energies of all splits come from
+    matrix products over blocks of PERMUTATION_BLOCK splits, in
+    O(m^2 + m * PERMUTATION_BLOCK) memory.
 
     Determinism and symmetry: both spaces are canonicalized and their
     atoms put in the profile-sorted order, and the side whose canonical
@@ -205,7 +224,7 @@ def two_sample_test(
     # an exact power-of-two scale keeps the distances and their sums finite
     e = max(math.frexp(float(np.abs(pooled).max()))[1] - 500, 0)
     pooled = np.ldexp(pooled, -e)
-    dmat = cdist(pooled, pooled)
+    dmat = _row_distances(pooled)
 
     # column 0 is the observed split; the permutations follow in draw order
     splits = permutations + 1

@@ -159,6 +159,18 @@ def test_poly_eval_exact_column(capsys, ab_space):
         assert all(dumps(float(cell)) == cell for cell in row[1:])
 
 
+def test_poly_eval_rejects_a_single_draw(capsys, ab_space, tmp_path):
+    # no NaN standard error in mc_stderr: one draw is a bad parameter
+    code, stdout, stderr = run_cli(capsys, "poly-eval", "--space", ab_space,
+                                   "--n-max", 2, "--size", 2, "--mc", 1,
+                                   "--out", tmp_path / "poly.csv")
+    assert (code, stdout) == (1, "")
+    payload = json.loads(stderr)
+    assert payload["error"] == "bad-parameter"
+    assert "at least two Monte Carlo draws" in payload["detail"]
+    assert not list(tmp_path.glob("poly.csv*"))
+
+
 def test_poly_eval_unknown_panel(capsys, ab_space):
     # there is no --panel option: the default panel is the only one
     for panel in ("exotic", "default"):

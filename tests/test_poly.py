@@ -172,11 +172,13 @@ def test_mc_determinism(space_A):
 
 
 def test_mc_edge_cases(space_A):
-    est, err = evaluate_mc(distance_monomial(0, 1), space_A, m=1, seed=0)
-    assert est in (0.0, 1.0)
-    assert math.isnan(err)
-    with pytest.raises(ParameterError):
-        evaluate_mc(distance_monomial(0, 1), space_A, m=0, seed=0)
+    # one draw has no sample standard deviation: it is refused, not NaN
+    for m in (0, 1):
+        with pytest.raises(ParameterError, match="at least two Monte Carlo draws"):
+            evaluate_mc(distance_monomial(0, 1), space_A, m=m, seed=0)
+    est, err = evaluate_mc(distance_monomial(0, 1), space_A, m=2, seed=0)
+    assert est in (0.0, 0.5, 1.0)
+    assert math.isfinite(err)
 
 
 def test_evaluation_rejects_zero_total_weight():

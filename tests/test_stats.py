@@ -1,10 +1,14 @@
 """Tests for the permutation two-sample test and convergence tables."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from mmmspace import (
     FiniteMmmSpace,
@@ -21,7 +25,8 @@ from mmmspace import (
     two_sample_test,
 )
 
-from mmmspace.stats import _canonical_order, _energies
+import mmmspace
+from mmmspace.stats import _canonical_order, _energies, _row_distances
 
 from _oracles import canonical_order_oracle
 from conftest import AB_MARKS, BIT_MARKS, random_space, relabeled, tiny_spaces, two_point
@@ -49,6 +54,30 @@ def test_matrix_energies_match_submatrix_means():
         want = (2.0 * dmat[np.ix_(x, ~x)].mean() - dmat[np.ix_(x, x)].mean()
                 - dmat[np.ix_(~x, ~x)].mean())
         assert got[c] == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_row_distances_equal_cdist_bit_for_bit():
+    # scipy is a test dependency only: the package sums the squared
+    # differences column by column itself, in cdist's order
+    rng = np.random.default_rng(22)
+    for trial in range(60):
+        rows, cols = int(rng.integers(2, 300)), int(rng.integers(1, 40))
+        x = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-5, 5)
+        if trial % 3 == 0:
+            x = np.round(x, 1)  # ties, so some distances are exactly 0
+        assert np.array_equal(_row_distances(x), cdist(x, x))
+    for cols in (8, 9, 16, 33):
+        x = rng.normal(size=(120, cols))
+        assert _row_distances(x).tobytes() == cdist(x, x).tobytes()
+
+
+def test_package_imports_no_scipy():
+    src = Path(mmmspace.__file__).resolve().parents[1]
+    code = ("import sys, mmmspace, mmmspace.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src, env={"PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 # --- canonical atom order ---------------------------------------------------
