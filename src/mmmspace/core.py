@@ -12,7 +12,7 @@ other; `canonicalize` produces the quotient representative and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -411,14 +411,14 @@ def canonicalize(space: FiniteMmmSpace) -> FiniteMmmSpace:
     """Quotient representative: drop zero-weight points, merge duplicates.
 
     Points at mutual distance 0 carrying equal marks are merged (weights
-    summed with fsum); points with weight 0 are dropped.  The sampled
-    distance-matrix law is unchanged.  Idempotent: a second application
-    returns an equal space.
+    summed with fsum); points with weight 0 are dropped.  One array pass
+    finds the kept pairs i < j with d[i, j] <= 0, in row-major order, and
+    joins those with equal marks: memory is O(N^2) in the point count N.
+    The sampled distance-matrix law is unchanged.  Idempotent.
     """
     w = space.weights
-    keep = [i for i in range(space.n) if w[i] > 0]
-
-    parent = {i: i for i in keep}
+    keep = np.flatnonzero(w > 0)
+    parent = list(range(space.n))
 
     def find(i):
         while parent[i] != i:
@@ -426,22 +426,18 @@ def canonicalize(space: FiniteMmmSpace) -> FiniteMmmSpace:
             i = parent[i]
         return i
 
-    d = space.distances
-    for a in range(len(keep)):
-        i = keep[a]
-        for b in range(a + 1, len(keep)):
-            j = keep[b]
-            if d[i, j] <= 0.0 and space.marks[i] == space.marks[j]:
-                parent[find(j)] = find(i)
+    zero = np.argwhere(np.triu(space.distances[np.ix_(keep, keep)] <= 0.0, 1))
+    for i, j in keep[zero].tolist():
+        if space.marks[i] == space.marks[j]:
+            parent[find(j)] = find(i)
 
     groups: dict[int, list[int]] = {}
-    for i in keep:
+    for i in keep.tolist():
         groups.setdefault(find(i), []).append(i)
     reps = sorted(groups)
     new_w = [math.fsum(float(w[j]) for j in groups[r]) for r in reps]
-    sub = d[np.ix_(reps, reps)]
     return FiniteMmmSpace(
-        distances=sub,
+        distances=space.distances[np.ix_(reps, reps)],
         marks=tuple(space.marks[r] for r in reps),
         weights=np.array(new_w),
         mark_space=space.mark_space,
@@ -554,24 +550,26 @@ def _sample_indices(space: FiniteMmmSpace, size, seed) -> np.ndarray:
 
 
 def empirical_from_samples(space: FiniteMmmSpace, n: int, seed: int) -> FiniteMmmSpace:
-    """Empirical space: n iid points from the space, uniform weights 1/n.
+    """Empirical space: n iid points from the space, weight k/n on an atom drawn k times.
 
-    Repeated atoms merge under canonicalization, so the result carries
-    weight k/n on an atom drawn k times, and always passes validate.
-    Deterministic per seed.
+    The distinct atoms, in order of first draw, carry their draw counts;
+    `canonicalize` merges them, and the counts are scaled by 1/n.  Memory
+    is O(N^2) in the space's point count N, not in n.  The result always
+    passes validate.  Deterministic per seed.
     """
     if n < 1:
         raise ParameterError("need at least one sample point")
     idx = _sample_indices(space, n, seed)
-    sub = space.distances[np.ix_(idx, idx)]
-    marks = tuple(space.marks[i] for i in idx)
-    base = space.label if space.label else "space"
-    return canonicalize(
+    _, first, counts = np.unique(idx, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    atoms = idx[first[order]]
+    counted = canonicalize(
         FiniteMmmSpace(
-            distances=sub,
-            marks=marks,
-            weights=np.full(n, 1.0 / n),
+            distances=space.distances[np.ix_(atoms, atoms)],
+            marks=tuple(space.marks[i] for i in atoms),
+            weights=counts[order].astype(float),
             mark_space=space.mark_space,
-            label=f"{base}-emp{n}-seed{seed}",
+            label=f"{space.label or 'space'}-emp{n}-seed{seed}",
         )
     )
+    return replace(counted, weights=counted.weights * (1.0 / n))

@@ -178,13 +178,13 @@ def _wrap(blocks: np.ndarray, marks: list) -> list:
 
 def sample(space: FiniteMmmSpace, n: int, seed: int) -> DistanceMatrixSample:
     """Draw one order-n sample from the distance matrix law (per-seed deterministic)."""
-    if n < 1:
-        raise ParameterError("order must be >= 1")
     return sample_many(space, n, 1, seed)[0]
 
 
 def sample_many(space: FiniteMmmSpace, n: int, m: int, seed: int) -> list:
-    """Draw m independent order-n samples from one seeded stream."""
+    """Draw m >= 1 independent order-n samples (n >= 1) from one seeded stream."""
+    if n < 1 or m < 1:
+        raise ParameterError("order and sample count must be >= 1")
     idx = _sample_indices(space, (m, n), seed)
     blocks = space.distances[idx[:, :, None], idx[:, None, :]]
     return _wrap(blocks, np.fromiter(space.marks, dtype=object, count=space.n)[idx].tolist())

@@ -366,8 +366,8 @@ def _family_member(spec, n, gs, fs, pairs) -> Polynomial:
 
 def default_panel(mark_space: MarkSpace, n_max: int, size: int) -> list:
     """First ``size`` non-constant members of the default family up to n_max."""
-    if size < 1:
-        raise ParameterError("panel size must be >= 1")
+    if n_max < 1 or size < 1:
+        raise ParameterError("n_max and panel size must be >= 1")
     spec = default_family_spec(mark_space, max_order=n_max)
     panel: list = []
     for member in product_family(spec):

@@ -285,10 +285,12 @@ def convergence_table(
     """Evaluate a polynomial panel along a sequence of spaces.
 
     Cells are exact whenever the enumeration or product fast path fits
-    the budget, Monte Carlo with m draws otherwise (per-cell derived
+    the budget, Monte Carlo with m >= 2 draws otherwise (per-cell derived
     seeds keep everything reproducible).  With a target space, per-column
     absolute gaps and a first-versus-last trend summary are attached.
     """
+    if m < 2:
+        raise ParameterError("need at least two Monte Carlo draws for a standard error")
     sequence = list(sequence)
     if not sequence:
         raise ParameterError("sequence must be nonempty")

@@ -14,7 +14,11 @@ the grouping key (`round_sig`), which defines the atoms.  The relation
 oracle enumerates every relation between pairs of mark distance below 1
 and gets each one's excluded mass from the LP max-flow, and the level
 oracle solves one mixed-integer program per level, so neither shares
-anything with `mgp_exact`'s level scan, cliques or Dinic flows.
+anything with `mgp_exact`'s level scan, cliques or Dinic flows.  The
+canonicalization oracle visits every pair of kept points in a Python
+double loop, and the empirical-space oracle resamples the full n x n
+matrix of the draws and canonicalizes it with that loop; it shares only
+the draw (`core._sample_indices`).
 """
 
 import itertools
@@ -25,9 +29,10 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from mmmspace import (
-    FinitePointMeasure, GluedSpace, correspondence_cross, mark_marginal, pair_distance_law,
+    FiniteMmmSpace, FinitePointMeasure, GluedSpace, correspondence_cross, mark_marginal, pair_distance_law,
     prohorov_exact,
 )
+from mmmspace.core import _sample_indices
 from mmmspace.dmat import round_sig
 from mmmspace.mgp import _greedy_coupling_pairs, _profile_cost
 
@@ -292,3 +297,53 @@ def triangle_violations_oracle(d, tol=1e-12):
     return [("triangle", (a, b, c), float(excess[a, b, c]),
              f"triangle violation ({a},{b},{c}), excess {excess[a, b, c]:g}")
             for a, b, c in np.argwhere(hit).tolist()]
+
+
+def canonicalize_oracle(space):
+    """`core.canonicalize` as a double loop over the kept points: pairs at
+    distance <= 0 with equal marks are joined in row-major order."""
+    w = space.weights
+    keep = [i for i in range(space.n) if w[i] > 0]
+    parent = {i: i for i in keep}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    d = space.distances
+    for a in range(len(keep)):
+        i = keep[a]
+        for b in range(a + 1, len(keep)):
+            j = keep[b]
+            if d[i, j] <= 0.0 and space.marks[i] == space.marks[j]:
+                parent[find(j)] = find(i)
+
+    groups = {}
+    for i in keep:
+        groups.setdefault(find(i), []).append(i)
+    reps = sorted(groups)
+    return FiniteMmmSpace(
+        distances=d[np.ix_(reps, reps)],
+        marks=tuple(space.marks[r] for r in reps),
+        weights=np.array([math.fsum(float(w[j]) for j in groups[r]) for r in reps]),
+        mark_space=space.mark_space,
+        label=space.label,
+    )
+
+
+def empirical_oracle(space, n, seed):
+    """`core.empirical_from_samples` through the n x n matrix of the draws,
+    weight 1/n on each draw, merged by `canonicalize_oracle`."""
+    idx = _sample_indices(space, n, seed)
+    base = space.label if space.label else "space"
+    return canonicalize_oracle(
+        FiniteMmmSpace(
+            distances=space.distances[np.ix_(idx, idx)],
+            marks=tuple(space.marks[i] for i in idx),
+            weights=np.full(n, 1.0 / n),
+            mark_space=space.mark_space,
+            label=f"{base}-emp{n}-seed{seed}",
+        )
+    )

@@ -171,6 +171,31 @@ def test_poly_eval_rejects_a_single_draw(capsys, ab_space, tmp_path):
     assert not list(tmp_path.glob("poly.csv*"))
 
 
+@pytest.mark.parametrize("command, argv, detail", [
+    ("sample", ("--n", 0, "--count", 3), "order and sample count must be >= 1"),
+    ("sample", ("--n", 2, "--count", 0), "order and sample count must be >= 1"),
+    ("sample", ("--n", 2, "--count", -1), "order and sample count must be >= 1"),
+    ("poly-eval", ("--n-max", 0, "--size", 3, "--mc", 10), "n_max and panel size must be >= 1"),
+    # every cell here is exact, so --mc 0 used to go unchecked
+    ("converge", ("--n-max", 2, "--size", 2, "--mc", 0), "at least two Monte Carlo draws"),
+])
+def test_bad_counts_exit_one(capsys, ab_space, tmp_path, command, argv, detail):
+    if command == "converge":
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        save_space(load_space(ab_space), seq / "0.json")
+        inputs = ("--seq", seq, "--target", ab_space)
+    else:
+        inputs = ("--space", ab_space)
+    out = tmp_path / "out.txt"
+    code, stdout, stderr = run_cli(capsys, command, *inputs, *argv, "--out", out)
+    assert (code, stdout) == (1, "")
+    payload = json.loads(stderr)
+    assert payload["error"] == "bad-parameter"
+    assert detail in payload["detail"]
+    assert not list(tmp_path.glob("out.txt*"))
+
+
 def test_poly_eval_unknown_panel(capsys, ab_space):
     # there is no --panel option: the default panel is the only one
     for panel in ("exotic", "default"):

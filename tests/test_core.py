@@ -6,6 +6,7 @@ import pytest
 
 import mmmspace.core
 from mmmspace import (
+    CoalescentConfig,
     FiniteMmmSpace,
     MarkFunctionInput,
     MarkSpace,
@@ -16,11 +17,17 @@ from mmmspace import (
     euclidean_cloud,
     from_mark_function,
     is_equivalent_exact,
+    kingman,
     validate,
 )
+from mmmspace.core import _sample_indices
 
-from _oracles import mark_distance, triangle_violations_oracle
-from conftest import AB_MARKS, BIT_MARKS, random_space, relabeled, two_point
+from _oracles import (
+    canonicalize_oracle, empirical_oracle, mark_distance, triangle_violations_oracle,
+)
+from conftest import (
+    AB_MARKS, BIT_MARKS, random_points_metric, random_space, relabeled, two_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +395,63 @@ def test_canonicalize_keeps_distinct_marks_apart():
     assert canonicalize(s).n == 2
 
 
+def assert_same_bits(got, want):
+    """Equal labels, mark spaces and mark reprs; distances and weights equal
+    as raw bytes, dtypes and shapes."""
+    assert (got.label, got.mark_space, repr(got.marks)) == (
+        want.label, want.mark_space, repr(want.marks))
+    for a, b in ((got.distances, want.distances), (got.weights, want.weights)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def pseudo_metric_with_duplicates(rng, labels=("a", "b")):
+    """Points drawn with repetition from a random metric: copies of one point
+    sit at distance 0.  Marks follow the point or are drawn per copy, and
+    about a third of the weights are 0 (the total stays positive)."""
+    base = random_points_metric(rng, int(rng.integers(1, 6)))
+    at = rng.integers(0, len(base), size=int(rng.integers(1, 10)))
+    per_point = rng.integers(0, len(labels), size=len(base))
+    codes = per_point[at] if rng.random() < 0.5 else rng.integers(0, len(labels), size=len(at))
+    w = rng.random(len(at)) * (rng.random(len(at)) > 0.3)
+    w[int(rng.integers(len(at)))] += 0.25
+    return FiniteMmmSpace(distances=base[np.ix_(at, at)], marks=tuple(labels[c] for c in codes),
+                          weights=w / w.sum(), mark_space=MarkSpace.discrete(labels),
+                          label=f"dup-{len(at)}")
+
+
+def test_canonicalize_matches_the_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    spaces = [pseudo_metric_with_duplicates(rng, labels) for _ in range(60)
+              for labels in (("a",), ("a", "b"), ("a", "b", "c"))]
+    for _ in range(300):
+        # non-metric zero patterns: asymmetric, non-transitive, nonzero diagonal;
+        # the union order decides which point of a merged group represents it
+        n = int(rng.integers(1, 13))
+        d = rng.choice([0.0, -0.5, 1.0, 2.0], p=[0.45, 0.05, 0.25, 0.25], size=(n, n))
+        w = rng.random(n) * (rng.random(n) > 0.25)
+        marks = rng.choice(["a", "b"] if rng.random() < 0.5 else ["a"], size=n)
+        spaces.append(FiniteMmmSpace(distances=d, marks=tuple(marks), weights=w,
+                                     mark_space=AB_MARKS, label=f"zeros-{n}"))
+    spaces.append(euclidean_cloud(40, 2, "sign", seed=3))
+    merged = 0
+    for s in spaces:
+        got = canonicalize(s)
+        assert_same_bits(got, canonicalize_oracle(s))
+        merged += got.n < int(np.count_nonzero(s.weights > 0))
+    assert merged > 100  # the inputs do merge points
+
+
+def test_empirical_matches_the_resample_bit_for_bit():
+    rng = np.random.default_rng(29)
+    spaces = [pseudo_metric_with_duplicates(rng) for _ in range(40)]
+    spaces += [kingman(CoalescentConfig(leaves=k, theta=1.0, seed=k)) for k in (2, 7, 30)]
+    spaces += [euclidean_cloud(k, 2, marks, seed=k) for k in (1, 5, 25)
+               for marks in ("constant", "sign", "point")]
+    for s in spaces:
+        for n in (1, 2, 5, 17, 60, 200):
+            assert_same_bits(empirical_from_samples(s, n, seed=n), empirical_oracle(s, n, n))
+
+
 # ---------------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------------
@@ -462,3 +526,27 @@ def test_empirical_converges_in_weights(space_A):
     e = empirical_from_samples(space_A, 4000, seed=2)
     w0 = dict(zip(e.marks, e.weights))[0]
     assert abs(w0 - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FiniteMmmSpace(
+        distances=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]),
+        weights=np.array([0.5, 0.3, 0.2]), marks=("a", "b", "a"),
+        mark_space=AB_MARKS, label="fixed-3pt"),
+    lambda: kingman(CoalescentConfig(leaves=200, theta=1.0, seed=4)),
+], ids=["3-point", "200-leaf-tree"])
+def test_empirical_memory_does_not_grow_with_the_draws(make):
+    space, n = make(), 100_000
+    tracemalloc.start()
+    try:
+        e = empirical_from_samples(space, n, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x n matrix of the draws alone would be 80 GB
+    assert peak < 16 * 2**20
+    idx = _sample_indices(space, n, 7)
+    atoms = list(dict.fromkeys(idx.tolist()))  # no two points merge in these spaces
+    counts = np.bincount(idx, minlength=space.n)
+    assert e.marks == tuple(space.marks[i] for i in atoms)
+    assert e.weights.tolist() == [counts[i] * (1.0 / n) for i in atoms]

@@ -306,3 +306,7 @@ def test_table_validation(space_A):
         convergence_table([], space_A, panel)
     with pytest.raises(ParameterError):
         convergence_table([space_A], space_A, [])
+    # every cell of space_A is exact, so m reached no Monte Carlo check
+    for m in (-5, 0, 1):
+        with pytest.raises(ParameterError, match="at least two Monte Carlo draws"):
+            convergence_table([space_A], space_A, panel, m=m)
