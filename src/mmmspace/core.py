@@ -230,28 +230,107 @@ def _require_finite(*spaces: FiniteMmmSpace) -> None:
 
 TRIANGLE_BLOCK_ELEMENTS = 1 << 18
 
+# Rounding margin of the min-plus pass, in units of max(1, d(i, k)): see
+# `_triangle_rows`.
+_TRIANGLE_MARGIN = 8 * np.finfo(float).eps
+_HALF_MAX = np.finfo(float).max / 2
 
-def _triangle_blocks(d: np.ndarray, upper: bool = False):
-    """Yield ``(i0, excess)`` with ``excess[a, j, k] = d(i, k) - d(i, j) - d(j, k)``
-    for i = i0 + a.
 
-    The first index walks in blocks of at most TRIANGLE_BLOCK_ELEMENTS
-    entries (one row of i at least), so a scan over all triples holds O(n^2)
-    memory; a space that fits one block is done in a single pass.  Blocks
-    come in increasing i, so C-order scans of the blocks in turn see the
-    triples in the order of the full n^3 tensor.  With ``upper`` a block
-    holds only the columns k > i0, so ``excess[a, j, c]`` is the entry of
-    k = i0 + 1 + c, with the same operands and value.  Yields nothing for
-    n < 3.
+def _triangle_limit(dik, tol: float, relative: bool):
+    """The excess a triple (i, j, k) may reach: ``tol`` times max(1, d(i, k))
+    when ``relative``, else ``tol``."""
+    return tol * np.maximum(1.0, dik) if relative else tol
+
+
+def _triangle_rows(d: np.ndarray, tol: float, relative: bool, upper: bool = False):
+    """The rows i that one min-plus pass cannot clear, in increasing order.
+
+    For each row the pass forms S(i, k) = min_j fl(d(i, j) + d(j, k)) with
+    one add of row i onto blocks of the rows of d^T and one contiguous
+    min-reduce, so about n^3 adds and mins (n^3 / 2 with ``upper``, where
+    a block of rows from i0 looks only at the columns k > i0); it reads d
+    itself when d is symmetric and a copy of d^T otherwise.  Blocks of
+    rows and of columns k hold at most TRIANGLE_BLOCK_ELEMENTS sums, in
+    one reused buffer, and the minima of about TRIANGLE_BLOCK_ELEMENTS / 8
+    pairs are checked at a time, so the pass holds O(n^2) memory; a
+    matrix that fits one block is done in a single add and min.  Row i is
+    cleared when every pair (i, k) it looks at has
+    fl(d(i, k) - S(i, k)) <= fl(L - m), with L = `_triangle_limit` of
+    d(i, k) and the margin m = 8 eps max(1, d(i, k)).
+
+    A cleared pair has fl(fl(a - b) - c) <= L for every j, where that is
+    the excess `_triangle_blocks` computes, a = d(i, k), b = d(i, j) and
+    c = d(j, k).  Proof, for nonnegative entries at most half the largest
+    float, with u = eps / 2 and each sum or difference within u of its
+    magnitude (they never underflow inexactly): if fl(fl(a - b) - c) > L
+    >= 0 then fl(a - b) > c, so b < a, c < a and b + c < 2a.  Its two
+    roundings then move a - b - c by at most 2u a, and the two of
+    D = fl(a - fl(b + c)) by at most 4u a, so D > L - 6u a.  As
+    S(i, k) <= fl(b + c), fl(a - S) >= D; and L < a gives
+    fl(L - m) <= L - m + u max(1, a) = L - 15u max(1, a).  So
+    fl(a - S) > fl(L - m) and the pair is not cleared: every row holding
+    an excess above L is returned.
+
+    Every row is returned without a pass for a matrix with a negative entry
+    or one above half the largest float, for a ``tol`` below the margin's
+    8 eps (no pair of a zero-diagonal matrix can clear: j = i gives
+    S = d(i, k)), and for n^3 <= TRIANGLE_BLOCK_ELEMENTS / 8 (n <= 32):
+    there the exact scan is one block, and the pass's fixed cost of some
+    fifteen array calls is more than it saves (on 2 CPUs, the pass made
+    `glue` of 16 and 24 points 1.8 times slower, and the triangle check
+    of 40 points 2 to 3 times faster).
+    """
+    n = d.shape[0]
+    every = np.arange(n)
+    if (n ** 3 <= TRIANGLE_BLOCK_ELEMENTS // 8 or tol < _TRIANGLE_MARGIN
+            or d.min() < 0 or d.max() > _HALF_MAX):
+        return every
+    dt = d if np.array_equal(d, d.T) else np.ascontiguousarray(d.T)
+    step = max(1, TRIANGLE_BLOCK_ELEMENTS // (n * n))
+    width = n if step > 1 else max(1, TRIANGLE_BLOCK_ELEMENTS // n)
+    batch = max(step, TRIANGLE_BLOCK_ELEMENTS // (8 * n))
+    sums_buf = np.empty(min(step, n) * min(width, n) * n)
+    mins = np.empty((min(batch, n), n))
+    held = np.zeros(n, dtype=bool)
+    for b0 in range(0, n, batch):
+        rows = d[b0: b0 + batch]
+        got = mins[: len(rows)]
+        got.fill(np.inf)  # the columns k <= i0 that ``upper`` skips stay cleared
+        for i0 in range(b0, b0 + len(rows), step):
+            part = d[i0: min(i0 + step, b0 + len(rows))]
+            for k0 in range(i0 + 1 if upper else 0, n, width):
+                cols = dt[k0: k0 + width]
+                sums = sums_buf[: len(part) * len(cols) * n].reshape(len(part), len(cols), n)
+                np.add(part[:, None, :], cols[None, :, :], out=sums)
+                sums.min(axis=2, out=got[i0 - b0: i0 - b0 + len(part), k0: k0 + len(cols)])
+        scale = np.maximum(1.0, rows)
+        slack = _triangle_limit(rows, tol, relative) - _TRIANGLE_MARGIN * scale
+        held[b0: b0 + len(rows)] = (rows - got > slack).any(axis=1)
+    return every[held]
+
+
+def _triangle_blocks(d: np.ndarray, upper: bool = False, rows=None):
+    """Yield ``(idx, excess)`` with ``excess[a, j, k] = d(i, k) - d(i, j) - d(j, k)``
+    for i = idx[a], over the rows ``rows`` (default: all), in increasing i.
+
+    The rows come in blocks of at most TRIANGLE_BLOCK_ELEMENTS entries (one
+    row at least), so a scan over all triples holds O(n^2) memory; a space
+    that fits one block is done in a single pass.  C-order scans of the
+    blocks in turn see the triples in the order of the full n^3 tensor.
+    With ``upper`` a block holds only the columns k > idx[0], so
+    ``excess[a, j, c]`` is the entry of k = idx[0] + 1 + c, with the same
+    operands and value.  Yields nothing for n < 3.
     """
     n = d.shape[0]
     if n < 3:
         return
+    rows = np.arange(n) if rows is None else np.asarray(rows)
     step = max(1, TRIANGLE_BLOCK_ELEMENTS // (n * n))
-    for i0 in range(0, n, step):
-        rows = d[i0: i0 + step]
-        k0 = i0 + 1 if upper else 0
-        yield i0, rows[:, None, k0:] - rows[:, :, None] - d[None, :, k0:]
+    for b in range(0, len(rows), step):
+        idx = rows[b: b + step]
+        block = d[idx]
+        k0 = int(idx[0]) + 1 if upper else 0
+        yield idx, block[:, None, k0:] - block[:, :, None] - d[None, :, k0:]
 
 
 def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
@@ -266,7 +345,15 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     ``non-finite`` and end the check, since no other invariant means
     anything on them.
 
-    Memory is O(n^2): triangles are scanned in blocks of the first index.
+    Triangles: one min-plus pass (`_triangle_rows`, about n^3 / 2 adds and
+    as many mins) clears every row i whose pairs k > i provably hold no
+    excess above the limit, and only the rows it cannot clear get the
+    exact excesses d(i,k) - d(i,j) - d(j,k) in blocks of the first index
+    (`_triangle_blocks`), so the report is the one a scan of every triple
+    gives.  Rows with a triple near or above the limit go to the exact
+    scan, which costs about twice the pass per row; a ``tol`` below 8 eps
+    (``tol=0``, say), a negative entry and n <= 32 send every row there
+    without a pass.  Memory is O(n^2).
 
     Returns a ValidationReport: a fault in the space is reported, never
     raised.  A ``tol`` that is NaN, negative or infinite raises
@@ -286,7 +373,13 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
             Violation("diagonal", (int(i),), float(d[i, i]), f"d({i},{i}) != 0")
         )
 
-    asym = np.argwhere(np.abs(d - d.T) > tol * np.maximum(1.0, np.abs(d)))
+    # |d - d^T| > tol * max(1, |d|), computed in place: two n^2 arrays
+    gap, limit = d - d.T, np.abs(d)
+    np.abs(gap, out=gap)
+    np.maximum(limit, 1.0, out=limit)
+    limit *= tol
+    asym = np.argwhere(gap > limit)
+    del gap, limit
     for i, j in asym:
         if i < j:
             out.append(
@@ -310,14 +403,15 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
                 )
             )
 
-    limit = tol * np.maximum(1.0, d)
-    # only i < k is reported, so each block skips the columns k <= i0
-    for i0, excess in _triangle_blocks(d, upper=True):
-        mask = excess > limit[i0: i0 + len(excess), None, i0 + 1:]
+    # only i < k is reported, so each block skips the columns k <= idx[0]
+    rows = _triangle_rows(d, tol, relative=True, upper=True)
+    for idx, excess in _triangle_blocks(d, upper=True, rows=rows):
+        i0 = int(idx[0])
+        mask = excess > _triangle_limit(d[idx, i0 + 1:], tol, True)[:, None, :]
         if not mask.any():
             continue
         for a, j, c in zip(*(ix.tolist() for ix in np.nonzero(mask))):
-            i, k = i0 + a, i0 + 1 + c
+            i, k = int(idx[a]), i0 + 1 + c
             if i < k and j != i and j != k:
                 out.append(
                     Violation(

@@ -395,6 +395,11 @@ def pair_distance_law(space: FiniteMmmSpace):
     and a nonpositive total weight raise ParameterError.
     """
     _require_finite(space)
+    return _pair_distance_law(space)
+
+
+def _pair_distance_law(space: FiniteMmmSpace):
+    """`pair_distance_law` of a space already checked to be finite."""
     w = space.weights / _weight_total(space)
     keys = round_sig(space.distances).reshape(-1, 1)
     firsts, probs = _aggregate(keys, np.outer(w, w).reshape(-1), exact=False)
@@ -427,6 +432,11 @@ def mark_marginal(space: FiniteMmmSpace) -> dict:
     marks in order of first appearance.  NaN/inf distances, weights or
     Euclidean mark coordinates raise ParameterError."""
     _require_finite(space)
+    return _mark_marginal(space)
+
+
+def _mark_marginal(space: FiniteMmmSpace) -> dict:
+    """`mark_marginal` of a space already checked to be finite."""
     agg: dict = {}
     for mk, wt in zip(space.marks, space.weights.tolist()):
         agg.setdefault(mk, []).append(wt)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FiniteMmmSpace, _require_finite, _triangle_blocks, _weight_total,
+    FiniteMmmSpace, _require_finite, _triangle_blocks, _triangle_rows, _weight_total,
 )
-from .dmat import mark_marginal, pair_distance_law
+from .dmat import _mark_marginal, _pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
 from .prohorov import (
     FLOW_SCALE, _check_probs, _coupling, _cut_excluded_mass, _integer_masses,
@@ -54,20 +54,23 @@ SCAN_BUDGET = 5000
 # gluings
 # ---------------------------------------------------------------------------
 
-def _triangle_excess(m: np.ndarray):
-    """Worst triangle violation of a symmetric matrix: (excess, (i, j, k)).
+def _triangle_excess(m: np.ndarray, tol: float):
+    """Worst triangle violation of a finite matrix above ``tol``: (excess,
+    (i, j, k)), the first maximum of m(i, k) - m(i, j) - m(j, k) in C
+    order over all triples, or None when no triple exceeds ``tol``.
 
-    Scans the triples block by block in O(n^2) memory and keeps the first
-    maximum in C order (a NaN counts as the maximum, as in np.argmax).
+    One min-plus pass (`core._triangle_rows`) clears the rows that provably
+    hold no excess above ``tol``; only the others get exact excesses,
+    block by block in O(n^2) memory.  The row of the first maximum is
+    never cleared, so the triple is the full scan's.
     """
-    best, worst = 0.0, ()
-    for i0, excess in _triangle_blocks(m):
+    best, worst = tol, None
+    for idx, excess in _triangle_blocks(m, rows=_triangle_rows(m, tol, relative=False)):
         flat = int(np.argmax(excess))
-        value = excess.flat[flat]
-        if not worst or value > best or (np.isnan(value) and not np.isnan(best)):
+        if excess.flat[flat] > best:
             a, j, k = np.unravel_index(flat, excess.shape)
-            best, worst = value, (i0 + int(a), int(j), int(k))
-    return float(best), worst
+            best, worst = float(excess.flat[flat]), (int(idx[a]), int(j), int(k))
+    return None if worst is None else (best, worst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +127,12 @@ def glue(
 
     The full (N1+N2) matrix must be finite (ParameterError otherwise),
     satisfy every triangle inequality within ``tol`` and have nonnegative
-    cross entries; violations raise GluingError naming the worst triple.
-    The triangle check holds O((N1+N2)^2) memory.
+    cross entries; violations raise GluingError naming the worst triple
+    (the first maximum excess in C order over all triples).  The triangle
+    check (`_triangle_excess`) is one min-plus pass over the glued matrix,
+    about (N1+N2)^3 adds and as many mins, then exact excesses only for the
+    rows that pass cannot clear, which are every row with an excess above
+    ``tol``; it holds O((N1+N2)^2) memory.
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("gluing requires one shared mark space")
@@ -138,8 +145,9 @@ def glue(
             f"negative cross entry at {ij}", indices=ij, excess=float(-cross[ij])
         )
     g = GluedSpace(left=a, right=b, cross=np.maximum(cross, 0.0))
-    excess, idx = _triangle_excess(_require_finite_entries(g.z_metric(), "glued metric"))
-    if excess > tol:
+    worst = _triangle_excess(_require_finite_entries(g.z_metric(), "glued metric"), tol)
+    if worst is not None:
+        excess, idx = worst
         raise GluingError(
             f"gluing violates the triangle inequality at {idx} by {excess:g}",
             indices=idx,
@@ -173,8 +181,9 @@ def glue_three(g12: GluedSpace, g23: GluedSpace, tol: float = GLUE_TOL) -> np.nd
         [c12.T, mid_a.distances, c23],
         [c13.T, c23.T, g23.right.distances],
     ])
-    excess, idx = _triangle_excess(_require_finite_entries(z, "glued metric"))
-    if excess > tol:
+    worst = _triangle_excess(_require_finite_entries(z, "glued metric"), tol)
+    if worst is not None:
+        excess, idx = worst
         raise GluingError(
             f"three-space gluing violates the triangle inequality at {idx}",
             indices=idx,
@@ -205,6 +214,13 @@ def correspondence_cross(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs, beta=None)
     if min(si.min(), sj.min()) < 0 or si.max() >= a.n or sj.max() >= b.n:
         raise ParameterError(f"correspondence pairs must lie in [0, {a.n}) x [0, {b.n})")
     _require_finite(a, b)
+    return _correspondence_cross(a, b, pairs, beta)
+
+
+def _correspondence_cross(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs, beta=None):
+    """`correspondence_cross` of a nonempty list of in-range pairs of two
+    spaces already checked to be finite; checks only ``beta``."""
+    si, sj = np.array(pairs).T
     r1, r2 = a.distances, b.distances
     gap = np.abs(r1[np.ix_(si, si)] - r2[np.ix_(sj, sj)])
     dis = float(gap.max())
@@ -297,17 +313,23 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
     if not orders or any(o not in (1, 2) for o in orders):
         raise ParameterError("orders must be a nonempty subset of {1, 2}")
     _require_finite(a, b)
+    return _mgp_lower(a, b, orders)
+
+
+def _mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
+    """`mgp_lower` of two finite spaces on one mark space, for callers that
+    have checked both; checks the weights."""
     for space in (a, b):
         _check_probs(space.weights, f"space {space.label!r}: ")
     bounds = []
     if 1 in orders:
-        ma, mb = mark_marginal(a), mark_marginal(b)
+        ma, mb = _mark_marginal(a), _mark_marginal(b)
         cross = a.mark_space.cross_distances(list(ma), list(mb))
         masses = _integer_masses(list(ma.values())), _integer_masses(list(mb.values()))
         bounds.append(_prohorov_search(cross, *masses)[0])
     if 2 in orders:
-        va, pa = pair_distance_law(a)
-        vb, pb = pair_distance_law(b)
+        va, pa = _pair_distance_law(a)
+        vb, pb = _pair_distance_law(b)
         cross = np.abs(va[:, None] - vb[None, :])
         masses = _integer_masses(pa), _integer_masses(pb)
         bounds.append(0.5 * _prohorov_search(cross, *masses, flow=_line_flow_mass)[0])
@@ -437,7 +459,7 @@ def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
         return None, math.inf, None, nodes, stopped_at
     beta = lev[np.ix_(members, members)].max() - m[members]
     pairs = list(zip(zi[members].tolist(), zj[members].tolist()))
-    return correspondence_cross(a, b, pairs, beta)[0], best, flow, nodes, stopped_at
+    return _correspondence_cross(a, b, pairs, beta)[0], best, flow, nodes, stopped_at
 
 
 def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False) -> MgpResult:
@@ -452,7 +474,7 @@ def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False)
     if exact and size > cap:  # before mgp_lower, whose laws grow as n^2
         raise TooLargeError(f"the relation scan is limited to {cap} pairs of "
                             f"mark distance below 1; this pair has {size}")
-    floor = mgp_lower(a, b)  # checks the weights
+    floor = _mgp_lower(a, b)  # checks the weights
     ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
     cross, value, flow, nodes, stopped_at = None, math.inf, None, None, None
     if size <= cap:
@@ -460,7 +482,7 @@ def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False)
     if size > cap or stopped_at is not None:
         support = _greedy_coupling_pairs(_profile_cost(a, b), a.weights, b.weights)
         for pairs in (support, *_pruned(a, b, support)):
-            c = correspondence_cross(a, b, pairs)[0]
+            c = _correspondence_cross(a, b, pairs)[0]
             got = _prohorov_search(c + off, ca, cb, value)
             if got is not None:
                 (value, flow), cross = got, c

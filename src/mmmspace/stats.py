@@ -149,14 +149,17 @@ def _row_distances(x: np.ndarray) -> np.ndarray:
     Each entry is the sum over the columns, in order and from 0, of the
     squared coordinate differences, then one square root: the order in
     which the C loop of ``scipy.spatial.distance.cdist`` adds, so the
-    matrix equals ``cdist(x, x)`` bit for bit.  Holds two (k, k) arrays.
+    matrix equals ``cdist(x, x)`` bit for bit.  Rows go in blocks of 64,
+    so besides the result it holds one (64, k) temporary.
     """
     k = x.shape[0]
-    dist, diff = np.zeros((k, k)), np.empty((k, k))
-    for col in x.T:
-        np.subtract.outer(col, col, out=diff)
-        diff *= diff
-        dist += diff
+    dist, diff = np.zeros((k, k)), np.empty((min(k, 64), k))
+    for r0 in range(0, k, 64):
+        out, tmp = dist[r0: r0 + 64], diff[: min(64, k - r0)]
+        for col in x.T:
+            np.subtract.outer(col[r0: r0 + 64], col, out=tmp)
+            tmp *= tmp
+            out += tmp
     return np.sqrt(dist, out=dist)
 
 
@@ -190,10 +193,10 @@ def two_sample_test(
     energy statistic; the p-value comes from ``permutations`` random
     relabelings of the pooled rows, so the level is exact for any m.  The
     pooled rows' Euclidean distances come from `_row_distances`, which
-    sums the squared differences column by column in feature order and
-    holds two (2m)^2 float arrays.  The energies of all splits come from
-    matrix products over blocks of PERMUTATION_BLOCK splits, in
-    O(m^2 + m * PERMUTATION_BLOCK) memory.
+    sums the squared differences column by column in feature order, in
+    blocks of 64 rows, and holds one (2m)^2 float array.  The energies of
+    all splits come from matrix products over blocks of PERMUTATION_BLOCK
+    splits, in O(m^2 + m * PERMUTATION_BLOCK) memory.
 
     Determinism and symmetry: both spaces are canonicalized and their
     atoms put in the profile-sorted order, and the side whose canonical

@@ -15,10 +15,11 @@ oracle enumerates every relation between pairs of mark distance below 1
 and gets each one's excluded mass from the LP max-flow, and the level
 oracle solves one mixed-integer program per level, so neither shares
 anything with `mgp_exact`'s level scan, cliques or Dinic flows.  The
-canonicalization oracle visits every pair of kept points in a Python
-double loop, and the empirical-space oracle resamples the full n x n
-matrix of the draws and canonicalizes it with that loop; it shares only
-the draw (`core._sample_indices`).
+triangle oracles build the full n^3 excess tensor, with no min-plus pass
+and no blocks.  The canonicalization oracle visits every pair of kept
+points in a Python double loop, and the empirical-space oracle resamples
+the full n x n matrix of the draws and canonicalizes it with that loop;
+it shares only the draw (`core._sample_indices`).
 """
 
 import itertools
@@ -297,6 +298,18 @@ def triangle_violations_oracle(d, tol=1e-12):
     return [("triangle", (a, b, c), float(excess[a, b, c]),
              f"triangle violation ({a},{b},{c}), excess {excess[a, b, c]:g}")
             for a, b, c in np.argwhere(hit).tolist()]
+
+
+def triangle_excess_oracle(m):
+    """`glue`'s worst triple from the full n^3 excess tensor: (excess,
+    (i, j, k)) at the first maximum of m(i, k) - m(i, j) - m(j, k) in C
+    order over all triples (a NaN counts as the maximum, as in np.argmax),
+    or (0.0, ()) for n < 3."""
+    if len(m) < 3:
+        return 0.0, ()
+    excess = m[:, None, :] - m[:, :, None] - m[None, :, :]
+    flat = int(np.argmax(excess))
+    return float(excess.flat[flat]), tuple(int(t) for t in np.unravel_index(flat, excess.shape))
 
 
 def canonicalize_oracle(space):

@@ -136,3 +136,30 @@ def space_A():
 def space_A2():
     """Same as space_A but with distance 2."""
     return two_point(d=2.0, label="two-point-d2")
+
+
+def rounding_witness(rng, tol, relative):
+    """(a, b, c) >= 0 with a violation fl(fl(a - b) - c) > L that the
+    reordered sum misses: fl(a - fl(b + c)) <= L, with L = tol max(1, a)
+    when ``relative`` and tol otherwise.  Searched near the tight c."""
+    for _ in range(100000):
+        a = float(rng.uniform(0.5, 4.0))
+        b = float(rng.uniform(0.0, a))
+        limit = tol * max(1.0, a) if relative else tol
+        for ulps in range(-4, 5):
+            c = (a - b) - limit
+            c += ulps * float(np.spacing(c))
+            if c >= 0.0 and (a - b) - c > limit >= a - (b + c):
+                return a, b, c
+    raise AssertionError("no rounding witness found")
+
+
+def witness_metric(a, b, c, n=40):
+    """Points 0, 1, 2 at d(0,1) = b, d(1,2) = c, d(0,2) = a, and n - 3 points
+    at distance 1 from each other and 50 from those three: the only
+    triangle that can break is (0, 1, 2)."""
+    d = np.full((n, n), 1.0)
+    d[:3, :] = d[:, :3] = 50.0
+    d[:3, :3] = [[0.0, b, a], [b, 0.0, c], [a, c, 0.0]]
+    np.fill_diagonal(d, 0.0)
+    return d

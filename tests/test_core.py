@@ -26,7 +26,8 @@ from _oracles import (
     canonicalize_oracle, empirical_oracle, mark_distance, triangle_violations_oracle,
 )
 from conftest import (
-    AB_MARKS, BIT_MARKS, random_points_metric, random_space, relabeled, two_point,
+    AB_MARKS, BIT_MARKS, random_points_metric, random_space, relabeled, rounding_witness,
+    two_point, witness_metric,
 )
 
 
@@ -306,6 +307,146 @@ def test_validate_triangles_match_the_full_tensor(monkeypatch, rows):
             assert got == triangle_violations_oracle(d)
             seen += len(got)
     assert seen > 0
+
+
+def path_metric(rng, n, stretch=0):
+    """Shortest-path metric of a random graph with integer edge lengths 1-4:
+    integer distances, so many triangles are exactly tight.  Then
+    ``stretch`` random entries grow by 1 or 2, which breaks tight triangles
+    by equal, tied excesses."""
+    d = rng.integers(1, 5, size=(n, n)).astype(float)
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, k: k + 1] + d[k: k + 1, :])
+    for _ in range(stretch):
+        i, k = rng.choice(n, size=2, replace=False)
+        d[i, k] = d[k, i] = d[i, k] + int(rng.integers(1, 3))
+    return d
+
+
+def one_mark_space(d):
+    n = len(d)
+    return FiniteMmmSpace(distances=d, marks=("a",) * n, weights=np.full(n, 1 / n),
+                          mark_space=AB_MARKS)
+
+
+def report_rows(report):
+    return [(v.kind, v.indices, v.magnitude, v.message) for v in report.violations]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+def test_validate_matches_plain_loops_on_integer_path_metrics(tol):
+    rng = np.random.default_rng(41)
+    tight = hits = 0
+    for n in (3, 12, 40):
+        for stretch in (0, 1, n // 3):
+            d = path_metric(rng, n, stretch)
+            got = report_rows(validate(one_mark_space(d), tol=tol))
+            assert got == reference_validate(one_mark_space(d), tol=tol)
+            excess = d[:, None, :] - d[:, :, None] - d[None, :, :]
+            tight += int(np.count_nonzero(excess == 0.0)) - (2 * n * n - n)  # j in {i, k}
+            hits += len(got)
+    assert tight > 0 and hits > 0
+
+
+def test_validate_reads_d_jk_not_d_kj():
+    """Points on a line within distance 1 make every triple through a middle
+    point tight, with the limit tol; each ordered entry then moves by under
+    0.49 tol, so d is asymmetric within tol and d(i,k) - d(i,j) - d(j,k)
+    exceeds the limit for some triples, by amounts that change when d(k,j)
+    is read for d(j,k).  Then one such triple among far points, the only
+    one near its limit, so the min-plus pass alone decides its row."""
+    rng = np.random.default_rng(43)
+    tol, seen = 1e-12, 0
+    for n in (4, 9, 40, 40):
+        x = np.sort(rng.uniform(0.0, 0.9, size=n))
+        d = np.abs(np.subtract.outer(x, x)) + rng.uniform(-0.49, 0.49, size=(n, n)) * tol
+        np.fill_diagonal(d, 0.0)
+        assert not np.array_equal(d, d.T)
+        report = validate(one_mark_space(d), tol=tol)
+        assert "asymmetry" not in report
+        got = report_rows(report)
+        assert got == reference_validate(one_mark_space(d), tol=tol)
+        assert got == triangle_violations_oracle(d, tol)
+        seen += len(got)
+    assert seen > 0
+    # (0, 1, 2) is tight at 0.5 = 0.25 + 0.25; d(0,2) is stretched and
+    # d(0,1), d(1,2) shrunk by 0.49 tol, their transposes moved the other
+    # way, so only d(1,2) (not d(2,1)) shows the excess of 1.47 tol
+    d = witness_metric(0.5, 0.25, 0.25)
+    for i, k, step in ((0, 2, 0.49), (0, 1, -0.49), (1, 2, -0.49)):
+        d[i, k] += step * tol
+        d[k, i] -= step * tol
+    got = report_rows(validate(one_mark_space(d), tol=tol))
+    assert got == reference_validate(one_mark_space(d), tol=tol)
+    assert [v[1] for v in got] == [(0, 1, 2)]
+
+
+def test_validate_with_negative_entries_matches_plain_loops():
+    rng = np.random.default_rng(47)
+    for n in (3, 6, 14):
+        for _ in range(3):
+            d = broken_matrix(rng, n)
+            i, k = rng.choice(n, size=2, replace=False)
+            d[i, k] = d[k, i] = -rng.uniform(0.0, 1.0)
+            report = validate(one_mark_space(d))
+            assert "negativity" in report
+            assert report_rows(report) == reference_validate(one_mark_space(d))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 0.5])
+def test_validate_on_fewer_than_three_points(tol):
+    for d in (np.zeros((1, 1)), np.array([[0.0, 2.0], [2.0, 0.0]]),
+              np.array([[0.0, -1.0], [3.0, 0.0]])):
+        space = one_mark_space(d)
+        assert report_rows(validate(space, tol=tol)) == reference_validate(space, tol=tol)
+        assert "triangle" not in validate(space, tol=tol)
+
+
+@pytest.mark.parametrize("elements", [50, 600, 4 * 40 * 40, 1 << 18])
+def test_validate_pass_in_chunks_matches_the_full_tensor(monkeypatch, elements):
+    """Columns in chunks of 1 (50 elements over 40 points) and 15 (600),
+    several rows per add (4 * 40^2) and one add per row: the same
+    triangles."""
+    monkeypatch.setattr(mmmspace.core, "TRIANGLE_BLOCK_ELEMENTS", elements)
+    rng = np.random.default_rng(53)
+    cleared = 0
+    for d in (broken_matrix(rng, 40), path_metric(rng, 40, 3), path_metric(rng, 39),
+              random_points_metric(rng, 40)):
+        for tol in (0.0, 1e-12):
+            got = [v for v in report_rows(validate(one_mark_space(d), tol=tol))
+                   if v[0] == "triangle"]
+            assert got == triangle_violations_oracle(d, tol)
+            rows = mmmspace.core._triangle_rows(d, tol, relative=True, upper=True)
+            cleared += len(d) - len(rows)
+    assert cleared > 0
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+def test_validate_catches_the_rounding_witness(tol):
+    """fl(fl(a - b) - c) exceeds the limit while fl(a - fl(b + c)) does
+    not: the pass alone would clear this pair, its margin must not."""
+    a, b, c = rounding_witness(np.random.default_rng(59), tol, relative=True)
+    d = witness_metric(a, b, c)
+    got = report_rows(validate(one_mark_space(d), tol=tol))
+    assert got == reference_validate(one_mark_space(d), tol=tol)
+    assert [v[1] for v in got] == [(0, 1, 2)]
+    if tol:
+        rows = mmmspace.core._triangle_rows(d, tol, relative=True, upper=True)
+        assert rows.tolist() == [0]
+
+
+def test_validate_names_the_broken_cloud_triple():
+    # d(0, 5) beats every detour by 0.5, as in the benchmark's broken space
+    small = euclidean_cloud(12, 2, seed=1008)
+    d = small.distances.copy()
+    detour = d[0, :] + d[:, 5]
+    detour[[0, 5]] = np.inf
+    d[0, 5] = d[5, 0] = detour.min() + 0.5
+    got = report_rows(validate(one_mark_space(d)))
+    assert got == reference_validate(one_mark_space(d))
+    assert (0, int(np.argmin(detour)), 5) in [v[1] for v in got]
 
 
 def test_validate_memory_is_quadratic():

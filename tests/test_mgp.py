@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mmmspace.core
+import mmmspace.dmat
 import mmmspace.mgp
 from mmmspace import (
     CoalescentConfig,
@@ -27,10 +28,12 @@ from mmmspace import (
     glue_three,
     is_equivalent_exact,
     kingman,
+    mark_marginal,
     mgp_bounds,
     mgp_exact,
     mgp_lower,
     mgp_upper,
+    pair_distance_law,
     two_sample_test,
     validate,
 )
@@ -38,9 +41,12 @@ from mmmspace.mgp import _all_pairs_cross, _profile_cost, _pruned
 
 from _oracles import (
     mark_distance, mgp_fallback_oracle, mgp_level_oracle, mgp_lower_union_oracle,
-    mgp_relation_oracle, prune_chain_oracle,
+    mgp_relation_oracle, prune_chain_oracle, triangle_excess_oracle,
 )
-from conftest import AB_MARKS, nan_cloud, random_space, relabeled, tiny_spaces, two_point
+from conftest import (
+    AB_MARKS, nan_cloud, random_space, relabeled, rounding_witness, tiny_spaces, two_point,
+    witness_metric,
+)
 
 
 def one_point(mark, mark_space=AB_MARKS, label="pt"):
@@ -98,6 +104,98 @@ def test_glue_names_the_first_worst_triple_of_the_full_scan(monkeypatch):
             glue(a, a, cross)
         assert err.value.indices == tuple(int(t) for t in worst)
         assert err.value.excess == excess[worst]
+
+
+def line_space(x, label="line"):
+    """Points of a line at the positions ``x``, one mark, equal weights."""
+    x = np.asarray(x, dtype=float)
+    return FiniteMmmSpace(distances=np.abs(np.subtract.outer(x, x)), marks=("a",) * len(x),
+                          weights=np.full(len(x), 1 / len(x)), mark_space=AB_MARKS,
+                          label=label)
+
+
+def random_crosses(rng, a, b, count):
+    """Integer crosses (tight and tied triangles), float crosses near the
+    gap |r1 - r2| that valid gluings need, and the all-pairs gluing."""
+    for _ in range(count):
+        yield rng.integers(0, 6, size=(a.n, b.n)).astype(float)
+        yield rng.uniform(0.0, 3.0, size=(a.n, b.n))
+        yield _all_pairs_cross(a, b) + rng.integers(-1, 2, size=(a.n, b.n)) * 0.5
+        yield _all_pairs_cross(a, b)
+
+
+@pytest.mark.parametrize("elements", [40, 4 * 24 * 24, 1 << 18])
+def test_glue_raises_the_full_scans_worst_triple(monkeypatch, elements):
+    """Chunks of a column (40 elements over up to 24 points), several rows
+    per add, and one block: GluingError names the first worst triple of the
+    full n^3 scan with its excess, and every other cross glues."""
+    monkeypatch.setattr(mmmspace.core, "TRIANGLE_BLOCK_ELEMENTS", elements)
+    rng = np.random.default_rng(61)
+    raised = passed = 0
+    for n1, n2 in ((1, 2), (3, 4), (8, 8), (12, 12), (20, 20)):
+        a = line_space(rng.integers(0, 6, size=n1), "a")
+        b = line_space(rng.integers(0, 6, size=n2), "b")
+        for cross in random_crosses(rng, a, b, 3):
+            cross = np.maximum(cross, 0.0)
+            want = triangle_excess_oracle(GluedSpace(left=a, right=b, cross=cross).z_metric())
+            if want[0] > mmmspace.mgp.GLUE_TOL:
+                with pytest.raises(GluingError) as err:
+                    glue(a, b, cross)
+                assert (err.value.indices, err.value.excess) == (want[1], want[0])
+                raised += 1
+            else:
+                glue(a, b, cross)
+                passed += 1
+    assert raised > 0 and passed > 0
+
+
+def test_glue_three_raises_the_full_scans_worst_triple():
+    rng = np.random.default_rng(67)
+    raised = passed = 0
+    for n in (1, 2, 5, 8):
+        spaces = [line_space(rng.uniform(0.0, 4.0, size=n), f"s{t}") for t in range(3)]
+        for c12, c23 in zip(random_crosses(rng, *spaces[:2], 3),
+                            random_crosses(rng, *spaces[1:], 3)):
+            g12 = GluedSpace(left=spaces[0], right=spaces[1], cross=c12)
+            g23 = GluedSpace(left=spaces[1], right=spaces[2], cross=c23)
+            c13 = (c12[:, :, None] + c23[None, :, :]).min(axis=1)
+            z = np.block([[spaces[0].distances, c12, c13], [c12.T, spaces[1].distances, c23],
+                          [c13.T, c23.T, spaces[2].distances]])
+            want = triangle_excess_oracle(z)
+            if want[0] > mmmspace.mgp.GLUE_TOL:
+                with pytest.raises(GluingError) as err:
+                    glue_three(g12, g23)
+                assert (err.value.indices, err.value.excess) == (want[1], want[0])
+                raised += 1
+            else:
+                assert np.array_equal(glue_three(g12, g23), z)
+                passed += 1
+    assert raised > 0 and passed > 0
+
+
+def test_glue_catches_the_rounding_witness():
+    """fl(fl(a - b) - c) exceeds GLUE_TOL while fl(a - fl(b + c)) does not:
+    the min-plus pass alone would clear the row, its margin must not."""
+    a, b, c = rounding_witness(np.random.default_rng(71), mmmspace.mgp.GLUE_TOL,
+                               relative=False)
+    z = witness_metric(a, b, c)
+    left = FiniteMmmSpace(distances=z[:-1, :-1], marks=("a",) * (len(z) - 1),
+                          weights=np.full(len(z) - 1, 1 / (len(z) - 1)), mark_space=AB_MARKS)
+    want = triangle_excess_oracle(z)
+    assert want[0] > mmmspace.mgp.GLUE_TOL
+    with pytest.raises(GluingError) as err:
+        glue(left, line_space([0.0]), z[:-1, -1:])
+    assert (err.value.indices, err.value.excess) == (want[1], want[0])
+
+
+def test_valid_witnesses_still_glue():
+    rng = np.random.default_rng(73)
+    for _ in range(15):
+        a, b = random_pair(rng, max_n=6)
+        full = [(i, j) for i in range(a.n) for j in range(b.n)]
+        g = glue(a, b, correspondence_cross(a, b, full)[0])
+        glue_three(g, glue(b, a, correspondence_cross(b, a, [(j, i) for i, j in full])[0]))
+        glue(a, b, mgp_bounds(a, b).witness_cross)
 
 
 def test_glue_rejects_negative_cross(space_A):
@@ -597,6 +695,72 @@ def test_exact_scans_nine_point_clouds():
         glue(a, b, res.witness_cross)
         values.append(round(res.exact, 4))
     assert values == [0.2222, 0.3333, 0.3333, 0.2222]
+
+
+def distances_pairs(seed):
+    """The MGP pairs of the benchmark's ``distances`` workload: Kingman trees
+    (theta 1) of 10, 6 and 12 leaves, 8-point sign- and point-marked clouds."""
+    s = seed * 1000
+
+    def tree(leaves, k):
+        return kingman(CoalescentConfig(leaves=leaves, theta=1.0, seed=k))
+
+    chain = [tree(10, s + 100 + k) for k in range(5)]
+    pairs = [(chain[k], chain[k + 1]) for k in range(4)]
+    pairs += [(tree(6, s + 200 + k), tree(12, s + 300 + k)) for k in range(4)]
+    for marks, base in (("sign", 400), ("point", 600)):
+        pairs += [(euclidean_cloud(8, 2, marks, seed=s + base + k),
+                   euclidean_cloud(8, 2, marks, seed=s + base + 100 + k)) for k in range(14)]
+    return pairs
+
+
+def bounds_row(r):
+    return (r.lower, r.upper, r.exact, r.slack, r.nodes, r.budget_exhausted,
+            r.witness_cross.tobytes(), r.witness_coupling.tobytes())
+
+
+def test_bounds_check_the_inputs_once(monkeypatch):
+    """One non-finite scan of both spaces per `mgp_bounds` or `mgp_exact`
+    call; the marginals, pair laws and correspondences inside reuse it."""
+    calls = []
+    original = mmmspace.core._require_finite
+
+    def counting(*spaces):
+        calls.append(len(spaces))
+        return original(*spaces)
+
+    for module in (mmmspace.core, mmmspace.dmat, mmmspace.mgp):
+        monkeypatch.setattr(module, "_require_finite", counting)
+    for a, b in distances_pairs(1)[::5]:
+        calls.clear()
+        mgp_bounds(a, b)
+        assert calls == [2]
+        calls.clear()
+        mgp_exact(a, b, budget=40)
+        assert calls == [2]
+    calls.clear()
+    mgp_lower(a, b)
+    mark_marginal(a)
+    pair_distance_law(a)
+    assert calls == [2, 1, 1]  # the public functions keep their checks
+
+
+def test_bounds_unchanged_by_the_unchecked_route(monkeypatch):
+    pairs = distances_pairs(1)
+    unchecked = [bounds_row(mgp_bounds(a, b)) for a, b in pairs]
+    lower, corr = mmmspace.mgp._mgp_lower, mmmspace.mgp._correspondence_cross
+
+    def checked(private):
+        def call(a, b, *args):
+            mmmspace.core._require_finite(a, b)
+            return private(a, b, *args)
+        return call
+
+    monkeypatch.setattr(mmmspace.mgp, "_mgp_lower", checked(lower))
+    monkeypatch.setattr(mmmspace.mgp, "_mark_marginal", mark_marginal)
+    monkeypatch.setattr(mmmspace.mgp, "_pair_distance_law", pair_distance_law)
+    monkeypatch.setattr(mmmspace.mgp, "_correspondence_cross", checked(corr))
+    assert [bounds_row(mgp_bounds(a, b)) for a, b in pairs] == unchecked
 
 
 def test_bounds_memory_stays_below_the_all_pairs_arrays():
