@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from .core import (
 from .dmat import _mark_marginal, _pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
 from .prohorov import (
-    FLOW_SCALE, _check_probs, _coupling, _cut_excluded_mass, _integer_masses,
-    _line_flow_mass, _max_flow_mass, _prohorov_search, _require_finite_entries,
+    FLOW_SCALE, _bits, _check_probs, _coupling, _integer_masses, _masks, _max_flow_mass,
+    _prohorov_search, _require_finite_entries,
 )
 
 __all__ = [
@@ -299,14 +300,14 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
 
     Each order hands the Prohorov solver the Ka x Kb matrix of distances
     between the Ka distinct values of one law and the Kb of the other.
-    Order 1 has at most one atom per mark and runs Dinic's max-flow.
+    Order 1 has at most one atom per mark and runs `_max_flow_mass`.
     Order 2 compares two laws on the real line with increasing atoms, so
     every threshold's admissible pairs form intervals and the greedy line
     flow solves it in O(Ka + Kb) Python steps after O(Ka Kb) numpy passes
     over the matrix; with Ka, Kb up to about N1^2 / 2 and N2^2 / 2 the
-    matrix and its sort bound time and memory.  The value equals Dinic's
-    bit for bit.  The weights of each space must be a probability vector
-    (MarginalError naming the space otherwise).
+    matrix and its sort bound time and memory.  The value equals that of
+    `_max_flow_mass` bit for bit.  The weights of each space must be a
+    probability vector (MarginalError naming the space otherwise).
     """
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
@@ -332,7 +333,7 @@ def _mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
         vb, pb = _pair_distance_law(b)
         cross = np.abs(va[:, None] - vb[None, :])
         masses = _integer_masses(pa), _integer_masses(pb)
-        bounds.append(0.5 * _prohorov_search(cross, *masses, flow=_line_flow_mass)[0])
+        bounds.append(0.5 * _prohorov_search(cross, *masses, line=True)[0])
     return float(max(bounds))
 
 
@@ -365,16 +366,6 @@ class MgpResult:
             raise ParameterError("certified value escapes the bounds")
 
 
-def _masks(m: np.ndarray) -> list:  # one Python int per row of m; bit k is column k
-    return [int.from_bytes(r.tobytes(), "little") for r in np.packbits(m, -1, bitorder="little")]
-
-
-def _bits(mask: int):  # the set bits, lowest first
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
     """The scan of `mgp_exact`: (gluing of the best relation S or None,
     max(L(S), g(S)) or inf, the flow that gave g(S), nodes, level where
@@ -386,9 +377,10 @@ def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
     while d is below the best value.  The first level lists every maximal
     clique of the graph of pairs within d, later ones those through a new
     edge or isolated pair (Bron-Kerbosch from R = {u, v}, P = N(u) & N(v),
-    Tomita pivot).  A branch whose R | P cannot route 1 - best of p or q
-    mass is cut, as is a clique `_cut_excluded_mass` settles; others run a
-    Dinic flow for g(S).  The level matrix and its sort take O(|Z|^2).
+    Tomita pivot, the first of the most neighbours in P).  A branch whose
+    R | P cannot route 1 - best of p or q mass is cut; every other clique
+    hands its row masks to `_max_flow_mass` for g(S).  The level matrix
+    and its sort take O(|Z|^2).
     """
     zi, zj = np.nonzero(off < 1.0)
     m = off[zi, zj]
@@ -402,8 +394,10 @@ def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
     first = np.flatnonzero(np.diff(vals, prepend=-np.inf))  # where each level starts
     levels, first = vals[first], np.append(first, len(vals)).tolist()
     k0 = max(0, int(np.searchsorted(levels, floor - 1e-9)) - 1)
-    rows = list(zip(_masks(zi == np.arange(len(ca))[:, None]), ca.tolist()))
-    cols = list(zip(_masks(zj == np.arange(len(cb))[:, None]), cb.tolist()))
+    cp, cq = ca.tolist(), cb.tolist()
+    row_pairs = _masks(zi == np.arange(len(ca))[:, None])  # the pairs of each atom
+    col_pairs = _masks(zj == np.arange(len(cb))[:, None])
+    row_of, col_of = zi.tolist(), zj.tolist()
     graph = lev <= (levels[k0] if len(levels) else 0.0)
     present = _masks(np.diag(graph)[None, :])[0]
     adj = [mask & ~(1 << u) for u, mask in enumerate(_masks(graph))]
@@ -432,31 +426,40 @@ def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
                 break
             nodes += 1
             r, p, x = stack.pop()
-            reach = r | p
-            routable = min(sum(c for bits, c in rows if reach & bits),
-                           sum(c for bits, c in cols if reach & bits))
-            if max(0.0, 1.0 - routable / FLOW_SCALE) >= best:
+            if not p and (x or r in seen):  # no new maximal clique
+                continue
+            reach = r | p  # cut unless R | P routes over 1 - best (> 0) of p and of q
+            if 1.0 - sum(compress(cp, map(reach.__and__, row_pairs))) / FLOW_SCALE >= best:
+                continue
+            if 1.0 - sum(compress(cq, map(reach.__and__, col_pairs))) / FLOW_SCALE >= best:
                 continue
             if not p:
-                if not x and r not in seen:
-                    seen.add(r)
-                    mem = np.fromiter(_bits(r), dtype=np.int64)
-                    admissible = np.zeros(off.shape, dtype=bool)
-                    admissible[zi[mem], zj[mem]] = True
-                    if _cut_excluded_mass(ca, cb, admissible) < best:
-                        mass, got = _max_flow_mass(ca, cb, admissible)
-                        g = max(0.0, 1.0 - mass / FLOW_SCALE)
-                        if max(level, g) < best:
-                            best, members, flow = max(level, g), mem, got
+                seen.add(r)
+                pattern = [0] * len(ca)
+                for u in _bits(r):
+                    pattern[row_of[u]] |= 1 << col_of[u]
+                mass, got = _max_flow_mass(cp, cq, pattern)
+                g = max(0.0, 1.0 - mass / FLOW_SCALE)
+                if max(level, g) < best:
+                    best, members, flow = max(level, g), r, got
                 continue
-            pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
-            children = []
-            for v in _bits(p & ~adj[pivot]):
+            pivot, most, rest = -1, -1, p | x
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                rest ^= 1 << u
+                count = (p & adj[u]).bit_count()
+                if count > most:
+                    pivot, most = u, count
+            children, rest = [], p & ~adj[pivot]
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest ^= 1 << v
                 children.append((r | 1 << v, p & adj[v], x & adj[v]))
                 p, x = p & ~(1 << v), x | 1 << v
             stack.extend(reversed(children))
     if members is None:
         return None, math.inf, None, nodes, stopped_at
+    members = np.fromiter(_bits(members), dtype=np.int64)
     beta = lev[np.ix_(members, members)].max() - m[members]
     pairs = list(zip(zi[members].tolist(), zj[members].tolist()))
     return _correspondence_cross(a, b, pairs, beta)[0], best, flow, nodes, stopped_at
@@ -523,8 +526,11 @@ def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = SCAN_BUDGET) -
     cap stopped the scan.  Stopped at level d, the fallback of
     `mgp_bounds` may still lower ``exact`` (then an upper bound), ``lower``
     is max(mgp_lower, min(exact, d)) and ``slack`` the gap; otherwise lower
-    = upper = exact and slack is 0.
+    = upper = exact and slack is 0.  A ``budget`` that is not a nonnegative
+    integer raises ParameterError.
     """
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
+        raise ParameterError(f"budget must be a nonnegative integer, not {budget!r}")
     return _mgp(a, b, budget, exact=True)
 
 

@@ -19,20 +19,11 @@ g(t_k) - t_{k+1} is strictly decreasing.
 Every value comes from one search, `_prohorov_search`, which also takes an
 incumbent bound and returns None, after at most one flow, when the
 distance is not below it.  Two flow oracles route the same integer mass
-as a sparse flow: `_max_flow_mass` (Dinic's algorithm) serves every
-admissible pattern, `_line_flow_mass` (a greedy pass) patterns whose rows
-are intervals with nondecreasing ends, as for two laws on the real line
-with sorted atoms.  `_coupling` builds a dense witness coupling from a
-flow.
-
-Before each Dinic flow the search tries a cut certificate: no row can
-send more than its own mass or more than its admissible columns hold, and
-likewise for columns, so min(sum_i min(p_i, q(N(i))), sum_j min(q_j,
-p(N(j)))) bounds the routable mass from above, exactly in integers.  Its
-excluded mass is a lower bound on g, and a probe whose answer that bound
-already decides (g not below the incumbent, or g not below the next
-breakpoint) runs no flow.  Those probes only ever discarded their flow,
-so values and flows are unchanged.
+as a sparse flow: `_max_flow_mass` (Dinic's algorithm on Python-int row
+masks, so no graph is built) serves every admissible pattern,
+`_line_flow_mass` (a greedy pass) patterns whose rows are intervals with
+nondecreasing ends, as for two laws on the real line with sorted atoms.
+`_coupling` builds a dense witness coupling from a flow.
 """
 
 from __future__ import annotations
@@ -90,85 +81,109 @@ def _check_probs(probs: np.ndarray, owner: str = ""):
         raise MarginalError(f"{owner}probabilities sum to {total!r}, not 1")
 
 
-def _max_flow_mass(cp, cq, admissible: np.ndarray):
+def _masks(m: np.ndarray) -> list:  # one Python int per row of m; bit k is column k
+    return [int.from_bytes(r.tobytes(), "little") for r in np.packbits(m, -1, bitorder="little")]
+
+
+def _bits(mask: int):  # the set bits, lowest first
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _max_flow_mass(cp: list, cq: list, masks: list):
     """Max mass routable p -> q along admissible pairs, integer capacities.
 
-    Dinic's algorithm on Python integers: capacities are exact, nothing
-    can overflow.  Node layout: 0 = source, 1..np = p atoms,
-    np+1..np+nq = q atoms, last = sink.
+    ``cp`` and ``cq`` are the integer masses as lists of Python ints, and
+    the bits of the Python int ``masks[i]`` are row i's admissible columns.
+    A greedy pass fills each row's columns, lowest first; then Dinic's
+    algorithm runs on bitmask layers.  Each phase's breadth-first search
+    reaches columns through the rows' masks and rows through ``carry[j]``,
+    the rows with flow into column j, up to the first column layer with
+    room left.  Its blocking flow is an iterative depth-first search on the
+    lowest live node of each layer: dead nodes leave their layer's mask,
+    and after a push the path is kept up to its first saturated arc.
 
-    Returns (flow mass as int, sparse flow (rows, cols, amounts) in
-    integer units over the pairs that carry some).
+    Returns (flow mass as int, sparse flow): the sparse flow lists a
+    (row, col, amount) triple in integer units for each pair that carries
+    some, in row-major order.
     """
-    np_, nq = admissible.shape
-    src, snk = 0, np_ + nq + 1
-    nodes = snk + 1
-    head: list[list[int]] = [[] for _ in range(nodes)]
-    to: list[int] = []
-    cap: list[int] = []
-
-    def add_edge(u: int, v: int, c: int):
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-
-    for i in range(np_):
-        add_edge(src, 1 + i, int(cp[i]))
-    ai, aj = np.nonzero(admissible)
-    for i, j in zip(ai.tolist(), aj.tolist()):
-        add_edge(1 + i, 1 + np_ + j, FLOW_SCALE)
-    for j in range(nq):
-        add_edge(1 + np_ + j, snk, int(cq[j]))
-
+    rp, rq = list(cp), list(cq)
+    flow: list[dict] = [{} for _ in rp]
+    carry = [0] * len(rq)
+    room = sum(1 << j for j, c in enumerate(rq) if c)  # columns with room left
     total = 0
-    INF = float("inf")
-    while True:
-        level = [-1] * nodes
-        level[src] = 0
-        queue = [src]
-        for u in queue:
-            for e in head[u]:
-                v = to[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[snk] < 0:
-            break
-        it = [0] * nodes
-
-        def dfs(u: int, pushed):
-            if u == snk:
-                return pushed
-            while it[u] < len(head[u]):
-                e = head[u][it[u]]
-                v = to[e]
-                if cap[e] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, cap[e]))
-                    if got > 0:
-                        cap[e] -= got
-                        cap[e ^ 1] += got
-                        return got
-                it[u] += 1
-            return 0
-
-        while True:
-            pushed = dfs(src, INF)
-            if pushed == 0:
+    for i, mask in enumerate(masks):
+        for j in _bits(mask & room if rp[i] else 0):
+            move = min(rp[i], rq[j])
+            flow[i][j], carry[j] = move, carry[j] | 1 << i
+            rp[i], rq[j], total = rp[i] - move, rq[j] - move, total + move
+            if not rq[j]:
+                room ^= 1 << j
+            if not rp[i]:
                 break
-            total += pushed
 
-    # p->q edge k is edge 2 (np_ + k), after the np_ source edges; the
-    # reverse capacity of each, at the odd index after it, is its flow
-    amounts = np.array(cap[2 * np_ + 1: 2 * (np_ + len(ai)): 2], dtype=np.int64)
-    used = amounts > 0
-    return total, (ai[used], aj[used], amounts[used])
+    supply = sum(1 << i for i, c in enumerate(rp) if c)  # rows with mass left
+    while supply and room:
+        # layers alternate rows and columns (through the rows' masks, then
+        # back through carry) up to the first column layer with room left
+        layers, seen = [supply], [supply, 0]
+        while layers[-1] and not (len(layers) % 2 == 0 and layers[-1] & room):
+            side, reach = len(layers) % 2, 0
+            for u in _bits(layers[-1]):
+                reach |= masks[u] if side else carry[u]
+            layers.append(reach & ~seen[side])
+            seen[side] |= reach
+        if not layers[-1]:
+            break  # no column with room is reachable: the flow is maximal
+        rows, cols = layers[0::2], layers[1::2]
+        cols[-1] &= room
+        last = len(cols) - 1
+        path_i: list[int] = []  # the path s -> i0 -> j0 -> i1 -> j1 -> ...
+        path_j: list[int] = []
+        while True:
+            depth = len(path_j)
+            cand = carry[path_j[-1]] & rows[depth] if depth else rows[0]
+            if not cand:  # the path's last column is dead
+                if not depth:
+                    break
+                cols[depth - 1] ^= 1 << path_j.pop()
+                path_i.pop()
+                continue
+            i = (cand & -cand).bit_length() - 1
+            cand = masks[i] & cols[depth]
+            if not cand:  # row i is dead
+                rows[depth] ^= 1 << i
+                continue
+            j = (cand & -cand).bit_length() - 1
+            path_i.append(i)
+            path_j.append(j)
+            if depth < last:
+                continue
+            # augment, then keep the path up to its first saturated arc
+            i = path_i[0]
+            push = min(rp[i], rq[j], *(flow[r][c] for r, c in zip(path_i[1:], path_j)))
+            total, rp[i], rq[j], keep = total + push, rp[i] - push, rq[j] - push, depth + 1
+            if not rp[i]:
+                supply, rows[0], keep = supply ^ 1 << i, rows[0] ^ 1 << i, 0
+            for k, (i, col, back) in enumerate(zip(path_i, path_j, [-1] + path_j)):
+                row = flow[i]
+                row[col] = row.get(col, 0) + push
+                carry[col] |= 1 << i
+                if k:
+                    row[back] -= push
+                    if not row[back]:
+                        del row[back]
+                        carry[back] ^= 1 << i
+                        keep = min(keep, k)
+            if not rq[j]:
+                room, cols[last], keep = room ^ 1 << j, cols[last] ^ 1 << j, min(keep, depth)
+            del path_i[keep:], path_j[keep:]
+    return total, [(i, j, move) for i, row in enumerate(flow) for j, move in sorted(row.items())]
 
 
 def _line_flow_mass(cp, cq, admissible: np.ndarray):
-    """`_max_flow_mass` for admissible patterns whose rows are intervals.
+    """`_max_flow_mass` on a dense pattern whose rows are intervals.
 
     Requires every nonempty row i to be one run of columns [s_i, e_i] with
     s_i and e_i nondecreasing in i; rows with no admissible column may sit
@@ -183,8 +198,9 @@ def _line_flow_mass(cp, cq, admissible: np.ndarray):
     current row's start are useless to every later row.  The flow is
     therefore maximal, and as an integer it equals Dinic's.
 
-    Returns (flow mass as int, sparse flow (rows, cols, amounts) in
-    integer units); the flow may differ from Dinic's, the mass does not.
+    Returns (flow mass as int, sparse flow as (row, col, amount) triples
+    in row-major order); the flow may differ from Dinic's, the mass does
+    not.
     """
     width = admissible.sum(axis=1)
     rows = np.flatnonzero(width)
@@ -203,22 +219,7 @@ def _line_flow_mass(cp, cq, admissible: np.ndarray):
             room[j] -= move
             if room[j] == 0:
                 j += 1
-    rows, cols, amounts = np.array(moves, dtype=np.int64).reshape(-1, 3).T
-    return int(amounts.sum()), (rows, cols, amounts)
-
-
-def _cut_excluded_mass(cp, cq, admissible: np.ndarray) -> float:
-    """A lower bound on the excluded mass ``1 - flow / FLOW_SCALE`` from a cut.
-
-    Row i routes at most min(cp_i, cq(N(i))), where N(i) are its admissible
-    columns, and column j at most min(cq_j, cp(N(j))), so the max-flow mass
-    is at most the smaller of the two sums.  Both are exact int64 sums of
-    0/1-matrix-vector products, and the map from mass to excluded mass is
-    monotone in floats, so the bound never exceeds the flow's value.
-    """
-    rows = np.minimum(cp, admissible @ cq).sum()
-    cols = np.minimum(cq, cp @ admissible).sum()
-    return max(0.0, 1.0 - int(min(rows, cols)) / FLOW_SCALE)
+    return sum(move for _, _, move in moves), moves
 
 
 def _integer_masses(w) -> np.ndarray:
@@ -238,16 +239,16 @@ def _integer_masses(w) -> np.ndarray:
     return mass
 
 
-def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf, flow=_max_flow_mass):
+def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf, line: bool = False):
     """Prohorov distance from the cross-distance matrix alone, if below ``bound``.
 
     ``cp`` and ``cq`` are the `_integer_masses` of the two measures, which
     a caller that searches many matrices for one pair of measures rounds
     once.  Returns (value, sparse flow) when the value is below ``bound``
     and None otherwise; ``_coupling(flow, wp, wq)`` is a witness coupling
-    for the probabilities wp, wq behind them.  ``flow``
-    is the max-flow oracle: `_max_flow_mass`, or `_line_flow_mass` when
-    every admissible pattern ``dpq <= t`` has its shape.
+    for the probabilities wp, wq behind them.  Each probe ``dpq <= t``
+    goes to `_max_flow_mass` as row masks, or, with ``line``, whole to
+    `_line_flow_mass`, which needs every such pattern to have its shape.
 
     Let t_0 = 0 < t_1 < ... be 0 and the distinct cross distances, g(t_k)
     the excluded mass at t_k and f_k = max(t_k, g(t_k)).  The value is f at
@@ -263,25 +264,17 @@ def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf, flow=_max
     the search starts there with the flow at t_K in hand.  Every flow is a
     function of its threshold alone, so the value and the flow equal
     those of the unbounded search.
-
-    Before each flow, `_cut_excluded_mass` gives h(t_k) <= g(t_k).  When
-    h(t_K) >= bound the answer is no, and when h(t_mid) >= t_{mid+1} the
-    probe moves ``lo`` past mid; both are the decisions the flow would
-    have made, and both discard that flow, so the value and the flow
-    returned are unchanged.  The line flow skips the cut: its O(Ka + Kb)
-    steps cost less than the cut's matrix-vector products.
     """
     ts = np.unique(dpq)
     if len(ts) == 0 or ts[0] > 0.0:
         ts = np.concatenate([[0.0], ts])
+    masses = cp.tolist(), cq.tolist()
 
-    def solve(admissible: np.ndarray):
-        mass, sparse = flow(cp, cq, admissible)
+    def solve(t):
+        admissible = dpq <= t
+        mass, sparse = (_line_flow_mass(cp, cq, admissible) if line
+                        else _max_flow_mass(*masses, _masks(admissible)))
         return max(0.0, 1.0 - mass / FLOW_SCALE), sparse
-
-    def settled(admissible: np.ndarray, at_least: float) -> bool:
-        """Whether the cut alone shows g >= ``at_least`` at this pattern."""
-        return flow is not _line_flow_mass and _cut_excluded_mass(cp, cq, admissible) >= at_least
 
     # keep only the flow at the current hi, so that at most two flows are
     # alive at once
@@ -290,29 +283,25 @@ def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf, flow=_max
         return None
     at_hi = None
     if bound <= 1.0:
-        admissible = dpq <= ts[hi]
-        if settled(admissible, bound):
-            return None
-        at_hi = solve(admissible)
+        at_hi = solve(ts[hi])
         if at_hi[0] >= bound:
             return None
     while lo < hi:
         mid = (lo + hi) // 2
-        admissible = dpq <= ts[mid]
-        got = None if settled(admissible, ts[mid + 1]) else solve(admissible)
+        got = solve(ts[mid])
         # the candidate of interval mid lies inside it
-        if got is not None and got[0] < ts[mid + 1]:
+        if got[0] < ts[mid + 1]:
             hi, at_hi = mid, got
         else:
             lo = mid + 1
-    g, sparse = at_hi if at_hi is not None else solve(dpq <= ts[lo])  # else lo is the last interval
+    g, sparse = at_hi if at_hi is not None else solve(ts[lo])  # else lo is the last interval
     return max(float(ts[lo]), g), sparse
 
 
 def _coupling(flow, wp: np.ndarray, wq: np.ndarray) -> np.ndarray:
     """Dense coupling of p (rows) and q (columns) from a sparse flow, with
     the unrouted residuals spread proportionally; marginals within 1e-10."""
-    rows, cols, amounts = flow
+    rows, cols, amounts = np.array(flow, dtype=np.int64).reshape(-1, 3).T
     pi = np.zeros((len(wp), len(wq)))
     pi[rows, cols] = amounts / FLOW_SCALE
     res_p = np.maximum(wp - pi.sum(axis=1), 0.0)
@@ -379,7 +368,10 @@ def strassen_check(
     holds for all A exactly when some coupling puts mass <= eps beyond
     distance eps, so it must agree with ``prohorov_exact`` at the returned
     value.  Exponential in the support size; refuses more than 20 atoms.
+    A NaN ``eps`` raises ParameterError; inf is legal and always holds.
     """
+    if math.isnan(eps):
+        raise ParameterError("eps must be a number, not NaN")
     dpq = _checked_cross(metric, p, q)
     kp, kq = dpq.shape
     if max(kp, kq) > STRASSEN_BOUND:

@@ -4,6 +4,9 @@ These deliberately avoid the package's own solver internals: the subset
 oracle enumerates the closed-set characterization directly, and the LP
 oracle gets its flow values from scipy's linear programming, so a bug in
 the production max-flow or breakpoint search cannot hide in both routes.
+The edge-list max-flow oracle is Dinic's algorithm on an explicit graph
+with a recursive augmenting search, the route the bitmask kernel
+`prohorov._max_flow_mass` replaced; it shares nothing with that kernel.
 The MGP lower-bound oracle shares that max-flow on purpose: it rebuilds
 the union metric over the atoms of both laws, so it checks how the cross
 matrix reaches the solver, not the solver.  The MGP fallback oracle
@@ -36,6 +39,7 @@ from mmmspace import (
 from mmmspace.core import _sample_indices
 from mmmspace.dmat import round_sig
 from mmmspace.mgp import _greedy_coupling_pairs, _profile_cost
+from mmmspace.prohorov import FLOW_SCALE
 
 
 def _min_eps_for_subset(pa, dist_to_A, q_probs):
@@ -65,6 +69,80 @@ def prohorov_subset_oracle(metric, p_atoms, p_probs, q_atoms, q_probs):
         ]
         best = max(best, _min_eps_for_subset(pa, dist_to_A, q_probs))
     return best
+
+
+def max_flow_mass_oracle(cp, cq, admissible):
+    """Max integer mass routable p -> q along the True pairs of the dense
+    matrix ``admissible``: Dinic's algorithm on explicit edge lists.
+
+    Node layout: 0 = source, 1..np = p atoms, np+1..np+nq = q atoms, last =
+    sink; capacities are Python ints.  Returns (mass, sparse flow): a
+    (row, col, amount) triple for each pair that carries some, in row-major
+    order.
+    """
+    np_, nq = admissible.shape
+    src, snk = 0, np_ + nq + 1
+    nodes = snk + 1
+    head = [[] for _ in range(nodes)]
+    to, cap = [], []
+
+    def add_edge(u, v, c):
+        head[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+
+    for i in range(np_):
+        add_edge(src, 1 + i, int(cp[i]))
+    ai, aj = np.nonzero(admissible)
+    for i, j in zip(ai.tolist(), aj.tolist()):
+        add_edge(1 + i, 1 + np_ + j, FLOW_SCALE)
+    for j in range(nq):
+        add_edge(1 + np_ + j, snk, int(cq[j]))
+
+    total = 0
+    while True:
+        level = [-1] * nodes
+        level[src] = 0
+        queue = [src]
+        for u in queue:
+            for e in head[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[snk] < 0:
+            break
+        it = [0] * nodes
+
+        def dfs(u, pushed):
+            if u == snk:
+                return pushed
+            while it[u] < len(head[u]):
+                e = head[u][it[u]]
+                v = to[e]
+                if cap[e] > 0 and level[v] == level[u] + 1:
+                    got = dfs(v, min(pushed, cap[e]))
+                    if got > 0:
+                        cap[e] -= got
+                        cap[e ^ 1] += got
+                        return got
+                it[u] += 1
+            return 0
+
+        while True:
+            pushed = dfs(src, math.inf)
+            if pushed == 0:
+                break
+            total += pushed
+
+    # p->q edge k is edge 2 (np_ + k), after the np_ source edges; the
+    # reverse capacity of each, at the odd index after it, is its flow
+    amounts = np.array(cap[2 * np_ + 1: 2 * (np_ + len(ai)): 2], dtype=np.int64)
+    used = amounts > 0
+    return total, list(zip(ai[used].tolist(), aj[used].tolist(),
+                           amounts[used].tolist()))
 
 
 def _lp_max_flow(d, wp, wq, eps):

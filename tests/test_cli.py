@@ -299,6 +299,15 @@ def test_dist_exact_flag(capsys, ab_space, ab2_space):
     assert coupling.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_dist_exact_rejects_a_negative_budget(capsys, ab_space, ab2_space, tmp_path):
+    out = tmp_path / "exact.json"
+    code, stdout, stderr = run_cli(capsys, "dist", "--a", ab_space, "--b", ab2_space,
+                                   "--exact", "--budget", -5, "--out", out)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert json.loads(stderr) == {"error": "bad-parameter",
+                                  "detail": "budget must be a nonnegative integer, not -5"}
+
+
 def test_dist_output_does_not_depend_on_the_seed(capsys, tmp_path):
     # --seed stays parseable for old manifests but reaches no MGP bound; on
     # this pair, bounds drawn from random candidates differ between seeds

@@ -588,6 +588,18 @@ def test_exact_reports_nodes_and_the_budget():
     assert bounds.witness_cross.tobytes() == full.witness_cross.tobytes()
 
 
+def test_exact_accepts_only_a_nonnegative_integer_budget():
+    # a NaN budget never stopped the scan (35 603 nodes on this pair, where
+    # budget 100 stops at 100) and a negative one acted as 0
+    a = euclidean_cloud(12, 2, "constant", seed=1)
+    b = euclidean_cloud(12, 2, "constant", seed=2)
+    for budget in (math.nan, math.inf, -5, -1, 2.0, 100.5, "100", True, None):
+        with pytest.raises(ParameterError, match="^budget must be a nonnegative integer"):
+            mgp_exact(a, b, budget=budget)
+    assert mgp_exact(a, b, budget=np.int64(100)).nodes == 100
+    assert mgp_exact(a, b, budget=0).nodes == 0
+
+
 def test_a_space_of_thirds_is_at_distance_zero_from_itself():
     # weights of 1/3 are no whole number of flow units; their masses must
     # still sum to exactly FLOW_SCALE on each side
@@ -743,6 +755,93 @@ def test_bounds_check_the_inputs_once(monkeypatch):
     mark_marginal(a)
     pair_distance_law(a)
     assert calls == [2, 1, 1]  # the public functions keep their checks
+
+
+# (lower, upper, exact, slack, nodes, budget_exhausted) of mgp_bounds and of
+# mgp_exact(budget=40) on distances_pairs(1), recorded before the max-flow
+# kernel moved from edge lists to row bitmasks; only witness flows may move
+DISTANCES_1_BOUNDS = [
+    (0.9, 0.9, 0.9, 0.0, 7, False),
+    (0.4, 0.5, None, None, None, None),
+    (0.30000000000000004, 0.5, 0.5, 0.0, 115, False),
+    (0.4, 0.6, 0.6, 0.0, 27, False),
+    (0.583333333333, 0.750000000001, 0.750000000001, 0.0, 12, False),
+    (0.583333333333, 0.6116640884167062, 0.6116640884167062, 0.0, 36, False),
+    (1.0, 1.0, 1.0, 0.0, 0, False),
+    (0.41666666666700003, 0.41666666666700003, 0.41666666666700003, 0.0, 20, False),
+    (0.109375, 0.375, 0.375, 0.0, 231, False),
+    (0.12679938804000002, 0.375, 0.375, 0.0, 564, False),
+    (0.125, 0.3659916338369653, 0.3659916338369653, 0.0, 205, False),
+    (0.25, 0.44466927449521365, 0.44466927449521365, 0.0, 570, False),
+    (0.25, 0.34507205451793055, 0.34507205451793055, 0.0, 237, False),
+    (0.25, 0.375, 0.375, 0.0, 267, False),
+    (0.125, 0.375, 0.375, 0.0, 272, False),
+    (0.203125, 0.5, 0.5, 0.0, 297, False),
+    (0.25, 0.375, 0.375, 0.0, 154, False),
+    (0.125, 0.3336372305903493, 0.3336372305903493, 0.0, 306, False),
+    (0.375, 0.375, 0.375, 0.0, 76, False),
+    (0.125, 0.35642222710599974, 0.35642222710599974, 0.0, 379, False),
+    (0.375, 0.375, 0.375, 0.0, 70, False),
+    (0.07435626342000001, 0.36344334321327887, 0.36344334321327887, 0.0, 335, False),
+    (0.625, 0.625, 0.625, 0.0, 5, False),
+    (0.6335268490769693, 0.75, 0.75, 0.0, 14, False),
+    (0.75, 0.75, 0.75, 0.0, 8, False),
+    (0.5, 0.5, 0.5, 0.0, 5, False),
+    (0.625, 0.625, 0.625, 0.0, 10, False),
+    (0.7584990135226504, 0.8044187770609008, 0.8044187770609008, 0.0, 4, False),
+    (0.5918070430006607, 0.6119424549771586, 0.6119424549771586, 0.0, 18, False),
+    (0.625, 0.625, 0.625, 0.0, 4, False),
+    (0.5451307367538172, 0.625, 0.625, 0.0, 21, False),
+    (0.625, 0.7112865010282818, 0.7112865010282818, 0.0, 12, False),
+    (0.625, 0.625, 0.625, 0.0, 6, False),
+    (0.625, 0.75, 0.75, 0.0, 7, False),
+    (0.5998456195058447, 0.625, 0.625, 0.0, 6, False),
+    (0.5151272755986999, 0.5830837818071615, 0.5830837818071615, 0.0, 18, False),
+]
+DISTANCES_1_EXACT_40 = [
+    (0.9, 0.9, 0.9, 0.0, 7, False),
+    (0.4, 0.5, 0.5, 0.09999999999999998, 40, True),
+    (0.39833231221994614, 0.6, 0.6, 0.20166768778005384, 40, True),
+    (0.6, 0.6, 0.6, 0.0, 27, False),
+    (0.750000000001, 0.750000000001, 0.750000000001, 0.0, 12, False),
+    (0.6116640884167062, 0.6116640884167062, 0.6116640884167062, 0.0, 36, False),
+    (1.0, 1.0, 1.0, 0.0, 0, False),
+    (0.41666666666700003, 0.41666666666700003, 0.41666666666700003, 0.0, 20, False),
+    (0.109375, 0.5, 0.5, 0.390625, 40, True),
+    (0.12679938804000002, 0.41198947787140816, 0.41198947787140816, 0.28519008983140814, 40, True),
+    (0.125, 0.375, 0.375, 0.25, 40, True),
+    (0.25, 0.5, 0.5, 0.25, 40, True),
+    (0.25, 0.375, 0.375, 0.125, 40, True),
+    (0.25, 0.5, 0.5, 0.25, 40, True),
+    (0.125, 0.44938394900060263, 0.44938394900060263, 0.32438394900060263, 40, True),
+    (0.203125, 0.5, 0.5, 0.296875, 40, True),
+    (0.25, 0.5, 0.5, 0.25, 40, True),
+    (0.125, 0.3919078026854096, 0.3919078026854096, 0.2669078026854096, 40, True),
+    (0.375, 0.5, 0.5, 0.125, 40, True),
+    (0.125, 0.4791853556877519, 0.4791853556877519, 0.3541853556877519, 40, True),
+    (0.375, 0.5, 0.5, 0.125, 40, True),
+    (0.07435626342000001, 0.41770487057708805, 0.41770487057708805, 0.34334860715708804, 40, True),
+    (0.625, 0.625, 0.625, 0.0, 5, False),
+    (0.75, 0.75, 0.75, 0.0, 14, False),
+    (0.75, 0.75, 0.75, 0.0, 8, False),
+    (0.5, 0.5, 0.5, 0.0, 5, False),
+    (0.625, 0.625, 0.625, 0.0, 10, False),
+    (0.8044187770609008, 0.8044187770609008, 0.8044187770609008, 0.0, 4, False),
+    (0.6119424549771586, 0.6119424549771586, 0.6119424549771586, 0.0, 18, False),
+    (0.625, 0.625, 0.625, 0.0, 4, False),
+    (0.625, 0.625, 0.625, 0.0, 21, False),
+    (0.7112865010282818, 0.7112865010282818, 0.7112865010282818, 0.0, 12, False),
+    (0.625, 0.625, 0.625, 0.0, 6, False),
+    (0.75, 0.75, 0.75, 0.0, 7, False),
+    (0.625, 0.625, 0.625, 0.0, 6, False),
+    (0.5830837818071615, 0.5830837818071615, 0.5830837818071615, 0.0, 18, False),
+]
+
+
+def test_bounds_and_budget_rows_are_unchanged_on_the_distances_pairs():
+    pairs = distances_pairs(1)
+    assert [bounds_row(mgp_bounds(a, b))[:6] for a, b in pairs] == DISTANCES_1_BOUNDS
+    assert [bounds_row(mgp_exact(a, b, budget=40))[:6] for a, b in pairs] == DISTANCES_1_EXACT_40
 
 
 def test_bounds_unchanged_by_the_unchecked_route(monkeypatch):

@@ -14,11 +14,10 @@ from mmmspace import (
     strassen_check,
 )
 from mmmspace.prohorov import (
-    FLOW_SCALE, _cut_excluded_mass, _integer_masses, _line_flow_mass, _max_flow_mass,
-    _prohorov_search,
+    FLOW_SCALE, _integer_masses, _line_flow_mass, _masks, _max_flow_mass, _prohorov_search,
 )
 
-from _oracles import prohorov_lp_scan_oracle, prohorov_subset_oracle
+from _oracles import max_flow_mass_oracle, prohorov_lp_scan_oracle, prohorov_subset_oracle
 from conftest import dyadic_weights, nan_cloud, random_points_metric
 
 
@@ -167,19 +166,62 @@ def test_matches_lp_breakpoint_scan():
 # --- flow oracles and the incumbent test ----------------------------------
 
 
+def triples(flow):
+    """The rows, columns and amounts of a sparse flow's triples as arrays."""
+    return np.array(flow, dtype=np.int64).reshape(-1, 3).T
+
+
+def check_sparse_flow(flow, mass, cp, cq, adm):
+    """A sparse flow on distinct admissible pairs in row-major order, within
+    both marginals, carrying positive amounts that sum to ``mass``."""
+    rows, cols, amounts = triples(flow)
+    assert amounts.sum() == mass
+    assert adm[rows, cols].all() and (amounts > 0).all()
+    assert np.all(np.diff(rows * adm.shape[1] + cols) > 0)
+    out, into = np.zeros_like(cp), np.zeros_like(cq)
+    np.add.at(out, rows, amounts)
+    np.add.at(into, cols, amounts)
+    assert (out <= cp).all() and (into <= cq).all()
+
+
+def test_bitmask_kernel_matches_the_edge_list_oracle():
+    """`_max_flow_mass` on row masks routes the oracle's mass, on patterns
+    with masks beyond 64 and 128 bits, zero-mass atoms, empty rows and
+    columns, and every pair admissible."""
+    rng = np.random.default_rng(26)
+    for trial in range(300):
+        wide = trial % 5 == 0
+        kp, kq = (int(k) for k in rng.integers(*((65, 151) if wide else (1, 13)), size=2))
+        adm = rng.random((kp, kq)) < rng.uniform(0.0, 0.5 if wide else 1.0)
+        if trial % 4 == 1:
+            adm[:] = True
+        if trial % 3 == 2:  # an empty row and an empty column
+            adm[rng.integers(kp)] = False
+            adm[:, rng.integers(kq)] = False
+        wp, wq = rng.dirichlet(np.ones(kp)), rng.dirichlet(np.ones(kq))
+        if trial % 2:  # zero-mass atoms and tied masses
+            wp = rng.integers(0, 3, size=kp) + (np.arange(kp) == 0)
+            wq = rng.integers(0, 3, size=kq) + (np.arange(kq) == 0)
+        cp, cq = _integer_masses(wp), _integer_masses(wq)
+        want, _ = max_flow_mass_oracle(cp, cq, adm)
+        got, flow = _max_flow_mass(cp.tolist(), cq.tolist(), _masks(adm))
+        assert got == want, trial
+        check_sparse_flow(flow, got, cp, cq, adm)
+
+
 def check_line_flow(va, pa, vb, pb):
-    """The line flow against Dinic at every breakpoint of |va - vb|, and both
-    sparse flows against the masses they route; returns how many
-    admissible patterns had an empty row between nonempty rows."""
+    """The line flow against the edge-list oracle at every breakpoint of
+    |va - vb|, and both sparse flows against the masses they route; returns
+    how many admissible patterns had an empty row between nonempty rows."""
     dpq = np.abs(va[:, None] - vb[None, :])
     cp, cq = _integer_masses(pa), _integer_masses(pb)
     gaps = 0
     for t in np.unique(np.concatenate([[0.0], dpq.ravel()])):
         adm = dpq <= t
         got, line = _line_flow_mass(cp, cq, adm)
-        want, dinic = _max_flow_mass(cp, cq, adm)
+        want, dinic = max_flow_mass_oracle(cp, cq, adm)
         assert got == want, t
-        for rows, cols, amounts in (line, dinic):
+        for rows, cols, amounts in map(triples, (line, dinic)):
             assert amounts.sum() == got
             # distinct admissible pairs, each carrying a nonnegative amount
             assert adm[rows, cols].all() and (amounts >= 0).all()
@@ -221,27 +263,26 @@ def test_line_flow_reads_the_rounded_difference():
     shortcut = (vb[None, :] >= va[:, None] - t) & (vb[None, :] <= va[:, None] + t)
     assert adm.all() and not shortcut.any()
     cp = cq = _integer_masses([1.0])
-    assert _line_flow_mass(cp, cq, adm)[0] == _max_flow_mass(cp, cq, adm)[0] == FLOW_SCALE
-    value, _ = _prohorov_search(np.abs(va[:, None] - vb[None, :]), cp, cq,
-                                flow=_line_flow_mass)
+    assert _line_flow_mass(cp, cq, adm)[0] == max_flow_mass_oracle(cp, cq, adm)[0] == FLOW_SCALE
+    value, _ = _prohorov_search(np.abs(va[:, None] - vb[None, :]), cp, cq, line=True)
     assert value == 0.52
 
 
 def test_incumbent_test_matches_the_full_value():
     """Below the bound, the bounded search returns the unbounded value and
     flow, so witness couplings cannot drift; at or above it, None."""
-    def check(dpq, wp, wq, flow, label):
+    def check(dpq, wp, wq, line, label):
         cp, cq = _integer_masses(wp), _integer_masses(wq)
-        value, want = _prohorov_search(dpq, cp, cq, flow=flow)
+        value, want = _prohorov_search(dpq, cp, cq, line=line)
         bounds = [0.0, value, np.nextafter(value, 2.0), np.nextafter(value, -1.0),
                   1.0, 1.5, math.inf, *np.unique(dpq).tolist()]
         for bound in bounds:
-            got = _prohorov_search(dpq, cp, cq, bound, flow=flow)
+            got = _prohorov_search(dpq, cp, cq, bound, line=line)
             if value >= bound:
                 assert got is None, (label, bound)
             else:
                 assert got is not None and got[0] == value, (label, bound)
-                assert all(np.array_equal(x, y) for x, y in zip(got[1], want)), (label, bound)
+                assert got[1] == want, (label, bound)
 
     rng = np.random.default_rng(73)
     for trial in range(60):
@@ -249,21 +290,20 @@ def test_incumbent_test_matches_the_full_value():
         dpq = metric[np.ix_(p.atoms, q.atoms)]
         if trial % 4 == 0:  # many tied distances
             dpq = np.round(dpq, 1)
-        check(dpq, p.probs, q.probs, _max_flow_mass, trial)
+        check(dpq, p.probs, q.probs, False, trial)
     for trial in range(30):  # laws on the line, on both oracles
         ka, kb = (int(k) for k in rng.integers(1, 8, size=2))
         va = np.sort(0.1 * rng.integers(0, 8, size=ka))
         vb = np.sort(0.1 * rng.integers(0, 8, size=kb))
         dpq = np.abs(va[:, None] - vb[None, :])
         pa, pb = rng.dirichlet(np.ones(ka)), rng.dirichlet(np.ones(kb))
-        for flow in (_line_flow_mass, _max_flow_mass):
-            check(dpq, pa, pb, flow, (trial, flow.__name__))
+        for line in (True, False):
+            check(dpq, pa, pb, line, (trial, line))
 
 
-def test_cut_never_exceeds_the_flow():
-    """At every breakpoint the cut's excluded mass is at most Dinic's, and
-    the search returns Dinic's flow at the largest breakpoint <= its value,
-    the flow of the search without the cut."""
+def test_search_returns_the_flow_at_its_value():
+    """The search returns the kernel's flow at the largest breakpoint <= its
+    value, whose mass the edge-list oracle routes too."""
     rng = np.random.default_rng(97)
     for trial in range(80):
         metric, p, q = random_instance(rng, max_support=6)
@@ -278,31 +318,12 @@ def test_cut_never_exceeds_the_flow():
                     w /= w.sum()
         cp, cq = _integer_masses(wp), _integer_masses(wq)
         ts = np.unique(np.concatenate([[0.0], dpq.ravel()]))
-        for t in ts:
-            adm = dpq <= t
-            mass, _ = _max_flow_mass(cp, cq, adm)
-            assert _cut_excluded_mass(cp, cq, adm) <= max(0.0, 1.0 - mass / FLOW_SCALE), \
-                (trial, t)
         value, flow = _prohorov_search(dpq, cp, cq)
-        _, want = _max_flow_mass(cp, cq, dpq <= ts[ts <= value].max())
-        assert all(np.array_equal(x, y) for x, y in zip(flow, want)), trial
-
-
-def test_cut_settles_an_incumbent_test_without_a_flow():
-    # at t = 0.1 only the pair (0, 0) is admissible, so at most 1/2 of the
-    # mass routes and the cut alone shows g(0.1) >= 1/2 >= the bound
-    flows = []
-
-    def counted(cp, cq, adm):
-        flows.append(adm)
-        return _max_flow_mass(cp, cq, adm)
-
-    dpq = np.array([[0.1, 3.0], [3.0, 3.0]])
-    half = _integer_masses([0.5, 0.5])
-    assert _prohorov_search(dpq, half, half, 0.3, flow=counted) is None
-    assert flows == []
-    value, _ = _prohorov_search(dpq, half, half, flow=counted)
-    assert value == 0.5 and flows
+        adm = dpq <= ts[ts <= value].max()
+        mass, want = _max_flow_mass(cp.tolist(), cq.tolist(), _masks(adm))
+        assert flow == want, trial
+        assert mass == max_flow_mass_oracle(cp, cq, adm)[0], trial
+        check_sparse_flow(flow, mass, cp, cq, adm)
 
 
 # --- strassen_check -------------------------------------------------------
@@ -325,6 +346,18 @@ def test_strassen_trivial_cases():
     assert strassen_check(metric, p, q, 0.5)
     assert not strassen_check(metric, p, q, 0.25)
     assert strassen_check(metric, p, p, 0.0)
+
+
+def test_strassen_rejects_a_nan_eps():
+    # every comparison with NaN is False, so the subset test used to pass
+    # although the distance of these point masses is 1
+    metric = np.array([[0.0, 1.0], [1.0, 0.0]])
+    p, q = measure([0], [1.0]), measure([1], [1.0])
+    assert prohorov_exact(metric, p, q)[0] == 1.0
+    with pytest.raises(ParameterError, match="NaN"):
+        strassen_check(metric, p, q, math.nan)
+    assert strassen_check(metric, p, q, math.inf)
+    assert not strassen_check(metric, p, q, 0.5)
 
 
 def test_strassen_refuses_large_supports():
