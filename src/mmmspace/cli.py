@@ -193,10 +193,12 @@ def _cmd_prohorov(args):
 
 
 def _cmd_dist(args):
+    if args.budget is not None and not args.exact:
+        raise ParameterError("--budget applies only with --exact")
     a = load_space(args.a)
     b = load_space(args.b)
     if args.exact:
-        result = mgp_exact(a, b, budget=args.budget)
+        result = mgp_exact(a, b, budget=SCAN_BUDGET if args.budget is None else args.budget)
     else:
         result = mgp_bounds(a, b)
     payload = {
@@ -360,8 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--exact", action="store_true", help="exact value by the relation scan "
                    f"(at most {EXACT_PAIR_BOUND} pairs of mark distance below 1)")
-    p.add_argument("--budget", type=int, default=SCAN_BUDGET,
-                   help="search nodes the --exact scan may visit; past them it gives a bracket")
+    p.add_argument("--budget", type=int, help="search nodes the --exact scan may visit "
+                   f"(default {SCAN_BUDGET}); past them it gives a bracket; --exact only")
     p.add_argument("--out")
     add_seed(p, help="no effect on dist; accepted so that older manifests replay")
     p.set_defaults(func=_cmd_dist)

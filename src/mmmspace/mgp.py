@@ -12,8 +12,8 @@ Lower bounds come from projections to the mark marginal and the
 pair-distance law.  The distance itself is a finite minimum over
 relations between the pairs of mark distance below 1 (see `mgp_exact`),
 and `mgp_exact`, `mgp_bounds` and `mgp_upper` all read it off one scan
-of those relations (`_mgp`) up to EXACT_PAIR_BOUND or BOUNDS_PAIR_BOUND
-such pairs, past which `mgp_bounds` falls back on heuristic gluings.
+of those relations (`_mgp`), past whose pair cap or node budget
+`mgp_bounds` falls back on heuristic gluings.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
 
 GLUE_TOL = 1e-10
 EXACT_PAIR_BOUND = 1500
-BOUNDS_PAIR_BOUND = 40
 SCAN_BUDGET = 5000
 
 # ---------------------------------------------------------------------------
@@ -473,16 +472,16 @@ def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False)
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
     off = a.mark_space.cross_distances(a.marks, b.marks)
-    size, cap = int(np.count_nonzero(off < 1.0)), EXACT_PAIR_BOUND if exact else BOUNDS_PAIR_BOUND
-    if exact and size > cap:  # before mgp_lower, whose laws grow as n^2
-        raise TooLargeError(f"the relation scan is limited to {cap} pairs of "
+    size = int(np.count_nonzero(off < 1.0))
+    if exact and size > EXACT_PAIR_BOUND:  # before mgp_lower, whose laws grow as n^2
+        raise TooLargeError(f"the relation scan is limited to {EXACT_PAIR_BOUND} pairs of "
                             f"mark distance below 1; this pair has {size}")
     floor = _mgp_lower(a, b)  # checks the weights
     ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
     cross, value, flow, nodes, stopped_at = None, math.inf, None, None, None
-    if size <= cap:
+    if size <= EXACT_PAIR_BOUND:
         cross, value, flow, nodes, stopped_at = _relation_scan(a, b, off, ca, cb, floor, budget)
-    if size > cap or stopped_at is not None:
+    if nodes is None or stopped_at is not None:
         support = _greedy_coupling_pairs(_profile_cost(a, b), a.weights, b.weights)
         for pairs in (support, *_pruned(a, b, support)):
             c = _correspondence_cross(a, b, pairs)[0]
@@ -537,16 +536,15 @@ def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = SCAN_BUDGET) -
 def mgp_bounds(a: FiniteMmmSpace, b: FiniteMmmSpace) -> MgpResult:
     """Lower and upper bound on the marked Gromov-Prohorov distance.
 
-    ``lower`` is `mgp_lower`, clamped to ``upper``.  With at most
-    BOUNDS_PAIR_BOUND (40) pairs of mark distance below 1, ``upper`` comes
-    from the scan of `mgp_exact` at SCAN_BUDGET (5000) search nodes; when
-    it finishes, ``upper`` is the distance, ``exact`` too, and slack 0.
-    Beyond the cap, or past the budget, ``exact`` and ``slack`` are None
-    and ``upper`` is the best of the scan's relation and the gluings of the
-    greedy coupling support of a profile cost and its prune chain
-    (`_pruned`), first strict minimum.  The witness passes `glue`.  NaN/inf
-    entries and a nonpositive total weight raise ParameterError, weights
-    that do not sum to 1 MarginalError.
+    ``lower`` is `mgp_lower`, clamped to ``upper``.  ``upper`` comes from
+    the scan of `mgp_exact` at SCAN_BUDGET (5000) search nodes; when it
+    finishes, ``upper`` is the distance, ``exact`` too, and slack 0.  When
+    it stops, or above EXACT_PAIR_BOUND pairs where none runs, ``exact`` and
+    ``slack`` are None and ``upper`` is the best of the scan's relation and
+    the gluings of the greedy coupling support of a profile cost and its
+    prune chain (`_pruned`), first strict minimum.  The witness passes
+    `glue`.  NaN/inf entries and a nonpositive total weight raise
+    ParameterError, weights that do not sum to 1 MarginalError.
     """
     return _mgp(a, b, SCAN_BUDGET)
 

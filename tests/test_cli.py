@@ -308,6 +308,16 @@ def test_dist_exact_rejects_a_negative_budget(capsys, ab_space, ab2_space, tmp_p
                                   "detail": "budget must be a nonnegative integer, not -5"}
 
 
+def test_dist_rejects_a_budget_without_exact(capsys, ab_space, ab2_space, tmp_path):
+    out = tmp_path / "bounds.json"
+    for budget in (-5, 3):
+        code, stdout, stderr = run_cli(capsys, "dist", "--a", ab_space, "--b", ab2_space,
+                                       "--budget", budget, "--out", out)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert json.loads(stderr) == {"error": "bad-parameter",
+                                      "detail": "--budget applies only with --exact"}
+
+
 def test_dist_output_does_not_depend_on_the_seed(capsys, tmp_path):
     # --seed stays parseable for old manifests but reaches no MGP bound; on
     # this pair, bounds drawn from random candidates differ between seeds

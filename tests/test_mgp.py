@@ -351,17 +351,16 @@ def test_upper_prunes_candidates_like_the_full_loop(monkeypatch):
                kingman(CoalescentConfig(leaves=8, theta=1.0, seed=k + 30)))
               for k in range(3)]
     for a, b in pairs:
-        # within the pair cap: the scan's witness, at the exact value
-        assert scanned_by_bounds(a, b)
+        # the scan finishes: its witness, at the exact value
         value, cross = mgp_upper(a, b)
         res = mgp_exact(a, b)
         assert res.slack == 0.0 and value == res.exact
         assert cross.tobytes() == res.witness_cross.tobytes()
         assert abs(value - mgp_level_oracle(a, b)) <= 1e-9
-    # the fallback chain, pruned against its incumbent (a cap of -1 sends
-    # even a pair with no pair of mark distance below 1 there)
-    monkeypatch.setattr(mmmspace.mgp, "BOUNDS_PAIR_BOUND", -1)
-    for a, b in pairs:
+    # the fallback chain, pruned against its incumbent, behind a scan that
+    # a budget of 0 stops at its first level
+    monkeypatch.setattr(mmmspace.mgp, "SCAN_BUDGET", 0)
+    for a, b in stoppable(pairs):
         value, cross = mgp_upper(a, b)
         want, want_cross = mgp_fallback_oracle(a, b)
         assert value == want
@@ -393,10 +392,24 @@ def test_pruned_relations_bound_two_large_trees():
     glue(a, b, cross)
 
 
-def scanned_by_bounds(a, b):
-    """Whether `mgp_bounds` runs the relation scan on the pair."""
-    off = a.mark_space.cross_distances(a.marks, b.marks)
-    return np.count_nonzero(off < 1.0) <= mmmspace.mgp.BOUNDS_PAIR_BOUND
+def z_size(a, b):
+    """The number of pairs of mark distance below 1, the scan's Z."""
+    return int(np.count_nonzero(a.mark_space.cross_distances(a.marks, b.marks) < 1.0))
+
+
+def stoppable(pairs):
+    """The pairs whose scan a budget of 0 stops: those with a pair of mark
+    distance below 1.  Without one there is no level below 1, so the scan
+    ends at once with the all-pairs gluing and no budget sends the pair to
+    the fallback."""
+    kept = []
+    for a, b in pairs:
+        if z_size(a, b):
+            kept.append((a, b))
+        else:
+            res = mgp_bounds(a, b)
+            assert (res.upper, res.nodes, res.budget_exhausted) == (1.0, 0, False)
+    return kept
 
 
 def assert_witness_certifies(a, b, res):
@@ -759,10 +772,12 @@ def test_bounds_check_the_inputs_once(monkeypatch):
 
 # (lower, upper, exact, slack, nodes, budget_exhausted) of mgp_bounds and of
 # mgp_exact(budget=40) on distances_pairs(1), recorded before the max-flow
-# kernel moved from edge lists to row bitmasks; only witness flows may move
+# kernel moved from edge lists to row bitmasks; only witness flows may move.
+# Row 1 (47 pairs in Z) is the scan's, which mgp_bounds runs up to
+# EXACT_PAIR_BOUND pairs
 DISTANCES_1_BOUNDS = [
     (0.9, 0.9, 0.9, 0.0, 7, False),
-    (0.4, 0.5, None, None, None, None),
+    (0.4, 0.5, 0.5, 0.0, 48, False),
     (0.30000000000000004, 0.5, 0.5, 0.0, 115, False),
     (0.4, 0.6, 0.6, 0.0, 27, False),
     (0.583333333333, 0.750000000001, 0.750000000001, 0.0, 12, False),
@@ -1038,16 +1053,15 @@ def test_bounds_match_the_full_loop(monkeypatch):
         return GluedSpace(left=a, right=b, cross=cross).prohorov()[1].tobytes()
 
     for a, b in pairs:
-        # within the pair cap the scan finishes: upper is the value
-        assert scanned_by_bounds(a, b)
+        # the scan finishes: upper is the value
         res = mgp_bounds(a, b)
         assert res.lower == min(mgp_lower(a, b), res.upper)
         assert res.upper == res.exact and res.budget_exhausted is False
         assert abs(res.upper - mgp_level_oracle(a, b)) <= 1e-9
         assert_witness_certifies(a, b, res)
-    # beyond the cap (every pair, at -1): the fallback chain
-    monkeypatch.setattr(mmmspace.mgp, "BOUNDS_PAIR_BOUND", -1)
-    for a, b in pairs:
+    # past the budget (every stoppable pair, at 0): the fallback chain
+    monkeypatch.setattr(mmmspace.mgp, "SCAN_BUDGET", 0)
+    for a, b in stoppable(pairs):
         res = mgp_bounds(a, b)
         want, want_cross = mgp_fallback_oracle(a, b)
         assert (res.lower, res.upper) == (min(mgp_lower(a, b), want), want)
@@ -1056,23 +1070,68 @@ def test_bounds_match_the_full_loop(monkeypatch):
 
 
 def test_bounds_leave_exact_unset_beyond_the_pair_cap_or_the_budget(monkeypatch):
-    # 81 pairs of equal marks, above the cap of mgp_bounds: it takes the
-    # fallback, while mgp_exact scans them
-    a = euclidean_cloud(9, 2, "constant", seed=10)
-    b = euclidean_cloud(9, 2, "constant", seed=20)
+    # 1521 pairs of equal marks, above the cap of the level matrix: no scan
+    # runs and mgp_bounds takes the fallback
+    a = euclidean_cloud(39, 2, "constant", seed=10)
+    b = euclidean_cloud(39, 2, "constant", seed=20)
     res = mgp_bounds(a, b)
     assert (res.exact, res.slack, res.nodes, res.budget_exhausted) == (None, None, None, None)
     want, want_cross = mgp_fallback_oracle(a, b)
     assert (res.lower, res.upper) == (mgp_lower(a, b), want)
     assert res.witness_cross.tobytes() == want_cross.tobytes()
-    assert res.upper >= mgp_exact(a, b).exact
-    # within the cap, a budget that stops the scan leaves no value either
-    a, b = euclidean_cloud(8, 2, seed=1), euclidean_cloud(8, 2, seed=2)
-    assert scanned_by_bounds(a, b)
+    # 81 pairs: the scan finishes at the default budget (1465 nodes), and
+    # one that a budget of 0 stops leaves no value
+    a = euclidean_cloud(9, 2, "constant", seed=10)
+    b = euclidean_cloud(9, 2, "constant", seed=20)
     monkeypatch.setattr(mmmspace.mgp, "SCAN_BUDGET", 0)
     res = mgp_bounds(a, b)
     assert (res.exact, res.slack, res.nodes, res.budget_exhausted) == (None, None, 0, True)
+    want, want_cross = mgp_fallback_oracle(a, b)
+    assert (res.lower, res.upper) == (mgp_lower(a, b), want)
+    assert res.witness_cross.tobytes() == want_cross.tobytes()
+    assert res.upper >= mgp_exact(a, b).exact
+    a, b = euclidean_cloud(8, 2, seed=1), euclidean_cloud(8, 2, seed=2)
+    res = mgp_bounds(a, b)
+    assert (res.exact, res.slack, res.nodes, res.budget_exhausted) == (None, None, 0, True)
     assert (res.lower, res.upper) == (mgp_lower(a, b), mgp_fallback_oracle(a, b)[0])
+
+
+def test_bounds_scan_every_pair_set_that_exact_accepts():
+    # 58 and 81 pairs of equal marks, cheap scans (61 and 1465 nodes) where
+    # the fallback alone gives 0.6518 and 0.3355
+    a = kingman(CoalescentConfig(leaves=14, theta=1.0, seed=1))
+    b = kingman(CoalescentConfig(leaves=16, theta=1.0, seed=51))
+    c = euclidean_cloud(9, 2, "constant", seed=10)
+    d = euclidean_cloud(9, 2, "constant", seed=20)
+    for (a, b), value in (((a, b), 0.589285714286), ((c, d), 0.222222222223)):
+        assert z_size(a, b) > 40
+        res = mgp_bounds(a, b)
+        assert res.exact == res.upper == mgp_exact(a, b).exact
+        assert res.exact == pytest.approx(value, abs=1e-12)
+        assert res.slack == 0.0 and res.budget_exhausted is False
+    # more pairs in Z: the scan's upper bound never exceeds the fallback's
+    # (45 to 138 pairs; the budget stops the scan on three of them)
+    pairs = [(kingman(CoalescentConfig(leaves=n, theta=1.0, seed=seed)),
+              kingman(CoalescentConfig(leaves=n + 2, theta=1.0, seed=seed + 50)))
+             for n, seed in ((14, 14), (16, 16), (19, 20))]
+    pairs += [(euclidean_cloud(n, 2, marks, seed=n), euclidean_cloud(n, 2, marks, seed=n + 1))
+              for n, marks in ((10, "constant"), (12, "sign"), (16, "sign"))]
+    for a, b in pairs:
+        assert 40 < z_size(a, b) <= 200
+        res = mgp_bounds(a, b)
+        assert res.upper <= mgp_fallback_oracle(a, b)[0]
+        glue(a, b, res.witness_cross)
+
+
+def test_a_stopped_scan_still_falls_back():
+    # 144 pairs of equal marks whose scan the default budget cannot finish
+    a = euclidean_cloud(12, 2, "constant", seed=1)
+    b = euclidean_cloud(12, 2, "constant", seed=2)
+    res = mgp_bounds(a, b)
+    assert res.budget_exhausted is True and res.nodes == mmmspace.mgp.SCAN_BUDGET
+    assert res.exact is None and res.slack is None
+    assert res.upper <= mgp_fallback_oracle(a, b)[0]
+    glue(a, b, res.witness_cross)
 
 
 def test_result_validation():
