@@ -30,8 +30,8 @@ from .core import (
 from .dmat import _mark_marginal, _pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
 from .prohorov import (
-    FLOW_SCALE, _bits, _check_probs, _coupling, _integer_masses, _masks, _max_flow_mass,
-    _prohorov_search, _require_finite_entries,
+    FLOW_SCALE, _bits, _check_probs, _coupling, _integer_masses, _line_prohorov, _masks,
+    _max_flow_mass, _prohorov_search, _require_finite_entries,
 )
 
 __all__ = [
@@ -54,10 +54,10 @@ SCAN_BUDGET = 5000
 # gluings
 # ---------------------------------------------------------------------------
 
-def _triangle_excess(m: np.ndarray, tol: float):
-    """Worst triangle violation of a finite matrix above ``tol``: (excess,
-    (i, j, k)), the first maximum of m(i, k) - m(i, j) - m(j, k) in C
-    order over all triples, or None when no triple exceeds ``tol``.
+def _check_triangles(m: np.ndarray, tol: float, what: str) -> None:
+    """GluingError, its message led by ``what``, naming the worst triangle
+    violation of a finite matrix above ``tol``: the first maximum of
+    m(i, k) - m(i, j) - m(j, k) in C order over all triples.
 
     One min-plus pass (`core._triangle_rows`) clears the rows that provably
     hold no excess above ``tol``; only the others get exact excesses,
@@ -70,7 +70,9 @@ def _triangle_excess(m: np.ndarray, tol: float):
         if excess.flat[flat] > best:
             a, j, k = np.unravel_index(flat, excess.shape)
             best, worst = float(excess.flat[flat]), (int(idx[a]), int(j), int(k))
-    return None if worst is None else (best, worst)
+    if worst is not None:
+        raise GluingError(f"{what} violates the triangle inequality at {worst} by {best:g}",
+                          indices=worst, excess=best)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +131,7 @@ def glue(
     satisfy every triangle inequality within ``tol`` and have nonnegative
     cross entries; violations raise GluingError naming the worst triple
     (the first maximum excess in C order over all triples).  The triangle
-    check (`_triangle_excess`) is one min-plus pass over the glued matrix,
+    check (`_check_triangles`) is one min-plus pass over the glued matrix,
     about (N1+N2)^3 adds and as many mins, then exact excesses only for the
     rows that pass cannot clear, which are every row with an excess above
     ``tol``; it holds O((N1+N2)^2) memory.
@@ -145,14 +147,7 @@ def glue(
             f"negative cross entry at {ij}", indices=ij, excess=float(-cross[ij])
         )
     g = GluedSpace(left=a, right=b, cross=np.maximum(cross, 0.0))
-    worst = _triangle_excess(_require_finite_entries(g.z_metric(), "glued metric"), tol)
-    if worst is not None:
-        excess, idx = worst
-        raise GluingError(
-            f"gluing violates the triangle inequality at {idx} by {excess:g}",
-            indices=idx,
-            excess=excess,
-        )
+    _check_triangles(_require_finite_entries(g.z_metric(), "glued metric"), tol, "gluing")
     return g
 
 
@@ -181,14 +176,7 @@ def glue_three(g12: GluedSpace, g23: GluedSpace, tol: float = GLUE_TOL) -> np.nd
         [c12.T, mid_a.distances, c23],
         [c13.T, c23.T, g23.right.distances],
     ])
-    worst = _triangle_excess(_require_finite_entries(z, "glued metric"), tol)
-    if worst is not None:
-        excess, idx = worst
-        raise GluingError(
-            f"three-space gluing violates the triangle inequality at {idx}",
-            indices=idx,
-            excess=excess,
-        )
+    _check_triangles(_require_finite_entries(z, "glued metric"), tol, "three-space gluing")
     return z
 
 
@@ -297,15 +285,11 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
     distance changes by at most the sum of two product-metric moves).
     Returns the best (max) of the selected bounds.
 
-    Each order hands the Prohorov solver the Ka x Kb matrix of distances
-    between the Ka distinct values of one law and the Kb of the other.
-    Order 1 has at most one atom per mark and runs `_max_flow_mass`.
-    Order 2 compares two laws on the real line with increasing atoms, so
-    every threshold's admissible pairs form intervals and the greedy line
-    flow solves it in O(Ka + Kb) Python steps after O(Ka Kb) numpy passes
-    over the matrix; with Ka, Kb up to about N1^2 / 2 and N2^2 / 2 the
-    matrix and its sort bound time and memory.  The value equals that of
-    `_max_flow_mass` bit for bit.  The weights of each space must be a
+    Order 1 hands the Prohorov search the matrix of mark distances between
+    the two marginals' atoms.  Order 2 compares two laws on the real line
+    with Ka and Kb distinct values, up to about N1^2 / 2 and N2^2 / 2, and
+    goes to `_line_prohorov`: O(Ka + Kb) memory and Python steps per probe,
+    with no Ka x Kb matrix.  The weights of each space must be a
     probability vector (MarginalError naming the space otherwise).
     """
     if a.mark_space != b.mark_space:
@@ -330,9 +314,7 @@ def _mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
     if 2 in orders:
         va, pa = _pair_distance_law(a)
         vb, pb = _pair_distance_law(b)
-        cross = np.abs(va[:, None] - vb[None, :])
-        masses = _integer_masses(pa), _integer_masses(pb)
-        bounds.append(0.5 * _prohorov_search(cross, *masses, line=True)[0])
+        bounds.append(0.5 * _line_prohorov(va, vb, _integer_masses(pa), _integer_masses(pb)))
     return float(max(bounds))
 
 
@@ -383,15 +365,19 @@ def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
     """
     zi, zj = np.nonzero(off < 1.0)
     m = off[zi, zj]
-    lev = a.distances[np.ix_(zi, zi)] - b.distances[np.ix_(zj, zj)]
-    lev = (np.abs(lev, out=lev) + m[:, None] + m[None, :]) / 2.0
-    lev = np.maximum(np.maximum(lev, lev.T), np.maximum.outer(m, m))
-    iu, ju = np.triu_indices(len(lev))
+    lev = a.distances[np.ix_(zi, zi)]  # in place: at most two |Z|^2 arrays alive
+    lev -= b.distances[np.ix_(zj, zj)]
+    np.abs(lev, out=lev)
+    lev += m[:, None]
+    lev += m[None, :]
+    lev /= 2.0
+    np.maximum(np.maximum(lev, lev.T, out=lev), np.maximum.outer(m, m), out=lev)
+    iu, ju = (k.astype(np.int32) for k in np.triu_indices(len(lev)))
     order = np.argsort(lev[iu, ju], kind="stable")
     iu, ju = iu[order], ju[order]
-    vals = lev[iu, ju]
-    first = np.flatnonzero(np.diff(vals, prepend=-np.inf))  # where each level starts
-    levels, first = vals[first], np.append(first, len(vals)).tolist()
+    levels = lev[iu, ju]
+    first = np.flatnonzero(np.diff(levels, prepend=-np.inf))  # where each level starts
+    levels, first = levels[first], np.append(first, len(levels))
     k0 = max(0, int(np.searchsorted(levels, floor - 1e-9)) - 1)
     cp, cq = ca.tolist(), cb.tolist()
     row_pairs = _masks(zi == np.arange(len(ca))[:, None])  # the pairs of each atom

@@ -18,12 +18,11 @@ g(t_k) - t_{k+1} is strictly decreasing.
 
 Every value comes from one search, `_prohorov_search`, which also takes an
 incumbent bound and returns None, after at most one flow, when the
-distance is not below it.  Two flow oracles route the same integer mass
-as a sparse flow: `_max_flow_mass` (Dinic's algorithm on Python-int row
-masks, so no graph is built) serves every admissible pattern,
-`_line_flow_mass` (a greedy pass) patterns whose rows are intervals with
-nondecreasing ends, as for two laws on the real line with sorted atoms.
-`_coupling` builds a dense witness coupling from a flow.
+distance is not below it.  Its flows come from `_max_flow_mass` (Dinic's
+algorithm on Python-int row masks, so no graph is built), and `_coupling`
+builds a dense witness coupling from one.  Two laws on the real line need
+no cross matrix: `_line_prohorov` gives the same value from their sorted
+atoms.
 """
 
 from __future__ import annotations
@@ -182,44 +181,69 @@ def _max_flow_mass(cp: list, cq: list, masks: list):
     return total, [(i, j, move) for i, row in enumerate(flow) for j, move in sorted(row.items())]
 
 
-def _line_flow_mass(cp, cq, admissible: np.ndarray):
-    """`_max_flow_mass` on a dense pattern whose rows are intervals.
+def _line_prohorov(va, vb, cp, cq) -> float:
+    """The value of `_prohorov_search` on abs(va[:, None] - vb[None, :]), bit
+    for bit, without the matrix: ``va`` and ``vb`` are the nondecreasing
+    atoms of two laws on the line, ``cp`` and ``cq`` their `_integer_masses`.
 
-    Requires every nonempty row i to be one run of columns [s_i, e_i] with
-    s_i and e_i nondecreasing in i; rows with no admissible column may sit
-    anywhere.  Two laws on the real line with increasing atoms va, vb have
-    this pattern under abs(va[i] - vb[j]) <= t, since the rounded
-    difference is monotone in each argument.
+    Rounded subtraction is monotone, so at a threshold t row i's admissible
+    columns {j : fl|va_i - vb_j| <= t} are [s_i, e_i), s_i counting the j
+    with fl(va_i - vb_j) > t and e_i those with fl(vb_j - va_i) <= t, both
+    nondecreasing in i.  A probe finds them by two pointers and routes the
+    greedy line flow, rows in order, each filling its columns left to
+    right.  Column j serves exactly the later rows with s_i' <= j, a set
+    growing with j, so later rows keep a residual that dominates any other
+    choice and the flow is maximal: g(t) is the search's excluded mass at
+    the largest breakpoint t_a <= t.  The pass also finds t_a and the least
+    breakpoint above t, among the run ends and their outer neighbours.
 
-    Greedy: rows in order, each filling its columns left to right.  A
-    column j is usable by exactly the later rows with s_i' <= j, a set
-    that grows with j, so filling left columns first keeps for later rows
-    a residual that dominates any other choice, and columns left of the
-    current row's start are useless to every later row.  The flow is
-    therefore maximal, and as an integer it equals Dinic's.
-
-    Returns (flow mass as int, sparse flow as (row, col, amount) triples
-    in row-major order); the flow may differ from Dinic's, the mass does
-    not.
+    g is nonincreasing and at most 1.  Bisection on the bit patterns of the
+    doubles in [0, 1] finds the least t+ with g(t+) <= t+: a failing probe
+    t shows that every t' < min(next breakpoint, g(t)) fails, and a passing
+    one that max(t_a, g(t)) <= t passes.  And t+ = min_k max(t_k, g(t_k)):
+    a breakpoint t_k < t+ fails, so g(t_k) > t_k, g(g(t_k)) <= g(t_k), and
+    g(t_k) >= t+ lest it pass.  For t_a, g(t_a) = g(t+) <= t+, and if t_a <
+    t+ the double below t+ fails, so g(t_a), above it, is t+.
     """
-    width = admissible.sum(axis=1)
-    rows = np.flatnonzero(width)
-    first = admissible.argmax(axis=1)[rows]
-    last = first + width[rows] - 1
-    room = cq.tolist()
-    moves: list[tuple[int, int, int]] = []
-    j = 0
-    for i, supply, start, end in zip(rows.tolist(), cp[rows].tolist(),
-                                     first.tolist(), last.tolist()):
-        j = max(j, start)
-        while supply > 0 and j <= end:
-            move = min(supply, room[j])
-            moves.append((i, j, move))
-            supply -= move
-            room[j] -= move
-            if room[j] == 0:
-                j += 1
-    return sum(move for _, _, move in moves), moves
+    # columns 1..Kb, between sentinels at -inf and inf that no run reaches;
+    # before[k] is the mass of the columns before column k
+    va, cp = va.tolist(), cp.tolist()
+    vb, before = [-math.inf, *vb.tolist(), math.inf], [0, 0, *np.cumsum(cq).tolist()]
+
+    def probe(t):  # (g(t), t_a, least breakpoint above t)
+        s = e = 1
+        total = used = 0  # used: the column mass the greedy has filled or passed
+        below, above = 0.0, math.inf
+        for x, supply in zip(va, cp):
+            while x - vb[s] > t:
+                s += 1
+            while vb[e] - x <= t:
+                e += 1
+            if x - vb[s - 1] < above:  # the outer neighbours of the run [s, e)
+                above = x - vb[s - 1]
+            if vb[e] - x < above:
+                above = vb[e] - x
+            if s == e:
+                continue
+            if x - vb[s] > below:  # the run's ends, one of which is its largest |x - vb|
+                below = x - vb[s]
+            if vb[e - 1] - x > below:
+                below = vb[e - 1] - x
+            if used < before[s]:
+                used = before[s]
+            move = before[e] - used
+            if move > supply:
+                move = supply
+            used, total = used + move, total + move
+        return max(0.0, 1.0 - total / FLOW_SCALE), below, above
+
+    lo, hi = 0.0, 1.0  # every t below lo fails, and hi passes
+    while lo < hi:
+        # bit patterns order the nonnegative doubles as their values
+        t = float((np.array([lo, hi]).view(np.int64).sum() // 2).view(np.float64))
+        g, below, above = probe(t)
+        lo, hi = (lo, max(below, g)) if g <= t else (min(above, g), hi)
+    return hi
 
 
 def _integer_masses(w) -> np.ndarray:
@@ -239,7 +263,7 @@ def _integer_masses(w) -> np.ndarray:
     return mass
 
 
-def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf, line: bool = False):
+def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf):
     """Prohorov distance from the cross-distance matrix alone, if below ``bound``.
 
     ``cp`` and ``cq`` are the `_integer_masses` of the two measures, which
@@ -247,8 +271,7 @@ def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf, line: boo
     once.  Returns (value, sparse flow) when the value is below ``bound``
     and None otherwise; ``_coupling(flow, wp, wq)`` is a witness coupling
     for the probabilities wp, wq behind them.  Each probe ``dpq <= t``
-    goes to `_max_flow_mass` as row masks, or, with ``line``, whole to
-    `_line_flow_mass`, which needs every such pattern to have its shape.
+    goes to `_max_flow_mass` as row masks.
 
     Let t_0 = 0 < t_1 < ... be 0 and the distinct cross distances, g(t_k)
     the excluded mass at t_k and f_k = max(t_k, g(t_k)).  The value is f at
@@ -271,9 +294,7 @@ def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf, line: boo
     masses = cp.tolist(), cq.tolist()
 
     def solve(t):
-        admissible = dpq <= t
-        mass, sparse = (_line_flow_mass(cp, cq, admissible) if line
-                        else _max_flow_mass(*masses, _masks(admissible)))
+        mass, sparse = _max_flow_mass(*masses, _masks(dpq <= t))
         return max(0.0, 1.0 - mass / FLOW_SCALE), sparse
 
     # keep only the flow at the current hi, so that at most two flows are
@@ -378,20 +399,13 @@ def strassen_check(
         raise TooLargeError(
             f"subset enumeration is limited to {STRASSEN_BOUND} support atoms"
         )
-    thick_bits = np.zeros(kp, dtype=np.int64)
-    for i in range(kp):
-        bits = 0
-        for j in range(kq):
-            if dpq[i, j] <= eps:
-                bits |= 1 << j
-        thick_bits[i] = bits
+    thick_bits = _masks(dpq <= eps)
 
     qmass = np.zeros(1 << kq)
     for s in range(1, 1 << kq):
         low = s & (-s)
         qmass[s] = qmass[s ^ low] + q.probs[low.bit_length() - 1]
 
-    pa = 0.0
     pmass = np.zeros(1 << kp)
     thick = np.zeros(1 << kp, dtype=np.int64)
     for s in range(1, 1 << kp):

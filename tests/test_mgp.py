@@ -904,6 +904,20 @@ def test_lower_keeps_one_flow_matrix_per_search():
     assert peak < 48 * 2**20
 
 
+def test_order_two_builds_no_cross_matrix():
+    a = euclidean_cloud(100, 2, "sign", seed=1)
+    b = euclidean_cloud(100, 2, "sign", seed=2)
+    assert len(pair_distance_law(a)[0]) == len(pair_distance_law(b)[0]) == 4951
+    tracemalloc.start()
+    try:
+        mgp_lower(a, b, orders=(2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 4951 x 4951 float matrix of the two laws' value gaps alone is 187 MiB
+    assert peak < 32 * 2**20
+
+
 def test_non_finite_spaces_are_rejected():
     good, bad = euclidean_cloud(6, 2, seed=4), nan_cloud()
     calls = (mgp_lower, mgp_upper, mgp_bounds, is_equivalent_exact,

@@ -14,7 +14,7 @@ from mmmspace import (
     strassen_check,
 )
 from mmmspace.prohorov import (
-    FLOW_SCALE, _integer_masses, _line_flow_mass, _masks, _max_flow_mass, _prohorov_search,
+    FLOW_SCALE, _integer_masses, _line_prohorov, _masks, _max_flow_mass, _prohorov_search,
 )
 
 from _oracles import max_flow_mass_oracle, prohorov_lp_scan_oracle, prohorov_subset_oracle
@@ -210,26 +210,18 @@ def test_bitmask_kernel_matches_the_edge_list_oracle():
 
 
 def check_line_flow(va, pa, vb, pb):
-    """The line flow against the edge-list oracle at every breakpoint of
-    |va - vb|, and both sparse flows against the masses they route; returns
-    how many admissible patterns had an empty row between nonempty rows."""
+    """`_line_prohorov` against the Dinic search on the dense abs(va - vb),
+    bit for bit, and Dinic against the edge-list oracle at every breakpoint;
+    returns how many admissible patterns had an empty row between nonempty
+    rows."""
     dpq = np.abs(va[:, None] - vb[None, :])
     cp, cq = _integer_masses(pa), _integer_masses(pb)
+    assert _line_prohorov(va, vb, cp, cq) == _prohorov_search(dpq, cp, cq)[0]
     gaps = 0
     for t in np.unique(np.concatenate([[0.0], dpq.ravel()])):
         adm = dpq <= t
-        got, line = _line_flow_mass(cp, cq, adm)
-        want, dinic = max_flow_mass_oracle(cp, cq, adm)
-        assert got == want, t
-        for rows, cols, amounts in map(triples, (line, dinic)):
-            assert amounts.sum() == got
-            # distinct admissible pairs, each carrying a nonnegative amount
-            assert adm[rows, cols].all() and (amounts >= 0).all()
-            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
-            out, into = np.zeros_like(cp), np.zeros_like(cq)
-            np.add.at(out, rows, amounts)
-            np.add.at(into, cols, amounts)
-            assert (out <= cp).all() and (into <= cq).all()
+        got = _max_flow_mass(cp.tolist(), cq.tolist(), _masks(adm))[0]
+        assert got == max_flow_mass_oracle(cp, cq, adm)[0], t
         full = np.flatnonzero(adm.any(axis=1))
         gaps += int(len(full) and not adm[full[0]:full[-1] + 1].any(axis=1).all())
     return gaps
@@ -253,36 +245,43 @@ def test_line_flow_matches_dinic_on_sorted_laws():
     va, vb = np.array([0.0, 5.0, 10.0]), np.array([0.0, 10.0])
     assert check_line_flow(va, [0.25, 0.5, 0.25], vb, [0.5, 0.5]) > 0
     assert gaps > 0
+    for trial in range(60):  # zero-mass atoms, and laws of up to 60 atoms
+        ka, kb = (int(k) for k in rng.integers(2, 61 if trial % 3 == 0 else 9, size=2))
+        va = np.sort(np.round(rng.uniform(0.0, 1.0, size=ka), 2))
+        vb = np.sort(np.round(rng.uniform(0.0, 1.0, size=kb), 2))
+        pa, pb = rng.integers(0, 3, size=ka) + 0.0, rng.integers(0, 3, size=kb) + 0.0
+        pa[0] = pb[-1] = 1.0
+        check_line_flow(va, pa / pa.sum(), vb, pb / pb.sum())
 
 
 def test_line_flow_reads_the_rounded_difference():
     # fl(0.55 - 0.03) <= 0.52 holds, but the shortcut 0.03 >= fl(0.55 - 0.52)
-    # does not, so an oracle built on it would route nothing at t = 0.52
+    # does not, so a search built on it would route nothing at t = 0.52
     va, vb, t = np.array([0.55]), np.array([0.03]), 0.52
     adm = np.abs(va[:, None] - vb[None, :]) <= t
     shortcut = (vb[None, :] >= va[:, None] - t) & (vb[None, :] <= va[:, None] + t)
     assert adm.all() and not shortcut.any()
     cp = cq = _integer_masses([1.0])
-    assert _line_flow_mass(cp, cq, adm)[0] == max_flow_mass_oracle(cp, cq, adm)[0] == FLOW_SCALE
-    value, _ = _prohorov_search(np.abs(va[:, None] - vb[None, :]), cp, cq, line=True)
-    assert value == 0.52
+    assert _line_prohorov(va, vb, cp, cq) == 0.52
+    assert _prohorov_search(np.abs(va[:, None] - vb[None, :]), cp, cq)[0] == 0.52
 
 
 def test_incumbent_test_matches_the_full_value():
     """Below the bound, the bounded search returns the unbounded value and
     flow, so witness couplings cannot drift; at or above it, None."""
-    def check(dpq, wp, wq, line, label):
+    def check(dpq, wp, wq, label):
         cp, cq = _integer_masses(wp), _integer_masses(wq)
-        value, want = _prohorov_search(dpq, cp, cq, line=line)
+        value, want = _prohorov_search(dpq, cp, cq)
         bounds = [0.0, value, np.nextafter(value, 2.0), np.nextafter(value, -1.0),
                   1.0, 1.5, math.inf, *np.unique(dpq).tolist()]
         for bound in bounds:
-            got = _prohorov_search(dpq, cp, cq, bound, line=line)
+            got = _prohorov_search(dpq, cp, cq, bound)
             if value >= bound:
                 assert got is None, (label, bound)
             else:
                 assert got is not None and got[0] == value, (label, bound)
                 assert got[1] == want, (label, bound)
+        return value
 
     rng = np.random.default_rng(73)
     for trial in range(60):
@@ -290,15 +289,15 @@ def test_incumbent_test_matches_the_full_value():
         dpq = metric[np.ix_(p.atoms, q.atoms)]
         if trial % 4 == 0:  # many tied distances
             dpq = np.round(dpq, 1)
-        check(dpq, p.probs, q.probs, False, trial)
-    for trial in range(30):  # laws on the line, on both oracles
+        check(dpq, p.probs, q.probs, trial)
+    for trial in range(30):  # laws on the line, where the line search reads the same value
         ka, kb = (int(k) for k in rng.integers(1, 8, size=2))
         va = np.sort(0.1 * rng.integers(0, 8, size=ka))
         vb = np.sort(0.1 * rng.integers(0, 8, size=kb))
         dpq = np.abs(va[:, None] - vb[None, :])
         pa, pb = rng.dirichlet(np.ones(ka)), rng.dirichlet(np.ones(kb))
-        for line in (True, False):
-            check(dpq, pa, pb, line, (trial, line))
+        value = check(dpq, pa, pb, ("line", trial))
+        assert _line_prohorov(va, vb, _integer_masses(pa), _integer_masses(pb)) == value
 
 
 def test_search_returns_the_flow_at_its_value():
