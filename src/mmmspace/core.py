@@ -11,6 +11,7 @@ other; `canonicalize` produces the quotient representative and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -149,6 +150,13 @@ class FiniteMmmSpace:
     def n(self) -> int:
         return self.distances.shape[0]
 
+    @functools.cached_property
+    def _first_non_finite(self) -> str | None:
+        """`_find_non_finite` of the space, found on first use and kept: the
+        arrays are read-only (`_frozen_array`) and the marks tuples, as
+        `dmat.DistanceMatrixSample.key` also relies on."""
+        return _find_non_finite(self)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMmmSpace):
             return NotImplemented
@@ -206,26 +214,44 @@ def _non_finite(space: FiniteMmmSpace) -> list:
 
 
 def _weight_total(space: FiniteMmmSpace) -> float:
-    """fsum of the weights; ParameterError unless it is positive."""
+    """fsum of the weights; ParameterError naming the first NaN/inf entry
+    (`_require_finite`) or unless the total is positive."""
+    _require_finite(space)
     total = math.fsum(space.weights.tolist())
     if not total > 0:
         raise ParameterError(f"space {space.label!r}: weights must have positive total")
     return total
 
 
+def _find_non_finite(space: FiniteMmmSpace) -> str | None:
+    """The message naming the first NaN/inf distance in C order, else weight,
+    else Euclidean mark coordinate, or None: one `np.isfinite` pass per
+    array and an argmax, whatever the number of bad entries."""
+    d, w, marks = space.distances, space.weights, space.marks
+    coords = (np.reshape(marks, (space.n, space.mark_space.dim))
+              if space.mark_space.kind == "euclidean" else np.zeros((space.n, 0)))
+    for ok, name in ((np.isfinite(d), lambda i, j: f"d({i},{j}) = {float(d[i, j])!r}"),
+                     (np.isfinite(w), lambda i: f"weight {i} = {float(w[i])!r}"),
+                     (np.isfinite(coords).all(axis=1), lambda i: f"mark {i} = {marks[i]!r}")):
+        if not ok.all():
+            return f"{name(*np.unravel_index(int(ok.argmin()), ok.shape))} is not finite"
+    return None
+
+
 def _require_finite(*spaces: FiniteMmmSpace) -> None:
     """Raise ParameterError naming the first non-finite distance, weight or
-    Euclidean mark coordinate."""
+    Euclidean mark coordinate of the first space that has one; each space
+    is scanned once (`FiniteMmmSpace._first_non_finite`)."""
     for space in spaces:
-        bad = _non_finite(space)
-        if bad:
-            raise ParameterError(f"space {space.label!r}: {bad[0].message}")
-        if space.mark_space.kind == "euclidean":
-            coords = np.reshape(space.marks, (space.n, space.mark_space.dim))
-            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-            if bad.size:
-                raise ParameterError(f"space {space.label!r}: mark {bad[0]} = "
-                                     f"{space.marks[bad[0]]!r} is not finite")
+        if space._first_non_finite is not None:
+            raise ParameterError(f"space {space.label!r}: {space._first_non_finite}")
+
+
+def _require_tol(tol: float) -> None:
+    """ParameterError for a NaN, negative or infinite ``tol``, which would
+    hide or invent violations."""
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 TRIANGLE_BLOCK_ELEMENTS = 1 << 18
@@ -309,6 +335,19 @@ def _triangle_rows(d: np.ndarray, tol: float, relative: bool, upper: bool = Fals
     return every[held]
 
 
+def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min_j a[i, j] + b[j, k], over blocks of j of at most
+    TRIANGLE_BLOCK_ELEMENTS sums (one j at least): the floats of one
+    (i, j, k) stack's min in O(N_i N_k) memory."""
+    n, m = a.shape[0], b.shape[1]
+    step = max(1, TRIANGLE_BLOCK_ELEMENTS // max(1, n * m))
+    out = np.full((n, m), np.inf)
+    for j0 in range(0, a.shape[1], step):
+        sums = a[:, j0: j0 + step, None] + b[None, j0: j0 + step, :]
+        np.minimum(out, sums.min(axis=1), out=out)
+    return out
+
+
 def _triangle_blocks(d: np.ndarray, upper: bool = False, rows=None):
     """Yield ``(idx, excess)`` with ``excess[a, j, k] = d(i, k) - d(i, j) - d(j, k)``
     for i = idx[a], over the rows ``rows`` (default: all), in increasing i.
@@ -359,8 +398,7 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     raised.  A ``tol`` that is NaN, negative or infinite raises
     ParameterError, since it would hide or invent violations.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ParameterError(f"tol must be finite and nonnegative, got {tol!r}")
+    _require_tol(tol)
     d = space.distances
     w = space.weights
     n = space.n
@@ -369,9 +407,7 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
         return ValidationReport(tuple(out))
 
     for i in np.flatnonzero(np.diagonal(d) != 0.0):
-        out.append(
-            Violation("diagonal", (int(i),), float(d[i, i]), f"d({i},{i}) != 0")
-        )
+        out.append(Violation("diagonal", (int(i),), float(d[i, i]), f"d({i},{i}) != 0"))
 
     # |d - d^T| > tol * max(1, |d|), computed in place: two n^2 arrays
     gap, limit = d - d.T, np.abs(d)
@@ -382,26 +418,13 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     del gap, limit
     for i, j in asym:
         if i < j:
-            out.append(
-                Violation(
-                    "asymmetry",
-                    (int(i), int(j)),
-                    float(abs(d[i, j] - d[j, i])),
-                    f"d({i},{j}) != d({j},{i})",
-                )
-            )
+            out.append(Violation("asymmetry", (int(i), int(j)), float(abs(d[i, j] - d[j, i])),
+                                 f"d({i},{j}) != d({j},{i})"))
 
-    neg = np.argwhere(d < -0.0)
-    for i, j in neg:
+    for i, j in np.argwhere(d < -0.0):
         if i <= j:
-            out.append(
-                Violation(
-                    "negativity",
-                    (int(i), int(j)),
-                    float(d[i, j]),
-                    f"negativity at ({i},{j})",
-                )
-            )
+            out.append(Violation("negativity", (int(i), int(j)), float(d[i, j]),
+                                 f"negativity at ({i},{j})"))
 
     # only i < k is reported, so each block skips the columns k <= idx[0]
     rows = _triangle_rows(d, tol, relative=True, upper=True)
@@ -413,43 +436,24 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
         for a, j, c in zip(*(ix.tolist() for ix in np.nonzero(mask))):
             i, k = int(idx[a]), i0 + 1 + c
             if i < k and j != i and j != k:
-                out.append(
-                    Violation(
-                        "triangle",
-                        (i, j, k),
-                        float(excess[a, j, c]),
-                        f"triangle violation ({i},{j},{k}), excess {excess[a, j, c]:g}",
-                    )
-                )
+                out.append(Violation("triangle", (i, j, k), float(excess[a, j, c]),
+                                     f"triangle violation ({i},{j},{k}), "
+                                     f"excess {excess[a, j, c]:g}"))
 
     for i in np.flatnonzero(w < 0):
-        out.append(
-            Violation("weight-negative", (int(i),), float(w[i]), f"weight {i} < 0")
-        )
+        out.append(Violation("weight-negative", (int(i),), float(w[i]), f"weight {i} < 0"))
     total = math.fsum(w.tolist())
     if abs(total - 1.0) > tol:
-        out.append(
-            Violation(
-                "weight-sum", (), float(total - 1.0), f"weights sum to {total!r}"
-            )
-        )
+        out.append(Violation("weight-sum", (), float(total - 1.0), f"weights sum to {total!r}"))
 
     for i in range(n):
         if not space.mark_space.contains(space.marks[i]):
-            out.append(
-                Violation("mark-invalid", (i,), 0.0, f"mark at {i} outside mark space")
-            )
+            out.append(Violation("mark-invalid", (i,), 0.0, f"mark at {i} outside mark space"))
 
     for i, j in np.argwhere(np.triu(d <= tol, k=1)).tolist():
         if space.marks[i] == space.marks[j]:
-            out.append(
-                Violation(
-                    "duplicate-points",
-                    (i, j),
-                    float(d[i, j]),
-                    f"points {i},{j} at distance 0 share a mark",
-                )
-            )
+            out.append(Violation("duplicate-points", (i, j), float(d[i, j]),
+                                 f"points {i},{j} at distance 0 share a mark"))
 
     return ValidationReport(tuple(out))
 
@@ -638,7 +642,6 @@ def is_equivalent_exact(
 def _sample_indices(space: FiniteMmmSpace, size, seed) -> np.ndarray:
     """Atom indices drawn iid from the weights (a Generator ``seed`` is used as is).
     NaN/inf distances, weights or marks raise ParameterError."""
-    _require_finite(space)
     p = space.weights / _weight_total(space)
     return np.random.default_rng(seed).choice(space.n, size=size, p=p)
 

@@ -292,8 +292,7 @@ def exact_law(
     K = N ** n
     if K > budget:
         raise BudgetError(f"enumeration needs {K} tuples, budget is {budget}")
-    _require_finite(space)
-    _weight_total(space)
+    _weight_total(space)  # finite entries and a positive total
     if exact is None:
         exact = K <= EXACT_TUPLE_LIMIT
 
@@ -394,12 +393,6 @@ def pair_distance_law(space: FiniteMmmSpace):
     are sorted ascending; memory is O(N^2).  NaN/inf distances or weights
     and a nonpositive total weight raise ParameterError.
     """
-    _require_finite(space)
-    return _pair_distance_law(space)
-
-
-def _pair_distance_law(space: FiniteMmmSpace):
-    """`pair_distance_law` of a space already checked to be finite."""
     w = space.weights / _weight_total(space)
     keys = round_sig(space.distances).reshape(-1, 1)
     firsts, probs = _aggregate(keys, np.outer(w, w).reshape(-1), exact=False)
@@ -432,11 +425,6 @@ def mark_marginal(space: FiniteMmmSpace) -> dict:
     marks in order of first appearance.  NaN/inf distances, weights or
     Euclidean mark coordinates raise ParameterError."""
     _require_finite(space)
-    return _mark_marginal(space)
-
-
-def _mark_marginal(space: FiniteMmmSpace) -> dict:
-    """`mark_marginal` of a space already checked to be finite."""
     agg: dict = {}
     for mk, wt in zip(space.marks, space.weights.tolist()):
         agg.setdefault(mk, []).append(wt)

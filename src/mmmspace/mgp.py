@@ -25,9 +25,10 @@ from itertools import compress
 import numpy as np
 
 from .core import (
-    FiniteMmmSpace, _require_finite, _triangle_blocks, _triangle_rows, _weight_total,
+    FiniteMmmSpace, _min_plus, _require_finite, _require_tol, _triangle_blocks, _triangle_rows,
+    _weight_total,
 )
-from .dmat import _mark_marginal, _pair_distance_law
+from .dmat import mark_marginal, pair_distance_law
 from .errors import GluingError, ParameterError, TooLargeError
 from .prohorov import (
     FLOW_SCALE, _bits, _check_probs, _coupling, _integer_masses, _line_prohorov, _masks,
@@ -134,8 +135,10 @@ def glue(
     check (`_check_triangles`) is one min-plus pass over the glued matrix,
     about (N1+N2)^3 adds and as many mins, then exact excesses only for the
     rows that pass cannot clear, which are every row with an excess above
-    ``tol``; it holds O((N1+N2)^2) memory.
+    ``tol``; it holds O((N1+N2)^2) memory.  A ``tol`` that is NaN, negative
+    or infinite raises ParameterError.
     """
+    _require_tol(tol)
     if a.mark_space != b.mark_space:
         raise ParameterError("gluing requires one shared mark space")
     cross = np.asarray(cross, dtype=float)
@@ -155,10 +158,12 @@ def glue_three(g12: GluedSpace, g23: GluedSpace, tol: float = GLUE_TOL) -> np.nd
     """Compose two gluings sharing the middle space into a metric on X1+X2+X3.
 
     The outer cross matrix routes through the middle block:
-    C13[i, k] = min_j C12[i, j] + C23[j, k].  The result is finite
-    (ParameterError otherwise) and satisfies every triangle inequality
-    (validated within ``tol``).
+    C13[i, k] = min_j C12[i, j] + C23[j, k] (`_min_plus`, O(N1 N3) memory).
+    The result is finite (ParameterError otherwise) and satisfies every
+    triangle inequality (validated within ``tol``, which must be finite
+    and nonnegative).
     """
+    _require_tol(tol)
     mid_a, mid_b = g12.right, g23.left
     same = (
         mid_a.marks == mid_b.marks
@@ -170,7 +175,7 @@ def glue_three(g12: GluedSpace, g23: GluedSpace, tol: float = GLUE_TOL) -> np.nd
     if not same:
         raise ParameterError("gluings must share the middle space exactly")
     c12, c23 = g12.cross, g23.cross
-    c13 = (c12[:, :, None] + c23[None, :, :]).min(axis=1)
+    c13 = _min_plus(c12, c23)
     z = np.block([
         [g12.left.distances, c12, c13],
         [c12.T, mid_a.distances, c23],
@@ -191,24 +196,28 @@ def correspondence_cross(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs, beta=None)
     ``beta`` is one number or one per pair, in the order of ``pairs``
     (default: half the distortion of the pairs).  The gluing is admissible
     when beta_ij + beta_kl >= |r1(i, k) - r2(j, l)| for every two pairs,
-    which is checked within GLUE_TOL.  Returns (C, beta, distortion).
-    Indices outside [0, N1) x [0, N2), NaN/inf entries of either space or
-    of ``beta``, and a ``beta`` that fails the check raise ParameterError.
+    which is checked within GLUE_TOL.  Returns (C, beta, distortion); C is
+    the min-plus product of r1[:, R] + beta and r2[R, :] (`_min_plus`), in
+    O(N1 N2) memory.  Pairs that are not two integer indices (``(0.5, 1)``,
+    ``("a", 0)``), indices outside [0, N1) x [0, N2), NaN/inf entries of
+    either space or of ``beta``, and a ``beta`` that fails the check raise
+    ParameterError.
     """
-    pairs = [(int(i), int(j)) for i, j in pairs]
+    pairs = list(pairs)
     if not pairs:
         raise ParameterError("correspondence needs at least one pair")
-    si, sj = np.array(pairs).T
-    if min(si.min(), sj.min()) < 0 or si.max() >= a.n or sj.max() >= b.n:
+    try:
+        idx = np.asarray(pairs)
+    except ValueError:  # pairs of different lengths
+        idx = np.asarray(None)
+    if (idx.dtype.kind not in "iuf" or idx.shape != (len(pairs), 2)
+            or np.any(np.floor(idx) != idx)):
+        raise ParameterError("correspondence pairs must be pairs of integer indices")
+    top = idx.max(axis=0)
+    if idx.min() < 0 or top[0] >= a.n or top[1] >= b.n:
         raise ParameterError(f"correspondence pairs must lie in [0, {a.n}) x [0, {b.n})")
     _require_finite(a, b)
-    return _correspondence_cross(a, b, pairs, beta)
-
-
-def _correspondence_cross(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs, beta=None):
-    """`correspondence_cross` of a nonempty list of in-range pairs of two
-    spaces already checked to be finite; checks only ``beta``."""
-    si, sj = np.array(pairs).T
+    si, sj = idx.astype(np.intp).T
     r1, r2 = a.distances, b.distances
     gap = np.abs(r1[np.ix_(si, si)] - r2[np.ix_(sj, sj)])
     dis = float(gap.max())
@@ -221,8 +230,8 @@ def _correspondence_cross(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs, beta=None
     if np.any(per_pair[:, None] + per_pair[None, :] < gap - GLUE_TOL):
         raise ParameterError("beta_ij + beta_kl is below |r1(i, k) - r2(j, l)| "
                              "for two pairs of the correspondence")
-    stack = r1[:, si][:, :, None] + per_pair[None, :, None] + r2[sj, :][None, :, :]
-    return stack.min(axis=1), float(beta) if beta.ndim == 0 else beta, dis
+    cross = _min_plus(r1[:, si] + per_pair[None, :], r2[sj, :])
+    return cross, float(beta) if beta.ndim == 0 else beta, dis
 
 
 def _profile_cost(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
@@ -297,23 +306,17 @@ def mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
     if not orders or any(o not in (1, 2) for o in orders):
         raise ParameterError("orders must be a nonempty subset of {1, 2}")
     _require_finite(a, b)
-    return _mgp_lower(a, b, orders)
-
-
-def _mgp_lower(a: FiniteMmmSpace, b: FiniteMmmSpace, orders=(1, 2)) -> float:
-    """`mgp_lower` of two finite spaces on one mark space, for callers that
-    have checked both; checks the weights."""
     for space in (a, b):
         _check_probs(space.weights, f"space {space.label!r}: ")
     bounds = []
     if 1 in orders:
-        ma, mb = _mark_marginal(a), _mark_marginal(b)
+        ma, mb = mark_marginal(a), mark_marginal(b)
         cross = a.mark_space.cross_distances(list(ma), list(mb))
         masses = _integer_masses(list(ma.values())), _integer_masses(list(mb.values()))
         bounds.append(_prohorov_search(cross, *masses)[0])
     if 2 in orders:
-        va, pa = _pair_distance_law(a)
-        vb, pb = _pair_distance_law(b)
+        va, pa = pair_distance_law(a)
+        vb, pb = pair_distance_law(b)
         bounds.append(0.5 * _line_prohorov(va, vb, _integer_masses(pa), _integer_masses(pb)))
     return float(max(bounds))
 
@@ -447,7 +450,7 @@ def _relation_scan(a, b, off, ca, cb, floor: float, budget: int):
     members = np.fromiter(_bits(members), dtype=np.int64)
     beta = lev[np.ix_(members, members)].max() - m[members]
     pairs = list(zip(zi[members].tolist(), zj[members].tolist()))
-    return _correspondence_cross(a, b, pairs, beta)[0], best, flow, nodes, stopped_at
+    return correspondence_cross(a, b, pairs, beta)[0], best, flow, nodes, stopped_at
 
 
 def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False) -> MgpResult:
@@ -462,7 +465,7 @@ def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False)
     if exact and size > EXACT_PAIR_BOUND:  # before mgp_lower, whose laws grow as n^2
         raise TooLargeError(f"the relation scan is limited to {EXACT_PAIR_BOUND} pairs of "
                             f"mark distance below 1; this pair has {size}")
-    floor = _mgp_lower(a, b)  # checks the weights
+    floor = mgp_lower(a, b)  # checks the weights
     ca, cb = _integer_masses(a.weights), _integer_masses(b.weights)
     cross, value, flow, nodes, stopped_at = None, math.inf, None, None, None
     if size <= EXACT_PAIR_BOUND:
@@ -470,7 +473,7 @@ def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False)
     if nodes is None or stopped_at is not None:
         support = _greedy_coupling_pairs(_profile_cost(a, b), a.weights, b.weights)
         for pairs in (support, *_pruned(a, b, support)):
-            c = _correspondence_cross(a, b, pairs)[0]
+            c = correspondence_cross(a, b, pairs)[0]
             got = _prohorov_search(c + off, ca, cb, value)
             if got is not None:
                 (value, flow), cross = got, c

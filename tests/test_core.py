@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,14 +14,18 @@ from mmmspace import (
     ParameterError,
     TooLargeError,
     canonicalize,
+    distance_monomial,
     empirical_from_samples,
     euclidean_cloud,
+    evaluate_mc,
+    exact_law,
     from_mark_function,
     is_equivalent_exact,
     kingman,
+    mgp_lower,
     validate,
 )
-from mmmspace.core import _sample_indices
+from mmmspace.core import _non_finite, _require_finite, _sample_indices
 
 from _oracles import (
     canonicalize_oracle, empirical_oracle, mark_distance, triangle_violations_oracle,
@@ -209,6 +214,57 @@ def test_validate_flags_non_finite_entries_first():
     assert report.violations[0].message == "d(0,1) = nan is not finite"
     report = validate(two_point(weights=(math.inf, 0.5)))
     assert [(v.kind, v.indices) for v in report.violations] == [("non-finite", (0,))]
+
+
+def test_first_non_finite_entry_is_the_full_scans_first():
+    rng = np.random.default_rng(29)
+    good = euclidean_cloud(7, 2, "point", seed=5)
+    for trial in range(60):
+        d, w = good.distances.copy(), good.weights.copy()
+        marks = list(good.marks)
+        for _ in range(rng.integers(1, 4)):
+            bad = rng.choice([math.nan, math.inf, -math.inf])
+            where = rng.integers(3)
+            if where == 0:
+                d[tuple(rng.integers(0, 7, 2))] = bad
+            elif where == 1:
+                w[rng.integers(7)] = bad
+            else:
+                k = rng.integers(7)
+                marks[k] = (marks[k][0], bad)
+        space = FiniteMmmSpace(distances=d, marks=tuple(marks), weights=w,
+                               mark_space=good.mark_space, label=f"t{trial}")
+        full = _non_finite(space)
+        if full:
+            want = full[0].message
+        else:
+            k = next(i for i, mk in enumerate(space.marks) if not np.isfinite(mk).all())
+            want = f"mark {k} = {space.marks[k]!r} is not finite"
+        assert space._first_non_finite == want
+        with pytest.raises(ParameterError) as err:
+            _require_finite(good, space)
+        assert str(err.value) == f"space 't{trial}': {want}"
+    assert good._first_non_finite is None
+
+
+def test_an_all_nan_space_is_rejected_by_its_first_entry():
+    n = 1000
+    spaces = [FiniteMmmSpace(distances=np.full((n, n), math.nan), marks=(0,) * n,
+                             weights=np.full(n, math.nan), mark_space=BIT_MARKS,
+                             label="nan1000") for _ in range(3)]
+    calls = [lambda s: mgp_lower(s, s), lambda s: exact_law(s, 2),
+             lambda s: evaluate_mc(distance_monomial(0, 1), s, m=2, seed=0)]
+    tracemalloc.start()
+    try:
+        for call, space in zip(calls, spaces):
+            with pytest.raises(ParameterError, match=re.escape(
+                    "space 'nan1000': d(0,0) = nan is not finite")):
+                call(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one Violation per entry took 429 MiB and 26 s before the message
+    assert peak < 8 * 2**20
 
 
 def reference_validate(space, tol=1e-12):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mmmspace.core
-import mmmspace.dmat
 import mmmspace.mgp
 from mmmspace import (
     CoalescentConfig,
@@ -251,6 +250,36 @@ def test_glue_three_needs_matching_middle(space_A):
         glue_three(g12, g23)
 
 
+def test_glue_and_glue_three_reject_a_bad_tol():
+    a = euclidean_cloud(20, 2, "constant", seed=1)
+    cross = np.full((20, 20), 0.1) + np.maximum(a.distances, 0.0)
+    cross[0, 0] = 100.0  # c(0, 0) exceeds d(0, 1) + c(1, 0) by about 99.9
+    with pytest.raises(GluingError):
+        glue(a, a, cross)
+    good = glue(a, a, a.distances + 0.1)
+    for tol in (math.nan, -1.0, math.inf):
+        with pytest.raises(ParameterError, match="tol must be finite and nonnegative"):
+            glue(a, a, cross, tol=tol)
+        with pytest.raises(ParameterError, match="tol must be finite and nonnegative"):
+            glue_three(good, good, tol=tol)
+
+
+def test_min_plus_blocks_give_the_full_stacks_bytes(monkeypatch):
+    rng = np.random.default_rng(29)
+    a, b = euclidean_cloud(9, 2, "sign", seed=3), euclidean_cloud(7, 2, "sign", seed=4)
+    pairs = [(int(i), int(j)) for i, j in zip(rng.integers(0, 9, 12), rng.integers(0, 7, 12))]
+    beta = correspondence_cross(a, b, pairs)[1] + rng.random(len(pairs))
+    si, sj = np.array(pairs).T
+    stack = a.distances[:, si][:, :, None] + beta[None, :, None] + b.distances[sj, :][None, :, :]
+    g12, g23 = glue(a, a, a.distances + 0.5), glue(a, b, stack.min(axis=1))
+    outer = (g12.cross[:, :, None] + g23.cross[None, :, :]).min(axis=1)
+    # blocks of 1, 2 and 5 middle indices, and one block for everything
+    for elements in (1, 2 * 9 * 7, 5 * 9 * 7, 1 << 18):
+        monkeypatch.setattr(mmmspace.core, "TRIANGLE_BLOCK_ELEMENTS", elements)
+        assert correspondence_cross(a, b, pairs, beta)[0].tobytes() == stack.min(axis=1).tobytes()
+        assert glue_three(g12, g23)[:9, 18:].tobytes() == outer.tobytes()
+
+
 # --- correspondences ---------------------------------------------------------
 
 
@@ -294,6 +323,18 @@ def test_correspondence_rejects_non_finite_input():
     for pair in ((good, bad), (bad, good)):
         with pytest.raises(ParameterError, match=r"'nan': d\(0,1\) = nan is not finite"):
             correspondence_cross(*pair, identity)
+
+
+def test_correspondence_rejects_pairs_that_are_not_integer_indices(space_A, space_A2):
+    # int() would truncate (0.5, 1) to (0, 1) and (1.9, 0) to (1, 0)
+    for bad in ([(0.5, 1)], [(1.9, 0)], [(0, 0), (1, math.nan)], [("a", 0)], [("1", 0)],
+                [(None, 1)], [(0, 1, 1)], [(0,), (1, 1)]):
+        with pytest.raises(ParameterError, match="pairs of integer indices"):
+            correspondence_cross(space_A, space_A2, bad)
+    want = correspondence_cross(space_A, space_A2, [(0, 1), (1, 0)])[0].tobytes()
+    for same in ([(0.0, 1.0), (1.0, 0.0)], np.array([[0, 1], [1, 0]]),
+                 ((np.int32(0), 1), (1, np.uint8(0))), zip([0, 1], [1, 0])):
+        assert correspondence_cross(space_A, space_A2, same)[0].tobytes() == want
 
 
 def test_correspondence_always_glues():
@@ -745,29 +786,28 @@ def bounds_row(r):
 
 
 def test_bounds_check_the_inputs_once(monkeypatch):
-    """One non-finite scan of both spaces per `mgp_bounds` or `mgp_exact`
-    call; the marginals, pair laws and correspondences inside reuse it."""
-    calls = []
-    original = mmmspace.core._require_finite
+    """One non-finite scan per space: the first `mgp_bounds` call on a fresh
+    pair scans each space, and the marginals, pair laws, correspondences and
+    later calls on the pair read the kept result."""
+    scanned = []
+    original = mmmspace.core._find_non_finite
 
-    def counting(*spaces):
-        calls.append(len(spaces))
-        return original(*spaces)
+    def counting(space):
+        scanned.append(space)
+        return original(space)
 
-    for module in (mmmspace.core, mmmspace.dmat, mmmspace.mgp):
-        monkeypatch.setattr(module, "_require_finite", counting)
+    monkeypatch.setattr(mmmspace.core, "_find_non_finite", counting)
     for a, b in distances_pairs(1)[::5]:
-        calls.clear()
+        scanned.clear()
         mgp_bounds(a, b)
-        assert calls == [2]
-        calls.clear()
+        assert scanned == [a, b]
+        scanned.clear()
+        mgp_bounds(a, b)
         mgp_exact(a, b, budget=40)
-        assert calls == [2]
-    calls.clear()
-    mgp_lower(a, b)
-    mark_marginal(a)
-    pair_distance_law(a)
-    assert calls == [2, 1, 1]  # the public functions keep their checks
+        mgp_lower(a, b)
+        mark_marginal(a)
+        pair_distance_law(b)
+        assert scanned == []
 
 
 # (lower, upper, exact, slack, nodes, budget_exhausted) of mgp_bounds and of
@@ -859,24 +899,6 @@ def test_bounds_and_budget_rows_are_unchanged_on_the_distances_pairs():
     assert [bounds_row(mgp_exact(a, b, budget=40))[:6] for a, b in pairs] == DISTANCES_1_EXACT_40
 
 
-def test_bounds_unchanged_by_the_unchecked_route(monkeypatch):
-    pairs = distances_pairs(1)
-    unchecked = [bounds_row(mgp_bounds(a, b)) for a, b in pairs]
-    lower, corr = mmmspace.mgp._mgp_lower, mmmspace.mgp._correspondence_cross
-
-    def checked(private):
-        def call(a, b, *args):
-            mmmspace.core._require_finite(a, b)
-            return private(a, b, *args)
-        return call
-
-    monkeypatch.setattr(mmmspace.mgp, "_mgp_lower", checked(lower))
-    monkeypatch.setattr(mmmspace.mgp, "_mark_marginal", mark_marginal)
-    monkeypatch.setattr(mmmspace.mgp, "_pair_distance_law", pair_distance_law)
-    monkeypatch.setattr(mmmspace.mgp, "_correspondence_cross", checked(corr))
-    assert [bounds_row(mgp_bounds(a, b)) for a, b in pairs] == unchecked
-
-
 def test_bounds_memory_stays_below_the_all_pairs_arrays():
     a = kingman(CoalescentConfig(leaves=60, theta=1.0, seed=1))
     b = kingman(CoalescentConfig(leaves=60, theta=1.0, seed=2))
@@ -888,6 +910,22 @@ def test_bounds_memory_stays_below_the_all_pairs_arrays():
         tracemalloc.stop()
     # the all-pairs correspondence alone would take 3600 x 3600 floats (99 MiB)
     assert peak < 32 * 2**20
+
+
+def test_fallback_gluings_hold_no_stack_of_points():
+    a = euclidean_cloud(120, 2, "sign", seed=1)
+    b = euclidean_cloud(120, 2, "sign", seed=2)
+    off = a.mark_space.cross_distances(a.marks, b.marks)
+    assert np.count_nonzero(off < 1.0) > mmmspace.mgp.EXACT_PAIR_BOUND  # no scan runs
+    tracemalloc.start()
+    try:
+        res = mgp_bounds(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.lower, res.upper, res.nodes) == (0.10833333333299999, 0.69166666667, None)
+    # a 120 x |R| x 120 stack of the greedy support's pairs took 14.8 MiB
+    assert peak < 8 * 2**20
 
 
 def test_lower_keeps_one_flow_matrix_per_search():
