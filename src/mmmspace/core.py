@@ -203,14 +203,27 @@ class ValidationReport:
         return any(v.kind == kind for v in self.violations)
 
 
+NON_FINITE_LISTED = 100
+
+
 def _non_finite(space: FiniteMmmSpace) -> list:
-    """A ``non-finite`` Violation per NaN/inf distance, then per weight."""
+    """A ``non-finite`` Violation for each of the first NON_FINITE_LISTED
+    NaN/inf entries, distances in C order and then weights; past that one
+    more ``non-finite`` Violation, with no indices, gives the total count,
+    so that an all-NaN space's report stays small."""
     d, w = space.distances, space.weights
-    bad = [((int(i), int(j)), f"d({i},{j})", d[i, j])
-           for i, j in np.argwhere(~np.isfinite(d))]
-    bad += [((int(i),), f"weight {i}", w[i]) for i in np.flatnonzero(~np.isfinite(w))]
-    return [Violation("non-finite", ix, 0.0, f"{name} = {float(x)!r} is not finite")
-            for ix, name, x in bad]
+    bad_d, bad_w = ~np.isfinite(d), ~np.isfinite(w)
+    total = int(np.count_nonzero(bad_d)) + int(np.count_nonzero(bad_w))
+    rows, cols = np.unravel_index(np.flatnonzero(bad_d)[:NON_FINITE_LISTED], d.shape)
+    bad = [((i, j), f"d({i},{j})", d[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    bad += [((i,), f"weight {i}", w[i])
+            for i in np.flatnonzero(bad_w)[:NON_FINITE_LISTED - len(bad)].tolist()]
+    out = [Violation("non-finite", ix, 0.0, f"{name} = {float(x)!r} is not finite")
+           for ix, name, x in bad]
+    if total > len(out):
+        out.append(Violation("non-finite", (), 0.0,
+                             f"{total} entries are not finite, the first {len(out)} listed"))
+    return out
 
 
 def _weight_total(space: FiniteMmmSpace) -> float:

@@ -9,14 +9,21 @@ Every law of sampled tuples (`exact_law`, `law_push`, `pair_distance_law`)
 is added up by `_aggregate`: one stable lexsort groups equal key rows,
 and masses add exactly or by fsum.  Exactness: every IEEE weight is
 a dyadic rational, so w_i = M_i / Q with integer mantissas M_i over one
-power of two Q.  An atom's probability in
-`exact_law` is then (sum over its tuples of prod M) / (sum M)^n, summed in
-integers with one Fraction per atom, so permutation invariance and shift
+power of two Q; dividing by their gcd leaves integers m_i.  An atom's
+probability in `exact_law` is then (sum over its tuples of prod m) /
+(sum m)^n, summed in integers, in int64 when max|m|^n * N^n < 2^63 (every
+uniform-weight space: all its m are 1) and in Python ints otherwise, with
+one Fraction per distinct sum.  So permutation invariance and shift
 consistency hold as algebraic identities, not merely within float
 tolerance.  Beyond EXACT_TUPLE_LIMIT enumerated tuples the law switches to
 float probabilities from order-independent primitives: sorted-factor
 products, summed per atom by an fsum within each chunk of EXACT_LAW_CHUNK
 tuples and an fsum over the chunks.
+
+Atoms are listed in the order of repr(key).  `_atom_order` finds it
+without printing a key: it ranks each key column's strings once (a repr
+plus the column's separator) and runs one `np.lexsort` over the ranks,
+which gives repr order whenever each column's strings are prefix-free.
 """
 
 from __future__ import annotations
@@ -202,6 +209,15 @@ def _mantissas(w: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array([num * (q // den) for num, den in ratios], dtype=object), q
 
 
+def _exact_factors(mantissas: np.ndarray, n: int) -> np.ndarray:
+    """The mantissas over their gcd, m_i = M_i / gcd(M): int64 when
+    max|m|^n * N^n < 2^63, which bounds every order-n product, every sum of
+    them and every partial sum, else Python ints in an object array."""
+    m = mantissas // math.gcd(*mantissas.tolist())
+    top = max(abs(x) for x in m.tolist())
+    return m.astype(np.int64) if (top * len(m)) ** n < 2 ** 63 else m
+
+
 def _codes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct 12-digit keys of ``x`` in value order, and each entry's
     code (its key's position), shaped like ``x``."""
@@ -241,18 +257,47 @@ def _aggregate(keys: np.ndarray, masses: np.ndarray, exact: bool):
     return order[new], sums
 
 
-def _atom_order(tri_codes, values, mark_ids, mark_values) -> list:
+def _ranks(texts: list) -> np.ndarray | None:
+    """Each text's rank among the distinct texts in code-point order, or None
+    if one distinct text is a proper prefix of another.  The ranks take the
+    smallest unsigned dtype, in which `np.lexsort` runs a radix sort."""
+    distinct = sorted(set(texts))
+    if any(map(str.startswith, distinct[1:], distinct[:-1])):
+        return None
+    rank = {t: r for r, t in enumerate(distinct)}
+    return np.fromiter(map(rank.__getitem__, texts), count=len(texts),
+                       dtype=np.min_scalar_type(len(distinct) - 1))
+
+
+def _atom_order(tri_codes, values, mark_ids, mark_values) -> np.ndarray:
     """Positions of the atoms in the order of repr(key), atom a having the key
-    (values[tri_codes[a]], mark_values[mark_ids[a]]): one repr per value and
-    per mark, joined in the shape that all keys of one order share."""
+    (values[tri_codes[a]], mark_values[mark_ids[a]]).
+
+    All keys of one order print in one shape, "((" then one string per
+    column, each a repr followed by its column's separator (", " inside a
+    tuple, "), (" or ",), (" after the last distance, "))" or ",))" after
+    the last mark).  If each column's strings are prefix-free, two keys'
+    reprs first differ inside their first differing column, so repr order
+    is the order of the columns' string ranks: one `np.lexsort` over rank
+    columns, with one repr per distinct distance and per mark value.  Float
+    reprs never contain "," or ")", so distance columns always qualify; a
+    mark column that does not (a label whose repr is unusual) sends the
+    atoms to a sort of their joined strings.  Both sorts are stable.
+    """
     p, n = tri_codes.shape[1], mark_ids.shape[1]
-    value_reprs = np.array([repr(v) for v in values.tolist()], dtype=object)
-    mark_reprs = np.array([repr(mk) for mk in mark_values], dtype=object)
-    mid = ",), (" if p == 1 else "), ("
-    end = ",))" if n == 1 else "))"
-    texts = [f"(({', '.join(t)}{mid}{', '.join(m)}{end}"
-             for t, m in zip(value_reprs[tri_codes].tolist(), mark_reprs[mark_ids].tolist())]
-    return sorted(range(len(texts)), key=texts.__getitem__)
+    if p + n == 0:  # an order-0 push: one atom
+        return np.arange(len(tri_codes))
+    reprs = {"d": list(map(repr, values.tolist())), "m": list(map(repr, mark_values))}
+    seps = ([("d", ", ")] * (p - 1) + [("d", ",), (" if p == 1 else "), (")] * (p > 0)
+            + [("m", ", ")] * (n - 1) + [("m", ",))" if n == 1 else "))")] * (n > 0))
+    cols = list(tri_codes.T) + list(mark_ids.T)
+    strings = {c: [r + c[1] for r in reprs[c[0]]] for c in set(seps)}
+    ranks = {c: _ranks(texts) for c, texts in strings.items()}
+    if all(r is not None for r in ranks.values()):
+        return np.lexsort([ranks[c][col] for c, col in zip(seps, cols)][::-1])
+    texts = ["".join(row) for row in zip(*(np.array(strings[c], dtype=object)[col].tolist()
+                                           for c, col in zip(seps, cols)))]
+    return np.array(sorted(range(len(texts)), key=texts.__getitem__), dtype=np.intp)
 
 
 def exact_law(
@@ -284,6 +329,12 @@ def exact_law(
         the codes of its rounded distances and its mark ids; `_aggregate`
         groups each chunk of EXACT_LAW_CHUNK rows and then the chunks'
         atoms, so a float probability is the fsum of its chunks' fsums.
+        A rational probability is (sum of its tuples' products of m) /
+        (sum m)^n with m the weight mantissas over their gcd
+        (`_exact_factors`): tuple products and sums run in int64 when
+        max|m|^n * N^n < 2^63, which bounds every product, sum and partial
+        sum, else in Python ints; one Fraction is built per distinct sum.
+        The atom order comes from `_atom_order` (rank columns, see there).
         NaN/inf entries and a nonpositive total weight raise ParameterError.
     """
     if n < 1:
@@ -298,6 +349,8 @@ def exact_law(
 
     D, w = space.distances, space.weights
     mantissas, q = _mantissas(w)
+    if exact:
+        factors = _exact_factors(mantissas, n)
     # float products and their norm both carry an exact factor 2^-e that
     # puts the largest weight in [1/2, 1), so that tiny weights' norm does
     # not underflow to 0
@@ -308,14 +361,15 @@ def exact_law(
     dtype = np.min_scalar_type(max(len(vals), len(distinct)) - 1)
     codes, mark_ids = codes.astype(dtype), mark_ids.astype(dtype)
     rows, cols = np.triu_indices(n, 1)
-    radix = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
     chunks = []
     for start in range(0, K, EXACT_LAW_CHUNK):
+        # tuple t is the n base-N digits of t; the transpose keeps each
+        # column contiguous for the gathers below
         base = np.arange(start, min(start + EXACT_LAW_CHUNK, K), dtype=np.int64)
-        idx = base[:, None] // radix % N
+        idx = np.array(np.unravel_index(base, (N,) * n)).T
         keys = np.concatenate([codes[idx[:, rows], idx[:, cols]], mark_ids[idx]], axis=1)
-        masses = np.prod(mantissas[idx] if exact else w[np.sort(idx, axis=1)], axis=1)
+        masses = np.prod(factors[idx] if exact else w[np.sort(idx, axis=1)], axis=1)
         firsts, sums = _aggregate(keys, masses, exact)
         chunks.append((keys[firsts], idx[firsts], sums))
     keys, reps, sums = (np.concatenate(parts) for parts in zip(*chunks))
@@ -327,10 +381,14 @@ def exact_law(
 
     order = _atom_order(keys[:, : len(rows)], vals, reps, space.marks)
     reps, sums = reps[order], sums[order]
-    norm = int(sum(mantissas)) ** n
     if exact:
-        probs = tuple(Fraction(int(x), norm) for x in sums)
+        norm = sum(factors.tolist()) ** n
+        sums = sums.tolist()
+        # one Fraction per distinct sum: few when the weights are alike
+        fractions = {x: Fraction(x, norm) for x in set(sums)}
+        probs = tuple(map(fractions.__getitem__, sums))
     else:
+        norm = int(sum(mantissas)) ** n
         probs = tuple((sums / float(Fraction(norm, q ** n) / Fraction(2) ** (e * n))).tolist())
     return DistanceMatrixLaw(
         order=n,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,24 @@ def test_validate_rejects_nan_distance(capsys, tmp_path):
     report = json.loads(stderr)
     assert report["error"] == "invariant-violation"
     assert {v["kind"] for v in report["violations"]} == {"non-finite"}
+
+
+def test_validate_reports_an_all_nan_space_briefly(capsys, tmp_path):
+    # 999 000 NaN distances: 100 listed plus the count, not one per entry
+    n = 1000
+    bad = tmp_path / "nan1000.json"
+    space = FiniteMmmSpace(distances=np.full((n, n), np.nan), marks=("a",) * n,
+                           weights=np.full(n, 1 / n), mark_space=MarkSpace.discrete(("a",)))
+    bad.write_text(json.dumps(space_to_obj(space), allow_nan=True))
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(capsys, "validate", "--space", bad)
+    assert time.perf_counter() - start < 5.0  # 15 s when every entry was listed
+    assert code == 1 and stdout == ""
+    assert len(stderr) < 100_000
+    report = json.loads(stderr)
+    assert report["detail"] == "d(0,1) = nan is not finite"
+    assert len(report["violations"]) == 101
+    assert report["violations"][-1]["message"] == "999000 entries are not finite, the first 100 listed"
 
 
 def test_dist_names_the_space_whose_weights_do_not_sum_to_one(capsys, tmp_path, ab_space):

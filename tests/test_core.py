@@ -25,7 +25,7 @@ from mmmspace import (
     mgp_lower,
     validate,
 )
-from mmmspace.core import _non_finite, _require_finite, _sample_indices
+from mmmspace.core import Violation, _non_finite, _require_finite, _sample_indices
 
 from _oracles import (
     canonicalize_oracle, empirical_oracle, mark_distance, triangle_violations_oracle,
@@ -214,6 +214,37 @@ def test_validate_flags_non_finite_entries_first():
     assert report.violations[0].message == "d(0,1) = nan is not finite"
     report = validate(two_point(weights=(math.inf, 0.5)))
     assert [(v.kind, v.indices) for v in report.violations] == [("non-finite", (0,))]
+
+
+def test_non_finite_report_lists_the_first_hundred_and_the_count():
+    n = 300
+    d = np.full((n, n), np.nan)
+    np.fill_diagonal(d, 0.0)
+    space = FiniteMmmSpace(distances=d, marks=("a",) * n, weights=np.full(n, 1 / n),
+                           mark_space=MarkSpace.discrete(("a",)))
+    report = validate(space)
+    first = [tuple(ix) for ix in np.argwhere(np.isnan(d))[:100].tolist()]
+    assert [v.indices for v in report.violations[:100]] == first
+    assert report.violations[0].message == "d(0,1) = nan is not finite"
+    assert report.violations[100] == Violation(
+        "non-finite", (), 0.0, "89700 entries are not finite, the first 100 listed")
+    assert len(report.violations) == 101 and report.kinds() == {"non-finite"}
+    # distances come first, then weights fill the list up to 100
+    d = np.zeros((n, n))
+    d[0, 1:6] = d[1:6, 0] = np.inf
+    w = np.full(n, np.nan)
+    report = validate(FiniteMmmSpace(distances=d, marks=("a",) * n, weights=w,
+                                     mark_space=MarkSpace.discrete(("a",))))
+    assert [v.indices for v in report.violations[:100]] == (
+        [(0, j) for j in range(1, 6)] + [(j, 0) for j in range(1, 6)] + [(i,) for i in range(90)])
+    assert report.violations[9].message == "d(5,0) = inf is not finite"
+    assert report.violations[100].message == "310 entries are not finite, the first 100 listed"
+    # exactly 100 bad entries: all listed, no count
+    d = np.zeros((n, n))
+    d[0, 1:101] = np.nan
+    assert [v.indices for v in validate(FiniteMmmSpace(
+        distances=d, marks=("a",) * n, weights=np.full(n, 1 / n),
+        mark_space=MarkSpace.discrete(("a",)))).violations] == [(0, j) for j in range(1, 101)]
 
 
 def test_first_non_finite_entry_is_the_full_scans_first():

@@ -216,6 +216,127 @@ def test_exact_law_matches_the_oracle_on_tiny_marked_spaces(space, order):
     assert max(abs(p - float(q)) for p, (_, _, q) in zip(flt.probs, ref)) <= 1e-15
 
 
+class _BareLabel:
+    """A mark label that prints as its bare text, so that "A" prints as a
+    prefix of "A, B" and of "A)" and its key columns are not prefix-free."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+    def __eq__(self, other):
+        return isinstance(other, _BareLabel) and other.text == self.text
+
+    def __hash__(self):
+        return hash(self.text)
+
+
+def prefix_spaces():
+    """Spaces whose key columns test the atom order: labels whose reprs are
+    prefixes of each other or hold ", " and ")", Euclidean marks, negative
+    distances, distances whose reprs are prefixes of each other (0.5 and
+    0.55, 1.5 and 1.5e-05), and -0.0, zero and negative dyadic weights."""
+    x = np.array([0.0, 1.5e-05, 0.5, 0.55, 1.5])
+    line = np.abs(x[:, None] - x[None, :])
+    w = np.array([-0.0, 0.5, 0.0, -0.125, 0.75])
+    labels = [(1, 12, 123), ("a, b", "a", "a)", "(a", "x', 'y"),
+              tuple(map(_BareLabel, ("A", "A, B", "A)", "B")))]
+    spaces = []
+    for k, labs in enumerate(labels):
+        marks = tuple(labs[i % len(labs)] for i in (0, 1, 2, 1, 3))
+        for d in (line, -line):
+            spaces.append(FiniteMmmSpace(distances=d, marks=marks, weights=w[::1 - 2 * (k % 2)],
+                                         mark_space=MarkSpace.discrete(labs)))
+    points = ((0.0, -0.5), (0.5, 1e-05), (0.5, 1e-05), (-0.5, 0.0), (0.55, 1.5))
+    spaces.append(FiniteMmmSpace(distances=line, marks=points, weights=w,
+                                 mark_space=MarkSpace.euclidean(2)))
+    return spaces
+
+
+def test_atom_order_is_the_repr_order_on_prefix_reprs(monkeypatch):
+    # the rank sort must agree with sorting the keys' reprs, and the bare
+    # labels must take the joined-string sort
+    original, fallbacks = dmat._ranks, []
+
+    def ranks(texts):
+        out = original(texts)
+        fallbacks.append(out is None)
+        return out
+
+    monkeypatch.setattr(dmat, "_ranks", ranks)
+    for space in prefix_spaces():
+        bare = isinstance(space.marks[0], _BareLabel)
+        for order in (1, 2, 3):
+            ref = exact_law_oracle(space, order)
+            keys, firsts = [key for key, _, _ in ref], [first for _, first, _ in ref]
+            fallbacks.clear()
+            law, flt = exact_law(space, order), exact_law(space, order, exact=False)
+            # order 1 has no ", " column, and "A,))" prefixes no other string
+            assert any(fallbacks) == (bare and order > 1)
+            for got in (law, flt):
+                assert [s.key() for s in got.samples] == keys
+                assert got.blocks.tobytes() == b"".join(
+                    space.distances[np.ix_(t, t)].tobytes() for t in firsts)
+                assert got.marks.tolist() == [[space.marks[i] for i in t] for t in firsts]
+            assert list(law.probs) == [p for _, _, p in ref]
+            # dyadic weights: every float product and sum is exact
+            assert np.array(flt.probs).tobytes() == np.array([float(p) for _, _, p in ref]).tobytes()
+        for sigma in ((2,), (2, 0), (1, 2), (2, 1, 0)):
+            ref = exact_law_oracle(space, len(sigma))
+            for pushed in (law_push(law, sigma), law_push(flt, sigma)):
+                assert [s.key() for s in pushed.samples] == [key for key, _, _ in ref]
+            assert list(law_push(law, sigma).probs) == [p for _, _, p in ref]
+            assert np.allclose(law_push(flt, sigma).probs, [float(p) for _, _, p in ref],
+                               rtol=0, atol=1e-15)
+
+
+def test_rank_columns_are_used_only_when_prefix_free():
+    assert dmat._ranks(["1, ", "12, ", "123, ", "1, "]).tolist() == [0, 1, 2, 0]
+    assert dmat._ranks(["0.5), (", "0.55), (", "1.5e-05), (", "1.5), ("]).tolist() == [0, 1, 3, 2]
+    assert dmat._ranks(["A, ", "A, B, ", "B, "]) is None
+
+
+def int64_edge_weights(count, order, above):
+    """Weights of ``count`` points whose mantissas over their gcd are
+    consecutive integers with max|m|^order * count^order just below 2^63
+    (or just above it), all scaled by 3 * 2^-23 so that the gcd is not 1."""
+    top = int(2 ** (63 / order)) // count
+    while (top * count) ** order >= 2 ** 63:
+        top -= 1
+    while ((top + 1) * count) ** order < 2 ** 63:
+        top += 1
+    m = [top + count * above - k for k in range(count)]
+    return np.array(m, dtype=float) * 3 * 2.0 ** -23
+
+
+@pytest.mark.parametrize("chunk", [dmat.EXACT_LAW_CHUNK, 3])
+@pytest.mark.parametrize("count,order", [(2, 3), (3, 2), (3, 4)])
+def test_int64_masses_hold_up_to_the_bound(monkeypatch, chunk, count, order):
+    # int64 sums wrap silently, so the bound max|m|^n * N^n < 2^63 is what
+    # keeps them exact; coincident points put all the mass on one atom,
+    # whose sum exceeds 2^63 just above the bound, and a chunk of 3 tuples
+    # makes exact_law merge int64 chunk sums
+    monkeypatch.setattr(dmat, "EXACT_LAW_CHUNK", chunk)
+    rng = np.random.default_rng(count * 10 + order)
+    for above in (False, True):
+        w = int64_edge_weights(count, order, above)
+        mantissas, _ = dmat._mantissas(w)
+        factors = dmat._exact_factors(mantissas, order)
+        assert factors.dtype == (object if above else np.int64)
+        top = max(map(abs, factors.tolist()))
+        assert ((top * count) ** order < 2 ** 63) != above
+        assert (sum(factors.tolist()) ** order >= 2 ** 63) == above
+        x = rng.integers(0, 2, size=count) * 0.5
+        for d in (np.zeros((count, count)), np.abs(x[:, None] - x[None, :])):
+            space = FiniteMmmSpace(distances=d, marks=("a",) * count, weights=w,
+                                   mark_space=MarkSpace.discrete(("a",)))
+            law = exact_law(space, order)
+            assert list(law.probs) == [p for _, _, p in exact_law_oracle(space, order)]
+            assert law.total() == 1
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(space=rough_spaces(), order=st.integers(1, 3))
 def test_law_entry_points_give_finite_values_or_domain_errors(space, order):
