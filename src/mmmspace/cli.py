@@ -2,11 +2,12 @@
 
 Nine subcommands: validate, sample, poly-eval, prohorov, dist,
 tightness, simulate, test, converge.  Structures travel as JSON
-(schemas "mmm-space/v1", "mmm-metric/v1", "mmm-measure/v1"), curves and
-tables as CSV.  Each subcommand only computes: it returns its stdout
-text, the files to write and the input paths, and `run` alone prints,
-writes the files and records them in one "mmm-manifest/v1" JSON next to
-them (the command line, seed, and SHA-256 digests of inputs and
+(schemas "mmm-space/v2", whose distances are one base64 float64 payload,
+"mmm-metric/v1", "mmm-measure/v1"; "mmm-space/v1" files are still read),
+curves and tables as CSV.  Each subcommand only computes: it returns its
+stdout text, the files to write and the input paths, and `run` alone
+prints, writes the files and records them in one "mmm-manifest/v1" JSON
+next to them (the command line, seed, and SHA-256 digests of inputs and
 outputs).  `replay` re-runs a manifest and reproduces the outputs byte
 for byte (the manifest's own timestamp is the only thing that moves).
 
@@ -48,7 +49,7 @@ from .serialize import (
     measure_from_obj,
     metric_from_obj,
     sha256_path,
-    space_to_obj,
+    space_text,
     upper_triangle,
 )
 from .stats import convergence_table, two_sample_test
@@ -265,7 +266,7 @@ def _cmd_simulate(args):
     except TypeError as exc:
         raise ParameterError(f"bad params for model {args.model!r}: {exc}") from exc
     inputs = [args.params] if args.params else []
-    return None, {args.out: dumps(space_to_obj(space)) + "\n"}, inputs
+    return None, {args.out: space_text(space)}, inputs
 
 
 def _cmd_test(args):

@@ -385,6 +385,54 @@ def _triangle_blocks(d: np.ndarray, upper: bool = False, rows=None):
         yield idx, block[:, None, k0:] - block[:, :, None] - d[None, :, k0:]
 
 
+TRIANGLE_LISTED = 100
+
+
+def _triangles(d: np.ndarray, tol: float) -> list:
+    """``triangle`` Violations for the triples (i, j, k), i < k and j outside
+    {i, k}, whose excess d(i,k) - d(i,j) - d(j,k) passes the relative limit:
+    the first TRIANGLE_LISTED in (i, j, k) order, then the first triple of
+    largest excess if it is not among them, so that the worst one is always
+    named, then, if any went unlisted, one more with no indices giving the
+    total count.  Each block of rows is counted and searched in numpy, so a
+    space that violates every triangle costs no Python work per triple."""
+    listed: list[Violation] = []
+    total, worst = 0, None
+
+    def violation(idx, i0, shape, flat, excess):
+        a, j, c = np.unravel_index(flat, shape)
+        i, j, k, e = int(idx[a]), int(j), i0 + 1 + int(c), float(excess[flat])
+        return Violation("triangle", (i, j, k), e,
+                         f"triangle violation ({i},{j},{k}), excess {e:g}")
+
+    # only i < k is reported, so each block skips the columns k <= idx[0]
+    rows = _triangle_rows(d, tol, relative=True, upper=True)
+    for idx, excess in _triangle_blocks(d, upper=True, rows=rows):
+        i0 = int(idx[0])
+        ks = np.arange(i0 + 1, d.shape[0])
+        mask = excess > _triangle_limit(d[idx, i0 + 1:], tol, True)[:, None, :]
+        mask &= (idx[:, None] < ks)[:, None, :]  # a later row of the block sees k <= i
+        mask[np.arange(len(idx)), idx] = False  # j = i
+        mask[:, ks, np.arange(len(ks))] = False  # j = k
+        hits = np.flatnonzero(mask)
+        if not hits.size:
+            continue
+        total += hits.size
+        flat = excess.reshape(-1)
+        listed += [violation(idx, i0, mask.shape, h, flat)
+                   for h in hits[: TRIANGLE_LISTED - len(listed)].tolist()]
+        best = int(hits[np.argmax(flat[hits])])
+        if worst is None or flat[best] > worst.magnitude:
+            worst = violation(idx, i0, mask.shape, best, flat)
+    if total > len(listed):
+        if worst not in listed:
+            listed.append(worst)
+        listed.append(Violation("triangle", (), 0.0,
+                                f"{total} triples violate the triangle inequality, "
+                                f"the first {TRIANGLE_LISTED} and the largest listed"))
+    return listed
+
+
 def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     """Check the metric-measure invariants and report every violation.
 
@@ -405,7 +453,9 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     gives.  Rows with a triple near or above the limit go to the exact
     scan, which costs about twice the pass per row; a ``tol`` below 8 eps
     (``tol=0``, say), a negative entry and n <= 32 send every row there
-    without a pass.  Memory is O(n^2).
+    without a pass.  Memory is O(n^2).  At most TRIANGLE_LISTED = 100
+    triangles are listed, with the worst one and the total count past that
+    (`_triangles`), as ``non-finite`` lists at most NON_FINITE_LISTED.
 
     Returns a ValidationReport: a fault in the space is reported, never
     raised.  A ``tol`` that is NaN, negative or infinite raises
@@ -439,19 +489,7 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
             out.append(Violation("negativity", (int(i), int(j)), float(d[i, j]),
                                  f"negativity at ({i},{j})"))
 
-    # only i < k is reported, so each block skips the columns k <= idx[0]
-    rows = _triangle_rows(d, tol, relative=True, upper=True)
-    for idx, excess in _triangle_blocks(d, upper=True, rows=rows):
-        i0 = int(idx[0])
-        mask = excess > _triangle_limit(d[idx, i0 + 1:], tol, True)[:, None, :]
-        if not mask.any():
-            continue
-        for a, j, c in zip(*(ix.tolist() for ix in np.nonzero(mask))):
-            i, k = int(idx[a]), i0 + 1 + c
-            if i < k and j != i and j != k:
-                out.append(Violation("triangle", (i, j, k), float(excess[a, j, c]),
-                                     f"triangle violation ({i},{j},{k}), "
-                                     f"excess {excess[a, j, c]:g}"))
+    out += _triangles(d, tol)
 
     for i in np.flatnonzero(w < 0):
         out.append(Violation("weight-negative", (int(i),), float(w[i]), f"weight {i} < 0"))

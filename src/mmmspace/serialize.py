@@ -1,25 +1,34 @@
 """JSON interchange for spaces, measures, metrics, and results.
 
-Schema names are versioned ("mmm-space/v1" etc).  The writer is the
+Schema names are versioned ("mmm-space/v2" etc).  The writer is the
 standard library's JSON encoder: floats go out as Python's shortest
 round-trip ``repr`` (``0.1``, ``1.0``, ``-0.0``, ``1e+16``), which reads
 back as the same IEEE double, and NaN or infinity is refused.  numpy
 arrays and scalars are written as their ``tolist()`` values.  The reader
-is plain JSON.  Distances travel as the upper triangle in row-major order.
+is plain JSON.
+
+A space's distances travel as the strict upper triangle in row-major
+order.  "mmm-space/v2", the only space schema written, stores it as one
+ASCII base64 string of little-endian float64 bytes, so the round trip is
+bit-exact by construction and costs no float text; `save_space` refuses a
+space with a NaN or infinite entry before writing.  "mmm-space/v1" files,
+which hold the triangle as a JSON list of numbers, are still read.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from typing import Any
 
 import numpy as np
 
-from .core import FiniteMmmSpace, MarkSpace
+from .core import FiniteMmmSpace, MarkSpace, _require_finite
 from .errors import ParameterError
 
-SPACE_SCHEMA = "mmm-space/v1"
+SPACE_SCHEMA = "mmm-space/v2"
+SPACE_SCHEMA_V1 = "mmm-space/v1"
 METRIC_SCHEMA = "mmm-metric/v1"
 MEASURE_SCHEMA = "mmm-measure/v1"
 MANIFEST_SCHEMA = "mmm-manifest/v1"
@@ -88,16 +97,55 @@ def mark_space_from_obj(obj: dict) -> MarkSpace:
     raise ParameterError(f"unknown mark space kind {kind!r}")
 
 
-def upper_triangle(d: np.ndarray) -> list:
+def _upper_values(d: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of ``d`` in row-major order, as float64."""
     # row slices, not np.triu_indices: two n^2/2 index arrays would outweigh
-    # the list itself
+    # the values themselves
     d = np.asarray(d, dtype=float)
-    return [x for i in range(d.shape[0]) for x in d[i, i + 1:].tolist()]
+    return np.concatenate([d[i, i + 1:] for i in range(d.shape[0])] or [np.zeros(0)])
+
+
+def upper_triangle(d: np.ndarray) -> list:
+    """The strict upper triangle in row-major order as a list of floats:
+    the ``dist_upper`` of `mmm sample`'s JSONL draws."""
+    return _upper_values(d).tolist()
+
+
+def _payload(d: np.ndarray) -> str:
+    """The strict upper triangle in row-major order as the ASCII base64
+    string of its little-endian float64 (``<f8``) bytes: the ``distances``
+    of an "mmm-space/v2" file."""
+    return base64.b64encode(_upper_values(d).astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _payload_values(payload, n: int) -> np.ndarray:
+    """Decode an "mmm-space/v2" ``distances`` payload for ``n`` points;
+    ParameterError for a non-string, bad base64 or a byte count other than
+    8 n (n - 1) / 2."""
+    if not isinstance(payload, str):
+        raise ParameterError(
+            f"mmm-space/v2 distances must be a base64 string, got {type(payload).__name__}"
+        )
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ParameterError(f"mmm-space/v2 distances are not base64: {exc}") from None
+    need = 8 * (n * (n - 1) // 2)
+    if len(raw) != need:
+        raise ParameterError(
+            f"mmm-space/v2 distances for {n} points need {need} bytes, got {len(raw)}"
+        )
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def from_upper_triangle(vals, n: int) -> np.ndarray:
+    """The symmetric n x n matrix, zero on the diagonal, whose strict upper
+    triangle in row-major order is ``vals`` (numbers, or an array such as
+    `_payload_values` gives).  Each value is copied into both of its
+    entries, so -0.0, subnormals and NaN keep their bits."""
     need = n * (n - 1) // 2
-    vals = np.fromiter(map(float, vals), dtype=float)
+    vals = (vals if isinstance(vals, np.ndarray)
+            else np.fromiter(map(float, vals), dtype=float))
     if vals.size != need:
         raise ParameterError(
             f"upper triangle for {n} points needs {need} entries, got {vals.size}"
@@ -122,18 +170,26 @@ def space_to_obj(space: FiniteMmmSpace) -> dict:
         "n": space.n,
         "weights": [float(w) for w in space.weights],
         "marks": marks_to_obj(space.marks, space.mark_space),
-        "distances": upper_triangle(space.distances),
+        "distances": _payload(space.distances),
     }
 
 
 def space_from_obj(obj: dict) -> FiniteMmmSpace:
-    if obj.get("schema") != SPACE_SCHEMA:
-        raise ParameterError(f"expected schema {SPACE_SCHEMA}, got {obj.get('schema')!r}")
+    """Read an "mmm-space/v2" object, or an "mmm-space/v1" one, whose
+    distances are a list of numbers."""
+    schema = obj.get("schema")
+    if schema not in (SPACE_SCHEMA, SPACE_SCHEMA_V1):
+        raise ParameterError(
+            f"expected schema {SPACE_SCHEMA} or {SPACE_SCHEMA_V1}, got {schema!r}"
+        )
     ms = mark_space_from_obj(obj["mark_space"])
     n = int(obj["n"])
     marks = [tuple(m) if ms.kind == "euclidean" else m for m in obj["marks"]]
+    vals = obj["distances"]
+    if schema == SPACE_SCHEMA:
+        vals = _payload_values(vals, n)
     return FiniteMmmSpace(
-        distances=from_upper_triangle(obj["distances"], n),
+        distances=from_upper_triangle(vals, n),
         marks=tuple(marks),
         weights=np.asarray(obj["weights"], dtype=float),
         mark_space=ms,
@@ -141,13 +197,26 @@ def space_from_obj(obj: dict) -> FiniteMmmSpace:
     )
 
 
+def space_text(space: FiniteMmmSpace) -> str:
+    """The "mmm-space/v2" file text of a space, newline included.  A NaN or
+    infinite distance, weight or Euclidean mark coordinate raises
+    ParameterError naming it (`FiniteMmmSpace._first_non_finite`), since
+    the base64 payload would carry it silently."""
+    _require_finite(space)
+    return dumps(space_to_obj(space)) + "\n"
+
+
 def save_space(space: FiniteMmmSpace, path: str) -> None:
-    dump_path(space_to_obj(space), path)
+    """Write `space_text` to ``path``; a space it refuses leaves no file."""
+    text = space_text(space)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_space(path: str) -> FiniteMmmSpace:
-    """Read a space file, NaN/Infinity included: `validate` reports them as
-    ``non-finite`` and every computing entry point rejects them by index."""
+    """Read a space file, NaN/Infinity included (tokens in a v1 file, bytes in
+    a v2 payload): `validate` reports them as ``non-finite`` and every
+    computing entry point rejects them by index."""
     with open(path, "r", encoding="utf-8") as fh:
         return space_from_obj(json.load(fh))
 

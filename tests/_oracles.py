@@ -36,6 +36,7 @@ from mmmspace import (
     FiniteMmmSpace, FinitePointMeasure, GluedSpace, correspondence_cross, mark_marginal, pair_distance_law,
     prohorov_exact,
 )
+import mmmspace.core
 from mmmspace.core import _sample_indices
 from mmmspace.dmat import round_sig
 from mmmspace.mgp import _greedy_coupling_pairs, _profile_cost
@@ -376,6 +377,20 @@ def triangle_violations_oracle(d, tol=1e-12):
     return [("triangle", (a, b, c), float(excess[a, b, c]),
              f"triangle violation ({a},{b},{c}), excess {excess[a, b, c]:g}")
             for a, b, c in np.argwhere(hit).tolist()]
+
+
+def listed_triangles(rows):
+    """The ``triangle`` rows `validate` reports out of the full list ``rows``
+    (C order): all of them up to `core.TRIANGLE_LISTED`; past that the first
+    TRIANGLE_LISTED, the first row of largest excess unless it is among
+    them, and one row with no indices giving the total count."""
+    cap = mmmspace.core.TRIANGLE_LISTED
+    if len(rows) <= cap:
+        return list(rows)
+    worst = max(rows, key=lambda r: r[2])
+    return (rows[:cap] + ([] if worst in rows[:cap] else [worst])
+            + [("triangle", (), 0.0, f"{len(rows)} triples violate the triangle inequality, "
+                                     f"the first {cap} and the largest listed")])
 
 
 def triangle_excess_oracle(m):

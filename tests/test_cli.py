@@ -1,5 +1,6 @@
 """End-to-end tests for the `mmm` command line front end."""
 
+import base64
 import csv
 import json
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mmmspace.cli
 from mmmspace import FiniteMmmSpace, MarkSpace, euclidean_cloud, load_space, save_space
 from mmmspace.cli import replay, run
 from mmmspace.serialize import dump_path, dumps, sha256_path, space_to_obj
@@ -383,7 +385,9 @@ def test_dist_and_test_reject_nan_distance(capsys, tmp_path):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     save_space(cloud, good)
     obj = space_to_obj(cloud)
-    obj["distances"][0] = float("nan")  # d(0, 1)
+    vals = np.frombuffer(base64.b64decode(obj["distances"]), dtype="<f8").copy()
+    vals[0] = np.nan  # d(0, 1)
+    obj["distances"] = base64.b64encode(vals.tobytes()).decode("ascii")
     bad.write_text(json.dumps(obj))
     for argv in (("dist", "--a", bad, "--b", good),
                  ("test", "--a", good, "--b", bad, "--m", 20, "--perms", 99)):
@@ -393,6 +397,64 @@ def test_dist_and_test_reject_nan_distance(capsys, tmp_path):
         report = json.loads(stderr)
         assert report["error"] == "bad-parameter"
         assert "d(0,1) = nan is not finite" in report["detail"]
+
+
+def test_validate_reports_nan_inside_a_v2_payload(capsys, tmp_path):
+    # space_to_obj writes what it is given; the NaN travels in the base64 bytes
+    bad = tmp_path / "nan.json"
+    obj = space_to_obj(nan_cloud())
+    assert obj["schema"] == "mmm-space/v2" and isinstance(obj["distances"], str)
+    bad.write_text(json.dumps(obj))
+    assert "NaN" not in bad.read_text()
+    code, stdout, stderr = run_cli(capsys, "validate", "--space", bad)
+    assert (code, stdout) == (1, "")
+    report = json.loads(stderr)
+    assert report["error"] == "invariant-violation"
+    assert report["detail"] == "d(0,1) = nan is not finite"
+    assert {v["kind"] for v in report["violations"]} == {"non-finite"}
+    assert [v["indices"] for v in report["violations"]] == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("payload, detail", [
+    ([0.5] * 15, "must be a base64 string, got list"),
+    ("AAAA*AAA", "distances are not base64"),
+    ("AAAAAAAA8D8=", "for 6 points need 120 bytes, got 8"),
+], ids=["not-a-string", "bad-base64", "wrong-length"])
+def test_malformed_v2_payload_is_a_bad_parameter(capsys, tmp_path, payload, detail):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**space_to_obj(euclidean_cloud(6, 2, seed=4)),
+                               "distances": payload}))
+    for argv in (("validate", "--space", bad), ("dist", "--a", bad, "--b", bad)):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        report = json.loads(stderr)
+        assert report["error"] == "bad-parameter"
+        assert detail in report["detail"]
+
+
+def test_validate_lists_a_hundred_triangles_on_a_line(capsys, tmp_path):
+    # 400 sorted points on a line at tol 0: 1 123 926 rounding-level
+    # violations, each once listed in a 435 MiB, 5 s report
+    x = np.sort(np.random.default_rng(1).uniform(0, 100, 400))
+    line = tmp_path / "line.json"
+    save_space(FiniteMmmSpace(distances=np.abs(np.subtract.outer(x, x)), marks=("a",) * 400,
+                              weights=np.full(400, 1 / 400),
+                              mark_space=MarkSpace.discrete(("a",))), line)
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(capsys, "validate", "--space", line, "--tol", 0)
+    assert time.perf_counter() - start < 5.0
+    assert (code, stdout) == (1, "")
+    assert len(stderr) < 100_000
+    report = json.loads(stderr)
+    triangles = report["violations"]
+    assert {v["kind"] for v in triangles} == {"triangle"}
+    assert len(triangles) == 102  # the worst triple lies past the first 100
+    assert [tuple(v["indices"]) for v in triangles[:100]] == sorted(
+        tuple(v["indices"]) for v in triangles[:100])
+    assert triangles[-1]["message"] == ("1123926 triples violate the triangle inequality, "
+                                        "the first 100 and the largest listed")
+    assert max(triangles, key=lambda v: v["magnitude"]) == triangles[100]
+    assert report["detail"] == triangles[100]["message"]
 
 
 def test_validate_manifest_replays(capsys, ab_space, tmp_path):
@@ -520,6 +582,31 @@ def test_simulate_validate_and_replay(capsys, tmp_path):
     assert code == 0
     assert out.read_bytes() == first
     assert sha256_path(out) == digest
+
+
+def test_simulate_writes_v2(capsys, tmp_path):
+    out = tmp_path / "cloud.json"
+    code, _, _ = run_cli(capsys, "simulate", "--model", "cloud",
+                         "--params", write_params(tmp_path, "v2", {"n": 5, "dim": 2}),
+                         "--seed", 3, "--out", out)
+    assert code == 0
+    obj = json.loads(out.read_text())
+    assert obj["schema"] == "mmm-space/v2"
+    assert len(base64.b64decode(obj["distances"], validate=True)) == 8 * 10
+    assert load_space(out) == euclidean_cloud(5, 2, seed=3)
+
+
+def test_simulate_refuses_a_non_finite_space(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(mmmspace.cli, "euclidean_cloud", lambda **params: nan_cloud())
+    out = tmp_path / "nan.json"
+    code, stdout, stderr = run_cli(capsys, "simulate", "--model", "cloud",
+                                   "--params", write_params(tmp_path, "nan", {"n": 6}),
+                                   "--out", out)
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "bad-parameter",
+                                  "detail": "space 'nan': d(0,1) = nan is not finite"}
+    assert not out.exists()
+    assert not (tmp_path / "nan.json.manifest.json").exists()
 
 
 def test_simulate_seed_changes_output(capsys, tmp_path):

@@ -28,7 +28,8 @@ from mmmspace import (
 from mmmspace.core import Violation, _non_finite, _require_finite, _sample_indices
 
 from _oracles import (
-    canonicalize_oracle, empirical_oracle, mark_distance, triangle_violations_oracle,
+    canonicalize_oracle, empirical_oracle, listed_triangles, mark_distance,
+    triangle_violations_oracle,
 )
 from conftest import (
     AB_MARKS, BIT_MARKS, random_points_metric, random_space, relabeled, rounding_witness,
@@ -299,7 +300,8 @@ def test_an_all_nan_space_is_rejected_by_its_first_entry():
 
 
 def reference_validate(space, tol=1e-12):
-    """validate written as plain loops over pairs and all n^3 triples."""
+    """validate written as plain loops over pairs and all n^3 triples; the
+    triangles are cut to the listed ones by `listed_triangles`."""
     d, w, n = space.distances, space.weights, space.n
     out = []
     for i in range(n):
@@ -315,13 +317,15 @@ def reference_validate(space, tol=1e-12):
             if d[i, j] < 0.0:
                 out.append(("negativity", (i, j), float(d[i, j]),
                             f"negativity at ({i},{j})"))
+    triangles = []
     for i in range(n):
         for j in range(n):
             for k in range(i + 1, n):
                 excess = d[i, k] - d[i, j] - d[j, k]
                 if j not in (i, k) and excess > tol * max(1.0, d[i, k]):
-                    out.append(("triangle", (i, j, k), float(excess),
-                                f"triangle violation ({i},{j},{k}), excess {excess:g}"))
+                    triangles.append(("triangle", (i, j, k), float(excess),
+                                      f"triangle violation ({i},{j},{k}), excess {excess:g}"))
+    out += listed_triangles(triangles)
     for i in range(n):
         if w[i] < 0:
             out.append(("weight-negative", (i,), float(w[i]), f"weight {i} < 0"))
@@ -377,9 +381,12 @@ def broken_matrix(rng, n, tol=1e-12):
 @pytest.mark.parametrize("rows", [None, 1, 3, 7])
 def test_validate_triangles_match_the_full_tensor(monkeypatch, rows):
     """The upper-column scan reports exactly the full tensor's triangles, in
-    single-pass, one-row and multi-row blocks with a short last block."""
+    single-pass, one-row and multi-row blocks with a short last block: all
+    of them up to TRIANGLE_LISTED; past it the first TRIANGLE_LISTED, the
+    worst triple and the count.  Each space is checked at the default cap
+    and at a cap of 5, so both sides of the cap meet every block shape."""
     rng = np.random.default_rng(31 + (rows or 0))
-    seen = 0
+    seen, below, above = 0, 0, 0
     for n in (3, 4, 5, 9, 17, 30):
         if rows is not None:
             monkeypatch.setattr(mmmspace.core, "TRIANGLE_BLOCK_ELEMENTS", rows * n * n)
@@ -387,13 +394,26 @@ def test_validate_triangles_match_the_full_tensor(monkeypatch, rows):
             d = broken_matrix(rng, n)
             space = FiniteMmmSpace(distances=d, marks=("a",) * n,
                                    weights=np.full(n, 1 / n), mark_space=AB_MARKS)
-            report = validate(space)
-            assert "asymmetry" not in report
-            got = [(v.kind, v.indices, v.magnitude, v.message)
-                   for v in report.violations if v.kind == "triangle"]
-            assert got == triangle_violations_oracle(d)
-            seen += len(got)
-    assert seen > 0
+            want = triangle_violations_oracle(d)
+            for cap in (100, 5):
+                monkeypatch.setattr(mmmspace.core, "TRIANGLE_LISTED", cap)
+                report = validate(space)
+                assert "asymmetry" not in report
+                got = [(v.kind, v.indices, v.magnitude, v.message)
+                       for v in report.violations if v.kind == "triangle"]
+                if len(want) <= cap:
+                    assert got == want
+                    below += 1
+                    continue
+                worst = max(want, key=lambda v: v[2])
+                assert got[:cap] == want[:cap]
+                assert got[cap:-1] == ([] if worst in want[:cap] else [worst])
+                assert got[-1] == ("triangle", (), 0.0,
+                                   f"{len(want)} triples violate the triangle inequality, "
+                                   f"the first {cap} and the largest listed")
+                above += 1
+            seen += len(want)
+    assert seen > 0 and below > 0 and above > 0
 
 
 def path_metric(rng, n, stretch=0):
@@ -455,7 +475,7 @@ def test_validate_reads_d_jk_not_d_kj():
         assert "asymmetry" not in report
         got = report_rows(report)
         assert got == reference_validate(one_mark_space(d), tol=tol)
-        assert got == triangle_violations_oracle(d, tol)
+        assert got == listed_triangles(triangle_violations_oracle(d, tol))
         seen += len(got)
     assert seen > 0
     # (0, 1, 2) is tight at 0.5 = 0.25 + 0.25; d(0,2) is stretched and
@@ -504,7 +524,7 @@ def test_validate_pass_in_chunks_matches_the_full_tensor(monkeypatch, elements):
         for tol in (0.0, 1e-12):
             got = [v for v in report_rows(validate(one_mark_space(d), tol=tol))
                    if v[0] == "triangle"]
-            assert got == triangle_violations_oracle(d, tol)
+            assert got == listed_triangles(triangle_violations_oracle(d, tol))
             rows = mmmspace.core._triangle_rows(d, tol, relative=True, upper=True)
             cleared += len(d) - len(rows)
     assert cleared > 0

@@ -1,11 +1,15 @@
+import base64
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmmspace import FiniteMmmSpace, MarkSpace, ParameterError, load_space, save_space
+from mmmspace import (
+    FiniteMmmSpace, MarkSpace, ParameterError, euclidean_cloud, load_space, save_space,
+)
 from mmmspace.serialize import (
     dumps,
     from_upper_triangle,
@@ -19,7 +23,7 @@ from mmmspace.serialize import (
     upper_triangle,
 )
 
-from conftest import random_space, two_point
+from conftest import nan_cloud, random_space, two_point
 
 
 def test_floats_round_trip_exactly():
@@ -103,10 +107,91 @@ def test_output_is_valid_json_with_sorted_structure(tmp_path):
     path = tmp_path / "a.json"
     save_space(s, path)
     obj = json.loads(path.read_text())
-    assert obj["schema"] == "mmm-space/v1"
+    assert obj["schema"] == "mmm-space/v2"
     assert obj["n"] == 2
-    assert obj["distances"] == [1]
+    assert obj["distances"] == base64.b64encode(struct.pack("<d", 1.0)).decode("ascii")
+    assert obj["distances"] == "AAAAAAAA8D8="
     assert obj["weights"] == [0.5, 0.5]
+
+
+def test_v2_round_trip_keeps_every_bit(tmp_path):
+    # -0.0, the smallest subnormal, a near-overflow value and a non-dyadic one
+    n = 5
+    vals = np.array([-0.0, 5e-324, 1e308, 1 / 3, 0.0, 2.5, -0.0, 5e-324, 1e308, 1 / 3])
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = vals
+    d.T[np.triu_indices(n, 1)] = vals
+    s = FiniteMmmSpace(distances=d, marks=("a",) * n, weights=np.full(n, 0.2),
+                       mark_space=MarkSpace.discrete(("a",)), label="bits")
+    path = tmp_path / "bits.json"
+    save_space(s, path)
+    t = load_space(path)
+    assert t.distances.tobytes() == s.distances.tobytes()
+    assert t.weights.tobytes() == s.weights.tobytes()
+    assert np.signbit(t.distances[0, 1]) and np.signbit(t.distances[1, 0])
+    raw = base64.b64decode(json.loads(path.read_text())["distances"])
+    assert raw == vals.astype("<f8").tobytes()
+    save_space(t, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_v1_files_are_still_read(tmp_path):
+    # a file as earlier versions wrote it: the triangle as JSON numbers,
+    # among them an integer and -0.0
+    path = tmp_path / "v1.json"
+    path.write_text(
+        '{"schema": "mmm-space/v1", "label": "old", '
+        '"mark_space": {"kind": "euclidean", "dim": 2}, "n": 3, '
+        '"weights": [0.25, 0.25, 0.5], "marks": [[0.1, -0.2], [1.0, 2.0], [0.0, 0.0]], '
+        '"distances": [1, -0.0, 0.3333333333333333]}\n'
+    )
+    old = load_space(path)
+    assert old.distances.tolist() == [[0.0, 1.0, -0.0], [1.0, 0.0, 1 / 3], [-0.0, 1 / 3, 0.0]]
+    assert np.signbit(old.distances[0, 2]) and np.signbit(old.distances[2, 0])
+    assert old.marks == ((0.1, -0.2), (1.0, 2.0), (0.0, 0.0))
+    save_space(old, tmp_path / "v2.json")
+    assert json.loads((tmp_path / "v2.json").read_text())["schema"] == "mmm-space/v2"
+    new = load_space(tmp_path / "v2.json")
+    assert new == old
+    assert new.distances.tobytes() == old.distances.tobytes()
+    assert new.weights.tobytes() == old.weights.tobytes()
+
+
+def v2_obj_with_distances(payload):
+    obj = space_to_obj(euclidean_cloud(4, 2, seed=1))
+    obj["distances"] = payload
+    return obj
+
+
+def test_v2_payload_must_be_a_string():
+    with pytest.raises(ParameterError, match="must be a base64 string, got list"):
+        space_from_obj(v2_obj_with_distances([1.0] * 6))
+
+
+def test_v2_payload_must_be_base64():
+    good = v2_obj_with_distances(None)
+    for bad in ("not base64!", "AAAA" * 11 + "A", "AAAAAAAA8D8=" * 4 + "é"):
+        with pytest.raises(ParameterError, match="distances are not base64"):
+            space_from_obj({**good, "distances": bad})
+
+
+def test_v2_payload_must_hold_the_whole_triangle():
+    whole = space_to_obj(euclidean_cloud(4, 2, seed=1))["distances"]
+    assert len(base64.b64decode(whole)) == 8 * 6
+    for payload in (base64.b64encode(base64.b64decode(whole)[:40]).decode(),
+                    base64.b64encode(base64.b64decode(whole) + b"\0" * 8).decode(), ""):
+        with pytest.raises(ParameterError, match="for 4 points need 48 bytes"):
+            space_from_obj(v2_obj_with_distances(payload))
+
+
+def test_save_space_refuses_non_finite_entries_before_writing(tmp_path):
+    path = tmp_path / "nan.json"
+    with pytest.raises(ParameterError, match=r"space 'nan': d\(0,1\) = nan is not finite"):
+        save_space(nan_cloud(), path)
+    assert not path.exists()
+    # space_to_obj stays a plain conversion: the NaN is in the payload
+    raw = base64.b64decode(space_to_obj(nan_cloud())["distances"])
+    assert math.isnan(np.frombuffer(raw, dtype="<f8")[0])
 
 
 def test_metric_and_measure_round_trip():
