@@ -5,8 +5,8 @@ weight and a mark for every point; marks live in a fixed complete separable
 mark space (a finite label set with the 0/1 metric, or R^d with the
 Euclidean metric).  Two spaces are the same object exactly when a
 measure-preserving, mark-preserving isometry maps one support onto the
-other; `canonicalize` produces the quotient representative and
-`is_equivalent_exact` decides equality for small spaces.
+other; `canonicalize` produces the quotient representative, and
+`is_equivalent_exact` compares canonical forms (`_canonical_form`).
 """
 
 from __future__ import annotations
@@ -598,92 +598,160 @@ def canonicalize(space: FiniteMmmSpace) -> FiniteMmmSpace:
 # equivalence
 # ---------------------------------------------------------------------------
 
-EXACT_SEARCH_BOUND = 10
+CANONICAL_NODE_BOUND = 2000
 
 
-def _find_isometry(a: FiniteMmmSpace, b: FiniteMmmSpace, atol: float):
-    """Backtracking search for a mark/weight/distance-preserving bijection.
+def _initial_colour(marks, weights: np.ndarray) -> np.ndarray:
+    """The ranks of (repr(mark), weight): the colouring `_refine` starts from."""
+    keys = [(repr(m), w) for m, w in zip(marks, weights.tolist())]
+    rank = {k: t for t, k in enumerate(sorted(set(keys)))}
+    return np.array([rank[k] for k in keys], dtype=np.int64)
 
-    Returns the permutation phi with b ~ a relabeled by phi, or None.
-    Inputs must already be canonical and of equal size.
-    """
-    n = a.n
-    if n != b.n:
+
+def _refine(d: np.ndarray, colour: np.ndarray) -> np.ndarray:
+    """``colour`` refined by the rows of d until stable, in O(n^2) memory.
+    Each round sorts every row's n - 1 off-diagonal pairs (d[i, j],
+    colour[j]) by distance, then colour, puts the atom's own colour in
+    front, and dense-ranks the rows lexicographically, so every cell splits
+    in its own place; it stops when the number of colours stops growing."""
+    n = len(colour)
+    if n < 2:
+        return colour
+    groups = len(np.unique(colour))
+    off = ~np.eye(n, dtype=bool)
+    dist = d[off].reshape(n, n - 1)
+    others = np.broadcast_to(np.arange(n), (n, n))[off].reshape(n, n - 1)
+    rows = np.empty((n, 2 * n - 1))
+    for _ in range(n):
+        near = np.lexsort((colour[others], dist))
+        rows[:, 0] = colour
+        rows[:, 1::2] = np.take_along_axis(dist, near, axis=1)
+        rows[:, 2::2] = colour[np.take_along_axis(others, near, axis=1)]
+        # lexsort's last key is its primary one: column 0 goes last
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        colour = np.empty(n, dtype=np.int64)
+        colour[order] = np.concatenate(([0], np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))))
+        new_groups = int(colour[order[-1]]) + 1
+        if new_groups == groups:
+            break
+        groups = new_groups
+    return colour
+
+
+def _target_cell(d: np.ndarray, colour: np.ndarray):
+    """The atoms of the first smallest cell of the dense colouring ``colour``
+    with two atoms that are not twins, or None, in O(n^2) work.  Twins
+    share their diagonal entry and their distances to and from each atom
+    outside the cell, and a cell of twins has one distance inside: every
+    order of it gives the same relabelled matrix."""
+    order = np.argsort(colour, kind="stable")
+    size = np.bincount(colour)
+    start = np.cumsum(size) - size
+    first, second = order[start][colour], order[np.minimum(start + 1, len(d) - 1)][colour]
+    same = colour[:, None] == colour[None, :]
+    np.fill_diagonal(same, False)
+    apart = np.where(same, d != d[first, second][:, None], (d != d[first]) | (d.T != d.T[first]))
+    np.fill_diagonal(apart, np.diagonal(d) != np.diagonal(d)[first])
+    split = (size > 1) & (np.bincount(colour, weights=apart.any(axis=1), minlength=len(size)) > 0)
+    if not split.any():
         return None
-    da, db = a.distances, b.distances
-    wa, wb = a.weights, b.weights
-
-    candidates = []
-    for i in range(n):
-        cs = [
-            j
-            for j in range(n)
-            if a.marks[i] == b.marks[j] and abs(wa[i] - wb[j]) <= atol
-        ]
-        if not cs:
-            return None
-        candidates.append(cs)
-
-    order = sorted(range(n), key=lambda i: len(candidates[i]))
-    assign = [-1] * n
-    used = [False] * n
-
-    def extend(depth: int):
-        if depth == n:
-            return True
-        i = order[depth]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for d2 in range(depth):
-                i2 = order[d2]
-                if abs(da[i, i2] - db[j, assign[i2]]) > atol:
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if extend(depth + 1):
-                    return True
-                assign[i] = -1
-                used[j] = False
-        return False
-
-    if extend(0):
-        return tuple(assign)
-    return None
+    c = np.flatnonzero(split)[np.argmin(size[split])]
+    return order[start[c]: start[c] + size[c]]
 
 
-def is_equivalent_exact(
-    a: FiniteMmmSpace, b: FiniteMmmSpace, atol: float = 1e-12
-) -> bool:
-    """Decide equality of two small spaces up to mark-preserving isometry.
+def _canonical_order(d: np.ndarray, colour: np.ndarray) -> np.ndarray:
+    """The order whose relabelled matrix d[order][:, order] has the least
+    bytes among the leaves of an individualization-refinement search
+    (McKay and Piperno, "Practical graph isomorphism, II", J. Symbolic
+    Comput. 2014).  A node refines its colouring (`_refine`); each atom u
+    of its `_target_cell` gives a child whose colouring puts u first in
+    that cell, and a node with none is a leaf, in colour order.  Two
+    byte-equal leaves give an automorphism.  A child is skipped when its
+    atom is in the orbit of one already tried under the automorphisms that
+    fix the node's path, and a leaf equal to the first one ends the search
+    below the node where their paths part: the automorphism maps a
+    searched subtree onto each one skipped.  Raises TooLargeError past
+    CANONICAL_NODE_BOUND nodes.
+    """
+    n, nodes, path = len(colour), 0, ()
+    autos, frames = [], []  # frames[k]: path, colouring, target cell and tried atoms at depth k
+    first = best = None  # leaves as (matrix bytes, order, path)
+    while True:
+        nodes += 1
+        if nodes > CANONICAL_NODE_BOUND:
+            raise TooLargeError(f"canonical order search passed its budget of "
+                                f"{CANONICAL_NODE_BOUND} nodes on {n} atoms")
+        colour = _refine(d, colour)
+        cell = _target_cell(d, colour)
+        if cell is not None:
+            frames.append((path, colour, cell.tolist(), []))
+        else:
+            order = np.argsort(colour, kind="stable")
+            form = d[np.ix_(order, order)].tobytes()
+            seen = next((leaf for leaf in (first, best) if leaf and leaf[0] == form), None)
+            if seen:
+                autos.append(np.empty(n, dtype=np.intp))
+                autos[-1][seen[1]] = order
+                if seen is first:  # back to the node where the two paths part
+                    part = next(k for k, (u, v) in enumerate(zip(path, first[2])) if u != v)
+                    del frames[part + 1:]
+            elif best is None or form < best[0]:
+                best = (form, order, path)
+            first = first or best
+        while frames:  # the next child to search, depth first
+            path, colour, cell, tried = frames[-1]
+            fixing = [g for g in autos if (g[list(path)] == path).all()]
+            orbit, last = np.arange(n), None  # the least atom of each orbit
+            while last is None or not np.array_equal(orbit, last):
+                last = orbit
+                for g in fixing:
+                    orbit = np.minimum(orbit, orbit[g])
+            done = {orbit[t] for t in tried}
+            u = next((u for u in cell if orbit[u] not in done), None)
+            if u is not None:
+                break
+            frames.pop()
+        else:
+            return best[1]
+        tried.append(u)
+        colour, path = 2 * colour + 1, path + (u,)
+        colour[u] -= 1
 
-    Both inputs are canonicalized first.  The search looks for a bijection
-    matching marks exactly and weights/distances within ``atol``
-    (relabeled copies match bit-for-bit; the tolerance only absorbs
-    merge-order float noise).  Raises TooLargeError beyond 10 points; use
-    the statistical two-sample test for larger spaces.  Spaces without
-    positive total weight or with NaN/inf entries raise ParameterError.
+
+def _canonical_form(space: FiniteMmmSpace) -> FiniteMmmSpace:
+    """``canonicalize(space)`` in `_canonical_order`, with -0.0 distances
+    and Euclidean mark coordinates read as 0.0: spaces on one mark space
+    are equivalent exactly when their forms have equal `_form_key`."""
+    space = canonicalize(space)
+    d = space.distances + 0.0  # -0.0 + 0.0 is 0.0
+    marks = space.marks
+    if space.mark_space.kind == "euclidean":
+        marks = tuple(tuple(x + 0.0 for x in m) for m in marks)
+    order = _canonical_order(d, _initial_colour(marks, space.weights))
+    return replace(space, distances=d[np.ix_(order, order)], weights=space.weights[order],
+                   marks=tuple(marks[i] for i in order))
+
+
+def _form_key(form: FiniteMmmSpace) -> tuple:
+    """Marks by repr, then weight bytes, then distance bytes."""
+    return tuple(map(repr, form.marks)), form.weights.tobytes(), form.distances.tobytes()
+
+
+def is_equivalent_exact(a: FiniteMmmSpace, b: FiniteMmmSpace) -> bool:
+    """Decide equality of two spaces up to mark-preserving isometry.
+
+    The two canonical forms are compared bit for bit (`_canonical_form`,
+    `_form_key`), in O(n^2) memory.  Raises TooLargeError when the
+    canonical order search passes CANONICAL_NODE_BOUND nodes, and
+    ParameterError for spaces without positive total weight or with
+    NaN/inf entries.
     """
     _require_finite(a, b)
     for space in (a, b):
         _weight_total(space)
-    a = canonicalize(a)
-    b = canonicalize(b)
-    if max(a.n, b.n) > EXACT_SEARCH_BOUND:
-        raise TooLargeError(
-            f"exact equivalence search is limited to {EXACT_SEARCH_BOUND} points; "
-            "use stats.two_sample_test for larger spaces"
-        )
-    if a.n != b.n or a.mark_space != b.mark_space:
-        return False
-    if sorted(a.marks, key=repr) != sorted(b.marks, key=repr):
-        return False
-    if np.abs(np.sort(a.weights) - np.sort(b.weights)).max() > atol:
-        return False
-    return _find_isometry(a, b, atol) is not None
+    return (a.mark_space == b.mark_space
+            and _form_key(_canonical_form(a)) == _form_key(_canonical_form(b)))
 
 
 # ---------------------------------------------------------------------------

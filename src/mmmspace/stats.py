@@ -9,16 +9,14 @@ distributional assumptions.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMmmSpace, _require_finite, _sample_indices, canonicalize
+from .core import FiniteMmmSpace, _canonical_form, _form_key, _require_finite, _sample_indices
 from .errors import ParameterError
 from .poly import Polynomial, _exact_is_cheap, evaluate_exact, evaluate_mc
-from .serialize import dumps, space_to_obj
 
 __all__ = [
     "TwoSampleResult",
@@ -26,71 +24,6 @@ __all__ = [
     "two_sample_test",
     "convergence_table",
 ]
-
-
-# ---------------------------------------------------------------------------
-# canonical atom order and digests
-# ---------------------------------------------------------------------------
-
-def _canonical_order(space: FiniteMmmSpace) -> list:
-    """Deterministic atom order stable under relabeling.
-
-    Atoms are partitioned by (mark, weight) and the partition is refined
-    with distance profiles until stable, then sorted.  Atoms that remain
-    tied after refinement are ordered by input position; relabeled copies
-    of a space therefore sort identically unless they contain atoms that
-    profile-refinement cannot separate (symmetric twins, for which any
-    order yields the same matrix, or degenerate regular configurations).
-
-    Colour refinement in array passes, in O(n^2) memory.  Colours start as
-    the ranks of (repr(mark), weight).  Each round sorts every row's n - 1
-    off-diagonal pairs (d[i, j], colour[j]) by distance, then colour, puts
-    the atom's own colour in front, and dense-ranks the rows
-    lexicographically; it stops when the number of colours stops growing.
-    """
-    n = space.n
-    if n < 2:
-        return list(range(n))
-    keys = [(repr(space.marks[i]), float(space.weights[i])) for i in range(n)]
-    rank = {k: t for t, k in enumerate(sorted(set(keys)))}
-    colour = np.array([rank[k] for k in keys])
-    groups = len(rank)
-    off = ~np.eye(n, dtype=bool)
-    dist = space.distances[off].reshape(n, n - 1)
-    others = np.broadcast_to(np.arange(n), (n, n))[off].reshape(n, n - 1)
-    rows = np.empty((n, 2 * n - 1))
-    for _ in range(n):
-        near = np.lexsort((colour[others], dist))
-        rows[:, 0] = colour
-        rows[:, 1::2] = np.take_along_axis(dist, near, axis=1)
-        rows[:, 2::2] = colour[np.take_along_axis(others, near, axis=1)]
-        # lexsort's last key is its primary one: column 0 goes last
-        order = np.lexsort(rows.T[::-1])
-        ranked = rows[order]
-        colour = np.empty(n, dtype=np.int64)
-        colour[order] = np.concatenate(([0], np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))))
-        new_groups = int(colour[order[-1]]) + 1
-        if new_groups == groups:
-            break
-        groups = new_groups
-    return np.lexsort((np.arange(n), colour)).tolist()
-
-
-def _sorted_copy(space: FiniteMmmSpace) -> FiniteMmmSpace:
-    order = _canonical_order(space)
-    return FiniteMmmSpace(
-        distances=space.distances[np.ix_(order, order)],
-        marks=tuple(space.marks[i] for i in order),
-        weights=space.weights[order],
-        mark_space=space.mark_space,
-        label=space.label,
-    )
-
-
-def _digest(space: FiniteMmmSpace) -> str:
-    full = space_to_obj(space)
-    obj = {key: full[key] for key in ("mark_space", "weights", "marks", "distances")}
-    return hashlib.sha256(dumps(obj).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +131,12 @@ def two_sample_test(
     all splits come from matrix products over blocks of PERMUTATION_BLOCK
     splits, in O(m^2 + m * PERMUTATION_BLOCK) memory.
 
-    Determinism and symmetry: both spaces are canonicalized and their
-    atoms put in the profile-sorted order, and the side whose canonical
-    serialization has the smaller SHA-256 digest is drawn first from the
-    single seeded stream.  Hence test(a, b) and test(b, a) agree bit for
-    bit, and the result is invariant under relabeling either input.
+    Determinism and symmetry: both spaces are put in canonical form
+    (`core._canonical_form`), and the side whose form comes first (marks
+    by repr, then weight bytes, then distance bytes) is drawn first from
+    the single seeded stream.  Hence test(a, b) and test(b, a) agree bit
+    for bit, and the result is invariant under relabeling either input.
+    Raises TooLargeError past `core.CANONICAL_NODE_BOUND` search nodes.
     """
     if n < 2:
         raise ParameterError("sample order must be at least 2")
@@ -214,10 +148,7 @@ def two_sample_test(
         raise ParameterError("both spaces must share the mark space")
     _require_finite(a, b)
 
-    ca = _sorted_copy(canonicalize(a))
-    cb = _sorted_copy(canonicalize(b))
-    if _digest(cb) < _digest(ca):
-        ca, cb = cb, ca
+    ca, cb = sorted((_canonical_form(a), _canonical_form(b)), key=_form_key)
 
     rng = np.random.default_rng(seed)
     idx1 = _sample_indices(ca, (m, n), rng)

@@ -341,7 +341,8 @@ def mgp_level_oracle(a, b):
 
 
 def canonical_order_oracle(space):
-    """`stats._canonical_order` as plain-Python colour refinement: one sorted
+    """The atoms in the colour order of `core._refine` from
+    `core._initial_colour`, by plain-Python colour refinement: one sorted
     tuple of (distance, colour) pairs per atom per round, ranked by sorting
     the distinct keys."""
     n = space.n
@@ -364,6 +365,19 @@ def canonical_order_oracle(space):
             break
         groups = new_groups
     return sorted(range(n), key=lambda i: (keys[i], i))
+
+
+def equivalent_oracle(a, b):
+    """`is_equivalent_exact` by brute force: whether one of all n!
+    permutations p of canonicalize(b) gives canonicalize(a)'s marks, and
+    its weights and distances as floats (so -0.0 equals 0.0)."""
+    a, b = mmmspace.core.canonicalize(a), mmmspace.core.canonicalize(b)
+    if a.n != b.n or a.mark_space != b.mark_space:
+        return False
+    perms = np.array(list(itertools.permutations(range(a.n))), dtype=int).reshape(-1, a.n)
+    same = (np.all(b.distances[perms[:, :, None], perms[:, None, :]] == a.distances, axis=(1, 2))
+            & np.all(b.weights[perms] == a.weights, axis=1))
+    return any(tuple(b.marks[i] for i in p) == a.marks for p in perms[same].tolist())
 
 
 def triangle_violations_oracle(d, tol=1e-12):

@@ -126,6 +126,66 @@ def relabeled(space, rng):
     ), perm
 
 
+def uniform_space(d, label=""):
+    """The metric ``d`` with uniform weights and the one mark "c" of the
+    constant clouds of `euclidean_cloud`."""
+    n = len(d)
+    return FiniteMmmSpace(distances=d, marks=("c",) * n, weights=np.full(n, 1 / n),
+                          mark_space=MarkSpace.discrete(("c",)), label=label)
+
+
+def cycle_space(n):
+    """The graph metric of the n-cycle, which colour refinement cannot split."""
+    steps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return uniform_space(np.minimum(steps, n - steps).astype(float), f"cycle-{n}")
+
+
+def balanced_tree(levels):
+    """The ultrametric of the balanced binary tree on 2**levels leaves: two
+    leaves sit at the height of their least common ancestor."""
+    i = np.arange(2 ** levels)
+    return uniform_space(np.frexp(np.bitwise_xor.outer(i, i))[1].astype(float),
+                         f"tree-{2 ** levels}")
+
+
+def graph_space(rng, n, labels=("a", "b")):
+    """The shortest-path metric of a random graph on n vertices, at distance
+    n between components, with uniform weights and random labels from
+    ``labels``: small graphs of few distinct distances have many
+    automorphisms."""
+    adj = np.triu(rng.random((n, n)) < rng.uniform(0.2, 0.8), 1)
+    d = np.where(adj | adj.T, 1.0, float(n))
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    marks = tuple(labels[t] for t in rng.integers(0, len(labels), size=n))
+    return FiniteMmmSpace(distances=d, marks=marks, weights=np.full(n, 1 / n),
+                          mark_space=MarkSpace.discrete(labels), label=f"graph-{n}")
+
+
+def rook_and_shrikhande():
+    """The 4x4 rook's graph and the Shrikhande graph, at distance 3 from
+    each other.  Both are strongly regular with parameters (16, 6, 2, 2), so
+    colour refinement cannot tell their atoms apart, but they are not
+    isomorphic: the search must try an atom of each."""
+    r, c = np.divmod(np.arange(16), 4)
+    dr, dc = np.subtract.outer(r, r) % 4, np.subtract.outer(c, c) % 4
+    rook = (dr == 0) ^ (dc == 0)
+    # Z4 x Z4 with the differences +-(0, 1), +-(1, 0) and +-(1, 1)
+    shrikhande = ((dr == 0) | (dc == 0) | (dr == dc)) & ((dr % 2 == 1) | (dc % 2 == 1))
+    d = np.full((32, 32), 3.0)
+    for k, adj in enumerate((rook, shrikhande)):
+        d[16 * k: 16 * k + 16, 16 * k: 16 * k + 16] = np.where(adj, 1.0, 2.0) - 2.0 * np.eye(16)
+    return uniform_space(d, "rook+shrikhande")
+
+
+def hamming_cube(k):
+    """The Hamming metric on {0, 1}**k."""
+    i = np.arange(2 ** k)
+    x = np.bitwise_xor.outer(i, i)
+    return uniform_space(sum((x >> b) & 1 for b in range(k)).astype(float), f"cube-{k}")
+
+
 @pytest.fixture
 def space_A():
     """Two points at distance 1, weights 1/2 each, marks 0 and 1."""

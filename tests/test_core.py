@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,16 +24,18 @@ from mmmspace import (
     is_equivalent_exact,
     kingman,
     mgp_lower,
+    two_sample_test,
     validate,
 )
 from mmmspace.core import Violation, _non_finite, _require_finite, _sample_indices
 
 from _oracles import (
-    canonicalize_oracle, empirical_oracle, listed_triangles, mark_distance,
+    canonicalize_oracle, empirical_oracle, equivalent_oracle, listed_triangles, mark_distance,
     triangle_violations_oracle,
 )
 from conftest import (
-    AB_MARKS, BIT_MARKS, random_points_metric, random_space, relabeled, rounding_witness,
+    AB_MARKS, BIT_MARKS, balanced_tree, cycle_space, graph_space, hamming_cube,
+    random_points_metric, random_space, relabeled, rook_and_shrikhande, rounding_witness,
     two_point, witness_metric,
 )
 
@@ -710,6 +713,51 @@ def test_equivalent_to_relabeled_copy():
         s = random_space(rng, max_n=6)
         t, _ = relabeled(s, rng)
         assert is_equivalent_exact(s, t)
+    # a -0.0 diagonal is the same space as a 0.0 one, to the two-sample test too
+    d = s.distances.copy()
+    np.fill_diagonal(d, -0.0)
+    signed = replace(s, distances=d)
+    assert np.signbit(np.diagonal(signed.distances)).all()
+    assert is_equivalent_exact(s, signed) and is_equivalent_exact(signed, t)
+    runs = [two_sample_test(x, two_point(mark_space=AB_MARKS, marks="ab"), m=20,
+                            permutations=99, seed=4) for x in (s, signed)]
+    assert runs[0] == runs[1]
+
+
+def test_equivalence_matches_the_brute_force_oracle():
+    # small graph metrics have many automorphisms, so the search prunes by
+    # them; one raised entry (or symmetric pair) must break every isometry
+    # the oracle can find, and the raised space must match its own copies
+    rng = np.random.default_rng(41)
+    seen = {True: 0, False: 0}
+    for trial in range(120):
+        n = int(rng.integers(4, 8))
+        a = graph_space(rng, n, labels=("a",) if trial % 2 else ("a", "b"))
+        b = relabeled(a, rng)[0] if trial % 3 else graph_space(rng, n, labels=a.mark_space.labels)
+        d = b.distances.copy()
+        i, j = rng.integers(0, n, size=2)  # a diagonal entry now and then
+        d[i, j] += 1.0
+        if trial % 4:
+            d[j, i] = d[i, j]
+        raised = replace(b, distances=d)
+        for x, y in ((a, b), (a, raised), (raised, relabeled(raised, rng)[0])):
+            want = equivalent_oracle(x, y)
+            assert is_equivalent_exact(x, y) == want, trial
+            seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_equivalence_beyond_ten_points():
+    a = kingman(CoalescentConfig(leaves=200, theta=1.0, seed=5))
+    b = relabeled(a, np.random.default_rng(6))[0]
+    assert is_equivalent_exact(a, b)
+    d = b.distances.copy()
+    d[3, 7] = d[7, 3] = np.nextafter(d[3, 7], np.inf)
+    assert not is_equivalent_exact(a, replace(b, distances=d))
+    rng = np.random.default_rng(7)
+    for s in (cycle_space(60), balanced_tree(5), hamming_cube(5), rook_and_shrikhande()):
+        for _ in range(3):
+            assert is_equivalent_exact(relabeled(s, rng)[0], relabeled(s, rng)[0]), s.label
 
 
 def test_equivalence_sees_through_atom_splitting(space_A):
@@ -744,11 +792,14 @@ def test_equivalence_rejects_zero_total_weight(space_A):
             is_equivalent_exact(*pair)
 
 
-def test_equivalence_size_guard():
-    rng = np.random.default_rng(3)
-    big = random_space(rng, max_n=12, min_n=11)
-    with pytest.raises(TooLargeError, match="two_sample_test"):
-        is_equivalent_exact(big, big)
+def test_canonical_order_search_budget(monkeypatch):
+    cube = hamming_cube(5)
+    assert is_equivalent_exact(cube, cube)
+    monkeypatch.setattr(mmmspace.core, "CANONICAL_NODE_BOUND", 5)
+    for call in (is_equivalent_exact,
+                 lambda x, y: two_sample_test(x, y, m=20, permutations=99)):
+        with pytest.raises(TooLargeError, match="budget of 5 nodes"):
+            call(cube, cube)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,14 @@ from mmmspace import (
 )
 
 import mmmspace
-from mmmspace.stats import _canonical_order, _energies, _row_distances
+from mmmspace.core import _initial_colour, _refine
+from mmmspace.stats import _energies, _row_distances
 
 from _oracles import canonical_order_oracle
-from conftest import AB_MARKS, BIT_MARKS, random_space, relabeled, tiny_spaces, two_point
+from conftest import (
+    AB_MARKS, BIT_MARKS, balanced_tree, cycle_space, random_space, relabeled, tiny_spaces,
+    two_point,
+)
 
 
 def as_row(result):
@@ -127,7 +131,8 @@ def test_canonical_order_matches_the_plain_python_refinement():
     for k, space in enumerate(order_corpus()):
         moved, _ = relabeled(space, np.random.default_rng(k))
         for s in (space, moved):
-            assert _canonical_order(s) == canonical_order_oracle(s), k
+            colour = _refine(s.distances, _initial_colour(s.marks, s.weights))
+            assert np.argsort(colour, kind="stable").tolist() == canonical_order_oracle(s), k
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -166,6 +171,12 @@ def test_two_sample_relabel_invariance():
         base = two_sample_test(a, b, m=40, permutations=99, seed=trial)
         moved = two_sample_test(ra, b, m=40, permutations=99, seed=trial)
         assert as_row(base) == as_row(moved), trial
+    # spaces whose atoms colour refinement cannot tell apart
+    cloud = euclidean_cloud(8, 2, "constant", seed=1)
+    for a in (cycle_space(8), balanced_tree(5)):
+        rows = {as_row(two_sample_test(relabeled(a, rng)[0], cloud, n=3, m=40,
+                                       permutations=99, seed=1)) for _ in range(6)}
+        assert len(rows) == 1, (a.label, rows)
 
 
 def test_two_sample_ignores_presentation(space_A):
