@@ -176,6 +176,20 @@ class FiniteMmmSpace:
         )
 
 
+def _mark_codes(marks) -> tuple[np.ndarray, list]:
+    """Each mark's code, and the distinct marks in code order: equal marks
+    share a code, and distinct marks are ranked by repr (marks that print
+    alike, by first appearance).  The mark order of `dmat`'s law keys and
+    of `dmat.mark_marginal`, and the equal-mark test of `validate`."""
+    seen: dict = {}
+    first = np.array([seen.setdefault(m, len(seen)) for m in marks], dtype=np.intp)
+    distinct = list(seen)
+    order = sorted(range(len(distinct)), key=lambda c: repr(distinct[c]))
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank[first], [distinct[c] for c in order]
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -203,27 +217,54 @@ class ValidationReport:
         return any(v.kind == kind for v in self.violations)
 
 
-NON_FINITE_LISTED = 100
+VIOLATIONS_LISTED = 100
+
+
+def _listed(kind: str, ix, magnitudes, message, what: str, total: int | None = None) -> list:
+    """The ``kind`` Violations that `validate` lists, out of ``total`` of them
+    (default ``len(magnitudes)``) in index order.
+
+    ``ix[p]`` is the p-th one's index tuple and ``magnitudes[p]`` its
+    magnitude; past the first VIOLATIONS_LISTED they may skip ahead to the
+    first one of largest magnitude.  Listed: the first VIOLATIONS_LISTED,
+    then that worst one if it is not among them, then, if there are more
+    than VIOLATIONS_LISTED, one with no indices giving the count, of
+    magnitude min(0, the worst's), so that the first violation of largest
+    magnitude in a report (`mmm validate`'s detail) is the one of the full
+    list.  ``message(ix, magnitude)`` words a listed violation.
+    """
+    total = len(magnitudes) if total is None else total
+    pick = list(range(min(total, VIOLATIONS_LISTED)))
+    if total:
+        worst = int(np.argmax(magnitudes))
+        pick += [worst] * (worst >= VIOLATIONS_LISTED)
+    out = []
+    for p in pick:
+        at, size = tuple(int(t) for t in ix[p]), float(magnitudes[p])
+        out.append(Violation(kind, at, size, message(at, size)))
+    if total > VIOLATIONS_LISTED:
+        out.append(Violation(kind, (), min(0.0, float(magnitudes[worst])),
+                             f"{total} {what}, the first {VIOLATIONS_LISTED} "
+                             f"and the largest listed"))
+    return out
 
 
 def _non_finite(space: FiniteMmmSpace) -> list:
-    """A ``non-finite`` Violation for each of the first NON_FINITE_LISTED
-    NaN/inf entries, distances in C order and then weights; past that one
-    more ``non-finite`` Violation, with no indices, gives the total count,
-    so that an all-NaN space's report stays small."""
+    """``non-finite`` Violations (magnitude 0) for the NaN/inf entries,
+    distances in C order and then weights, listed by `_listed`, so that an
+    all-NaN space's report stays small."""
     d, w = space.distances, space.weights
     bad_d, bad_w = ~np.isfinite(d), ~np.isfinite(w)
     total = int(np.count_nonzero(bad_d)) + int(np.count_nonzero(bad_w))
-    rows, cols = np.unravel_index(np.flatnonzero(bad_d)[:NON_FINITE_LISTED], d.shape)
-    bad = [((i, j), f"d({i},{j})", d[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    bad += [((i,), f"weight {i}", w[i])
-            for i in np.flatnonzero(bad_w)[:NON_FINITE_LISTED - len(bad)].tolist()]
-    out = [Violation("non-finite", ix, 0.0, f"{name} = {float(x)!r} is not finite")
-           for ix, name, x in bad]
-    if total > len(out):
-        out.append(Violation("non-finite", (), 0.0,
-                             f"{total} entries are not finite, the first {len(out)} listed"))
-    return out
+    rows, cols = np.unravel_index(np.flatnonzero(bad_d)[:VIOLATIONS_LISTED], d.shape)
+    ix = list(zip(rows.tolist(), cols.tolist()))
+    ix += [(i,) for i in np.flatnonzero(bad_w)[:VIOLATIONS_LISTED - len(ix)].tolist()]
+
+    def message(at, _):
+        name = f"d({at[0]},{at[1]})" if len(at) == 2 else f"weight {at[0]}"
+        return f"{name} = {float((d if len(at) == 2 else w)[at])!r} is not finite"
+
+    return _listed("non-finite", ix, np.zeros(len(ix)), message, "entries are not finite", total)
 
 
 def _weight_total(space: FiniteMmmSpace) -> float:
@@ -385,25 +426,19 @@ def _triangle_blocks(d: np.ndarray, upper: bool = False, rows=None):
         yield idx, block[:, None, k0:] - block[:, :, None] - d[None, :, k0:]
 
 
-TRIANGLE_LISTED = 100
-
-
 def _triangles(d: np.ndarray, tol: float) -> list:
     """``triangle`` Violations for the triples (i, j, k), i < k and j outside
-    {i, k}, whose excess d(i,k) - d(i,j) - d(j,k) passes the relative limit:
-    the first TRIANGLE_LISTED in (i, j, k) order, then the first triple of
-    largest excess if it is not among them, so that the worst one is always
-    named, then, if any went unlisted, one more with no indices giving the
-    total count.  Each block of rows is counted and searched in numpy, so a
-    space that violates every triangle costs no Python work per triple."""
-    listed: list[Violation] = []
+    {i, k}, whose excess d(i,k) - d(i,j) - d(j,k) passes the relative limit,
+    in (i, j, k) order and listed by `_listed`.  Each block of rows is
+    counted and searched in numpy, and only the first VIOLATIONS_LISTED
+    triples and the first of largest excess are kept, so a space that
+    violates every triangle costs no Python work per triple."""
+    found: list = []  # (triple, excess)
     total, worst = 0, None
 
-    def violation(idx, i0, shape, flat, excess):
-        a, j, c = np.unravel_index(flat, shape)
-        i, j, k, e = int(idx[a]), int(j), i0 + 1 + int(c), float(excess[flat])
-        return Violation("triangle", (i, j, k), e,
-                         f"triangle violation ({i},{j},{k}), excess {e:g}")
+    def triple(idx, i0, shape, flat, h):
+        a, j, c = np.unravel_index(h, shape)
+        return (int(idx[a]), int(j), i0 + 1 + int(c)), float(flat[h])
 
     # only i < k is reported, so each block skips the columns k <= idx[0]
     rows = _triangle_rows(d, tol, relative=True, upper=True)
@@ -419,18 +454,15 @@ def _triangles(d: np.ndarray, tol: float) -> list:
             continue
         total += hits.size
         flat = excess.reshape(-1)
-        listed += [violation(idx, i0, mask.shape, h, flat)
-                   for h in hits[: TRIANGLE_LISTED - len(listed)].tolist()]
+        found += [triple(idx, i0, mask.shape, flat, h)
+                  for h in hits[: VIOLATIONS_LISTED - len(found)].tolist()]
         best = int(hits[np.argmax(flat[hits])])
-        if worst is None or flat[best] > worst.magnitude:
-            worst = violation(idx, i0, mask.shape, best, flat)
-    if total > len(listed):
-        if worst not in listed:
-            listed.append(worst)
-        listed.append(Violation("triangle", (), 0.0,
-                                f"{total} triples violate the triangle inequality, "
-                                f"the first {TRIANGLE_LISTED} and the largest listed"))
-    return listed
+        if worst is None or flat[best] > worst[1]:
+            worst = triple(idx, i0, mask.shape, flat, best)
+    found += [worst] * (worst is not None)
+    return _listed("triangle", [t for t, _ in found], np.array([e for _, e in found]),
+                   lambda at, e: f"triangle violation ({at[0]},{at[1]},{at[2]}), excess {e:g}",
+                   "triples violate the triangle inequality", total)
 
 
 def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
@@ -453,9 +485,13 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     gives.  Rows with a triple near or above the limit go to the exact
     scan, which costs about twice the pass per row; a ``tol`` below 8 eps
     (``tol=0``, say), a negative entry and n <= 32 send every row there
-    without a pass.  Memory is O(n^2).  At most TRIANGLE_LISTED = 100
-    triangles are listed, with the worst one and the total count past that
-    (`_triangles`), as ``non-finite`` lists at most NON_FINITE_LISTED.
+    without a pass.  Memory is O(n^2).
+
+    Every kind is listed by one rule (`_listed`): its first
+    VIOLATIONS_LISTED = 100 in index order, then its first one of largest
+    magnitude if it is not among them, then, if there are more, one entry
+    with no indices giving the count.  Equal marks are found through
+    their codes (`_mark_codes`), so no kind costs Python work per pair.
 
     Returns a ValidationReport: a fault in the space is reported, never
     raised.  A ``tol`` that is NaN, negative or infinite raises
@@ -464,47 +500,50 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     _require_tol(tol)
     d = space.distances
     w = space.weights
-    n = space.n
     out: list[Violation] = _non_finite(space)
     if out:
         return ValidationReport(tuple(out))
 
-    for i in np.flatnonzero(np.diagonal(d) != 0.0):
-        out.append(Violation("diagonal", (int(i),), float(d[i, i]), f"d({i},{i}) != 0"))
+    diag = np.diagonal(d)
+    bad = np.flatnonzero(diag != 0.0)
+    out += _listed("diagonal", bad[:, None], diag[bad], lambda at, _: f"d({at[0]},{at[0]}) != 0",
+                   "diagonal entries are not 0")
 
     # |d - d^T| > tol * max(1, |d|), computed in place: two n^2 arrays
     gap, limit = d - d.T, np.abs(d)
     np.abs(gap, out=gap)
     np.maximum(limit, 1.0, out=limit)
     limit *= tol
-    asym = np.argwhere(gap > limit)
+    asym = np.argwhere(np.triu(gap > limit, 1))
+    out += _listed("asymmetry", asym, gap[tuple(asym.T)],
+                   lambda at, _: f"d({at[0]},{at[1]}) != d({at[1]},{at[0]})",
+                   "pairs are asymmetric")
     del gap, limit
-    for i, j in asym:
-        if i < j:
-            out.append(Violation("asymmetry", (int(i), int(j)), float(abs(d[i, j] - d[j, i])),
-                                 f"d({i},{j}) != d({j},{i})"))
 
-    for i, j in np.argwhere(d < -0.0):
-        if i <= j:
-            out.append(Violation("negativity", (int(i), int(j)), float(d[i, j]),
-                                 f"negativity at ({i},{j})"))
+    neg = np.argwhere(np.triu(d < -0.0))
+    out += _listed("negativity", neg, d[tuple(neg.T)],
+                   lambda at, _: f"negativity at ({at[0]},{at[1]})", "entries are negative")
 
     out += _triangles(d, tol)
 
-    for i in np.flatnonzero(w < 0):
-        out.append(Violation("weight-negative", (int(i),), float(w[i]), f"weight {i} < 0"))
+    bad = np.flatnonzero(w < 0)
+    out += _listed("weight-negative", bad[:, None], w[bad], lambda at, _: f"weight {at[0]} < 0",
+                   "weights are negative")
     total = math.fsum(w.tolist())
     if abs(total - 1.0) > tol:
         out.append(Violation("weight-sum", (), float(total - 1.0), f"weights sum to {total!r}"))
 
-    for i in range(n):
-        if not space.mark_space.contains(space.marks[i]):
-            out.append(Violation("mark-invalid", (i,), 0.0, f"mark at {i} outside mark space"))
+    bad = np.array([i for i, mk in enumerate(space.marks) if not space.mark_space.contains(mk)],
+                   dtype=np.intp)
+    out += _listed("mark-invalid", bad[:, None], np.zeros(len(bad)),
+                   lambda at, _: f"mark at {at[0]} outside mark space",
+                   "marks are outside the mark space")
 
-    for i, j in np.argwhere(np.triu(d <= tol, k=1)).tolist():
-        if space.marks[i] == space.marks[j]:
-            out.append(Violation("duplicate-points", (i, j), float(d[i, j]),
-                                 f"points {i},{j} at distance 0 share a mark"))
+    codes = _mark_codes(space.marks)[0]
+    dup = np.argwhere(np.triu(d <= tol, 1) & (codes[:, None] == codes[None, :]))
+    out += _listed("duplicate-points", dup, d[tuple(dup.T)],
+                   lambda at, _: f"points {at[0]},{at[1]} at distance 0 share a mark",
+                   "pairs of points at distance 0 share a mark")
 
     return ValidationReport(tuple(out))
 

@@ -20,10 +20,11 @@ float probabilities from order-independent primitives: sorted-factor
 products, summed per atom by an fsum within each chunk of EXACT_LAW_CHUNK
 tuples and an fsum over the chunks.
 
-Atoms are listed in the order of repr(key).  `_atom_order` finds it
-without printing a key: it ranks each key column's strings once (a repr
-plus the column's separator) and runs one `np.lexsort` over the ranks,
-which gives repr order whenever each column's strings are prefix-free.
+Every law lists its atoms in key order: the rounded distances compare as
+numbers, in row-major upper-triangle order, and then the marks by repr.
+A key row holds each distance's rank among the distinct rounded values
+and each mark's code (`core._mark_codes`, the marks' repr ranks), so the
+lexsort of `_aggregate` returns the atoms in that order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    FiniteMmmSpace, MarkSpace, _require_finite, _sample_indices, _weight_total,
+    FiniteMmmSpace, MarkSpace, _mark_codes, _require_finite, _sample_indices, _weight_total,
     canonicalize,
 )
 from .errors import BudgetError, ParameterError
@@ -126,7 +127,7 @@ class DistanceMatrixSample:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrixLaw:
-    """Finite law of (distance block, marks), atoms sorted by repr(key).
+    """Finite law of (distance block, marks), atoms in key order.
 
     ``blocks`` is one read-only (K, n, n) array holding each atom's first
     tuple's distance block, ``marks`` the read-only (K, n) object array of
@@ -225,14 +226,6 @@ def _codes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, codes.reshape(x.shape)
 
 
-def _ids(items) -> tuple[np.ndarray, list]:
-    """One integer id per item, equal items sharing it, and the distinct
-    items in id order."""
-    seen: dict = {}
-    ids = [seen.setdefault(x, len(seen)) for x in items]
-    return np.array(ids, dtype=np.intp), list(seen)
-
-
 def _aggregate(keys: np.ndarray, masses: np.ndarray, exact: bool):
     """Add up the masses of equal rows of a key matrix: (firsts, sums).
 
@@ -255,49 +248,6 @@ def _aggregate(keys: np.ndarray, masses: np.ndarray, exact: bool):
         ends = starts[1:].tolist() + [len(parts)]
         sums = np.array([math.fsum(parts[lo:hi]) for lo, hi in zip(starts.tolist(), ends)])
     return order[new], sums
-
-
-def _ranks(texts: list) -> np.ndarray | None:
-    """Each text's rank among the distinct texts in code-point order, or None
-    if one distinct text is a proper prefix of another.  The ranks take the
-    smallest unsigned dtype, in which `np.lexsort` runs a radix sort."""
-    distinct = sorted(set(texts))
-    if any(map(str.startswith, distinct[1:], distinct[:-1])):
-        return None
-    rank = {t: r for r, t in enumerate(distinct)}
-    return np.fromiter(map(rank.__getitem__, texts), count=len(texts),
-                       dtype=np.min_scalar_type(len(distinct) - 1))
-
-
-def _atom_order(tri_codes, values, mark_ids, mark_values) -> np.ndarray:
-    """Positions of the atoms in the order of repr(key), atom a having the key
-    (values[tri_codes[a]], mark_values[mark_ids[a]]).
-
-    All keys of one order print in one shape, "((" then one string per
-    column, each a repr followed by its column's separator (", " inside a
-    tuple, "), (" or ",), (" after the last distance, "))" or ",))" after
-    the last mark).  If each column's strings are prefix-free, two keys'
-    reprs first differ inside their first differing column, so repr order
-    is the order of the columns' string ranks: one `np.lexsort` over rank
-    columns, with one repr per distinct distance and per mark value.  Float
-    reprs never contain "," or ")", so distance columns always qualify; a
-    mark column that does not (a label whose repr is unusual) sends the
-    atoms to a sort of their joined strings.  Both sorts are stable.
-    """
-    p, n = tri_codes.shape[1], mark_ids.shape[1]
-    if p + n == 0:  # an order-0 push: one atom
-        return np.arange(len(tri_codes))
-    reprs = {"d": list(map(repr, values.tolist())), "m": list(map(repr, mark_values))}
-    seps = ([("d", ", ")] * (p - 1) + [("d", ",), (" if p == 1 else "), (")] * (p > 0)
-            + [("m", ", ")] * (n - 1) + [("m", ",))" if n == 1 else "))")] * (n > 0))
-    cols = list(tri_codes.T) + list(mark_ids.T)
-    strings = {c: [r + c[1] for r in reprs[c[0]]] for c in set(seps)}
-    ranks = {c: _ranks(texts) for c, texts in strings.items()}
-    if all(r is not None for r in ranks.values()):
-        return np.lexsort([ranks[c][col] for c, col in zip(seps, cols)][::-1])
-    texts = ["".join(row) for row in zip(*(np.array(strings[c], dtype=object)[col].tolist()
-                                           for c, col in zip(seps, cols)))]
-    return np.array(sorted(range(len(texts)), key=texts.__getitem__), dtype=np.intp)
 
 
 def exact_law(
@@ -323,10 +273,10 @@ def exact_law(
     -------
     DistanceMatrixLaw
         Atoms aggregated by (distances rounded to 12 significant digits,
-        exact mark tuple), sorted by repr of the key, each represented by
-        its first tuple; probabilities normalized by (sum of weights)^n and
-        summing to exactly 1 in the rational case.  A tuple's key row holds
-        the codes of its rounded distances and its mark ids; `_aggregate`
+        exact mark tuple), in key order, each represented by its first
+        tuple; probabilities normalized by (sum of weights)^n and summing
+        to exactly 1 in the rational case.  A tuple's key row holds the
+        codes of its rounded distances and of its marks; `_aggregate`
         groups each chunk of EXACT_LAW_CHUNK rows and then the chunks'
         atoms, so a float probability is the fsum of its chunks' fsums.
         A rational probability is (sum of its tuples' products of m) /
@@ -334,7 +284,6 @@ def exact_law(
         (`_exact_factors`): tuple products and sums run in int64 when
         max|m|^n * N^n < 2^63, which bounds every product, sum and partial
         sum, else in Python ints; one Fraction is built per distinct sum.
-        The atom order comes from `_atom_order` (rank columns, see there).
         NaN/inf entries and a nonpositive total weight raise ParameterError.
     """
     if n < 1:
@@ -356,10 +305,10 @@ def exact_law(
     # not underflow to 0
     e = math.frexp(float(w.max()))[1]
     w = np.ldexp(w, -e)
-    mark_ids, distinct = _ids(space.marks)
+    mark_codes, distinct = _mark_codes(space.marks)
     vals, codes = _codes(D)
     dtype = np.min_scalar_type(max(len(vals), len(distinct)) - 1)
-    codes, mark_ids = codes.astype(dtype), mark_ids.astype(dtype)
+    codes, mark_codes = codes.astype(dtype), mark_codes.astype(dtype)
     rows, cols = np.triu_indices(n, 1)
 
     chunks = []
@@ -368,7 +317,7 @@ def exact_law(
         # column contiguous for the gathers below
         base = np.arange(start, min(start + EXACT_LAW_CHUNK, K), dtype=np.int64)
         idx = np.array(np.unravel_index(base, (N,) * n)).T
-        keys = np.concatenate([codes[idx[:, rows], idx[:, cols]], mark_ids[idx]], axis=1)
+        keys = np.concatenate([codes[idx[:, rows], idx[:, cols]], mark_codes[idx]], axis=1)
         masses = np.prod(factors[idx] if exact else w[np.sort(idx, axis=1)], axis=1)
         firsts, sums = _aggregate(keys, masses, exact)
         chunks.append((keys[firsts], idx[firsts], sums))
@@ -377,10 +326,8 @@ def exact_law(
         # a key occurs at most once per chunk and the chunks follow the
         # enumeration, so first occurrences hold the first tuples
         firsts, sums = _aggregate(keys, sums, exact)
-        keys, reps = keys[firsts], reps[firsts]
+        reps = reps[firsts]
 
-    order = _atom_order(keys[:, : len(rows)], vals, reps, space.marks)
-    reps, sums = reps[order], sums[order]
     if exact:
         norm = sum(factors.tolist()) ** n
         sums = sums.tolist()
@@ -406,18 +353,15 @@ def law_push(law: DistanceMatrixLaw, sigma: Sequence[int]) -> DistanceMatrixLaw:
     sig = _index_map(sigma, law.order)
     rows, cols = np.triu_indices(len(sig), 1)
     blocks, marks = law.blocks[:, sig][:, :, sig], law.marks[:, sig]
-    vals, tri_codes = _codes(blocks[:, rows, cols])
-    mark_ids, distinct = _ids(marks.ravel().tolist())
-    mark_ids = mark_ids.reshape(marks.shape)
+    _, tri_codes = _codes(blocks[:, rows, cols])
+    mark_codes = _mark_codes(marks.ravel().tolist())[0].reshape(marks.shape)
     masses = np.array(law.probs, dtype=object if law.exact else float)
-    firsts, sums = _aggregate(np.concatenate([tri_codes, mark_ids], axis=1), masses, law.exact)
-    order = _atom_order(tri_codes[firsts], vals, mark_ids[firsts], distinct)
-    firsts = firsts[order]
+    firsts, sums = _aggregate(np.concatenate([tri_codes, mark_codes], axis=1), masses, law.exact)
     return DistanceMatrixLaw(
         order=len(sig),
         blocks=blocks[firsts],
         marks=marks[firsts],
-        probs=tuple(sums[order].tolist()),
+        probs=tuple(sums.tolist()),
         exact=law.exact,
     )
 
@@ -480,13 +424,15 @@ def project_mm(space: FiniteMmmSpace) -> FiniteMmmSpace:
 
 def mark_marginal(space: FiniteMmmSpace) -> dict:
     """Mark marginal: canonical mark value -> total weight (fsum per value),
-    marks in order of first appearance.  NaN/inf distances, weights or
-    Euclidean mark coordinates raise ParameterError."""
+    marks in the order of their reprs (`core._mark_codes`), so that a
+    relabelled space gives the same dict in the same order.  NaN/inf
+    distances, weights or Euclidean mark coordinates raise ParameterError."""
     _require_finite(space)
-    agg: dict = {}
-    for mk, wt in zip(space.marks, space.weights.tolist()):
-        agg.setdefault(mk, []).append(wt)
-    return {mk: math.fsum(vals) for mk, vals in agg.items()}
+    codes, distinct = _mark_codes(space.marks)
+    groups: list = [[] for _ in distinct]
+    for code, wt in zip(codes.tolist(), space.weights.tolist()):
+        groups[code].append(wt)
+    return {mk: math.fsum(vals) for mk, vals in zip(distinct, groups)}
 
 
 # ---------------------------------------------------------------------------

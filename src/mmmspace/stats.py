@@ -30,28 +30,29 @@ __all__ = [
 # feature map
 # ---------------------------------------------------------------------------
 
-def _mark_embedding(space: FiniteMmmSpace):
+def _mark_coordinates(space: FiniteMmmSpace) -> np.ndarray:
+    """One (N, k) row of mark embedding coordinates per atom: a label's
+    position in the label set (k = 1), or the Euclidean coordinates."""
     ms = space.mark_space
     if ms.kind == "discrete":
-        table = {lab: (float(pos),) for pos, lab in enumerate(ms.labels)}
-        return lambda mark: table[mark]
-    return lambda mark: tuple(float(x) for x in mark)
+        position = {lab: float(pos) for pos, lab in enumerate(ms.labels)}
+        return np.array([position[mark] for mark in space.marks]).reshape(space.n, 1)
+    return np.array(space.marks, dtype=float).reshape(space.n, ms.dim)
 
 
-def _features(space: FiniteMmmSpace, idx: np.ndarray, embed) -> np.ndarray:
+def _features(space: FiniteMmmSpace, idx: np.ndarray) -> np.ndarray:
     """Permutation-invariant feature rows for order-n index samples.
 
     Each row: the n(n-1)/2 sampled distances sorted, then each mark
-    embedding coordinate sorted across the n sampled atoms (coordinates
-    sorted independently: invariant, at the price of decoupling
-    multi-dimensional marks).
+    embedding coordinate (`_mark_coordinates`, gathered by ``idx``) sorted
+    across the n sampled atoms (coordinates sorted independently:
+    invariant, at the price of decoupling multi-dimensional marks).
     """
     m, n = idx.shape
     iu = np.triu_indices(n, k=1)
     block = space.distances[idx[:, :, None], idx[:, None, :]]
     dcols = np.sort(block[:, iu[0], iu[1]], axis=1)
-    marks = np.array([[embed(space.marks[t]) for t in row] for row in idx])
-    mcols = np.sort(marks, axis=1).reshape(m, -1)
+    mcols = np.sort(_mark_coordinates(space)[idx], axis=1).reshape(m, -1)
     return np.concatenate([dcols, mcols], axis=1)
 
 
@@ -153,8 +154,7 @@ def two_sample_test(
     rng = np.random.default_rng(seed)
     idx1 = _sample_indices(ca, (m, n), rng)
     idx2 = _sample_indices(cb, (m, n), rng)
-    embed = _mark_embedding(ca)
-    pooled = np.vstack([_features(ca, idx1, embed), _features(cb, idx2, embed)])
+    pooled = np.vstack([_features(ca, idx1), _features(cb, idx2)])
     # an exact power-of-two scale keeps the distances and their sums finite
     e = max(math.frexp(float(np.abs(pooled).max()))[1] - 500, 0)
     pooled = np.ldexp(pooled, -e)

@@ -237,7 +237,7 @@ def prune_chain_oracle(a, b, pairs):
 def exact_law_oracle(space, n):
     """`exact_law` as a plain loop over all N^n index tuples with Fraction
     weights: [(key, first tuple, probability)] in the documented atom order
-    (sorted by repr of the key)."""
+    (key order: the rounded distances as numbers, then the marks by repr)."""
     w = [Fraction(float(x)) for x in space.weights]
     norm = sum(w, Fraction(0)) ** n
     atoms: dict = {}
@@ -247,7 +247,7 @@ def exact_law_oracle(space, n):
         key = (tri, tuple(space.marks[i] for i in t))
         first, mass = atoms.get(key, (t, Fraction(0)))
         atoms[key] = (first, mass + math.prod(w[i] for i in t))
-    ordered = sorted(atoms.items(), key=lambda item: repr(item[0]))
+    ordered = sorted(atoms.items(), key=lambda item: (item[0][0], tuple(map(repr, item[0][1]))))
     return [(key, first, mass / norm) for key, (first, mass) in ordered]
 
 
@@ -393,18 +393,24 @@ def triangle_violations_oracle(d, tol=1e-12):
             for a, b, c in np.argwhere(hit).tolist()]
 
 
-def listed_triangles(rows):
-    """The ``triangle`` rows `validate` reports out of the full list ``rows``
-    (C order): all of them up to `core.TRIANGLE_LISTED`; past that the first
-    TRIANGLE_LISTED, the first row of largest excess unless it is among
-    them, and one row with no indices giving the total count."""
-    cap = mmmspace.core.TRIANGLE_LISTED
+def listed_rows(rows, what):
+    """The rows of one kind that `validate` reports out of the full list
+    ``rows`` (index order): all of them up to `core.VIOLATIONS_LISTED`; past
+    that the first VIOLATIONS_LISTED, the first row of largest magnitude
+    unless it is among them, and one row with no indices giving the total
+    count, of magnitude min(0, the largest)."""
+    cap = mmmspace.core.VIOLATIONS_LISTED
     if len(rows) <= cap:
         return list(rows)
     worst = max(rows, key=lambda r: r[2])
     return (rows[:cap] + ([] if worst in rows[:cap] else [worst])
-            + [("triangle", (), 0.0, f"{len(rows)} triples violate the triangle inequality, "
-                                     f"the first {cap} and the largest listed")])
+            + [(worst[0], (), min(0.0, worst[2]),
+                f"{len(rows)} {what}, the first {cap} and the largest listed")])
+
+
+def listed_triangles(rows):
+    """`listed_rows` of ``triangle`` rows."""
+    return listed_rows(rows, "triples violate the triangle inequality")
 
 
 def triangle_excess_oracle(m):

@@ -348,6 +348,26 @@ def test_validate_rejects_nan_distance(capsys, tmp_path):
     assert {v["kind"] for v in report["violations"]} == {"non-finite"}
 
 
+def test_validate_reports_an_all_zero_space_briefly(capsys, tmp_path):
+    # 499 500 duplicate pairs: 100 listed plus the count (8.6 s and a 63 MB
+    # report when every pair was listed)
+    n = 1000
+    zero = tmp_path / "zero1000.json"
+    save_space(FiniteMmmSpace(distances=np.zeros((n, n)), marks=("a",) * n,
+                              weights=np.full(n, 1 / n),
+                              mark_space=MarkSpace.discrete(("a",))), zero)
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(capsys, "validate", "--space", zero)
+    assert time.perf_counter() - start < 5.0
+    assert (code, stdout) == (1, "")
+    assert len(stderr) < 100_000
+    report = json.loads(stderr)
+    assert report["detail"] == "points 0,1 at distance 0 share a mark"
+    assert len(report["violations"]) == 101
+    assert report["violations"][-1]["message"] == (
+        "499500 pairs of points at distance 0 share a mark, the first 100 and the largest listed")
+
+
 def test_validate_reports_an_all_nan_space_briefly(capsys, tmp_path):
     # 999 000 NaN distances: 100 listed plus the count, not one per entry
     n = 1000
@@ -363,7 +383,8 @@ def test_validate_reports_an_all_nan_space_briefly(capsys, tmp_path):
     report = json.loads(stderr)
     assert report["detail"] == "d(0,1) = nan is not finite"
     assert len(report["violations"]) == 101
-    assert report["violations"][-1]["message"] == "999000 entries are not finite, the first 100 listed"
+    assert report["violations"][-1]["message"] == (
+        "999000 entries are not finite, the first 100 and the largest listed")
 
 
 def test_dist_names_the_space_whose_weights_do_not_sum_to_one(capsys, tmp_path, ab_space):

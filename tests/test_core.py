@@ -30,8 +30,8 @@ from mmmspace import (
 from mmmspace.core import Violation, _non_finite, _require_finite, _sample_indices
 
 from _oracles import (
-    canonicalize_oracle, empirical_oracle, equivalent_oracle, listed_triangles, mark_distance,
-    triangle_violations_oracle,
+    canonicalize_oracle, empirical_oracle, equivalent_oracle, listed_rows, listed_triangles,
+    mark_distance, triangle_violations_oracle,
 )
 from conftest import (
     AB_MARKS, BIT_MARKS, balanced_tree, cycle_space, graph_space, hamming_cube,
@@ -231,7 +231,8 @@ def test_non_finite_report_lists_the_first_hundred_and_the_count():
     assert [v.indices for v in report.violations[:100]] == first
     assert report.violations[0].message == "d(0,1) = nan is not finite"
     assert report.violations[100] == Violation(
-        "non-finite", (), 0.0, "89700 entries are not finite, the first 100 listed")
+        "non-finite", (), 0.0,
+        "89700 entries are not finite, the first 100 and the largest listed")
     assert len(report.violations) == 101 and report.kinds() == {"non-finite"}
     # distances come first, then weights fill the list up to 100
     d = np.zeros((n, n))
@@ -242,7 +243,8 @@ def test_non_finite_report_lists_the_first_hundred_and_the_count():
     assert [v.indices for v in report.violations[:100]] == (
         [(0, j) for j in range(1, 6)] + [(j, 0) for j in range(1, 6)] + [(i,) for i in range(90)])
     assert report.violations[9].message == "d(5,0) = inf is not finite"
-    assert report.violations[100].message == "310 entries are not finite, the first 100 listed"
+    assert report.violations[100].message == (
+        "310 entries are not finite, the first 100 and the largest listed")
     # exactly 100 bad entries: all listed, no count
     d = np.zeros((n, n))
     d[0, 1:101] = np.nan
@@ -303,43 +305,58 @@ def test_an_all_nan_space_is_rejected_by_its_first_entry():
 
 
 def reference_validate(space, tol=1e-12):
-    """validate written as plain loops over pairs and all n^3 triples; the
-    triangles are cut to the listed ones by `listed_triangles`."""
+    """validate written as plain loops over pairs and all n^3 triples; each
+    kind is cut to its listed rows by `listed_rows`."""
     d, w, n = space.distances, space.weights, space.n
-    out = []
+    kinds = {kind: [] for kind in ("diagonal", "asymmetry", "negativity", "triangle",
+                                   "weight-negative", "mark-invalid", "duplicate-points")}
     for i in range(n):
         if d[i, i] != 0.0:
-            out.append(("diagonal", (i,), float(d[i, i]), f"d({i},{i}) != 0"))
+            kinds["diagonal"].append(("diagonal", (i,), float(d[i, i]), f"d({i},{i}) != 0"))
     for i in range(n):
         for j in range(i + 1, n):
             if abs(d[i, j] - d[j, i]) > tol * max(1.0, abs(d[i, j])):
-                out.append(("asymmetry", (i, j), float(abs(d[i, j] - d[j, i])),
-                            f"d({i},{j}) != d({j},{i})"))
+                kinds["asymmetry"].append(("asymmetry", (i, j), float(abs(d[i, j] - d[j, i])),
+                                           f"d({i},{j}) != d({j},{i})"))
     for i in range(n):
         for j in range(i, n):
             if d[i, j] < 0.0:
-                out.append(("negativity", (i, j), float(d[i, j]),
-                            f"negativity at ({i},{j})"))
-    triangles = []
+                kinds["negativity"].append(("negativity", (i, j), float(d[i, j]),
+                                            f"negativity at ({i},{j})"))
     for i in range(n):
         for j in range(n):
             for k in range(i + 1, n):
                 excess = d[i, k] - d[i, j] - d[j, k]
                 if j not in (i, k) and excess > tol * max(1.0, d[i, k]):
-                    triangles.append(("triangle", (i, j, k), float(excess),
-                                      f"triangle violation ({i},{j},{k}), excess {excess:g}"))
-    out += listed_triangles(triangles)
+                    kinds["triangle"].append(
+                        ("triangle", (i, j, k), float(excess),
+                         f"triangle violation ({i},{j},{k}), excess {excess:g}"))
     for i in range(n):
         if w[i] < 0:
-            out.append(("weight-negative", (i,), float(w[i]), f"weight {i} < 0"))
-    total = math.fsum(w.tolist())
-    if abs(total - 1.0) > tol:
-        out.append(("weight-sum", (), float(total - 1.0), f"weights sum to {total!r}"))
+            kinds["weight-negative"].append(("weight-negative", (i,), float(w[i]),
+                                             f"weight {i} < 0"))
+    for i in range(n):
+        if not space.mark_space.contains(space.marks[i]):
+            kinds["mark-invalid"].append(("mark-invalid", (i,), 0.0,
+                                          f"mark at {i} outside mark space"))
     for i in range(n):
         for j in range(i + 1, n):
             if d[i, j] <= tol and space.marks[i] == space.marks[j]:
-                out.append(("duplicate-points", (i, j), float(d[i, j]),
-                            f"points {i},{j} at distance 0 share a mark"))
+                kinds["duplicate-points"].append(("duplicate-points", (i, j), float(d[i, j]),
+                                                  f"points {i},{j} at distance 0 share a mark"))
+    what = {"diagonal": "diagonal entries are not 0", "asymmetry": "pairs are asymmetric",
+            "negativity": "entries are negative",
+            "triangle": "triples violate the triangle inequality",
+            "weight-negative": "weights are negative",
+            "mark-invalid": "marks are outside the mark space",
+            "duplicate-points": "pairs of points at distance 0 share a mark"}
+    out = []
+    for kind, rows in kinds.items():
+        out += listed_rows(rows, what[kind])
+        if kind == "weight-negative":
+            total = math.fsum(w.tolist())
+            if abs(total - 1.0) > tol:
+                out.append(("weight-sum", (), float(total - 1.0), f"weights sum to {total!r}"))
     return out
 
 
@@ -369,6 +386,40 @@ def test_validate_blockwise_scan_matches_plain_loops(monkeypatch):
         }
 
 
+def test_validate_lists_every_kind_by_one_rule(monkeypatch):
+    # at a cap of 5, each kind past it lists its first 5, its worst and a
+    # count; tiny negative distances (no triangle breaks) make negativity
+    # and duplicate-points the only kinds, all of negative magnitude, so the
+    # count entries must not outrank them as the report's largest
+    rng = np.random.default_rng(41)
+    spaces = []
+    for n in (4, 9, 16):
+        d = rng.uniform(0.0, 2.0, size=(n, n))
+        np.fill_diagonal(d, rng.uniform(-1.0, 1.0, size=n))
+        d[rng.random((n, n)) < 0.2] *= -1.0
+        d[rng.random((n, n)) < 0.2] = 0.0
+        w = rng.uniform(-1.0, 0.5, size=n)
+        marks = tuple(rng.choice(["a", "b"], size=n).tolist())
+        spaces.append(FiniteMmmSpace(distances=d, marks=marks, weights=w, mark_space=AB_MARKS))
+        points = rng.choice([0.0, 1.0, np.nan], size=(n, 2)).tolist()
+        spaces.append(FiniteMmmSpace(distances=d, marks=points, weights=w,
+                                     mark_space=MarkSpace.euclidean(2)))
+        spaces.append(FiniteMmmSpace(distances=-1e-14 * (1.0 - np.eye(n)), marks=marks,
+                                     weights=np.full(n, 1 / n), mark_space=AB_MARKS))
+    kinds = set()
+    for space in spaces:
+        monkeypatch.setattr(mmmspace.core, "VIOLATIONS_LISTED", 10 ** 9)
+        full = reference_validate(space)
+        monkeypatch.setattr(mmmspace.core, "VIOLATIONS_LISTED", 5)
+        got = [(v.kind, v.indices, v.magnitude, v.message)
+               for v in validate(space).violations]
+        assert got == reference_validate(space)
+        assert max(got, key=lambda v: v[2]) == max(full, key=lambda v: v[2])
+        kinds |= {v[0] for v in got if v[1] == ()} - {"weight-sum"}
+    assert kinds == {"diagonal", "asymmetry", "negativity", "triangle", "weight-negative",
+                     "mark-invalid", "duplicate-points"}
+
+
 def broken_matrix(rng, n, tol=1e-12):
     """A random pseudo-metric with some triangles broken by stretched
     entries and every off-diagonal pair asymmetric within ``tol``."""
@@ -385,7 +436,7 @@ def broken_matrix(rng, n, tol=1e-12):
 def test_validate_triangles_match_the_full_tensor(monkeypatch, rows):
     """The upper-column scan reports exactly the full tensor's triangles, in
     single-pass, one-row and multi-row blocks with a short last block: all
-    of them up to TRIANGLE_LISTED; past it the first TRIANGLE_LISTED, the
+    of them up to VIOLATIONS_LISTED; past it the first VIOLATIONS_LISTED, the
     worst triple and the count.  Each space is checked at the default cap
     and at a cap of 5, so both sides of the cap meet every block shape."""
     rng = np.random.default_rng(31 + (rows or 0))
@@ -399,7 +450,7 @@ def test_validate_triangles_match_the_full_tensor(monkeypatch, rows):
                                    weights=np.full(n, 1 / n), mark_space=AB_MARKS)
             want = triangle_violations_oracle(d)
             for cap in (100, 5):
-                monkeypatch.setattr(mmmspace.core, "TRIANGLE_LISTED", cap)
+                monkeypatch.setattr(mmmspace.core, "VIOLATIONS_LISTED", cap)
                 report = validate(space)
                 assert "asymmetry" not in report
                 got = [(v.kind, v.indices, v.magnitude, v.message)

@@ -218,7 +218,7 @@ def test_exact_law_matches_the_oracle_on_tiny_marked_spaces(space, order):
 
 class _BareLabel:
     """A mark label that prints as its bare text, so that "A" prints as a
-    prefix of "A, B" and of "A)" and its key columns are not prefix-free."""
+    prefix of "A, B" and of "A)"."""
 
     def __init__(self, text):
         self.text = text
@@ -234,7 +234,7 @@ class _BareLabel:
 
 
 def prefix_spaces():
-    """Spaces whose key columns test the atom order: labels whose reprs are
+    """Spaces whose keys test the atom order: labels whose reprs are
     prefixes of each other or hold ", " and ")", Euclidean marks, negative
     distances, distances whose reprs are prefixes of each other (0.5 and
     0.55, 1.5 and 1.5e-05), and -0.0, zero and negative dyadic weights."""
@@ -255,26 +255,14 @@ def prefix_spaces():
     return spaces
 
 
-def test_atom_order_is_the_repr_order_on_prefix_reprs(monkeypatch):
-    # the rank sort must agree with sorting the keys' reprs, and the bare
-    # labels must take the joined-string sort
-    original, fallbacks = dmat._ranks, []
-
-    def ranks(texts):
-        out = original(texts)
-        fallbacks.append(out is None)
-        return out
-
-    monkeypatch.setattr(dmat, "_ranks", ranks)
+def test_atom_order_is_the_key_order_on_prefix_reprs():
+    # distances compare as numbers (1.5e-05 before 0.5, -1.5 before -0.55),
+    # then marks by repr; exact_law and law_push list one law alike
     for space in prefix_spaces():
-        bare = isinstance(space.marks[0], _BareLabel)
         for order in (1, 2, 3):
             ref = exact_law_oracle(space, order)
             keys, firsts = [key for key, _, _ in ref], [first for _, first, _ in ref]
-            fallbacks.clear()
             law, flt = exact_law(space, order), exact_law(space, order, exact=False)
-            # order 1 has no ", " column, and "A,))" prefixes no other string
-            assert any(fallbacks) == (bare and order > 1)
             for got in (law, flt):
                 assert [s.key() for s in got.samples] == keys
                 assert got.blocks.tobytes() == b"".join(
@@ -290,12 +278,6 @@ def test_atom_order_is_the_repr_order_on_prefix_reprs(monkeypatch):
             assert list(law_push(law, sigma).probs) == [p for _, _, p in ref]
             assert np.allclose(law_push(flt, sigma).probs, [float(p) for _, _, p in ref],
                                rtol=0, atol=1e-15)
-
-
-def test_rank_columns_are_used_only_when_prefix_free():
-    assert dmat._ranks(["1, ", "12, ", "123, ", "1, "]).tolist() == [0, 1, 2, 0]
-    assert dmat._ranks(["0.5), (", "0.55), (", "1.5e-05), (", "1.5), ("]).tolist() == [0, 1, 3, 2]
-    assert dmat._ranks(["A, ", "A, B, ", "B, "]) is None
 
 
 def int64_edge_weights(count, order, above):

@@ -1,5 +1,6 @@
 """Tests for gluings, the distance bounds, and the certified tiny-case solver."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -1075,6 +1076,32 @@ def test_mgp_lower_matches_the_union_metric_route():
         assert mgp_lower(a, b, orders=(1,)) == first
         assert mgp_lower(a, b, orders=(2,)) == second
         assert mgp_lower(a, b) == max(first, second)
+
+
+def test_mgp_lower_is_unchanged_by_relabelling():
+    # the mark marginal lists its marks by repr, so the rounding of its
+    # masses to integers does not follow the labelling: with marks in order
+    # of first appearance, 4 of the 6 relabellings of three equally weighted
+    # labels read 9.9998e-13 against the space itself
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    abc = MarkSpace.discrete(("a", "b", "c"))
+    three = FiniteMmmSpace(distances=d, marks=("a", "b", "c"), weights=np.full(3, 1 / 3),
+                           mark_space=abc, label="three")
+    other = FiniteMmmSpace(distances=1.25 * d, marks=("c", "a", "a"),
+                           weights=np.array([0.5, 0.25, 0.25]), mark_space=abc, label="other")
+    rng = np.random.default_rng(5)
+    cases = [(three, other, list(itertools.permutations(range(3)))),
+             (euclidean_cloud(12, 2, "sign", seed=3), euclidean_cloud(9, 2, "sign", seed=4),
+              [rng.permutation(12) for _ in range(6)])]
+    for a, b, perms in cases:
+        ab, ba = mgp_lower(a, b), mgp_lower(b, a)
+        for p in perms:
+            p = list(p)
+            r = FiniteMmmSpace(distances=a.distances[np.ix_(p, p)],
+                               marks=tuple(a.marks[i] for i in p), weights=a.weights[p],
+                               mark_space=a.mark_space, label=a.label)
+            assert mgp_lower(r, b) == ab and mgp_lower(b, r) == ba
+            assert mgp_lower(a, r) == 0.0 and mgp_lower(r, a) == 0.0
 
 
 # --- bundle ---------------------------------------------------------------------
