@@ -118,10 +118,8 @@ def _simulate_coalescent(k: int, rng, horizon: float | None = None):
         pos = rng.choice(m, size=2, replace=False)
         a, b = active[int(pos[0])], active[int(pos[1])]
         la, lb = nodes[a]["leaves"], nodes[b]["leaves"]
-        for u in la:
-            dist[u, list(lb)] = t
-        for v in lb:
-            dist[v, list(la)] = t
+        dist[np.ix_(la, lb)] = t
+        dist[np.ix_(lb, la)] = t
         nodes.append({"birth": t, "children": (a, b), "leaves": la + lb})
         active = [x for x in active if x != a and x != b]
         active.append(len(nodes) - 1)

@@ -12,15 +12,17 @@ Lower bounds come from projections to the mark marginal and the
 pair-distance law.  The distance itself is a finite minimum over
 relations between the pairs of mark distance below 1 (see `mgp_exact`),
 and `mgp_exact`, `mgp_bounds` and `mgp_upper` all read it off one scan
-of those relations (`_mgp`), past whose pair cap or node budget
-`mgp_bounds` falls back on heuristic gluings.
+of those relations (`_mgp`).  Every witness is the correspondence gluing
+of a relation: the scan's best one, or a candidate of the fallback loop
+(a greedy coupling support and its prune chain), which runs when no scan
+ran, the scan stopped, or no relation beats 1, and stops at `mgp_lower`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -258,14 +260,6 @@ def _greedy_coupling_pairs(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> 
     return pairs
 
 
-def _all_pairs_cross(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
-    """`correspondence_cross` of all pairs, in closed form: on metrics with
-    a zero diagonal and nonnegative entries all pairs have distortion
-    max(diam1, diam2), and the k=i, l=j term of the min is the least."""
-    diam = max(a.distances.max(initial=0.0), b.distances.max(initial=0.0))
-    return np.full((a.n, b.n), diam / 2.0)
-
-
 def _pruned(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs: list):
     """The prune chain of a relation: drop the ceil(k/10) of its k pairs
     whose rows of |r1[R, R] - r2[R, R]| have the largest maxima (ties:
@@ -470,16 +464,15 @@ def _mgp(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int, exact: bool = False)
     cross, value, flow, nodes, stopped_at = None, math.inf, None, None, None
     if size <= EXACT_PAIR_BOUND:
         cross, value, flow, nodes, stopped_at = _relation_scan(a, b, off, ca, cb, floor, budget)
-    if nodes is None or stopped_at is not None:
+    if cross is None or stopped_at is not None:  # no scan, a stopped one, or none below 1
         support = _greedy_coupling_pairs(_profile_cost(a, b), a.weights, b.weights)
-        for pairs in (support, *_pruned(a, b, support)):
+        for pairs in chain([support], _pruned(a, b, support)):
             c = correspondence_cross(a, b, pairs)[0]
             got = _prohorov_search(c + off, ca, cb, value)
             if got is not None:
                 (value, flow), cross = got, c
-    if cross is None:
-        cross = _all_pairs_cross(a, b)
-        value, flow = _prohorov_search(cross + off, ca, cb)
+            if value <= floor:  # no gluing goes below mgp_lower
+                break
     glue(a, b, cross)  # witness must validate; raises if not
     finished = nodes is not None and stopped_at is None
     lower = (value if finished else max(floor, min(value, stopped_at))) if exact else floor
@@ -505,8 +498,9 @@ def mgp_exact(a: FiniteMmmSpace, b: FiniteMmmSpace, budget: int = SCAN_BUDGET) -
     and `correspondence_cross` of S at beta_ij = L(S) - m_ij glues every
     pair of S within L(S) (Memoli's correspondence gluing, FoCM 2011,
     weighted).  The witness is that gluing for the best S found by
-    `_relation_scan`, with the coupling of the flow that gave g(S), or the
-    all-pairs gluing and its Prohorov search when no S beats 1.
+    `_relation_scan`, with the coupling of the flow that gave g(S); when
+    no S beats 1 it is the best candidate of the fallback of `mgp_bounds`,
+    with the coupling of its Prohorov search.
 
     More than EXACT_PAIR_BOUND (1500) pairs in Z raise TooLargeError: the
     level matrix holds O(|Z|^2) floats.  ``budget`` caps the scan's search
@@ -529,10 +523,13 @@ def mgp_bounds(a: FiniteMmmSpace, b: FiniteMmmSpace) -> MgpResult:
     the scan of `mgp_exact` at SCAN_BUDGET (5000) search nodes; when it
     finishes, ``upper`` is the distance, ``exact`` too, and slack 0.  When
     it stops, or above EXACT_PAIR_BOUND pairs where none runs, ``exact`` and
-    ``slack`` are None and ``upper`` is the best of the scan's relation and
-    the gluings of the greedy coupling support of a profile cost and its
-    prune chain (`_pruned`), first strict minimum.  The witness passes
-    `glue`.  NaN/inf entries and a nonpositive total weight raise
+    ``slack`` are None.  Every witness is the correspondence gluing of a
+    relation, and it passes `glue`: the scan's best relation, or a fallback
+    candidate.  The fallback runs when no scan ran, the scan stopped, or no
+    relation beats 1.  Its candidates are the greedy coupling support of a
+    profile cost and its prune chain (`_pruned`); the first strict minimum
+    wins, and the loop stops once the value reaches `mgp_lower`, which no
+    gluing goes below.  NaN/inf entries and a nonpositive total weight raise
     ParameterError, weights that do not sum to 1 MarginalError.
     """
     return _mgp(a, b, SCAN_BUDGET)

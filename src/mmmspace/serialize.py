@@ -105,12 +105,6 @@ def _upper_values(d: np.ndarray) -> np.ndarray:
     return np.concatenate([d[i, i + 1:] for i in range(d.shape[0])] or [np.zeros(0)])
 
 
-def upper_triangle(d: np.ndarray) -> list:
-    """The strict upper triangle in row-major order as a list of floats:
-    the ``dist_upper`` of `mmm sample`'s JSONL draws."""
-    return _upper_values(d).tolist()
-
-
 def _payload(d: np.ndarray) -> str:
     """The strict upper triangle in row-major order as the ASCII base64
     string of its little-endian float64 (``<f8``) bytes: the ``distances``

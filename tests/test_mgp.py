@@ -37,7 +37,7 @@ from mmmspace import (
     two_sample_test,
     validate,
 )
-from mmmspace.mgp import _all_pairs_cross, _profile_cost, _pruned
+from mmmspace.mgp import _profile_cost, _pruned
 
 from _oracles import (
     mark_distance, mgp_fallback_oracle, mgp_level_oracle, mgp_lower_union_oracle,
@@ -45,7 +45,7 @@ from _oracles import (
 )
 from conftest import (
     AB_MARKS, nan_cloud, random_space, relabeled, rounding_witness, tiny_spaces, two_point,
-    witness_metric,
+    uniform_space, witness_metric,
 )
 
 
@@ -117,11 +117,12 @@ def line_space(x, label="line"):
 def random_crosses(rng, a, b, count):
     """Integer crosses (tight and tied triangles), float crosses near the
     gap |r1 - r2| that valid gluings need, and the all-pairs gluing."""
+    diam = max(a.distances.max(initial=0.0), b.distances.max(initial=0.0))
     for _ in range(count):
         yield rng.integers(0, 6, size=(a.n, b.n)).astype(float)
         yield rng.uniform(0.0, 3.0, size=(a.n, b.n))
-        yield _all_pairs_cross(a, b) + rng.integers(-1, 2, size=(a.n, b.n)) * 0.5
-        yield _all_pairs_cross(a, b)
+        yield np.full((a.n, b.n), diam / 2) + rng.integers(-1, 2, size=(a.n, b.n)) * 0.5
+        yield np.full((a.n, b.n), diam / 2)
 
 
 @pytest.mark.parametrize("elements", [40, 4 * 24 * 24, 1 << 18])
@@ -347,8 +348,10 @@ def test_correspondence_always_glues():
         assert beta >= dis / 2.0
         assert cross.min() >= 0.0
         glue(a, b, cross)
-        # mgp_upper's closed form of the all-pairs gluing, bit for bit
-        assert cross.tobytes() == _all_pairs_cross(a, b).tobytes()
+        # all pairs have distortion max(diam1, diam2), and the k=i, l=j
+        # term of the min is the least: the constant diam / 2, bit for bit
+        diam = max(a.distances.max(initial=0.0), b.distances.max(initial=0.0))
+        assert cross.tobytes() == np.full((a.n, b.n), diam / 2).tobytes()
 
 
 # --- upper and lower bounds ---------------------------------------------------
@@ -442,8 +445,8 @@ def z_size(a, b):
 def stoppable(pairs):
     """The pairs whose scan a budget of 0 stops: those with a pair of mark
     distance below 1.  Without one there is no level below 1, so the scan
-    ends at once with the all-pairs gluing and no budget sends the pair to
-    the fallback."""
+    ends at once with no relation, whatever the budget, and the fallback
+    stops at its first candidate, at value 1 = `mgp_lower`."""
     kept = []
     for a, b in pairs:
         if z_size(a, b):
@@ -1211,6 +1214,59 @@ def test_a_stopped_scan_still_falls_back():
     assert res.exact is None and res.slack is None
     assert res.upper <= mgp_fallback_oracle(a, b)[0]
     glue(a, b, res.witness_cross)
+
+
+def counted_candidates(monkeypatch):
+    """A list that grows by one at each `correspondence_cross` call of `mgp`."""
+    calls, inner = [], mmmspace.mgp.correspondence_cross
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mmmspace.mgp, "correspondence_cross", counting)
+    return calls
+
+
+def test_a_mark_disjoint_pair_evaluates_one_candidate(monkeypatch):
+    # no pair of mark distance below 1: no relation beats 1, mgp_lower is 1,
+    # and the fallback's first candidate reaches it
+    x = np.array([0.0, 1.0, 2.5, 4.0])
+    d = np.abs(np.subtract.outer(x, x))
+    a = FiniteMmmSpace(distances=d, marks=("a",) * 4, weights=np.array([0.1, 0.2, 0.3, 0.4]),
+                       mark_space=AB_MARKS, label="all-a")
+    b = FiniteMmmSpace(distances=2.0 * d[:3, :3], marks=("b",) * 3, weights=np.full(3, 1 / 3),
+                       mark_space=AB_MARKS, label="all-b")
+    assert z_size(a, b) == 0 and mgp_lower(a, b) == 1.0
+    for run in (mgp_bounds, mgp_exact):
+        calls = counted_candidates(monkeypatch)
+        res = run(a, b)
+        assert len(calls) == 1
+        assert (res.lower, res.upper, res.exact, res.slack) == (1.0, 1.0, 1.0, 0.0)
+        assert (res.nodes, res.budget_exhausted) == (0, False)
+        glue(a, b, res.witness_cross)
+        assert_witness_certifies(a, b, res)
+
+
+def test_a_stopped_fallback_ends_at_mgp_lower(monkeypatch):
+    # a relabelled copy: the greedy support is the isometry, whose gluing is
+    # at 0 = mgp_lower, so none of the three pruned relations is evaluated
+    x = np.array([0.0, 1.0, 3.0, 7.0])
+    a = uniform_space(np.abs(np.subtract.outer(x, x)), "line4")
+    b, _ = relabeled(a, np.random.default_rng(4))
+    support = mmmspace.mgp._greedy_coupling_pairs(_profile_cost(a, b), a.weights, b.weights)
+    assert len(list(_pruned(a, b, support))) == 3
+    monkeypatch.setattr(mmmspace.mgp, "SCAN_BUDGET", 0)
+    calls = counted_candidates(monkeypatch)
+    res = mgp_bounds(a, b)
+    assert calls == [support]
+    assert res.budget_exhausted is True and res.nodes == 0
+    assert res.lower == res.upper == mgp_lower(a, b) == 0.0
+    glue(a, b, res.witness_cross)
+    calls.clear()
+    res = mgp_exact(a, b, budget=0)
+    assert len(calls) == 1
+    assert (res.lower, res.upper, res.exact, res.slack) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_result_validation():

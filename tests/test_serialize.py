@@ -11,6 +11,7 @@ from mmmspace import (
     FiniteMmmSpace, MarkSpace, ParameterError, euclidean_cloud, load_space, save_space,
 )
 from mmmspace.serialize import (
+    _upper_values,
     dumps,
     from_upper_triangle,
     load_path,
@@ -20,7 +21,6 @@ from mmmspace.serialize import (
     metric_to_obj,
     space_from_obj,
     space_to_obj,
-    upper_triangle,
 )
 
 from conftest import nan_cloud, random_space, two_point
@@ -65,7 +65,7 @@ def test_upper_triangle_round_trip():
         pts = rng.uniform(size=(n, 2))
         d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(2))
         np.fill_diagonal(d, 0.0)
-        flat = upper_triangle(d)
+        flat = _upper_values(d).tolist()
         assert len(flat) == n * (n - 1) // 2
         assert np.array_equal(from_upper_triangle(flat, n), d)
 
