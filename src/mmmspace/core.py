@@ -301,6 +301,18 @@ def _require_finite(*spaces: FiniteMmmSpace) -> None:
             raise ParameterError(f"space {space.label!r}: {space._first_non_finite}")
 
 
+def _require_nonnegative(*spaces: FiniteMmmSpace) -> None:
+    """`_require_finite`, then ParameterError naming the first negative
+    weight of the first space that has one."""
+    _require_finite(*spaces)
+    for space in spaces:
+        negative = np.flatnonzero(space.weights < 0)
+        if len(negative):
+            i = int(negative[0])
+            raise ParameterError(f"space {space.label!r}: weight {i} = "
+                                 f"{float(space.weights[i])!r} is negative")
+
+
 def _require_tol(tol: float) -> None:
     """ParameterError for a NaN, negative or infinite ``tol``, which would
     hide or invent violations."""
@@ -798,10 +810,37 @@ def is_equivalent_exact(a: FiniteMmmSpace, b: FiniteMmmSpace) -> bool:
 # ---------------------------------------------------------------------------
 
 def _sample_indices(space: FiniteMmmSpace, size, seed) -> np.ndarray:
-    """Atom indices drawn iid from the weights (a Generator ``seed`` is used as is).
-    NaN/inf distances, weights or marks raise ParameterError."""
-    p = space.weights / _weight_total(space)
-    return np.random.default_rng(seed).choice(space.n, size=size, p=p)
+    """Atom indices drawn iid from the weights: bit for bit, and in dtype
+    and shape, ``default_rng(seed).choice(space.n, size, p=w / fsum(w))``
+    (a Generator ``seed`` is used as is and left where choice leaves it).
+
+    As choice does, cdf = cumsum(w / fsum(w)) / its last entry, u =
+    ``rng.random(size)``, and a draw is the count of cdf entries <= u.
+    With at least as many draws as k >= 4N buckets, k a power of two, a
+    guide table (Chen and Asau 1974) replaces choice's search per draw:
+    b = floor(u k) and b / k are exact, so b / k <= u < (b + 1) / k.
+    lo[b] counts the entries <= b / k, and when bucket b, the interval
+    (b / k, (b + 1) / k], holds at most one entry, the count is lo[b] +
+    (cdf[lo[b]] <= u); cdf[-1] = 1 > u keeps lo[b] <= N - 1.  Draws in a
+    bucket that holds two or more entries, and all draws when they are
+    fewer than the buckets, are searched as choice searches them.  NaN/inf
+    distances, weights or marks and negative weights raise ParameterError.
+    """
+    _require_nonnegative(space)
+    cdf = np.cumsum(space.weights / _weight_total(space))
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(size)
+    k = 4 << (space.n - 1).bit_length()
+    if u.size < k:
+        return cdf.searchsorted(u, "right")
+    lo = cdf.searchsorted(np.arange(k + 1) / k, "right")
+    b = (u * k).astype(np.intp)
+    idx = lo[b] + (u >= cdf[lo[:-1]][b])
+    crowded = np.diff(lo) > 1
+    if crowded.any():
+        searched = crowded[b]
+        idx[searched] = cdf.searchsorted(u[searched], "right")
+    return idx
 
 
 def empirical_from_samples(space: FiniteMmmSpace, n: int, seed: int) -> FiniteMmmSpace:

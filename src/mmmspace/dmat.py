@@ -7,7 +7,8 @@ and the shift onto fresh indices) that make the polynomial algebra work.
 
 Every law of sampled tuples (`exact_law`, `law_push`, `pair_distance_law`)
 is added up by `_aggregate`: one stable lexsort groups equal key rows,
-and masses add exactly or by fsum.  Exactness: every IEEE weight is
+and masses add exactly or, correctly rounded, by fsum (groups of one
+or two masses by one float addition).  Exactness: every IEEE weight is
 a dyadic rational, so w_i = M_i / Q with integer mantissas M_i over one
 power of two Q; dividing by their gcd leaves integers m_i.  An atom's
 probability in `exact_law` is then (sum over its tuples of prod m) /
@@ -190,7 +191,10 @@ def sample(space: FiniteMmmSpace, n: int, seed: int) -> DistanceMatrixSample:
 
 
 def sample_many(space: FiniteMmmSpace, n: int, m: int, seed: int) -> list:
-    """Draw m >= 1 independent order-n samples (n >= 1) from one seeded stream."""
+    """Draw m >= 1 independent order-n samples (n >= 1) from one seeded
+    stream.  The atom indices are bit for bit those of ``Generator.choice``
+    with the normalized weights (`core._sample_indices`); NaN/inf entries
+    and negative weights raise ParameterError."""
     if n < 1 or m < 1:
         raise ParameterError("order and sample count must be >= 1")
     idx = _sample_indices(space, (m, n), seed)
@@ -231,8 +235,10 @@ def _aggregate(keys: np.ndarray, masses: np.ndarray, exact: bool):
 
     One stable lexsort groups the rows; ``firsts[g]`` is the position of
     group g's first row, groups sorted by their rows.  Exact masses
-    (integers or Fractions in an object array) add exactly; float masses
-    add by fsum, so each sum is correctly rounded.
+    (integers or Fractions in an object array) add exactly.  Every float
+    sum is correctly rounded, the fsum of its group: a group of one or two
+    masses is its rounded sum, with -0.0 read as 0.0 as fsum reads it, and
+    fsum runs on the groups of three or more.
     """
     # no columns (an order-0 push): one group
     order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
@@ -241,12 +247,16 @@ def _aggregate(keys: np.ndarray, masses: np.ndarray, exact: bool):
     new[:1] = True
     np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
     starts = np.flatnonzero(new)
-    if exact:
-        sums = np.add.reduceat(masses[order], starts)
-    else:
-        parts = masses[order].tolist()
-        ends = starts[1:].tolist() + [len(parts)]
-        sums = np.array([math.fsum(parts[lo:hi]) for lo, hi in zip(starts.tolist(), ends)])
+    masses = masses[order]
+    sums = np.add.reduceat(masses, starts)
+    if not exact:
+        sums += 0.0
+        ends = np.append(starts[1:], len(masses))
+        large = np.flatnonzero(ends - starts > 2)
+        if len(large):
+            parts = masses.tolist()
+            sums[large] = [math.fsum(parts[lo:hi])
+                           for lo, hi in zip(starts[large].tolist(), ends[large].tolist())]
     return order[new], sums
 
 
@@ -278,7 +288,9 @@ def exact_law(
         to exactly 1 in the rational case.  A tuple's key row holds the
         codes of its rounded distances and of its marks; `_aggregate`
         groups each chunk of EXACT_LAW_CHUNK rows and then the chunks'
-        atoms, so a float probability is the fsum of its chunks' fsums.
+        atoms, so a float probability is the fsum of its chunks' fsums
+        (a group of one or two masses is their rounded sum, which is its
+        fsum; fsum runs on groups of three or more).
         A rational probability is (sum of its tuples' products of m) /
         (sum m)^n with m the weight mantissas over their gcd
         (`_exact_factors`): tuple products and sums run in int64 when

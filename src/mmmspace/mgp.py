@@ -236,11 +236,32 @@ def correspondence_cross(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs, beta=None)
     return cross, float(beta) if beta.ndim == 0 else beta, dis
 
 
+_PROFILE_QUANTILES = np.linspace(0.0, 1.0, 9)
+
+
+def _profile(d: np.ndarray) -> np.ndarray:
+    """Each row's distance profile, ``np.quantile(np.sort(d, axis=1), qs,
+    axis=1).T``, read off the sorted rows by index with numpy's linear
+    rule.  The virtual index v = q (n - 1) splits into lo = floor(v) and
+    g = v - lo (numpy takes the top one through index -1), and the value
+    is a + (b - a) g, or b - (b - a)(1 - g) where g >= 0.5.  Values equal
+    numpy's bit for bit, except that a zero may carry the other sign where
+    a row holds both -0.0 and 0.0 (numpy's partition may swap them);
+    `_profile_cost` reads |pa - pb|, which does not see that sign."""
+    rows, top = np.sort(d, axis=1), len(d) - 1
+    virtual = _PROFILE_QUANTILES * top
+    lo = np.floor(virtual)
+    hi = lo + 1
+    lo[virtual >= top] = hi[virtual >= top] = -1
+    g = virtual - lo
+    a, b = rows[:, lo.astype(np.intp)], rows[:, hi.astype(np.intp)]
+    diff = b - a
+    return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
+
+
 def _profile_cost(a: FiniteMmmSpace, b: FiniteMmmSpace) -> np.ndarray:
     """Heuristic matching cost: distance-profile quantiles + marks + weights."""
-    qs = np.linspace(0.0, 1.0, 9)
-    pa = np.quantile(np.sort(a.distances, axis=1), qs, axis=1).T
-    pb = np.quantile(np.sort(b.distances, axis=1), qs, axis=1).T
+    pa, pb = _profile(a.distances), _profile(b.distances)
     cost = np.abs(pa[:, None, :] - pb[None, :, :]).mean(axis=2)
     cost += a.mark_space.cross_distances(a.marks, b.marks)
     return cost + np.abs(a.weights[:, None] - b.weights[None, :])

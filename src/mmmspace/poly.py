@@ -13,6 +13,7 @@ leading members as a diagnostic panel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -126,10 +127,23 @@ def mark_indicator(label, pos: int = 0, order: int | None = None) -> Polynomial:
 # evaluation
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _contraction_path(spec: tuple) -> tuple:
+    """The greedy `np.einsum_path` (the path ``optimize=True`` plans) for
+    operands of the given (shape, index list) pairs and a scalar output."""
+    operands: list = []
+    for shape, indices in spec:
+        operands += [np.broadcast_to(0.0, shape), list(indices)]
+    return tuple(np.einsum_path(*operands, [], optimize="greedy")[0])
+
+
 def _evaluate_product_exact(phi: Polynomial, space: FiniteMmmSpace) -> float:
     """Contract a product-form polynomial, one einsum index per sampled
     point: sum over tuples of prod_t w g_t(u_t) prod_kl f_kl(r_kl), a weighted
-    homomorphism density, over (total weight)^n."""
+    homomorphism density, over (total weight)^n.  The contraction path
+    depends only on the operands' shapes and indices, so it is planned once
+    per such spec (`_contraction_path`) and reused; each step, and so each
+    float, is the one ``optimize=True`` would compute."""
     n = phi.order
     total = _weight_total(space)
     # where (total weight)^n would leave the normal float range, the weights
@@ -142,7 +156,9 @@ def _evaluate_product_exact(phi: Polynomial, space: FiniteMmmSpace) -> float:
         operands += [w * np.array([float(g(mk)) for mk in space.marks]), [t]]
     for kl, f in phi.pair_factors:
         operands += [np.asarray(f(space.distances), dtype=float), list(kl)]
-    return float(np.einsum(*operands, [], optimize=True)) / math.ldexp(total, -e) ** n
+    spec = tuple((op.shape, tuple(ix)) for op, ix in zip(operands[::2], operands[1::2]))
+    path = _contraction_path(spec)
+    return float(np.einsum(*operands, [], optimize=path)) / math.ldexp(total, -e) ** n
 
 
 def evaluate_exact(
@@ -179,10 +195,12 @@ def evaluate_mc(phi: Polynomial, space: FiniteMmmSpace, m: int, seed: int):
     """Monte Carlo estimate of the polynomial: (estimate, standard error).
 
     Draws m iid order-n samples from one seeded stream (the same stream
-    ``dmat.sample_many`` would use).  The standard error is the sample
-    standard deviation (ddof=1) over sqrt(m); it is exactly 0 for a
-    constant integrand.  Fewer than two draws, and NaN/inf distances,
-    weights or marks, raise ParameterError.
+    ``dmat.sample_many`` would use); the indices are bit for bit those of
+    ``Generator.choice`` with the normalized weights (`core._sample_indices`).
+    The standard error is the sample standard deviation (ddof=1) over
+    sqrt(m); it is exactly 0 for a constant integrand.  Fewer than two
+    draws, NaN/inf distances, weights or marks, and negative weights raise
+    ParameterError.
     """
     if m < 2:
         raise ParameterError("need at least two Monte Carlo draws for a standard error")

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMmmSpace, _canonical_form, _form_key, _require_finite, _sample_indices
+from .core import (
+    FiniteMmmSpace, _canonical_form, _form_key, _require_nonnegative, _sample_indices,
+)
 from .errors import ParameterError
 from .poly import Polynomial, _exact_is_cheap, evaluate_exact, evaluate_mc
 
@@ -137,7 +139,9 @@ def two_sample_test(
     by repr, then weight bytes, then distance bytes) is drawn first from
     the single seeded stream.  Hence test(a, b) and test(b, a) agree bit
     for bit, and the result is invariant under relabeling either input.
-    Raises TooLargeError past `core.CANONICAL_NODE_BOUND` search nodes.
+    Raises TooLargeError past `core.CANONICAL_NODE_BOUND` search nodes,
+    and ParameterError for NaN/inf entries or a negative weight in either
+    input, checked before the forms drop nonpositive atoms.
     """
     if n < 2:
         raise ParameterError("sample order must be at least 2")
@@ -147,7 +151,7 @@ def two_sample_test(
         raise ParameterError("need at least 99 permutations")
     if a.mark_space != b.mark_space:
         raise ParameterError("both spaces must share the mark space")
-    _require_finite(a, b)
+    _require_nonnegative(a, b)
 
     ca, cb = sorted((_canonical_form(a), _canonical_form(b)), key=_form_key)
 

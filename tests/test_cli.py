@@ -199,6 +199,28 @@ def test_bad_counts_exit_one(capsys, ab_space, tmp_path, command, argv, detail):
     assert not list(tmp_path.glob("out.txt*"))
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("sample", ("--space", "{neg}", "--n", 2, "--count", 5)),
+    ("poly-eval", ("--space", "{neg}", "--n-max", 2, "--size", 3, "--mc", 10)),
+    ("test", ("--a", "{neg}", "--b", "{neg}", "--m", 20, "--perms", 99)),
+])
+def test_sampling_commands_reject_a_negative_weight(capsys, tmp_path, command, argv):
+    # sample and poly-eval exited with numpy's "bad-input", and test drew
+    # from canonical forms without the negative atom
+    neg = tmp_path / "neg.json"
+    save_space(FiniteMmmSpace(distances=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5],
+                                                  [2.0, 1.5, 0.0]]),
+                              marks=("a", "b", "a"), weights=np.array([0.6, 0.6, -0.2]),
+                              mark_space=AB_MARKS, label="neg"), neg)
+    out = tmp_path / "out.txt"
+    argv = [str(neg) if t == "{neg}" else t for t in argv]
+    code, stdout, stderr = run_cli(capsys, command, *argv, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "bad-parameter",
+                                  "detail": "space 'neg': weight 2 = -0.2 is negative"}
+    assert not list(tmp_path.glob("out.txt*"))
+
+
 def test_poly_eval_unknown_panel(capsys, ab_space):
     # there is no --panel option: the default panel is the only one
     for panel in ("exotic", "default"):

@@ -301,6 +301,33 @@ def test_every_sampler_rejects_a_non_finite_space():
             call(inf_weight)
 
 
+def test_every_sampler_rejects_a_negative_weight():
+    # numpy's choice raised a plain ValueError, and two_sample_test drew
+    # from canonical forms that had dropped the negative atom (p = 0.53)
+    neg = FiniteMmmSpace(distances=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5],
+                                             [2.0, 1.5, 0.0]]),
+                         marks=("a", "b", "a"), weights=np.array([0.6, 0.6, -0.2]),
+                         mark_space=AB_MARKS, label="neg")
+    good = FiniteMmmSpace(distances=neg.distances, marks=neg.marks,
+                          weights=np.array([0.5, 0.3, 0.2]), mark_space=AB_MARKS)
+    calls = [
+        lambda: sample(neg, 3, 0),
+        lambda: sample_many(neg, 3, 2, 0),
+        lambda: empirical_from_samples(neg, 5, 0),
+        lambda: sampled_functionals(neg, 20, 0, 0.5),
+        lambda: evaluate_mc(distance_monomial(0, 1, order=2), neg, 20, 0),
+        lambda: two_sample_test(neg, neg, m=20, permutations=99),
+        lambda: two_sample_test(good, neg, m=20, permutations=99),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=r"^space 'neg': weight 2 = -0.2 is negative$"):
+            call()
+    # -0.0 is not negative: its atom is never drawn
+    signed_zero = FiniteMmmSpace(distances=neg.distances, marks=neg.marks,
+                                 weights=np.array([0.5, -0.0, 0.5]), mark_space=AB_MARKS)
+    assert {s.marks[0] for s in sample_many(signed_zero, 1, 200, 0)} == {"a"}
+
+
 def test_nan_radii_and_thresholds_are_rejected(space_A):
     # every comparison with NaN is false: ball masses read all zeros and
     # both tails read 0

@@ -900,3 +900,58 @@ def test_empirical_memory_does_not_grow_with_the_draws(make):
     counts = np.bincount(idx, minlength=space.n)
     assert e.marks == tuple(space.marks[i] for i in atoms)
     assert e.weights.tolist() == [counts[i] * (1.0 / n) for i in atoms]
+
+
+def _weights_space(w):
+    n = len(w)
+    return FiniteMmmSpace(distances=np.abs(np.subtract.outer(np.arange(n), np.arange(n))) * 1.0,
+                          marks=("a",) * n, weights=np.asarray(w, dtype=float),
+                          mark_space=AB_MARKS)
+
+
+def _sampling_weights(kind, n, rng):
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(n))
+    if kind == "sparse-dirichlet":
+        return rng.dirichlet(np.full(n, 0.05))
+    if kind == "zero-ends":
+        w = rng.random(n)
+        if n > 2:
+            w[[0, -1]] = 0.0
+        return w
+    if kind == "skew-first":
+        return np.r_[1.0, np.full(n - 1, 1e-9)]
+    if kind == "skew-last":
+        return np.r_[np.full(n - 1, 1e-9), 1.0]
+    return rng.integers(0, 3, n) + np.r_[1.0, np.zeros(n - 1)]  # "repeated" cdf entries
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 60, 1000])
+@pytest.mark.parametrize("kind", ["uniform", "dirichlet", "sparse-dirichlet", "zero-ends",
+                                  "skew-first", "skew-last", "repeated"])
+def test_sample_indices_are_generator_choice_draws(kind, n):
+    # both paths (direct search below k draws, guide table from k on) must
+    # return choice's indices, dtype and shape exactly, including buckets
+    # that hold several cdf entries (skews, zero weights)
+    w = _sampling_weights(kind, n, np.random.default_rng(n))
+    space = _weights_space(w)
+    p = w / math.fsum(w.tolist())
+    k = 4 << (n - 1).bit_length()
+    for seed in range(4):
+        for size in (1, 5000, (400, 3), k - 1, k):
+            got = _sample_indices(space, size, seed)
+            want = np.random.default_rng(seed).choice(n, size=size, p=p)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_sample_indices_leave_a_passed_generator_where_choice_does():
+    space = _weights_space(np.random.default_rng(2).dirichlet(np.ones(60)))
+    p = space.weights / math.fsum(space.weights.tolist())
+    ours, numpy_ = np.random.default_rng(9), np.random.default_rng(9)
+    for size in ((150, 2), 7):
+        assert np.array_equal(_sample_indices(space, size, ours),
+                              numpy_.choice(space.n, size=size, p=p))
+    assert ours.random() == numpy_.random()

@@ -574,3 +574,26 @@ def test_pair_distance_law_matches_the_rational_double_loop():
         ref_values, ref_probs = rational_pair_law(s)
         assert values.tolist() == ref_values
         assert np.abs(probs - np.array(ref_probs)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("draw", ["uniform", "wide", "signed-zeros", "cancelling"])
+def test_float_aggregate_sums_are_the_groups_fsums(draw):
+    # one or two masses are summed by one float addition and three or more
+    # by fsum; every sum must be the fsum of its group, bytes included (fsum
+    # reads -0.0 as 0.0)
+    rng = np.random.default_rng(len(draw))
+    for _ in range(20):
+        sizes = rng.integers(1, 7, size=int(rng.integers(1, 60)))  # groups of 1 to 6
+        group = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        keys = np.stack([group // 7, group % 7], axis=1)
+        n = len(keys)
+        masses = {
+            "uniform": rng.random(n),
+            "wide": rng.random(n) * 10.0 ** rng.integers(-300, 1, n),
+            "signed-zeros": rng.choice([-0.0, 0.0, 5e-324, 1e-16, 1.0], n),
+            "cancelling": rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n),
+        }[draw]
+        firsts, sums = dmat._aggregate(keys, masses, exact=False)
+        assert group[firsts].tolist() == list(range(len(sizes)))
+        want = [math.fsum(masses[group == g].tolist()) for g in range(len(sizes))]
+        assert sums.tobytes() == np.array(want).tobytes()

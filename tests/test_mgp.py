@@ -1057,12 +1057,30 @@ def test_profile_cost_matches_the_pairwise_loop():
                 cost[i, j] += abs(a.weights[i] - b.weights[j])
         return cost
 
+    def rough(n, rng, k):
+        # tied rows, -0.0 distances (numpy's partition may swap -0.0 and 0.0,
+        # which only the cost's absolute value reads) and subnormal ones
+        d = rng.random((n, n)) * 10.0 ** rng.integers(-5, 5)
+        if k % 3 == 0:
+            d = np.round(d, 1)
+        if k % 5 == 0:
+            d[rng.random((n, n)) < 0.3] = -0.0
+        if k % 7 == 0:
+            d[rng.random((n, n)) < 0.3] = 5e-324
+        return FiniteMmmSpace(distances=d, marks=tuple(rng.integers(0, 2, n).tolist()),
+                              weights=rng.dirichlet(np.ones(n)),
+                              mark_space=MarkSpace.discrete((0, 1)))
+
     rng = np.random.default_rng(31)
     pairs = [random_pair(rng, max_n=6) for _ in range(5)]
     pairs += [(euclidean_cloud(5, 2, "point", seed=k), euclidean_cloud(7, 2, "point", seed=k + 9))
               for k in range(5)]
+    # the cost decides the greedy support, so the quantiles read by index
+    # must keep it bit for bit at every size
+    sizes = [(1, 3), (2, 1), (3, 200), (9, 9), (50, 2)] + rng.integers(1, 80, (30, 2)).tolist()
+    pairs += [(rough(n1, rng, k), rough(n2, rng, k + 1)) for k, (n1, n2) in enumerate(sizes)]
     for a, b in pairs:
-        assert np.array_equal(_profile_cost(a, b), loop_cost(a, b))
+        assert _profile_cost(a, b).tobytes() == loop_cost(a, b).tobytes()
 
 
 def test_mgp_lower_matches_the_union_metric_route():

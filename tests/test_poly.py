@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import mmmspace.poly
 from mmmspace import (
     BudgetError,
+    CoalescentConfig,
     FiniteMmmSpace,
     MarkSpace,
     ParameterError,
@@ -15,8 +17,10 @@ from mmmspace import (
     default_family_spec,
     default_panel,
     distance_monomial,
+    euclidean_cloud,
     evaluate_exact,
     evaluate_mc,
+    kingman,
     mark_indicator,
     multiply,
     product_family,
@@ -301,3 +305,22 @@ def test_panel_members_integrate_in_range(space_A):
     for member in default_panel(MarkSpace.discrete((0, 1)), n_max=3, size=10):
         v = evaluate_exact(member, space_A)
         assert -1e-12 <= v <= 1.0 + 1e-12
+
+
+def test_cached_contraction_path_matches_optimize_true(monkeypatch):
+    # a path planned once per operand spec and reused must give every float
+    # that einsum's own planning (optimize=True) gives
+    spaces = [kingman(CoalescentConfig(leaves=14, theta=1.0, seed=3)),
+              euclidean_cloud(11, 2, "sign", seed=5), euclidean_cloud(7, 2, "point", seed=6)]
+    for space in spaces:
+        members = default_panel(space.mark_space, 3, 250)
+        for order in (1, 2, 3):
+            panel = [phi for phi in members if phi.order == order][::7]
+            assert panel
+            cached = [evaluate_exact(phi, space) for phi in panel]
+            with monkeypatch.context() as m:
+                m.setattr(mmmspace.poly, "_contraction_path", lambda spec: True)
+                planned = [evaluate_exact(phi, space) for phi in panel]
+            assert np.array(cached).tobytes() == np.array(planned).tobytes()
+    info = mmmspace.poly._contraction_path.cache_info()
+    assert info.hits > info.misses
