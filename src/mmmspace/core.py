@@ -649,7 +649,7 @@ def canonicalize(space: FiniteMmmSpace) -> FiniteMmmSpace:
 # equivalence
 # ---------------------------------------------------------------------------
 
-CANONICAL_NODE_BOUND = 2000
+CANONICAL_WORK_BOUND = 2000 * 200 ** 2  # n^2 per search node: 2000 nodes at 200 atoms
 
 
 def _initial_colour(marks, weights: np.ndarray) -> np.ndarray:
@@ -722,17 +722,18 @@ def _canonical_order(d: np.ndarray, colour: np.ndarray) -> np.ndarray:
     atom is in the orbit of one already tried under the automorphisms that
     fix the node's path, and a leaf equal to the first one ends the search
     below the node where their paths part: the automorphism maps a
-    searched subtree onto each one skipped.  Raises TooLargeError past
-    CANONICAL_NODE_BOUND nodes.
+    searched subtree onto each one skipped.  Each node costs O(n^2) array
+    work or more, so the search charges n^2 per node and raises
+    TooLargeError past CANONICAL_WORK_BOUND.
     """
-    n, nodes, path = len(colour), 0, ()
+    n, work, path = len(colour), 0, ()
     autos, frames = [], []  # frames[k]: path, colouring, target cell and tried atoms at depth k
     first = best = None  # leaves as (matrix bytes, order, path)
     while True:
-        nodes += 1
-        if nodes > CANONICAL_NODE_BOUND:
+        work += n * n
+        if work > CANONICAL_WORK_BOUND:
             raise TooLargeError(f"canonical order search passed its budget of "
-                                f"{CANONICAL_NODE_BOUND} nodes on {n} atoms")
+                                f"{CANONICAL_WORK_BOUND // (n * n)} nodes on {n} atoms")
         colour = _refine(d, colour)
         cell = _target_cell(d, colour)
         if cell is not None:
@@ -794,9 +795,9 @@ def is_equivalent_exact(a: FiniteMmmSpace, b: FiniteMmmSpace) -> bool:
 
     The two canonical forms are compared bit for bit (`_canonical_form`,
     `_form_key`), in O(n^2) memory.  Raises TooLargeError when the
-    canonical order search passes CANONICAL_NODE_BOUND nodes, and
-    ParameterError for spaces without positive total weight or with
-    NaN/inf entries.
+    canonical order search passes CANONICAL_WORK_BOUND (n^2 per search
+    node, so 2000 nodes at 200 atoms and 80 at 1000), and ParameterError
+    for spaces without positive total weight or with NaN/inf entries.
     """
     _require_finite(a, b)
     for space in (a, b):

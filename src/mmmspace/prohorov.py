@@ -11,23 +11,22 @@ feasibility problem solved by maximum flow on integer capacities
 (probabilities scaled by 10^12 and rounded by largest remainder, so each
 side holds exactly 10^12 units; error at most 1e-12 per atom).  g is a
 nonincreasing right-continuous step function with breakpoints at the
-distinct cross distances, so the answer is
-max(t_k, g(t_k)) on the first breakpoint interval that contains its own
-candidate; that first interval is found by binary search because
-g(t_k) - t_{k+1} is strictly decreasing.
+distinct cross distances, so the answer is the least t in [0, 1] with
+g(t) <= t.
 
-Every value comes from one search, `_prohorov_search`, which also takes an
-incumbent bound and returns None, after at most one flow, when the
-distance is not below it.  Its flows come from `_max_flow_mass` (Dinic's
-algorithm on Python-int row masks, so no graph is built), and `_coupling`
-builds a dense witness coupling from one.  Two laws on the real line need
-no cross matrix: `_line_prohorov` gives the same value from their sorted
-atoms.
+Every value comes from one bisection, `_bisect`, whose probe at t reports
+g(t), the breakpoints beside t and the flow, and which takes an incumbent
+bound.  `_prohorov_search` probes a cross-distance matrix with
+`_max_flow_mass` (Dinic's algorithm on Python-int row masks, so no graph
+is built), and `_coupling` builds a witness coupling from its flow.  Two
+laws on the real line need no cross matrix: `_line_prohorov` probes their
+sorted atoms and gives the same value.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,28 +188,20 @@ def _line_prohorov(va, vb, cp, cq) -> float:
     Rounded subtraction is monotone, so at a threshold t row i's admissible
     columns {j : fl|va_i - vb_j| <= t} are [s_i, e_i), s_i counting the j
     with fl(va_i - vb_j) > t and e_i those with fl(vb_j - va_i) <= t, both
-    nondecreasing in i.  A probe finds them by two pointers and routes the
-    greedy line flow, rows in order, each filling its columns left to
-    right.  Column j serves exactly the later rows with s_i' <= j, a set
-    growing with j, so later rows keep a residual that dominates any other
-    choice and the flow is maximal: g(t) is the search's excluded mass at
-    the largest breakpoint t_a <= t.  The pass also finds t_a and the least
-    breakpoint above t, among the run ends and their outer neighbours.
-
-    g is nonincreasing and at most 1.  Bisection on the bit patterns of the
-    doubles in [0, 1] finds the least t+ with g(t+) <= t+: a failing probe
-    t shows that every t' < min(next breakpoint, g(t)) fails, and a passing
-    one that max(t_a, g(t)) <= t passes.  And t+ = min_k max(t_k, g(t_k)):
-    a breakpoint t_k < t+ fails, so g(t_k) > t_k, g(g(t_k)) <= g(t_k), and
-    g(t_k) >= t+ lest it pass.  For t_a, g(t_a) = g(t+) <= t+, and if t_a <
-    t+ the double below t+ fails, so g(t_a), above it, is t+.
+    nondecreasing in i.  A `_bisect` probe finds them by two pointers and
+    routes the greedy line flow, rows in order, each filling its columns
+    left to right.  Column j serves exactly the later rows with s_i' <= j,
+    a set growing with j, so later rows keep a residual that dominates any
+    other choice and the flow is maximal: g(t) is the matrix search's.  The
+    pass also finds the breakpoints beside t among the run ends and their
+    outer neighbours.
     """
     # columns 1..Kb, between sentinels at -inf and inf that no run reaches;
     # before[k] is the mass of the columns before column k
     va, cp = va.tolist(), cp.tolist()
     vb, before = [-math.inf, *vb.tolist(), math.inf], [0, 0, *np.cumsum(cq).tolist()]
 
-    def probe(t):  # (g(t), t_a, least breakpoint above t)
+    def probe(t):  # (g(t), t_a, least breakpoint above t, no flow)
         s = e = 1
         total = used = 0  # used: the column mass the greedy has filled or passed
         below, above = 0.0, math.inf
@@ -235,15 +226,9 @@ def _line_prohorov(va, vb, cp, cq) -> float:
             if move > supply:
                 move = supply
             used, total = used + move, total + move
-        return max(0.0, 1.0 - total / FLOW_SCALE), below, above
+        return max(0.0, 1.0 - total / FLOW_SCALE), below, above, None
 
-    lo, hi = 0.0, 1.0  # every t below lo fails, and hi passes
-    while lo < hi:
-        # bit patterns order the nonnegative doubles as their values
-        t = float((np.array([lo, hi]).view(np.int64).sum() // 2).view(np.float64))
-        g, below, above = probe(t)
-        lo, hi = (lo, max(below, g)) if g <= t else (min(above, g), hi)
-    return hi
+    return _bisect(probe)[0]
 
 
 def _integer_masses(w) -> np.ndarray:
@@ -263,60 +248,67 @@ def _integer_masses(w) -> np.ndarray:
     return mass
 
 
+def _bisect(probe, bound: float = math.inf):
+    """(t+, the flow at t+) for the least t+ >= 0 with g(t+) <= t+, if t+ <
+    ``bound``; None otherwise.
+
+    ``probe(t)`` returns (G = g(t), t_a, t_b, flow): the excluded mass, a
+    nonincreasing step function at most 1 with the cross distances as its
+    breakpoints; the largest breakpoint <= t (or 0.0) and the least one
+    above t (or inf); and the flow behind G, which like G is the same at
+    every threshold in [t_a, t_b).  Every t' < min(t_b, G) fails (g(t') >=
+    G > t'), and if G < t_b, c = max(t_a, G) passes (c lies in [t_a, t_b)).
+    So lo rises to min(t_b, G), and hi, from 1.0, falls to c with that
+    probe's flow, the flow at the largest breakpoint <= c.  Each probe is
+    at the midpoint of the bit patterns of lo and hi, which order the
+    nonnegative doubles as their values: a failing probe lifts lo above t
+    and a passing one brings hi to c <= t, so no search runs more than 62.
+    An arithmetic midpoint rounds to hi on adjacent doubles and never ends.
+    The least passing real is a double, so t+ is the distance: it is 0, a
+    breakpoint, or inside an interval where g is constant and then equal
+    to that constant.  If no probe sets hi, one more at 1.0 gives the flow.
+
+    Passing is monotone, so t+ < bound exactly when the double just below
+    ``bound`` passes: the first probe is there, and lo >= bound after it
+    means None; a bound above 1 needs no probe.  Value and flow are
+    functions of t+ alone, as without a bound.
+    """
+    lo, hi, at_hi = 0.0, 1.0, None  # at_hi: the probe that set hi
+    t = math.nextafter(bound, 0.0) if bound <= 1.0 else None  # the incumbent's probe first
+    while lo < hi:
+        if t is None:
+            t = struct.unpack("<d", struct.pack(
+                "<q", sum(struct.unpack("<2q", struct.pack("<2d", lo, hi))) // 2))[0]
+        got = probe(t)
+        g, below, above = got[:3]
+        if g < above:  # max(t_a, g) passes
+            hi, at_hi = max(below, g), got
+        lo, t = max(lo, min(above, g)), None
+        if lo >= bound:
+            return None
+    return hi, (at_hi or probe(1.0))[3]
+
+
 def _prohorov_search(dpq: np.ndarray, cp, cq, bound: float = math.inf):
     """Prohorov distance from the cross-distance matrix alone, if below ``bound``.
 
     ``cp`` and ``cq`` are the `_integer_masses` of the two measures, which
     a caller that searches many matrices for one pair of measures rounds
-    once.  Returns (value, sparse flow) when the value is below ``bound``
-    and None otherwise; ``_coupling(flow, wp, wq)`` is a witness coupling
-    for the probabilities wp, wq behind them.  Each probe ``dpq <= t``
-    goes to `_max_flow_mass` as row masks.
-
-    Let t_0 = 0 < t_1 < ... be 0 and the distinct cross distances, g(t_k)
-    the excluded mass at t_k and f_k = max(t_k, g(t_k)).  The value is f at
-    the first k with g(t_k) < t_{k+1} (or the last k), found by binary
-    search.  For earlier k, f_k = g(t_k) >= f_{k+1}; for later k, f_k >=
-    t_k, which exceeds both t and g at that first k.  So the value is
-    min_k f_k, in the same floats.  The computed g is nonincreasing in k
-    (the routable integer mass only grows with t), hence value < bound
-    exactly when g(t_K) < bound for the largest breakpoint t_K < bound;
-    without such a breakpoint the answer is no.  Since g <= 1, a bound
-    above 1 needs no flow.  When g(t_K) < bound, either K is the last
-    index or g(t_K) < bound <= t_{K+1}, so the first k lies in [0, K] and
-    the search starts there with the flow at t_K in hand.  Every flow is a
-    function of its threshold alone, so the value and the flow equal
-    those of the unbounded search.
+    once.  Returns (value, sparse flow) from `_bisect`, or None when the
+    value is not below ``bound``; ``_coupling(flow, wp, wq)`` is a witness
+    coupling for the probabilities wp, wq behind them.  A probe sends ``dpq
+    <= t`` to `_max_flow_mass` as row masks and reads t_a and t_b off the
+    entries on either side of t.
     """
-    ts = np.unique(dpq)
-    if len(ts) == 0 or ts[0] > 0.0:
-        ts = np.concatenate([[0.0], ts])
     masses = cp.tolist(), cq.tolist()
 
-    def solve(t):
-        mass, sparse = _max_flow_mass(*masses, _masks(dpq <= t))
-        return max(0.0, 1.0 - mass / FLOW_SCALE), sparse
+    def probe(t):
+        adm = dpq <= t
+        mass, sparse = _max_flow_mass(*masses, _masks(adm))
+        return (max(0.0, 1.0 - mass / FLOW_SCALE), float(dpq.max(initial=0.0, where=adm)),
+                float(dpq.min(initial=math.inf, where=~adm)), sparse)
 
-    # keep only the flow at the current hi, so that at most two flows are
-    # alive at once
-    lo, hi = 0, int(np.searchsorted(ts, bound, side="left")) - 1
-    if hi < 0:
-        return None
-    at_hi = None
-    if bound <= 1.0:
-        at_hi = solve(ts[hi])
-        if at_hi[0] >= bound:
-            return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        got = solve(ts[mid])
-        # the candidate of interval mid lies inside it
-        if got[0] < ts[mid + 1]:
-            hi, at_hi = mid, got
-        else:
-            lo = mid + 1
-    g, sparse = at_hi if at_hi is not None else solve(ts[lo])  # else lo is the last interval
-    return max(float(ts[lo]), g), sparse
+    return _bisect(probe, bound)
 
 
 def _coupling(flow, wp: np.ndarray, wq: np.ndarray) -> np.ndarray:

@@ -139,9 +139,10 @@ def two_sample_test(
     by repr, then weight bytes, then distance bytes) is drawn first from
     the single seeded stream.  Hence test(a, b) and test(b, a) agree bit
     for bit, and the result is invariant under relabeling either input.
-    Raises TooLargeError past `core.CANONICAL_NODE_BOUND` search nodes,
-    and ParameterError for NaN/inf entries or a negative weight in either
-    input, checked before the forms drop nonpositive atoms.
+    Raises TooLargeError when the canonical order search passes
+    `core.CANONICAL_WORK_BOUND` (n^2 per search node, so 2000 nodes at 200
+    atoms), and ParameterError for NaN/inf entries or a negative weight in
+    either input, checked before the forms drop nonpositive atoms.
     """
     if n < 2:
         raise ParameterError("sample order must be at least 2")

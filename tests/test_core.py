@@ -846,10 +846,10 @@ def test_equivalence_rejects_zero_total_weight(space_A):
 def test_canonical_order_search_budget(monkeypatch):
     cube = hamming_cube(5)
     assert is_equivalent_exact(cube, cube)
-    monkeypatch.setattr(mmmspace.core, "CANONICAL_NODE_BOUND", 5)
+    monkeypatch.setattr(mmmspace.core, "CANONICAL_WORK_BOUND", 5 * 32 ** 2)
     for call in (is_equivalent_exact,
                  lambda x, y: two_sample_test(x, y, m=20, permutations=99)):
-        with pytest.raises(TooLargeError, match="budget of 5 nodes"):
+        with pytest.raises(TooLargeError, match="budget of 5 nodes on 32 atoms"):
             call(cube, cube)
 
 

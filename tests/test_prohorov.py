@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import mmmspace.prohorov
+
 from mmmspace import (
     FinitePointMeasure,
     MarginalError,
@@ -266,6 +268,20 @@ def test_line_flow_reads_the_rounded_difference():
     assert _prohorov_search(np.abs(va[:, None] - vb[None, :]), cp, cq)[0] == 0.52
 
 
+def edge_matrices(rng, trials=6):
+    """(label, cross matrix) pairs at the edges of the search: distances all
+    above 1 (no probe below 1 passes), negative entries (`prohorov_exact`
+    takes an unchecked pseudo-metric), 1x1 matrices, distances log-uniform
+    from 1e-300 to 1, and distances clustered within 1e-12."""
+    for trial in range(trials):
+        kp, kq = (int(k) for k in rng.integers(1, 9, size=2))
+        yield ("above 1", trial), 1.0 + rng.uniform(0.0, 2.0, size=(kp, kq))
+        yield ("negative", trial), rng.uniform(-0.5, 1.0, size=(kp, kq))
+        yield ("1x1", trial), rng.uniform(0.0, 1.5, size=(1, 1))
+        yield ("1e-300", trial), 10.0 ** rng.uniform(-300.0, 0.0, size=(kp, kq))
+        yield ("clustered", trial), 0.3 + 1e-12 * rng.uniform(0.0, 1.0, size=(kp, kq))
+
+
 def test_incumbent_test_matches_the_full_value():
     """Below the bound, the bounded search returns the unbounded value and
     flow, so witness couplings cannot drift; at or above it, None."""
@@ -298,11 +314,25 @@ def test_incumbent_test_matches_the_full_value():
         pa, pb = rng.dirichlet(np.ones(ka)), rng.dirichlet(np.ones(kb))
         value = check(dpq, pa, pb, ("line", trial))
         assert _line_prohorov(va, vb, _integer_masses(pa), _integer_masses(pb)) == value
+    for label, dpq in edge_matrices(rng):
+        value = check(dpq, rng.dirichlet(np.ones(dpq.shape[0])),
+                      rng.dirichlet(np.ones(dpq.shape[1])), label)
+        assert value == 1.0 or label[0] != "above 1", label
 
 
 def test_search_returns_the_flow_at_its_value():
     """The search returns the kernel's flow at the largest breakpoint <= its
     value, whose mass the edge-list oracle routes too."""
+    def check(dpq, wp, wq, label):
+        cp, cq = _integer_masses(wp), _integer_masses(wq)
+        ts = np.unique(np.concatenate([[0.0], dpq.ravel()]))
+        value, flow = _prohorov_search(dpq, cp, cq)
+        adm = dpq <= ts[ts <= value].max()
+        mass, want = _max_flow_mass(cp.tolist(), cq.tolist(), _masks(adm))
+        assert flow == want, label
+        assert mass == max_flow_mass_oracle(cp, cq, adm)[0], label
+        check_sparse_flow(flow, mass, cp, cq, adm)
+
     rng = np.random.default_rng(97)
     for trial in range(80):
         metric, p, q = random_instance(rng, max_support=6)
@@ -315,14 +345,33 @@ def test_search_returns_the_flow_at_its_value():
                 if len(w) > 1:
                     w[rng.integers(len(w))] = 0.0
                     w /= w.sum()
-        cp, cq = _integer_masses(wp), _integer_masses(wq)
-        ts = np.unique(np.concatenate([[0.0], dpq.ravel()]))
-        value, flow = _prohorov_search(dpq, cp, cq)
-        adm = dpq <= ts[ts <= value].max()
-        mass, want = _max_flow_mass(cp.tolist(), cq.tolist(), _masks(adm))
-        assert flow == want, trial
-        assert mass == max_flow_mass_oracle(cp, cq, adm)[0], trial
-        check_sparse_flow(flow, mass, cp, cq, adm)
+        check(dpq, wp, wq, trial)
+    for label, dpq in edge_matrices(rng):
+        check(dpq, rng.dirichlet(np.ones(dpq.shape[0])), rng.dirichlet(np.ones(dpq.shape[1])),
+              label)
+
+
+def test_search_runs_at_most_64_flows(monkeypatch):
+    """No search, bounded or not, runs more than 62 bisection probes plus
+    the bound's probe and the flow probe at 1.0."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _max_flow_mass(*args)
+
+    monkeypatch.setattr(mmmspace.prohorov, "_max_flow_mass", counted)
+    rng = np.random.default_rng(89)
+    most = 0
+    for label, dpq in edge_matrices(rng, trials=20):
+        cp = _integer_masses(rng.dirichlet(np.ones(dpq.shape[0])))
+        cq = _integer_masses(rng.dirichlet(np.ones(dpq.shape[1])))
+        for bound in (math.inf, 1.0, 0.5, 1e-150, float(dpq.min()), float(dpq.max())):
+            calls.clear()
+            _prohorov_search(dpq, cp, cq, bound)
+            assert len(calls) <= 64, (label, bound)
+            most = max(most, len(calls))
+    assert most > 1
 
 
 # --- strassen_check -------------------------------------------------------
