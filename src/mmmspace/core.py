@@ -322,11 +322,6 @@ def _require_tol(tol: float) -> None:
 
 TRIANGLE_BLOCK_ELEMENTS = 1 << 18
 
-# Rounding margin of the min-plus pass, in units of max(1, d(i, k)): see
-# `_triangle_rows`.
-_TRIANGLE_MARGIN = 8 * np.finfo(float).eps
-_HALF_MAX = np.finfo(float).max / 2
-
 
 def _triangle_limit(dik, tol: float, relative: bool):
     """The excess a triple (i, j, k) may reach: ``tol`` times max(1, d(i, k))
@@ -335,53 +330,34 @@ def _triangle_limit(dik, tol: float, relative: bool):
 
 
 def _triangle_rows(d: np.ndarray, tol: float, relative: bool, upper: bool = False):
-    """The rows i that one min-plus pass cannot clear, in increasing order.
+    """The rows i that hold a triple (i, j, k) of excess
+    d(i, k) - (d(i, j) + d(j, k)) above `_triangle_limit`, in increasing
+    order: with ``upper``, every row with such a k > i, and maybe more.
 
-    For each row the pass forms S(i, k) = min_j fl(d(i, j) + d(j, k)) with
-    one add of row i onto blocks of the rows of d^T and one contiguous
-    min-reduce, so about n^3 adds and mins (n^3 / 2 with ``upper``, where
-    a block of rows from i0 looks only at the columns k > i0); it reads d
-    itself when d is symmetric and a copy of d^T otherwise.  Blocks of
-    rows and of columns k hold at most TRIANGLE_BLOCK_ELEMENTS sums, in
-    one reused buffer, and the minima of about TRIANGLE_BLOCK_ELEMENTS / 8
-    pairs are checked at a time, so the pass holds O(n^2) memory; a
-    matrix that fits one block is done in a single add and min.  Row i is
-    cleared when every pair (i, k) it looks at has
-    fl(d(i, k) - S(i, k)) <= fl(L - m), with L = `_triangle_limit` of
-    d(i, k) and the margin m = 8 eps max(1, d(i, k)).
+    One min-plus pass forms S(i, k) = min_j fl(d(i, j) + d(j, k)) with
+    `_min_plus`, one call per block of rows, and checks the minima of about
+    TRIANGLE_BLOCK_ELEMENTS / 8 pairs at a time, so it holds O(n^2) memory
+    and costs about n^3 adds and mins (n^3 / 2 with ``upper``, where a
+    block of rows from i0 looks only at the columns k > i0); it reads d
+    itself when d is symmetric and a copy of d^T otherwise.  Rounding is
+    monotone, so fl(d(i, k) - S(i, k)) is the largest excess over j as
+    `_triangle_blocks` computes it, for any finite entries: a row is
+    returned exactly when one of its pairs exceeds the limit.
 
-    A cleared pair has fl(fl(a - b) - c) <= L for every j, where that is
-    the excess `_triangle_blocks` computes, a = d(i, k), b = d(i, j) and
-    c = d(j, k).  Proof, for nonnegative entries at most half the largest
-    float, with u = eps / 2 and each sum or difference within u of its
-    magnitude (they never underflow inexactly): if fl(fl(a - b) - c) > L
-    >= 0 then fl(a - b) > c, so b < a, c < a and b + c < 2a.  Its two
-    roundings then move a - b - c by at most 2u a, and the two of
-    D = fl(a - fl(b + c)) by at most 4u a, so D > L - 6u a.  As
-    S(i, k) <= fl(b + c), fl(a - S) >= D; and L < a gives
-    fl(L - m) <= L - m + u max(1, a) = L - 15u max(1, a).  So
-    fl(a - S) > fl(L - m) and the pair is not cleared: every row holding
-    an excess above L is returned.
-
-    Every row is returned without a pass for a matrix with a negative entry
-    or one above half the largest float, for a ``tol`` below the margin's
-    8 eps (no pair of a zero-diagonal matrix can clear: j = i gives
-    S = d(i, k)), and for n^3 <= TRIANGLE_BLOCK_ELEMENTS / 8 (n <= 32):
-    there the exact scan is one block, and the pass's fixed cost of some
-    fifteen array calls is more than it saves (on 2 CPUs, the pass made
-    `glue` of 16 and 24 points 1.8 times slower, and the triangle check
-    of 40 points 2 to 3 times faster).
+    For n^3 <= TRIANGLE_BLOCK_ELEMENTS / 8 (n <= 32) every row is returned
+    without a pass: there the exact scan is one block, and the pass's fixed
+    cost of some fifteen array calls is more than it saves (on 2 CPUs, the
+    pass made `glue` of 16 and 24 points 1.8 times slower, and the triangle
+    check of 40 points 2 to 3 times faster).
     """
     n = d.shape[0]
     every = np.arange(n)
-    if (n ** 3 <= TRIANGLE_BLOCK_ELEMENTS // 8 or tol < _TRIANGLE_MARGIN
-            or d.min() < 0 or d.max() > _HALF_MAX):
+    if n ** 3 <= TRIANGLE_BLOCK_ELEMENTS // 8:
         return every
-    dt = d if np.array_equal(d, d.T) else np.ascontiguousarray(d.T)
+    # b[j, k] = d(j, k) with b^T C-contiguous, so `_min_plus` copies nothing
+    b = d.T if np.array_equal(d, d.T) else np.asfortranarray(d)
     step = max(1, TRIANGLE_BLOCK_ELEMENTS // (n * n))
-    width = n if step > 1 else max(1, TRIANGLE_BLOCK_ELEMENTS // n)
     batch = max(step, TRIANGLE_BLOCK_ELEMENTS // (8 * n))
-    sums_buf = np.empty(min(step, n) * min(width, n) * n)
     mins = np.empty((min(batch, n), n))
     held = np.zeros(n, dtype=bool)
     for b0 in range(0, n, batch):
@@ -389,33 +365,41 @@ def _triangle_rows(d: np.ndarray, tol: float, relative: bool, upper: bool = Fals
         got = mins[: len(rows)]
         got.fill(np.inf)  # the columns k <= i0 that ``upper`` skips stay cleared
         for i0 in range(b0, b0 + len(rows), step):
+            k0 = i0 + 1 if upper else 0
             part = d[i0: min(i0 + step, b0 + len(rows))]
-            for k0 in range(i0 + 1 if upper else 0, n, width):
-                cols = dt[k0: k0 + width]
-                sums = sums_buf[: len(part) * len(cols) * n].reshape(len(part), len(cols), n)
-                np.add(part[:, None, :], cols[None, :, :], out=sums)
-                sums.min(axis=2, out=got[i0 - b0: i0 - b0 + len(part), k0: k0 + len(cols)])
-        scale = np.maximum(1.0, rows)
-        slack = _triangle_limit(rows, tol, relative) - _TRIANGLE_MARGIN * scale
-        held[b0: b0 + len(rows)] = (rows - got > slack).any(axis=1)
+            _min_plus(part, b[:, k0:], out=got[i0 - b0: i0 - b0 + len(part), k0:])
+        held[b0: b0 + len(rows)] = (rows - got > _triangle_limit(rows, tol, relative)).any(axis=1)
     return every[held]
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """min_j a[i, j] + b[j, k], over blocks of j of at most
-    TRIANGLE_BLOCK_ELEMENTS sums (one j at least): the floats of one
-    (i, j, k) stack's min in O(N_i N_k) memory."""
-    n, m = a.shape[0], b.shape[1]
-    step = max(1, TRIANGLE_BLOCK_ELEMENTS // max(1, n * m))
-    out = np.full((n, m), np.inf)
-    for j0 in range(0, a.shape[1], step):
-        sums = a[:, j0: j0 + step, None] + b[None, j0: j0 + step, :]
-        np.minimum(out, sums.min(axis=1), out=out)
+def _min_plus(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """min_j a[i, j] + b[j, k] into ``out`` (default: a new array), inf for
+    an empty j.
+
+    Blocks of rows of ``a`` and of rows of b^T hold at most
+    TRIANGLE_BLOCK_ELEMENTS sums (one row and one column at least), in one
+    buffer, each added in one call and reduced by one contiguous min over
+    j; so the product holds O(N_i N_k) memory besides that buffer and
+    b^T, which is copied only when it is not C-contiguous.
+    """
+    n, inner, m = a.shape[0], a.shape[1], b.shape[1]
+    bt = np.ascontiguousarray(b.T)
+    out = np.empty((n, m)) if out is None else out
+    step = max(1, TRIANGLE_BLOCK_ELEMENTS // max(1, m * inner))
+    width = max(1, m if step > 1 else TRIANGLE_BLOCK_ELEMENTS // max(1, inner))
+    buf = np.empty(min(step, n) * min(width, m) * inner)
+    for i0 in range(0, n, step):
+        part = a[i0: i0 + step]
+        for k0 in range(0, m, width):
+            cols = bt[k0: k0 + width]
+            sums = buf[: len(part) * len(cols) * inner].reshape(len(part), len(cols), inner)
+            np.add(part[:, None, :], cols[None, :, :], out=sums)
+            sums.min(axis=2, out=out[i0: i0 + len(part), k0: k0 + len(cols)], initial=np.inf)
     return out
 
 
 def _triangle_blocks(d: np.ndarray, upper: bool = False, rows=None):
-    """Yield ``(idx, excess)`` with ``excess[a, j, k] = d(i, k) - d(i, j) - d(j, k)``
+    """Yield ``(idx, excess)`` with ``excess[a, j, k] = d(i, k) - (d(i, j) + d(j, k))``
     for i = idx[a], over the rows ``rows`` (default: all), in increasing i.
 
     The rows come in blocks of at most TRIANGLE_BLOCK_ELEMENTS entries (one
@@ -435,12 +419,13 @@ def _triangle_blocks(d: np.ndarray, upper: bool = False, rows=None):
         idx = rows[b: b + step]
         block = d[idx]
         k0 = int(idx[0]) + 1 if upper else 0
-        yield idx, block[:, None, k0:] - block[:, :, None] - d[None, :, k0:]
+        excess = block[:, :, None] + d[None, :, k0:]
+        yield idx, np.subtract(block[:, None, k0:], excess, out=excess)
 
 
 def _triangles(d: np.ndarray, tol: float) -> list:
     """``triangle`` Violations for the triples (i, j, k), i < k and j outside
-    {i, k}, whose excess d(i,k) - d(i,j) - d(j,k) passes the relative limit,
+    {i, k}, whose excess d(i,k) - (d(i,j) + d(j,k)) passes the relative limit,
     in (i, j, k) order and listed by `_listed`.  Each block of rows is
     counted and searched in numpy, and only the first VIOLATIONS_LISTED
     triples and the first of largest excess are kept, so a space that
@@ -489,14 +474,14 @@ def validate(space: FiniteMmmSpace, tol: float = 1e-12) -> ValidationReport:
     ``non-finite`` and end the check, since no other invariant means
     anything on them.
 
-    Triangles: one min-plus pass (`_triangle_rows`, about n^3 / 2 adds and
-    as many mins) clears every row i whose pairs k > i provably hold no
-    excess above the limit, and only the rows it cannot clear get the
-    exact excesses d(i,k) - d(i,j) - d(j,k) in blocks of the first index
+    Triangles: the excess of (i, j, k) is d(i,k) - (d(i,j) + d(j,k)).  One
+    min-plus pass (`_triangle_rows`, about n^3 / 2 adds and as many mins)
+    finds the rows i that hold an excess above the limit at some k > i,
+    and only those get the exact excesses in blocks of the first index
     (`_triangle_blocks`), so the report is the one a scan of every triple
-    gives.  Rows with a triple near or above the limit go to the exact
-    scan, which costs about twice the pass per row; a ``tol`` below 8 eps
-    (``tol=0``, say), a negative entry and n <= 32 send every row there
+    gives.  The exact scan costs about twice the pass per row, so a space
+    that violates a triangle in every row costs about three times one
+    that violates none; for n <= 32 every row goes to the exact scan
     without a pass.  Memory is O(n^2).
 
     Every kind is listed by one rule (`_listed`): its first

@@ -60,12 +60,11 @@ SCAN_BUDGET = 5000
 def _check_triangles(m: np.ndarray, tol: float, what: str) -> None:
     """GluingError, its message led by ``what``, naming the worst triangle
     violation of a finite matrix above ``tol``: the first maximum of
-    m(i, k) - m(i, j) - m(j, k) in C order over all triples.
+    m(i, k) - (m(i, j) + m(j, k)) in C order over all triples.
 
-    One min-plus pass (`core._triangle_rows`) clears the rows that provably
-    hold no excess above ``tol``; only the others get exact excesses,
-    block by block in O(n^2) memory.  The row of the first maximum is
-    never cleared, so the triple is the full scan's.
+    One min-plus pass (`core._triangle_rows`) finds exactly the rows that
+    hold an excess above ``tol``; only those get exact excesses, block by
+    block in O(n^2) memory, so the triple is the full scan's.
     """
     best, worst = tol, None
     for idx, excess in _triangle_blocks(m, rows=_triangle_rows(m, tol, relative=False)):
@@ -133,10 +132,10 @@ def glue(
     The full (N1+N2) matrix must be finite (ParameterError otherwise),
     satisfy every triangle inequality within ``tol`` and have nonnegative
     cross entries; violations raise GluingError naming the worst triple
-    (the first maximum excess in C order over all triples).  The triangle
-    check (`_check_triangles`) is one min-plus pass over the glued matrix,
-    about (N1+N2)^3 adds and as many mins, then exact excesses only for the
-    rows that pass cannot clear, which are every row with an excess above
+    (the first maximum of the excess m(i, k) - (m(i, j) + m(j, k)) in C
+    order over all triples).  The triangle check (`_check_triangles`) is
+    one min-plus pass over the glued matrix, about (N1+N2)^3 adds and as
+    many mins, then exact excesses only for the rows with an excess above
     ``tol``; it holds O((N1+N2)^2) memory.  A ``tol`` that is NaN, negative
     or infinite raises ParameterError.
     """
@@ -160,7 +159,8 @@ def glue_three(g12: GluedSpace, g23: GluedSpace, tol: float = GLUE_TOL) -> np.nd
     """Compose two gluings sharing the middle space into a metric on X1+X2+X3.
 
     The outer cross matrix routes through the middle block:
-    C13[i, k] = min_j C12[i, j] + C23[j, k] (`_min_plus`, O(N1 N3) memory).
+    C13[i, k] = min_j C12[i, j] + C23[j, k] (`_min_plus`, the kernel of the
+    triangle check's pass, in O(N1 N3) memory besides a copy of C23^T).
     The result is finite (ParameterError otherwise) and satisfies every
     triangle inequality (validated within ``tol``, which must be finite
     and nonnegative).
@@ -199,11 +199,11 @@ def correspondence_cross(a: FiniteMmmSpace, b: FiniteMmmSpace, pairs, beta=None)
     (default: half the distortion of the pairs).  The gluing is admissible
     when beta_ij + beta_kl >= |r1(i, k) - r2(j, l)| for every two pairs,
     which is checked within GLUE_TOL.  Returns (C, beta, distortion); C is
-    the min-plus product of r1[:, R] + beta and r2[R, :] (`_min_plus`), in
-    O(N1 N2) memory.  Pairs that are not two integer indices (``(0.5, 1)``,
-    ``("a", 0)``), indices outside [0, N1) x [0, N2), NaN/inf entries of
-    either space or of ``beta``, and a ``beta`` that fails the check raise
-    ParameterError.
+    the min-plus product of r1[:, R] + beta and r2[R, :] (`_min_plus`, the
+    kernel of the triangle check's pass), in O(N1 N2) memory.  Pairs that
+    are not two integer indices (``(0.5, 1)``, ``("a", 0)``), indices
+    outside [0, N1) x [0, N2), NaN/inf entries of either space or of
+    ``beta``, and a ``beta`` that fails the check raise ParameterError.
     """
     pairs = list(pairs)
     if not pairs:

@@ -383,14 +383,23 @@ def equivalent_oracle(a, b):
 def triangle_violations_oracle(d, tol=1e-12):
     """`validate`'s triangle violations from the full n^3 excess tensor:
     (kind, (i, j, k), excess, message) for i < k, j outside {i, k}, in C
-    order."""
+    order, with excess d(i, k) - (d(i, j) + d(j, k))."""
     n = len(d)
-    excess = d[:, None, :] - d[:, :, None] - d[None, :, :]
+    excess = d[:, None, :] - (d[:, :, None] + d[None, :, :])
     i, j, k = np.indices((n, n, n))
     hit = (excess > tol * np.maximum(1.0, d)[:, None, :]) & (i < k) & (j != i) & (j != k)
     return [("triangle", (a, b, c), float(excess[a, b, c]),
              f"triangle violation ({a},{b},{c}), excess {excess[a, b, c]:g}")
             for a, b, c in np.argwhere(hit).tolist()]
+
+
+def triangle_rows_oracle(d, limit):
+    """The rows i whose full n^3 tensor of d(i, k) - (d(i, j) + d(j, k)) has
+    an entry above ``limit`` (a number, or one per pair (i, k)), over every
+    j and k: (all such rows, the rows with such an entry at some k > i)."""
+    excess = d[:, None, :] - (d[:, :, None] + d[None, :, :])
+    hit = (excess > np.broadcast_to(limit, d.shape)[:, None, :]).any(axis=1)
+    return np.flatnonzero(hit.any(axis=1)), np.flatnonzero(np.triu(hit, 1).any(axis=1))
 
 
 def listed_rows(rows, what):
@@ -415,12 +424,12 @@ def listed_triangles(rows):
 
 def triangle_excess_oracle(m):
     """`glue`'s worst triple from the full n^3 excess tensor: (excess,
-    (i, j, k)) at the first maximum of m(i, k) - m(i, j) - m(j, k) in C
+    (i, j, k)) at the first maximum of m(i, k) - (m(i, j) + m(j, k)) in C
     order over all triples (a NaN counts as the maximum, as in np.argmax),
     or (0.0, ()) for n < 3."""
     if len(m) < 3:
         return 0.0, ()
-    excess = m[:, None, :] - m[:, :, None] - m[None, :, :]
+    excess = m[:, None, :] - (m[:, :, None] + m[None, :, :])
     flat = int(np.argmax(excess))
     return float(excess.flat[flat]), tuple(int(t) for t in np.unravel_index(flat, excess.shape))
 

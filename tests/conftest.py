@@ -199,9 +199,10 @@ def space_A2():
 
 
 def rounding_witness(rng, tol, relative):
-    """(a, b, c) >= 0 with a violation fl(fl(a - b) - c) > L that the
-    reordered sum misses: fl(a - fl(b + c)) <= L, with L = tol max(1, a)
-    when ``relative`` and tol otherwise.  Searched near the tight c."""
+    """(a, b, c) >= 0 with a violation fl(a - fl(b + c)) > L that the
+    other order of the sum misses: fl(fl(a - b) - c) <= L, with
+    L = tol max(1, a) when ``relative`` and tol otherwise.  Searched near
+    the tight c."""
     for _ in range(100000):
         a = float(rng.uniform(0.5, 4.0))
         b = float(rng.uniform(0.0, a))
@@ -209,7 +210,7 @@ def rounding_witness(rng, tol, relative):
         for ulps in range(-4, 5):
             c = (a - b) - limit
             c += ulps * float(np.spacing(c))
-            if c >= 0.0 and (a - b) - c > limit >= a - (b + c):
+            if c >= 0.0 and a - (b + c) > limit >= (a - b) - c:
                 return a, b, c
     raise AssertionError("no rounding witness found")
 

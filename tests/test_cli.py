@@ -476,8 +476,9 @@ def test_malformed_v2_payload_is_a_bad_parameter(capsys, tmp_path, payload, deta
 
 
 def test_validate_lists_a_hundred_triangles_on_a_line(capsys, tmp_path):
-    # 400 sorted points on a line at tol 0: 1 123 926 rounding-level
-    # violations, each once listed in a 435 MiB, 5 s report
+    # 400 sorted points on a line at tol 0: 427 290 triples whose rounded
+    # excess d(i,k) - (d(i,j) + d(j,k)) is above 0, of which only the first
+    # 100, the worst and a count are listed
     x = np.sort(np.random.default_rng(1).uniform(0, 100, 400))
     line = tmp_path / "line.json"
     save_space(FiniteMmmSpace(distances=np.abs(np.subtract.outer(x, x)), marks=("a",) * 400,
@@ -494,7 +495,7 @@ def test_validate_lists_a_hundred_triangles_on_a_line(capsys, tmp_path):
     assert len(triangles) == 102  # the worst triple lies past the first 100
     assert [tuple(v["indices"]) for v in triangles[:100]] == sorted(
         tuple(v["indices"]) for v in triangles[:100])
-    assert triangles[-1]["message"] == ("1123926 triples violate the triangle inequality, "
+    assert triangles[-1]["message"] == ("427290 triples violate the triangle inequality, "
                                         "the first 100 and the largest listed")
     assert max(triangles, key=lambda v: v["magnitude"]) == triangles[100]
     assert report["detail"] == triangles[100]["message"]

@@ -31,7 +31,7 @@ from mmmspace.core import Violation, _non_finite, _require_finite, _sample_indic
 
 from _oracles import (
     canonicalize_oracle, empirical_oracle, equivalent_oracle, listed_rows, listed_triangles,
-    mark_distance, triangle_violations_oracle,
+    mark_distance, triangle_rows_oracle, triangle_violations_oracle,
 )
 from conftest import (
     AB_MARKS, BIT_MARKS, balanced_tree, cycle_space, graph_space, hamming_cube,
@@ -326,7 +326,7 @@ def reference_validate(space, tol=1e-12):
     for i in range(n):
         for j in range(n):
             for k in range(i + 1, n):
-                excess = d[i, k] - d[i, j] - d[j, k]
+                excess = d[i, k] - (d[i, j] + d[j, k])
                 if j not in (i, k) and excess > tol * max(1.0, d[i, k]):
                     kinds["triangle"].append(
                         ("triangle", (i, j, k), float(excess),
@@ -584,18 +584,62 @@ def test_validate_pass_in_chunks_matches_the_full_tensor(monkeypatch, elements):
     assert cleared > 0
 
 
+def pass_corpus(rng):
+    """Matrices of 33 to 69 points for the min-plus pass: a Euclidean cloud,
+    sorted points on a line, and copies of the cloud with one entry
+    stretched by 0.5, one negative entry, every entry scaled by up to 1.002
+    on its own (so d is asymmetric) and one entry above half the largest
+    float."""
+    for n in (33, 45, 57, 69):
+        cloud = random_points_metric(rng, n)
+        x = np.sort(rng.uniform(0.0, 100.0, size=n))
+        yield cloud
+        yield np.abs(np.subtract.outer(x, x))
+        i, k = rng.choice(n, size=2, replace=False)
+        for value in (cloud[i, k] + 0.5, -0.25, 0.6 * np.finfo(float).max):
+            d = cloud.copy()
+            d[i, k] = d[k, i] = value
+            yield d
+        d = cloud * rng.uniform(1.0, 1.002, size=(n, n))
+        assert not np.array_equal(d, d.T)
+        yield d
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-3])
+def test_triangle_rows_are_the_rows_of_the_full_tensor(tol):
+    """The pass returns exactly the rows whose excess
+    d(i,k) - (d(i,j) + d(j,k)) exceeds the limit at some j and k, for any
+    finite entries; with ``upper`` at least every row with such a k > i.
+    The entry above half the largest float overflows sums to inf."""
+    rng = np.random.default_rng(83)
+    held = cleared = 0
+    with np.errstate(over="ignore"):
+        for _ in range(5):
+            for d in pass_corpus(rng):
+                for relative in (False, True):
+                    limit = mmmspace.core._triangle_limit(d, tol, relative)
+                    every, upper = triangle_rows_oracle(d, limit)
+                    got = mmmspace.core._triangle_rows(d, tol, relative)
+                    assert got.tolist() == every.tolist()
+                    got = mmmspace.core._triangle_rows(d, tol, relative, upper=True)
+                    assert set(upper.tolist()) <= set(got.tolist())
+                    held += len(every)
+                    cleared += len(d) - len(every)
+    assert held > 0 and cleared > 0
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-12])
 def test_validate_catches_the_rounding_witness(tol):
-    """fl(fl(a - b) - c) exceeds the limit while fl(a - fl(b + c)) does
-    not: the pass alone would clear this pair, its margin must not."""
+    """fl(a - fl(b + c)) exceeds the limit while fl(fl(a - b) - c) does
+    not: the excess is the first one, so the pass keeps row 0 and the
+    exact scan reports (0, 1, 2)."""
     a, b, c = rounding_witness(np.random.default_rng(59), tol, relative=True)
     d = witness_metric(a, b, c)
     got = report_rows(validate(one_mark_space(d), tol=tol))
     assert got == reference_validate(one_mark_space(d), tol=tol)
     assert [v[1] for v in got] == [(0, 1, 2)]
-    if tol:
-        rows = mmmspace.core._triangle_rows(d, tol, relative=True, upper=True)
-        assert rows.tolist() == [0]
+    rows = mmmspace.core._triangle_rows(d, tol, relative=True, upper=True)
+    assert rows.tolist() == [0]
 
 
 def test_validate_names_the_broken_cloud_triple():

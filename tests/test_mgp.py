@@ -37,6 +37,7 @@ from mmmspace import (
     two_sample_test,
     validate,
 )
+from mmmspace.core import _min_plus
 from mmmspace.mgp import _profile_cost, _pruned
 
 from _oracles import (
@@ -175,15 +176,19 @@ def test_glue_three_raises_the_full_scans_worst_triple():
 
 
 def test_glue_catches_the_rounding_witness():
-    """fl(fl(a - b) - c) exceeds GLUE_TOL while fl(a - fl(b + c)) does not:
-    the min-plus pass alone would clear the row, its margin must not."""
+    """fl(a - fl(b + c)) exceeds GLUE_TOL while fl(fl(a - b) - c) does not:
+    the excess is the first one, so the pass keeps row 0 and GluingError
+    names (0, 1, 2)."""
     a, b, c = rounding_witness(np.random.default_rng(71), mmmspace.mgp.GLUE_TOL,
                                relative=False)
     z = witness_metric(a, b, c)
+    # (0, 1, 2) and its mirror (2, 1, 0), whose sum c + b rounds as b + c
+    rows = mmmspace.core._triangle_rows(z, mmmspace.mgp.GLUE_TOL, relative=False)
+    assert rows.tolist() == [0, 2]
     left = FiniteMmmSpace(distances=z[:-1, :-1], marks=("a",) * (len(z) - 1),
                           weights=np.full(len(z) - 1, 1 / (len(z) - 1)), mark_space=AB_MARKS)
     want = triangle_excess_oracle(z)
-    assert want[0] > mmmspace.mgp.GLUE_TOL
+    assert want[0] > mmmspace.mgp.GLUE_TOL and want[1] == (0, 1, 2)
     with pytest.raises(GluingError) as err:
         glue(left, line_space([0.0]), z[:-1, -1:])
     assert (err.value.indices, err.value.excess) == (want[1], want[0])
@@ -275,11 +280,18 @@ def test_min_plus_blocks_give_the_full_stacks_bytes(monkeypatch):
     stack = a.distances[:, si][:, :, None] + beta[None, :, None] + b.distances[sj, :][None, :, :]
     g12, g23 = glue(a, a, a.distances + 0.5), glue(a, b, stack.min(axis=1))
     outer = (g12.cross[:, :, None] + g23.cross[None, :, :]).min(axis=1)
-    # blocks of 1, 2 and 5 middle indices, and one block for everything
-    for elements in (1, 2 * 9 * 7, 5 * 9 * 7, 1 << 18):
+    # the 9 x 12 by 12 x 7 product of correspondence_cross in blocks of one
+    # row and one column, one row and 3 columns, 3 rows and all 7 columns,
+    # and one block for everything (glue_three's 9 x 9 by 9 x 7 in one row
+    # and one column, one row and 4 columns, 4 rows, and one block)
+    for elements in (1, 3 * 12, 3 * 7 * 12, 1 << 18):
         monkeypatch.setattr(mmmspace.core, "TRIANGLE_BLOCK_ELEMENTS", elements)
         assert correspondence_cross(a, b, pairs, beta)[0].tobytes() == stack.min(axis=1).tobytes()
         assert glue_three(g12, g23)[:9, 18:].tobytes() == outer.tobytes()
+        # an empty middle gives inf, empty outer sides an empty product
+        assert _min_plus(np.zeros((3, 0)), np.zeros((0, 4))).tolist() == [[np.inf] * 4] * 3
+        assert _min_plus(np.zeros((0, 2)), np.zeros((2, 4))).shape == (0, 4)
+        assert _min_plus(np.zeros((3, 2)), np.zeros((2, 0))).shape == (3, 0)
 
 
 # --- correspondences ---------------------------------------------------------
